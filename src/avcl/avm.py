@@ -34,6 +34,8 @@ class AvmParams:
         for k, p in self.params.items():
             if k not in arrays:
                 raise KeyError(f"missing parameter {k!r}")
+            if arrays[k].shape != p.shape:
+                raise ValueError(f"shape mismatch for {k!r}")
             p.data = np.ascontiguousarray(arrays[k], dtype=np.float64)
 
 

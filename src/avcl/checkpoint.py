@@ -44,37 +44,42 @@ def write_entries(fh, tensors: dict[str, np.ndarray]) -> int:
 
 
 def read_entries(fh) -> dict[str, np.ndarray]:
-    """Read entries until EOF. Duplicate names are an error."""
+    """Read entries from a seekable handle until EOF. Every length, rank and
+    extent is checked against the bytes left before anything is read, so a
+    hostile header fails with :class:`CheckpointError` instead of an
+    unbounded allocation. Duplicate names are an error."""
+    start = fh.tell()
+    end = fh.seek(0, io.SEEK_END)
+    fh.seek(start)
+
+    def take(n: int, what: str) -> bytes:
+        if n > end - fh.tell():
+            raise CheckpointError(f"truncated {what}")
+        return fh.read(n)
+
     out: dict[str, np.ndarray] = {}
-    while True:
-        head = fh.read(8)
-        if head == b"":
-            break
-        if len(head) != 8:
-            raise CheckpointError("truncated entry header")
-        (name_len,) = _U64.unpack(head)
-        nb = fh.read(name_len)
-        if len(nb) != name_len:
-            raise CheckpointError("truncated entry name")
-        name = nb.decode("utf-8")
-        rank_b = fh.read(8)
-        if len(rank_b) != 8:
-            raise CheckpointError("truncated rank")
-        (rank,) = _U64.unpack(rank_b)
-        ext_b = fh.read(8 * rank)
-        if len(ext_b) != 8 * rank:
-            raise CheckpointError("truncated extents")
+    while fh.tell() < end:
+        (name_len,) = _U64.unpack(take(8, "entry header"))
+        try:
+            name = take(name_len, "entry name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError("entry name is not utf-8") from None
+        (rank,) = _U64.unpack(take(8, "rank"))
+        ext_b = take(8 * rank, "extents")
         shape = tuple(_U64.unpack_from(ext_b, 8 * i)[0] for i in range(rank))
-        count = 1
-        for s in shape:
-            count *= s
-        payload = fh.read(8 * count)
-        if len(payload) != 8 * count:
-            raise CheckpointError("truncated payload")
+        count = 0 if 0 in shape else 1
+        for ext in shape:
+            count *= ext
+            if 8 * count > end - fh.tell():
+                raise CheckpointError("truncated payload")
+        payload = take(8 * count, "payload")
         if name in out:
             raise CheckpointError(f"duplicate tensor name {name!r}")
         arr = np.frombuffer(payload, dtype=_F64LE, count=count).astype(np.float64)
-        out[name] = arr.reshape(shape).copy(order="C")
+        try:
+            out[name] = arr.reshape(shape).copy(order="C")
+        except ValueError:
+            raise CheckpointError(f"invalid extents {shape} for {name!r}") from None
     return out
 
 

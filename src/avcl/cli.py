@@ -9,10 +9,18 @@ Subcommands::
     avcl report        runs/* [--out report.csv]
     avcl export-attention --config run.ini --data data/ --ckpt ... --out maps.csv
 
+A run directory holds ``config.ini`` (the resolved configuration), and after
+every completed task ``task_XX.ckpt`` (model, optimizer state, rehearsal
+memory and run progress in one container) with ``task_XX.rng.json`` (the
+random-stream states) beside it; ``losses.csv``, ``acc_matrix.csv``,
+``gaps.csv`` and ``retrieval.json`` are rewritten as tasks complete.
+
 Exit codes: 0 success; 2 configuration or usage error; 3 data error (missing,
-truncated or modified files); 4 numeric divergence during training.  A run
-aborted by a config or data error never leaves a partial run directory; an
-interrupted training run resumes from its last completed task.
+truncated, modified or unreadable files, including a checkpoint whose
+rehearsal-memory snapshot is inconsistent or in an older format); 4 numeric
+divergence during training.  A run aborted by a config or data error never
+leaves a partial run directory; an interrupted training run resumes from its
+last completed task.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ from avcl import checkpoint as ckpt
 from avcl import config as cf
 from avcl import data as dt
 from avcl import evaluate as ev
+from avcl import memory as rm
 from avcl import trainer as tr
 
 _MANIFEST = "manifest.json"
@@ -328,7 +337,8 @@ def main(argv=None) -> int:
     except tr.TrainError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (dt.DataError, ckpt.CheckpointError, ev.EvalError, OSError) as exc:
+    except (dt.DataError, ckpt.CheckpointError, rm.RehearsalError, ev.EvalError,
+            json.JSONDecodeError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

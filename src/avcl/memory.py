@@ -1,11 +1,14 @@
 """Rehearsal memory.
 
-Reservoir-sampled storage of past training pairs in two layouts — ``raw``
-(full patch grids plus importance/correlation scores and pooled queries) and
-``selected`` (only the chosen patch subsets plus queries) — together with
-uniform replay sampling, the feature-drift penalty applied to replayed
-features, and a deterministic snapshot format built on the checkpoint
-serializer.
+A columnar reservoir of past training pairs: one preallocated
+``(capacity, ...)`` float64 array per stored field, plus slot-indexed
+insertion steps and source tasks.  A strategy stores exactly the fields its
+replay reads — patches and their grid ids always, pooled features for the
+feature-drift penalty, localized queries and selection scores for
+attention-guided selection — so no field is ever a placeholder.  Alongside
+the store: batch-wise reservoir insertion, uniform replay sampling, the
+feature-drift penalty applied to replayed features, and a snapshot of a
+fixed handful of tensors for the checkpoint container.
 """
 
 from __future__ import annotations
@@ -18,156 +21,85 @@ import avcl.checkpoint as cp
 import avcl.tensor as tt
 from avcl.tensor import Tensor
 
-RAW = "raw"
-SELECTED = "selected"
-
 
 class RehearsalError(ValueError):
     pass
 
 
-def _frozen(arr, dtype) -> np.ndarray:
-    out = np.array(arr, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(frozen=True)
-class RehearsalEntry:
-    """One stored pair. ``raw`` keeps full patch grids plus scores so replay
-    can re-run selection; ``selected`` keeps only the chosen patches (their
-    original grid ids travel along for positional re-embedding). Arrays are
-    frozen read-only at construction; entries never mutate afterwards."""
-
-    layout: str
-    audio_patches: np.ndarray  # (M, p2) raw / (kappa_a, p2) selected
-    audio_indices: np.ndarray  # (n_a,) original flat grid ids
-    video_patches: np.ndarray
-    video_indices: np.ndarray
-    q_audio: np.ndarray  # (H, d) pooled localized queries
-    q_video: np.ndarray
-    feat_audio: np.ndarray  # (D,) stored contrastive features
-    feat_video: np.ndarray
-    imp_audio: np.ndarray | None = None  # raw layout only
-    imp_video: np.ndarray | None = None
-    corr_audio: np.ndarray | None = None
-    corr_video: np.ndarray | None = None
-    insertion_step: int = 0
-    source_task: int = -1  # diagnostics only; never read by training logic
-
-    def __post_init__(self):
-        if self.layout not in (RAW, SELECTED):
-            raise RehearsalError(f"unknown layout {self.layout!r}")
-        scores = (self.imp_audio, self.imp_video, self.corr_audio, self.corr_video)
-        if self.layout == RAW and any(s is None for s in scores):
-            raise RehearsalError("raw layout requires importance and correlation")
-        if self.layout == SELECTED and any(s is not None for s in scores):
-            raise RehearsalError("selected layout must not carry scores")
-        for name in ("audio_patches", "video_patches", "q_audio", "q_video"):
-            if getattr(self, name).ndim != 2:
-                raise RehearsalError(f"{name} must be 2-dimensional")
-        for mod in ("audio", "video"):
-            if len(getattr(self, f"{mod}_indices")) != len(getattr(self, f"{mod}_patches")):
-                raise RehearsalError(f"{mod} indices misaligned with patches")
-        for name in ("audio_patches", "video_patches", "q_audio", "q_video",
-                     "feat_audio", "feat_video", "imp_audio", "imp_video",
-                     "corr_audio", "corr_video"):
-            val = getattr(self, name)
-            if val is not None:
-                object.__setattr__(self, name, _frozen(val, np.float64))
-        for name in ("audio_indices", "video_indices"):
-            object.__setattr__(self, name, _frozen(getattr(self, name), np.int64))
-
-
 @dataclass
 class ReservoirMemory:
+    """Slots ``[0, count)`` hold the stored pairs.  ``fields`` maps a field
+    name to its ``(capacity, ...)`` column and is created by the first
+    insert; grid ids are stored as exact float64 like every other field.
+    ``tasks`` is diagnostics only and never read by training logic."""
+
     capacity: int
-    layout: str = RAW
-    entries: list[RehearsalEntry] = field(default_factory=list)
     seen_count: int = 0
+    count: int = 0
+    fields: dict[str, np.ndarray] = field(default_factory=dict)
+    steps: np.ndarray = field(init=False)
+    tasks: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.capacity < 0:
             raise RehearsalError("capacity must be non-negative")
-        if self.layout not in (RAW, SELECTED):
-            raise RehearsalError(f"unknown layout {self.layout!r}")
+        self.steps = np.zeros(self.capacity, dtype=np.int64)
+        self.tasks = np.full(self.capacity, -1, dtype=np.int64)
 
     def __len__(self):
-        return len(self.entries)
+        return self.count
 
 
-def reservoir_insert(mem: ReservoirMemory, entry: RehearsalEntry,
-                     rng: np.random.Generator) -> None:
-    """Algorithm-R insertion: the t-th streamed item survives with
-    probability capacity/t. Zero capacity is a no-op that also skips the
-    random draw, so disabled-memory runs consume no generator state."""
-    if entry.layout != mem.layout:
-        raise RehearsalError("entry layout does not match memory layout")
-    mem.seen_count += 1
+def reservoir_insert(mem: ReservoirMemory, batch: dict[str, np.ndarray],
+                     step: int, task: int, rng: np.random.Generator) -> None:
+    """Algorithm-R insertion of every row of ``batch`` (field name ->
+    ``(B, ...)`` array): the t-th streamed row survives with probability
+    capacity/t.  Zero capacity is a no-op that also skips the random draws,
+    so disabled-memory runs consume no generator state."""
+    batch = {k: np.asarray(v, dtype=np.float64) for k, v in batch.items()}
+    rows = {v.shape[0] if v.ndim else -1 for v in batch.values()}
+    if len(rows) != 1 or -1 in rows:
+        raise RehearsalError("batch fields need one common row count")
+    if mem.fields and ({k: v.shape[1:] for k, v in mem.fields.items()}
+                       != {k: v.shape[1:] for k, v in batch.items()}):
+        raise RehearsalError("batch fields do not match the stored fields")
+    b = rows.pop()
     if mem.capacity == 0:
+        mem.seen_count += b
         return
-    if len(mem.entries) < mem.capacity:
-        mem.entries.append(entry)
+    if not mem.fields:
+        mem.fields = {k: np.zeros((mem.capacity,) + v.shape[1:])
+                      for k, v in batch.items()}
+    slot_row: dict[int, int] = {}  # a later row replacing a slot wins
+    for row in range(b):
+        mem.seen_count += 1
+        if mem.count < mem.capacity:
+            slot_row[mem.count] = row
+            mem.count += 1
+            continue
+        j = int(rng.integers(0, mem.seen_count))
+        if j < mem.capacity:
+            slot_row[j] = row
+    if not slot_row:
         return
-    j = int(rng.integers(0, mem.seen_count))
-    if j < mem.capacity:
-        mem.entries[j] = entry
-
-
-@dataclass
-class ReplayBatch:
-    """Stacked entry fields for one uniform-with-replacement draw."""
-
-    layout: str
-    audio_patches: np.ndarray  # (B, n_a, p2)
-    audio_indices: np.ndarray  # (B, n_a)
-    video_patches: np.ndarray
-    video_indices: np.ndarray
-    q_audio: np.ndarray  # (B, H, d)
-    q_video: np.ndarray
-    feat_audio: np.ndarray  # (B, D)
-    feat_video: np.ndarray
-    imp_audio: np.ndarray | None
-    imp_video: np.ndarray | None
-    corr_audio: np.ndarray | None
-    corr_video: np.ndarray | None
-    steps: np.ndarray  # (B,) insertion steps
-    tasks: np.ndarray  # (B,) diagnostic source tasks
-
-    def __len__(self):
-        return self.audio_patches.shape[0]
+    slots = np.fromiter(slot_row.keys(), dtype=np.int64)
+    picks = np.fromiter(slot_row.values(), dtype=np.int64)
+    for name, col in mem.fields.items():
+        col[slots] = batch[name][picks]
+    mem.steps[slots] = step
+    mem.tasks[slots] = task
 
 
 def sample_replay(mem: ReservoirMemory, batch: int,
-                  rng: np.random.Generator) -> ReplayBatch:
-    if not mem.entries:
+                  rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Uniform-with-replacement draw of ``batch`` stored pairs: one
+    ``(batch, ...)`` copy per stored field."""
+    if mem.count == 0:
         raise RehearsalError("cannot replay from an empty memory")
     if batch < 1:
         raise RehearsalError("replay batch must be positive")
-    picks = rng.integers(0, len(mem.entries), size=batch)
-    es = [mem.entries[int(i)] for i in picks]
-    raw = mem.layout == RAW
-
-    def stack(name):
-        return np.stack([getattr(e, name) for e in es])
-
-    return ReplayBatch(
-        layout=mem.layout,
-        audio_patches=stack("audio_patches"),
-        audio_indices=stack("audio_indices"),
-        video_patches=stack("video_patches"),
-        video_indices=stack("video_indices"),
-        q_audio=stack("q_audio"),
-        q_video=stack("q_video"),
-        feat_audio=stack("feat_audio"),
-        feat_video=stack("feat_video"),
-        imp_audio=stack("imp_audio") if raw else None,
-        imp_video=stack("imp_video") if raw else None,
-        corr_audio=stack("corr_audio") if raw else None,
-        corr_video=stack("corr_video") if raw else None,
-        steps=np.array([e.insertion_step for e in es], dtype=np.int64),
-        tasks=np.array([e.source_task for e in es], dtype=np.int64),
-    )
+    picks = rng.integers(0, mem.count, size=batch)
+    return {name: col[picks] for name, col in mem.fields.items()}
 
 
 def der_penalty(feat_audio: Tensor, feat_video: Tensor,
@@ -185,9 +117,9 @@ def der_penalty(feat_audio: Tensor, feat_video: Tensor,
 def plus_capacity(raw_capacity: int, audio_patches: int, audio_dim: int,
                   video_patches: int, video_dim: int,
                   kappa_audio: int, kappa_video: int) -> int:
-    """Entry budget for the selected layout: scale the raw-layout entry
-    count up until total stored patch bytes match the raw budget to within
-    one selected entry."""
+    """Entry budget when only selected patches are stored: scale the
+    full-grid entry count up until total stored patch bytes match the
+    full-grid budget to within one selected entry."""
     raw_elems = audio_patches * audio_dim + video_patches * video_dim
     sel_elems = kappa_audio * audio_dim + kappa_video * video_dim
     if raw_capacity < 0 or raw_elems <= 0 or sel_elems <= 0:
@@ -198,35 +130,23 @@ def plus_capacity(raw_capacity: int, audio_patches: int, audio_dim: int,
 # ---------------------------------------------------------------------------
 # snapshots
 
-
-_ENTRY_FIELDS = ("audio_patches", "audio_indices", "video_patches",
-                 "video_indices", "q_audio", "q_video", "feat_audio",
-                 "feat_video")
-_SCORE_FIELDS = ("imp_audio", "imp_video", "corr_audio", "corr_video")
+_FIELD = "memory/field/"
 
 
 def snapshot_arrays(mem: ReservoirMemory) -> dict[str, np.ndarray]:
-    """Flat named-array view of the memory, entries ordered by insertion
-    step (slot index breaks ties) with their list slot recorded so a load
+    """Flat named-array view of the memory in slot order: five bookkeeping
+    tensors plus one ``(count, ...)`` tensor per stored field, so a load
     restores the exact reservoir state."""
+    n = mem.count
     out: dict[str, np.ndarray] = {
         "memory/capacity": np.array([float(mem.capacity)]),
         "memory/seen": np.array([float(mem.seen_count)]),
-        "memory/layout": np.array([0.0 if mem.layout == RAW else 1.0]),
-        "memory/count": np.array([float(len(mem.entries))]),
+        "memory/count": np.array([float(n)]),
+        "memory/steps": mem.steps[:n].astype(np.float64),
+        "memory/tasks": mem.tasks[:n].astype(np.float64),
     }
-    order = sorted(range(len(mem.entries)),
-                   key=lambda i: (mem.entries[i].insertion_step, i))
-    for pos, slot in enumerate(order):
-        e = mem.entries[slot]
-        pre = f"memory/entry/{pos:08d}"
-        out[f"{pre}/meta"] = np.array(
-            [float(slot), float(e.insertion_step), float(e.source_task)])
-        for name in _ENTRY_FIELDS:
-            out[f"{pre}/{name}"] = np.asarray(getattr(e, name), dtype=np.float64)
-        if e.layout == RAW:
-            for name in _SCORE_FIELDS:
-                out[f"{pre}/{name}"] = np.asarray(getattr(e, name))
+    for name in sorted(mem.fields):
+        out[_FIELD + name] = mem.fields[name][:n]
     return out
 
 
@@ -235,42 +155,26 @@ def memory_bytes(mem: ReservoirMemory) -> int:
     return cp.serialized_size(snapshot_arrays(mem))
 
 
-def snapshot_save(path, mem: ReservoirMemory) -> None:
-    cp.save(path, snapshot_arrays(mem))
-
-
-def snapshot_load(path) -> ReservoirMemory:
-    arrays = cp.load(path)
-    return memory_from_arrays(arrays)
-
-
 def memory_from_arrays(arrays: dict[str, np.ndarray]) -> ReservoirMemory:
+    """Inverse of :func:`snapshot_arrays`; ``arrays`` may hold other keys."""
     try:
         capacity = int(arrays["memory/capacity"][0])
         seen = int(arrays["memory/seen"][0])
-        layout = RAW if arrays["memory/layout"][0] == 0.0 else SELECTED
         count = int(arrays["memory/count"][0])
-    except KeyError as exc:
-        raise RehearsalError(f"snapshot missing field {exc}") from None
-    slots: list[RehearsalEntry | None] = [None] * count
-    for pos in range(count):
-        pre = f"memory/entry/{pos:08d}"
-        meta = arrays[f"{pre}/meta"]
-        fields = {name: arrays[f"{pre}/{name}"] for name in _ENTRY_FIELDS}
-        scores = {}
-        if layout == RAW:
-            scores = {name: arrays[f"{pre}/{name}"] for name in _SCORE_FIELDS}
-        slot = int(meta[0])
-        if not 0 <= slot < count or slots[slot] is not None:
-            raise RehearsalError("snapshot slots are not a permutation")
-        slots[slot] = RehearsalEntry(
-            layout=layout,
-            audio_indices=fields.pop("audio_indices").astype(np.int64),
-            video_indices=fields.pop("video_indices").astype(np.int64),
-            insertion_step=int(meta[1]), source_task=int(meta[2]),
-            **fields, **scores)
-    mem = ReservoirMemory(capacity, layout, [e for e in slots if e is not None])
-    mem.seen_count = seen
-    if len(mem.entries) != count or count > capacity:
+        steps, tasks = arrays["memory/steps"], arrays["memory/tasks"]
+    except (KeyError, IndexError, ValueError, OverflowError) as exc:
+        raise RehearsalError(f"snapshot bookkeeping unreadable: {exc}") from None
+    stored = {k[len(_FIELD):]: v for k, v in arrays.items() if k.startswith(_FIELD)}
+    if not 0 <= count <= min(capacity, seen):
         raise RehearsalError("snapshot entry count inconsistent")
+    if (steps.shape != (count,) or tasks.shape != (count,)
+            or (count and not stored)
+            or any(v.ndim == 0 or len(v) != count for v in stored.values())):
+        raise RehearsalError("snapshot columns do not match the entry count")
+    mem = ReservoirMemory(capacity, seen_count=seen, count=count)
+    mem.steps[:count] = steps
+    mem.tasks[:count] = tasks
+    for name, col in stored.items():
+        mem.fields[name] = np.zeros((capacity,) + col.shape[1:])
+        mem.fields[name][:count] = col
     return mem

@@ -52,6 +52,9 @@ class Adam:
 
     def load_arrays(self, prefix: str, arrays: dict[str, np.ndarray]) -> None:
         self.step_count = int(arrays[f"{prefix}/step"])
-        for k in self.params:
-            self.m[k] = np.ascontiguousarray(arrays[f"{prefix}/m/{k}"], dtype=np.float64)
-            self.v[k] = np.ascontiguousarray(arrays[f"{prefix}/v/{k}"], dtype=np.float64)
+        for k, p in self.params.items():
+            m, v = arrays[f"{prefix}/m/{k}"], arrays[f"{prefix}/v/{k}"]
+            if m.shape != p.shape or v.shape != p.shape:
+                raise ValueError(f"shape mismatch for {k!r}")
+            self.m[k] = np.ascontiguousarray(m, dtype=np.float64)
+            self.v[k] = np.ascontiguousarray(v, dtype=np.float64)

@@ -18,6 +18,8 @@ Design constraints baked in here:
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 from scipy.special import erf as _erf
 
@@ -30,21 +32,24 @@ class ShapeError(ValueError):
     """Operands have incompatible shapes or an axis is out of range."""
 
 
-_GRAD_ENABLED = True
+class _GradMode(threading.local):
+    enabled = True  # every thread starts with recording on
+
+
+_GRAD_MODE = _GradMode()
 
 
 class no_grad:
-    """Context manager that disables graph recording (pure numpy forward)."""
+    """Context manager that disables graph recording (pure numpy forward) in
+    the calling thread only; other threads keep their own setting."""
 
     def __enter__(self):
-        global _GRAD_ENABLED
-        self._prev = _GRAD_ENABLED
-        _GRAD_ENABLED = False
+        self._prev = _GRAD_MODE.enabled
+        _GRAD_MODE.enabled = False
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        global _GRAD_ENABLED
-        _GRAD_ENABLED = self._prev
+        _GRAD_MODE.enabled = self._prev
         return False
 
 
@@ -151,7 +156,7 @@ def parameter(x, rng: np.random.Generator | None = None, scale: float = 0.02) ->
 
 
 def _make(data, parents, grad_fn) -> Tensor:
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _grad_fn=grad_fn)
     return Tensor(data)
 

@@ -10,11 +10,16 @@ Six strategies share one step pipeline:
                       batches.
 * ``stella``        — attention-guided selection: importance from the
                       matching module's cross-attention, correlation against
-                      stored past queries, raw storage with scores so replay
-                      re-runs the same selection machinery.
+                      stored past queries; the memory keeps full patch grids
+                      with their queries and scores so replay re-runs the
+                      same selection machinery.
 * ``stella_plus``   — selection as ``stella`` but the memory keeps only the
-                      selected patches; capacity grows to fill the same patch
-                      byte budget and replayed entries are used as-is.
+                      selected patches and their queries; capacity grows to
+                      fill the same patch byte budget and replayed entries
+                      are used as-is.
+
+Each strategy stores exactly the memory fields its replay reads (see
+``_store_current``).
 
 Training never reads task identity: the step API has no task argument, and
 the only task-shaped value (``RunState.diagnostic_task``) is copied verbatim
@@ -184,11 +189,7 @@ def init_run(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     init stream first so its weights are identical across strategies."""
     streams = rng_streams(tcfg.train_seed)
     state = bb.init_backbone(mcfg, geom, streams["init"])
-    avm_params, a_opt = None, None
-    if tcfg.strategy in SCORING:
-        avm_params = am.init_avm(mcfg, streams["init"])
-        a_opt = op.Adam(avm_params.params, lr=tcfg.effective_avm_lr)
-    layout = rm.SELECTED if tcfg.strategy == "stella_plus" else rm.RAW
+    avm_params = am.init_avm(mcfg, streams["init"]) if tcfg.strategy in SCORING else None
     capacity = tcfg.memory_capacity
     if tcfg.strategy == "stella_plus":
         capacity = rm.plus_capacity(
@@ -197,9 +198,17 @@ def init_run(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
             geom.video.patches, geom.video.patch_dim,
             sel.kappa(geom.audio.patches, tcfg.rho_audio),
             sel.kappa(geom.video.patches, tcfg.rho_video))
-    mem = rm.ReservoirMemory(capacity, layout)
-    b_opt = op.Adam(state.params, lr=tcfg.lr)
-    return RunState(state, avm_params, mem, b_opt, a_opt, streams)
+    return _run_state(state, avm_params, rm.ReservoirMemory(capacity), tcfg,
+                      streams)
+
+
+def _run_state(state: bb.BackboneState, avm: am.AvmParams | None,
+               mem: rm.ReservoirMemory, tcfg: TrainConfig,
+               streams: dict[str, np.random.Generator]) -> RunState:
+    """Run state with fresh optimizers over the given parameters."""
+    a_opt = None if avm is None else op.Adam(avm.params, lr=tcfg.effective_avm_lr)
+    return RunState(state, avm, mem, op.Adam(state.params, lr=tcfg.lr), a_opt,
+                    streams)
 
 
 # --------------------------------------------------------------------------
@@ -218,8 +227,15 @@ class _Scoring:
     corr_v: np.ndarray | None
 
 
+def _uniform(rows: int, m: int, n: int, kap_a: int, kap_v: int) -> _Scoring:
+    """Uniform importance and no correlation: ``random_select`` scoring."""
+    return _Scoring(np.full((rows, m), 1.0 / m), np.full((rows, n), 1.0 / n),
+                    kap_a, kap_v, None, None, None, None)
+
+
 def _score_batch(run: RunState, tcfg: TrainConfig, aps: PatchSet,
-                 vps: PatchSet, replay: rm.ReplayBatch | None) -> _Scoring:
+                 vps: PatchSet, replay: dict[str, np.ndarray] | None
+                 ) -> _Scoring:
     """Importance and correlation for the current batch.
 
     Scoring strategies read both off the matching module's cross-attention;
@@ -231,8 +247,7 @@ def _score_batch(run: RunState, tcfg: TrainConfig, aps: PatchSet,
     kap_a = sel.kappa(m, tcfg.rho_audio)
     kap_v = sel.kappa(n, tcfg.rho_video)
     if tcfg.strategy not in SCORING:
-        return _Scoring(np.full((b, m), 1.0 / m), np.full((b, n), 1.0 / n),
-                        kap_a, kap_v, None, None, None, None)
+        return _uniform(b, m, n, kap_a, kap_v)
     with tt.no_grad():
         o_a, o_v = am.fusion_tokens(run.state, aps, vps)
         maps = am.cross_attention(run.avm, o_a, o_v, beta=tcfg.beta)
@@ -245,33 +260,32 @@ def _score_batch(run: RunState, tcfg: TrainConfig, aps: PatchSet,
         # Each current row is paired with one stored entry (the replay draw is
         # already uniform with replacement); an audio patch is compared under
         # the video-side queries that attend it, and vice versa.
-        pair = np.arange(b) % len(replay)
+        pair = np.arange(b) % tcfg.effective_replay_batch
         corr_a = sel.correlation_scores(loc_a.keys, loc_v.pooled,
-                                        replay.q_video[pair], tcfg.beta)
+                                        replay["q_video"][pair], tcfg.beta)
         corr_v = sel.correlation_scores(loc_v.keys, loc_a.pooled,
-                                        replay.q_audio[pair], tcfg.beta)
+                                        replay["q_audio"][pair], tcfg.beta)
     return _Scoring(imp_a, imp_v, kap_a, kap_v, loc_a, loc_v, corr_a, corr_v)
 
 
 def _select_pair(scoring: _Scoring, aps: PatchSet, vps: PatchSet,
                  corr_a: np.ndarray | None, corr_v: np.ndarray | None,
                  chunk: int, rng: np.random.Generator
-                 ) -> tuple[PatchSet, PatchSet, np.ndarray, np.ndarray]:
+                 ) -> tuple[PatchSet, PatchSet]:
     """Audio then video selection on one (possibly replayed) pair batch."""
     sel_a, _ = sel.select_audio(scoring.imp_a, corr_a, scoring.kap_a,
                                 chunk, aps.grid, rng)
     sel_v, _ = sel.select_video(scoring.imp_v, corr_v, scoring.kap_v, rng)
-    return (sel.gather_selected(aps, sel_a), sel.gather_selected(vps, sel_v),
-            sel_a, sel_v)
+    return sel.gather_selected(aps, sel_a), sel.gather_selected(vps, sel_v)
 
 
-def _past_patchsets(run: RunState, tcfg: TrainConfig, replay: rm.ReplayBatch,
-                    scoring: _Scoring, aps: PatchSet, vps: PatchSet
-                    ) -> tuple[PatchSet, PatchSet]:
+def _past_patchsets(run: RunState, tcfg: TrainConfig,
+                    replay: dict[str, np.ndarray], scoring: _Scoring,
+                    aps: PatchSet, vps: PatchSet) -> tuple[PatchSet, PatchSet]:
     """Replayed batch in the same patch layout as the current one."""
-    p_aps = PatchSet(replay.audio_patches, replay.audio_indices,
+    p_aps = PatchSet(replay["audio_patches"], replay["audio_indices"],
                      "audio", aps.grid, aps.patch)
-    p_vps = PatchSet(replay.video_patches, replay.video_indices,
+    p_vps = PatchSet(replay["video_patches"], replay["video_indices"],
                      "video", vps.grid, vps.patch)
     if tcfg.strategy in ("er", "derpp"):
         return p_aps, p_vps
@@ -282,23 +296,18 @@ def _past_patchsets(run: RunState, tcfg: TrainConfig, replay: rm.ReplayBatch,
                              "current sampling ratios")
         return p_aps, p_vps
     if tcfg.strategy == "stella":
-        # re-run selection on the stored raw patches with the scores that were
+        # re-run selection on the stored full grids with the scores that were
         # frozen at insertion time
-        past = _Scoring(replay.imp_audio, replay.imp_video,
+        past = _Scoring(replay["imp_audio"], replay["imp_video"],
                         scoring.kap_a, scoring.kap_v, None, None, None, None)
-        sel_aps, sel_vps, _, _ = _select_pair(
-            past, p_aps, p_vps, replay.corr_audio, replay.corr_video,
-            tcfg.chunk_size, run.streams["selection"])
-        return sel_aps, sel_vps
-    # random_select: fresh uniform re-selection of the stored raw patches
-    rb, m = replay.imp_audio.shape
-    n = replay.imp_video.shape[1]
-    past = _Scoring(np.full((rb, m), 1.0 / m), np.full((rb, n), 1.0 / n),
-                    scoring.kap_a, scoring.kap_v, None, None, None, None)
-    sel_aps, sel_vps, _, _ = _select_pair(past, p_aps, p_vps, None, None,
-                                          tcfg.chunk_size,
-                                          run.streams["selection"])
-    return sel_aps, sel_vps
+        corr_a, corr_v = replay["corr_audio"], replay["corr_video"]
+    else:
+        # random_select: fresh uniform re-selection of the stored full grids
+        past = _uniform(len(p_aps.patches), p_aps.count, p_vps.count,
+                        scoring.kap_a, scoring.kap_v)
+        corr_a = corr_v = None
+    return _select_pair(past, p_aps, p_vps, corr_a, corr_v, tcfg.chunk_size,
+                        run.streams["selection"])
 
 
 def _concat_sets(cur: PatchSet, past: PatchSet | None) -> PatchSet:
@@ -311,48 +320,33 @@ def _concat_sets(cur: PatchSet, past: PatchSet | None) -> PatchSet:
                     cur.modality, cur.grid, cur.patch)
 
 
-def _store_current(run: RunState, tcfg: TrainConfig, aps: PatchSet,
-                   vps: PatchSet, sel_cur: tuple | None, scoring: _Scoring,
+def _store_current(run: RunState, tcfg: TrainConfig,
+                   full: tuple[PatchSet, PatchSet],
+                   trained: tuple[PatchSet, PatchSet], scoring: _Scoring | None,
                    feat_a: np.ndarray, feat_v: np.ndarray) -> None:
-    """Insert every current row into the reservoir (memory stream)."""
-    b = aps.patches.shape[0]
-    heads = run.state.cfg.heads
-    head_dim = run.state.cfg.head_dim
-    mem_rng = run.streams["memory"]
-    for row in range(b):
-        if tcfg.strategy == "stella_plus":
-            sel_aps, sel_vps = sel_cur[0], sel_cur[1]
-            entry = rm.RehearsalEntry(
-                rm.SELECTED,
-                sel_aps.patches[row], sel_aps.indices[row],
-                sel_vps.patches[row], sel_vps.indices[row],
-                scoring.loc_a.pooled[row], scoring.loc_v.pooled[row],
-                np.zeros(0), np.zeros(0),
-                insertion_step=run.global_step,
-                source_task=run.diagnostic_task)
-        else:
-            if tcfg.strategy == "stella":
-                q_a, q_v = scoring.loc_a.pooled[row], scoring.loc_v.pooled[row]
-                imp_a, imp_v = scoring.imp_a[row], scoring.imp_v[row]
-                corr_a = (np.zeros(scoring.kap_a) if scoring.corr_a is None
-                          else scoring.corr_a[row])
-                corr_v = (np.zeros(scoring.kap_v) if scoring.corr_v is None
-                          else scoring.corr_v[row])
-            else:
-                # unscored strategies store raw pairs with empty score slots
-                q_a = q_v = np.zeros((heads, head_dim))
-                imp_a, imp_v = np.zeros(aps.count), np.zeros(vps.count)
-                corr_a, corr_v = np.zeros(0), np.zeros(0)
-            entry = rm.RehearsalEntry(
-                rm.RAW,
-                aps.patches[row], aps.indices[row],
-                vps.patches[row], vps.indices[row],
-                q_a, q_v, feat_a[row], feat_v[row],
-                imp_audio=imp_a, imp_video=imp_v,
-                corr_audio=corr_a, corr_video=corr_v,
-                insertion_step=run.global_step,
-                source_task=run.diagnostic_task)
-        rm.reservoir_insert(run.mem, entry, mem_rng)
+    """Insert the current batch into the reservoir (memory stream), keeping
+    only the fields the strategy's replay reads: patches and grid ids (the
+    selected subset for ``stella_plus``), the pooled features for the drift
+    penalty, and the queries and selection scores for attention-guided
+    selection.  Zero correlation stands for "no memory yet", exactly as
+    selection treats a missing correlation."""
+    a, v = trained if tcfg.strategy == "stella_plus" else full
+    batch = {"audio_patches": a.patches, "audio_indices": a.indices,
+             "video_patches": v.patches, "video_indices": v.indices}
+    if tcfg.strategy in PENALIZED:
+        batch.update(feat_audio=feat_a, feat_video=feat_v)
+    if tcfg.strategy in SCORING:
+        batch.update(q_audio=scoring.loc_a.pooled, q_video=scoring.loc_v.pooled)
+    if tcfg.strategy == "stella":
+        b = len(a.patches)
+        batch.update(
+            imp_audio=scoring.imp_a, imp_video=scoring.imp_v,
+            corr_audio=(np.zeros((b, scoring.kap_a)) if scoring.corr_a is None
+                        else scoring.corr_a),
+            corr_video=(np.zeros((b, scoring.kap_v)) if scoring.corr_v is None
+                        else scoring.corr_v))
+    rm.reservoir_insert(run.mem, batch, run.global_step, run.diagnostic_task,
+                        run.streams["memory"])
 
 
 def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
@@ -376,16 +370,13 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
                                   run.streams["memory"])
 
     scoring = None
-    sel_cur = None
     cur_aps, cur_vps = aps, vps
     past_aps = past_vps = None
     if tcfg.strategy in SELECTING:
         scoring = _score_batch(run, tcfg, aps, vps, replay)
-        sel_aps, sel_vps, sel_a, sel_v = _select_pair(
+        cur_aps, cur_vps = _select_pair(
             scoring, aps, vps, scoring.corr_a, scoring.corr_v,
             tcfg.chunk_size, run.streams["selection"])
-        sel_cur = (sel_aps, sel_vps, sel_a, sel_v)
-        cur_aps, cur_vps = sel_aps, sel_vps
     if replay is not None:
         past_aps, past_vps = _past_patchsets(run, tcfg, replay, scoring,
                                              aps, vps)
@@ -409,16 +400,16 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
 
     penalty = None
     alpha_eff = tcfg.alpha if tcfg.strategy in PENALIZED else 0.0
-    if (alpha_eff and replay is not None and replay.feat_audio.size):
-        rb = len(replay)
+    if alpha_eff and replay is not None:
+        rb = tcfg.effective_replay_batch
         penalty = rm.der_penalty(tt.narrow(c_a, 0, b, rb),
                                  tt.narrow(c_v, 0, b, rb),
-                                 replay.feat_audio, replay.feat_video)
+                                 replay["feat_audio"], replay["feat_video"])
     total = bb.pretrain_objective(rec, con, penalty,
                                   mcfg.contrastive_weight, alpha_eff)
 
     if tcfg.memory_capacity > 0:
-        _store_current(run, tcfg, aps, vps, sel_cur, scoring,
+        _store_current(run, tcfg, (aps, vps), (cur_aps, cur_vps), scoring,
                        c_a.data[:b], c_v.data[:b])
 
     avm_loss = 0.0
@@ -633,17 +624,15 @@ def avm_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig
 
 def _restore_run(arrays: dict[str, np.ndarray], streams, mcfg, tcfg, geom
                  ) -> tuple[RunState, int, list[list[float]], list[float]]:
-    run = init_run(mcfg, tcfg, geom)
-    run.streams = streams
-    run.state.load_arrays({k[len("model/"):]: v for k, v in arrays.items()
-                           if k.startswith("model/") and not
-                           k.startswith("model/avm/")})
+    avm = avm_from_arrays(arrays, mcfg)
+    if (avm is not None) != (tcfg.strategy in SCORING):
+        raise cp.CheckpointError("checkpoint matching module does not fit "
+                                 f"strategy {tcfg.strategy!r}")
+    run = _run_state(backbone_from_arrays(arrays, mcfg, geom), avm,
+                     rm.memory_from_arrays(arrays), tcfg, streams)
     run.b_opt.load_arrays("opt/backbone", arrays)
-    if run.avm is not None:
-        run.avm.load_arrays({k[len("model/"):]: v for k, v in arrays.items()
-                             if k.startswith("model/avm/")})
+    if avm is not None:
         run.a_opt.load_arrays("opt/avm", arrays)
-    run.mem = rm.memory_from_arrays(arrays)
     run.global_step = int(arrays["run/step"])
     run.records = [LossRecord(int(r[0]), *[float(v) for v in r[1:]])
                    for r in arrays["run/records"]]
@@ -675,7 +664,6 @@ def save_task_artifacts(run: RunState, run_dir: Path, tasks_done: int,
     cp.save(run_dir / f"{tag}.ckpt",
             _checkpoint_arrays(run, tasks_done, acc, gaps))
     (run_dir / f"{tag}.rng.json").write_text(_rng_state_json(run.streams))
-    rm.snapshot_save(run_dir / f"memory_{tag}.bin", run.mem)
     write_losses_csv(run_dir / "losses.csv", run.records)
     write_acc_csv(run_dir / "acc_matrix.csv", acc)
     write_gaps_csv(run_dir / "gaps.csv", gaps)

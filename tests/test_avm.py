@@ -225,3 +225,34 @@ def test_step_is_deterministic():
     assert outs[0][0] == outs[1][0]
     for k in outs[0][1]:
         assert np.array_equal(outs[0][1][k], outs[1][1][k])
+
+
+def test_load_arrays_checks_shapes():
+    _, avm, _ = _setup()
+    arrays = {k: p.data.copy() for k, p in avm.params.items()}
+    fresh = av.init_avm(CFG, np.random.default_rng(1))
+    fresh.load_arrays(arrays)
+    for k, p in avm.params.items():
+        assert np.array_equal(fresh.params[k].data, p.data)
+    arrays["avm/head/w1"] = arrays["avm/head/w1"][:-1]
+    with pytest.raises(ValueError, match="shape mismatch"):
+        fresh.load_arrays(arrays)
+    del arrays["avm/head/w1"]
+    with pytest.raises(KeyError):
+        fresh.load_arrays(arrays)
+
+
+def test_adam_load_arrays_checks_shapes():
+    _, avm, _ = _setup()
+    opt = Adam(avm.params, lr=1e-3)
+    for p in avm.params.values():
+        p.grad = np.ones_like(p.data)
+    opt.step()
+    arrays = opt.named_arrays("opt/avm")
+    fresh = Adam(avm.params, lr=1e-3)
+    fresh.load_arrays("opt/avm", arrays)
+    assert fresh.step_count == 1
+    assert all(np.array_equal(fresh.m[k], opt.m[k]) for k in opt.m)
+    arrays["opt/avm/v/avm/head/b1"] = np.zeros(3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        fresh.load_arrays("opt/avm", arrays)

@@ -83,3 +83,69 @@ def test_rank_zero_tensor():
     back = ckpt.from_bytes(ckpt.to_bytes({"s": np.array(2.5)}))
     assert back["s"].shape == ()
     assert back["s"] == 2.5
+
+
+def _header_fields(name="ab", shape=(2, 3)):
+    """One entry split at its header fields: name_len, rank, extents."""
+    raw = ckpt.to_bytes({name: np.ones(shape)})
+    n = len(name.encode("utf-8"))
+    rank_at = 8 + n
+    ext_at = rank_at + 8
+    return raw, {"name_len": 0, "rank": rank_at, "extents": ext_at}
+
+
+@pytest.mark.parametrize("field", ["name_len", "rank", "extents"])
+@pytest.mark.parametrize("value", [2**31, 2**62, 2**63, 2**64 - 1])
+def test_oversize_header_value_rejected(field, value):
+    """A hostile length, rank or extent fails before any allocation."""
+    raw, offsets = _header_fields()
+    bad = bytearray(raw)
+    struct.pack_into("<Q", bad, offsets[field], value)
+    with pytest.raises(ckpt.CheckpointError):
+        ckpt.from_bytes(bytes(bad))
+
+
+def test_overflowing_extent_product_rejected():
+    raw, offsets = _header_fields()
+    bad = bytearray(raw)
+    struct.pack_into("<QQ", bad, offsets["extents"], 2**31, 2**31)
+    with pytest.raises(ckpt.CheckpointError):
+        ckpt.from_bytes(bytes(bad))
+    # a zero extent beside an impossible one: no payload, still invalid
+    struct.pack_into("<QQ", bad, offsets["extents"], 0, 2**63)
+    with pytest.raises(ckpt.CheckpointError):
+        ckpt.from_bytes(bytes(bad))
+
+
+@pytest.mark.parametrize("field", ["name_len", "rank", "extents"])
+def test_truncation_inside_each_header_field_rejected(field):
+    raw, offsets = _header_fields()
+    start = offsets[field]
+    end = start + (16 if field == "extents" else 8)
+    lead = ckpt.to_bytes({"ok": np.zeros(2)})  # cuts also land mid-file
+    for cut in range(max(start, 1), end + 1):
+        for prefix in (b"", lead):
+            with pytest.raises(ckpt.CheckpointError):
+                ckpt.from_bytes(prefix + raw[:cut])
+
+
+def test_random_header_corruption_never_escapes():
+    rng = np.random.default_rng(0)
+    raw, _ = _header_fields()
+    for _ in range(500):
+        bad = bytearray(raw)
+        at = int(rng.integers(0, 40))
+        bad[at:at + 8] = rng.integers(0, 256, size=8, dtype=np.uint8).tobytes()
+        try:
+            back = ckpt.from_bytes(bytes(bad[:len(raw)]))
+        except ckpt.CheckpointError:
+            continue
+        assert sum(a.size for a in back.values()) * 8 <= len(raw)
+
+
+def test_non_utf8_name_rejected():
+    raw = bytearray(ckpt.to_bytes({"ab": np.zeros(1)}))
+    raw[8] = 0xFF
+    with pytest.raises(ckpt.CheckpointError):
+        ckpt.from_bytes(bytes(raw))
+

@@ -7,6 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
+from avcl import checkpoint as ckpt
 from avcl import cli
 from avcl import config as cf
 from avcl import evaluate as ev
@@ -114,6 +115,30 @@ def test_run_resumes_from_last_completed_task(ws):
     assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
                      "--out", str(run)]) == 0
     assert (run / "task_01.ckpt").read_bytes() == full
+
+
+def _resume_copy(ws, name):
+    run = ws / name
+    shutil.copytree(ws / "run_stella", run)
+    return run, ["run", "--config", str(ws / "cfg.ini"),
+                 "--data", str(ws / "data"), "--out", str(run)]
+
+
+def test_inconsistent_memory_snapshot_exits_3(ws, capsys):
+    run, args = _resume_copy(ws, "run_bad_memory")
+    arrays = ckpt.load(run / "task_01.ckpt")
+    arrays["memory/count"] = arrays["memory/count"] + 1.0
+    ckpt.save(run / "task_01.ckpt", arrays)
+    assert cli.main(args) == 3
+    assert "snapshot" in capsys.readouterr().err
+
+
+def test_truncated_rng_state_exits_3(ws, capsys):
+    run, args = _resume_copy(ws, "run_bad_rng")
+    text = (run / "task_01.rng.json").read_text()
+    (run / "task_01.rng.json").write_text(text[:len(text) // 2])
+    assert cli.main(args) == 3
+    assert "data error" in capsys.readouterr().err
 
 
 def test_unknown_strategy_exits_2_without_partial_run_dir(ws, capsys):

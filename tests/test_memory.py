@@ -11,67 +11,36 @@ import avcl.tensor as tt
 from avcl.tensor import Tensor
 
 
-def _entry(step, layout=rm.RAW, m=6, n=8, pa=4, pv=5, h=2, d=3, feat=7,
-           kap_a=3, kap_v=4, task=-1, seed=None):
+def _batch(step, rows=1, m=6, n=8, pa=4, pv=5, h=2, d=3, feat=7,
+           kap_a=3, kap_v=4, scored=True, seed=None):
+    """``rows`` pairs with every field a scoring strategy stores; ``id``
+    carries the step so tests can trace where a stored row came from."""
     rng = np.random.default_rng(step if seed is None else seed)
-    na, nv = (m, n) if layout == rm.RAW else (kap_a, kap_v)
-    scores = {}
-    if layout == rm.RAW:
-        scores = dict(imp_audio=rng.random(m), imp_video=rng.random(n),
-                      corr_audio=rng.random(kap_a), corr_video=rng.random(kap_v))
-    return rm.RehearsalEntry(
-        layout=layout,
-        audio_patches=rng.normal(size=(na, pa)),
-        audio_indices=np.arange(na),
-        video_patches=rng.normal(size=(nv, pv)),
-        video_indices=np.arange(nv),
-        q_audio=rng.normal(size=(h, d)), q_video=rng.normal(size=(h, d)),
-        feat_audio=rng.normal(size=feat), feat_video=rng.normal(size=feat),
-        insertion_step=step, source_task=task, **scores)
+    batch = {
+        "id": np.full((rows, 1), float(step)),
+        "audio_patches": rng.normal(size=(rows, m, pa)),
+        "audio_indices": np.tile(np.arange(m), (rows, 1)),
+        "video_patches": rng.normal(size=(rows, n, pv)),
+        "video_indices": np.tile(np.arange(n), (rows, 1)),
+        "feat_audio": rng.normal(size=(rows, feat)),
+        "feat_video": rng.normal(size=(rows, feat)),
+    }
+    if scored:
+        batch.update(q_audio=rng.normal(size=(rows, h, d)),
+                     q_video=rng.normal(size=(rows, h, d)),
+                     imp_audio=rng.random((rows, m)),
+                     imp_video=rng.random((rows, n)),
+                     corr_audio=rng.random((rows, kap_a)),
+                     corr_video=rng.random((rows, kap_v)))
+    return batch
 
 
-# ---------------------------------------------------------------------------
-# entries
+def _insert(mem, step, rng, task=-1, **kw):
+    rm.reservoir_insert(mem, _batch(step, **kw), step, task, rng)
 
 
-def test_entry_layout_validation():
-    _entry(0, rm.RAW)
-    _entry(0, rm.SELECTED)
-    with pytest.raises(rm.RehearsalError):
-        rm.RehearsalEntry(layout="raw", audio_patches=np.zeros((2, 2)),
-                          audio_indices=np.arange(2), video_patches=np.zeros((2, 2)),
-                          video_indices=np.arange(2), q_audio=np.zeros((1, 2)),
-                          q_video=np.zeros((1, 2)), feat_audio=np.zeros(2),
-                          feat_video=np.zeros(2))  # raw without scores
-    with pytest.raises(rm.RehearsalError):
-        rm.RehearsalEntry(layout="selected", audio_patches=np.zeros((2, 2)),
-                          audio_indices=np.arange(2), video_patches=np.zeros((2, 2)),
-                          video_indices=np.arange(2), q_audio=np.zeros((1, 2)),
-                          q_video=np.zeros((1, 2)), feat_audio=np.zeros(2),
-                          feat_video=np.zeros(2), imp_audio=np.zeros(2),
-                          imp_video=np.zeros(2), corr_audio=np.zeros(1),
-                          corr_video=np.zeros(1))  # selected with scores
-    with pytest.raises(rm.RehearsalError):
-        _entry(0, layout="other")
-
-
-def test_entry_arrays_are_immutable():
-    e = _entry(3)
-    with pytest.raises(ValueError):
-        e.audio_patches[0, 0] = 99.0
-    with pytest.raises(ValueError):
-        e.imp_audio[0] = 99.0
-    with pytest.raises(ValueError):
-        e.audio_indices[0] = 1
-
-
-def test_entry_misaligned_indices_rejected():
-    with pytest.raises(rm.RehearsalError):
-        rm.RehearsalEntry(layout="selected", audio_patches=np.zeros((3, 2)),
-                          audio_indices=np.arange(2), video_patches=np.zeros((2, 2)),
-                          video_indices=np.arange(2), q_audio=np.zeros((1, 2)),
-                          q_video=np.zeros((1, 2)), feat_audio=np.zeros(2),
-                          feat_video=np.zeros(2))
+def _ids(mem):
+    return [int(i) for i in mem.fields["id"][:len(mem), 0]]
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +51,9 @@ def test_reservoir_keeps_everything_under_capacity():
     mem = rm.ReservoirMemory(capacity=10)
     rng = np.random.default_rng(0)
     for step in range(10):
-        rm.reservoir_insert(mem, _entry(step), rng)
-    assert [e.insertion_step for e in mem.entries] == list(range(10))
+        _insert(mem, step, rng)
+    assert _ids(mem) == list(range(10))
+    assert list(mem.steps) == list(range(10))
     assert mem.seen_count == 10
 
 
@@ -91,9 +61,10 @@ def test_reservoir_never_exceeds_capacity():
     mem = rm.ReservoirMemory(capacity=5)
     rng = np.random.default_rng(1)
     for step in range(200):
-        rm.reservoir_insert(mem, _entry(step % 7, seed=step), rng)
+        _insert(mem, step % 7, rng, seed=step)
         assert len(mem) <= 5
         assert mem.seen_count == step + 1
+    assert all(col.shape[0] == 5 for col in mem.fields.values())
 
 
 def test_zero_capacity_is_a_noop_that_skips_the_draw():
@@ -101,26 +72,63 @@ def test_zero_capacity_is_a_noop_that_skips_the_draw():
     rng = np.random.default_rng(2)
     before = rng.bit_generator.state
     for step in range(50):
-        rm.reservoir_insert(mem, _entry(step), rng)
-    assert len(mem) == 0 and mem.seen_count == 50
+        _insert(mem, step, rng, rows=2)
+    assert len(mem) == 0 and mem.seen_count == 100 and not mem.fields
     assert rng.bit_generator.state == before  # generator untouched
 
 
+def test_batch_insert_matches_row_by_row_insert():
+    """A whole batch draws and lands exactly as its rows inserted one at a
+    time, including two rows of one batch replacing the same slot."""
+    whole, single = rm.ReservoirMemory(capacity=3), rm.ReservoirMemory(capacity=3)
+    r1, r2 = np.random.default_rng(16), np.random.default_rng(16)
+    for step in range(40):
+        batch = _batch(step, rows=4)
+        batch["id"] = step * 10 + np.arange(4.0)[:, None]
+        rm.reservoir_insert(whole, batch, step, 0, r1)
+        for row in range(4):
+            rm.reservoir_insert(single, {k: v[row:row + 1] for k, v in batch.items()},
+                                step, 0, r2)
+        assert _ids(whole) == _ids(single)
+    assert whole.seen_count == single.seen_count == 160
+    assert r1.bit_generator.state == r2.bit_generator.state
+
+
 def test_layout_mismatch_rejected():
-    mem = rm.ReservoirMemory(capacity=3, layout=rm.SELECTED)
-    with pytest.raises(rm.RehearsalError):
-        rm.reservoir_insert(mem, _entry(0, rm.RAW), np.random.default_rng(0))
+    """A batch whose field names or row shapes differ from the stored ones."""
+    mem = rm.ReservoirMemory(capacity=3)
+    rng = np.random.default_rng(0)
+    _insert(mem, 0, rng)
+    with pytest.raises(rm.RehearsalError):  # a row shape differs
+        _insert(mem, 1, rng, kap_a=2)
+    with pytest.raises(rm.RehearsalError):  # score fields missing
+        _insert(mem, 1, rng, scored=False)
+    with pytest.raises(rm.RehearsalError):  # an extra field
+        rm.reservoir_insert(mem, {**_batch(1), "x": np.zeros((1, 2))}, 1, -1, rng)
+    assert len(mem) == 1 and mem.seen_count == 1
+
+
+def test_entry_misaligned_indices_rejected():
+    mem = rm.ReservoirMemory(capacity=3)
+    bad = _batch(1, rows=2)
+    bad["audio_indices"] = bad["audio_indices"][:1]
+    with pytest.raises(rm.RehearsalError):  # row counts disagree
+        rm.reservoir_insert(mem, bad, 1, -1, np.random.default_rng(0))
+    with pytest.raises(rm.RehearsalError):  # a field without rows
+        rm.reservoir_insert(mem, {**_batch(1), "x": np.float64(1.0)}, 1, -1,
+                            np.random.default_rng(0))
+    assert len(mem) == 0 and mem.seen_count == 0
 
 
 def test_second_item_survives_half_the_time_at_capacity_one():
-    first, second = _entry(0), _entry(1)
+    first, second = {"id": np.zeros((1, 1))}, {"id": np.ones((1, 1))}
     rng = np.random.default_rng(3)
     trials, kept = 20000, 0
     for _ in range(trials):
         mem = rm.ReservoirMemory(capacity=1)
-        rm.reservoir_insert(mem, first, rng)
-        rm.reservoir_insert(mem, second, rng)
-        kept += mem.entries[0].insertion_step == 1
+        rm.reservoir_insert(mem, first, 0, -1, rng)
+        rm.reservoir_insert(mem, second, 1, -1, rng)
+        kept += mem.steps[0] == 1
     sigma = np.sqrt(0.25 / trials)
     assert abs(kept / trials - 0.5) < 3 * sigma
 
@@ -128,14 +136,13 @@ def test_second_item_survives_half_the_time_at_capacity_one():
 def test_reservoir_inclusion_is_uniform():
     capacity, stream, trials = 20, 400, 400
     counts = np.zeros(stream)
-    entries = [_entry(s) for s in range(stream)]
+    batch = _batch(0, rows=stream, scored=False)
+    batch["id"] = np.arange(float(stream))[:, None]
     rng = np.random.default_rng(4)
     for _ in range(trials):
         mem = rm.ReservoirMemory(capacity=capacity)
-        for e in entries:
-            rm.reservoir_insert(mem, e, rng)
-        for e in mem.entries:
-            counts[e.insertion_step] += 1
+        rm.reservoir_insert(mem, batch, 0, -1, rng)
+        np.add.at(counts, _ids(mem), 1)
     p = stats.chisquare(counts).pvalue
     assert p > 0.01, f"inclusion not uniform: p={p}"
 
@@ -144,40 +151,50 @@ def test_reservoir_inclusion_is_uniform():
 # replay
 
 
-def _filled(capacity, layout=rm.RAW):
-    mem = rm.ReservoirMemory(capacity=capacity, layout=layout)
+def _filled(capacity, scored=True):
+    mem = rm.ReservoirMemory(capacity=capacity)
     rng = np.random.default_rng(5)
     for step in range(capacity):
-        rm.reservoir_insert(mem, _entry(step, layout), rng)
+        _insert(mem, step, rng, scored=scored)
     return mem
 
 
 def test_replay_of_single_entry_repeats_it():
     mem = _filled(1)
     batch = rm.sample_replay(mem, 4, np.random.default_rng(6))
-    assert len(batch) == 4
-    assert np.all(batch.steps == 0)
-    for row in range(4):
-        assert np.array_equal(batch.audio_patches[row], mem.entries[0].audio_patches)
-        assert np.array_equal(batch.q_video[row], mem.entries[0].q_video)
-        assert np.array_equal(batch.corr_audio[row], mem.entries[0].corr_audio)
+    assert set(batch) == set(mem.fields)
+    assert np.all(batch["id"] == 0)
+    for name in ("audio_patches", "q_video", "corr_audio"):
+        assert batch[name].shape == (4,) + mem.fields[name].shape[1:]
+        for row in range(4):
+            assert np.array_equal(batch[name][row], mem.fields[name][0])
 
 
 def test_replay_returns_stored_values_bit_identical():
-    mem = _filled(4, rm.SELECTED)
+    mem = _filled(4, scored=False)
     batch = rm.sample_replay(mem, 16, np.random.default_rng(7))
-    assert batch.imp_audio is None and batch.corr_video is None
+    assert "imp_audio" not in batch and "corr_video" not in batch
     for row in range(16):
-        src = mem.entries[int(batch.steps[row])]
-        assert np.array_equal(batch.audio_patches[row], src.audio_patches)
-        assert np.array_equal(batch.video_indices[row], src.video_indices)
-        assert np.array_equal(batch.feat_audio[row], src.feat_audio)
+        src = _batch(int(batch["id"][row, 0]), scored=False)
+        assert np.array_equal(batch["audio_patches"][row], src["audio_patches"][0])
+        assert np.array_equal(batch["video_indices"][row], src["video_indices"][0])
+        assert np.array_equal(batch["feat_audio"][row], src["feat_audio"][0])
+
+
+def test_mutating_a_replay_batch_leaves_the_memory_unchanged():
+    mem = _filled(3)
+    before = {k: v.copy() for k, v in mem.fields.items()}
+    batch = rm.sample_replay(mem, 5, np.random.default_rng(17))
+    for arr in batch.values():
+        arr[...] = -1.0
+    for k, v in mem.fields.items():
+        assert np.array_equal(v, before[k]), k
 
 
 def test_replay_frequencies_are_uniform():
     mem = _filled(8)
     batch = rm.sample_replay(mem, 100_000, np.random.default_rng(8))
-    counts = np.bincount(batch.steps, minlength=8)
+    counts = np.bincount(batch["id"][:, 0].astype(int), minlength=8)
     p = stats.chisquare(counts).pvalue
     assert p > 0.01, f"replay not uniform: p={p}"
 
@@ -233,34 +250,42 @@ def test_penalty_shape_mismatch_rejected():
 def test_memory_bytes_empty_is_header_only():
     mem = rm.ReservoirMemory(capacity=4)
     arrays = rm.snapshot_arrays(mem)
-    assert set(arrays) == {"memory/capacity", "memory/seen", "memory/layout",
-                           "memory/count"}
+    assert set(arrays) == {"memory/capacity", "memory/seen", "memory/count",
+                           "memory/steps", "memory/tasks"}
     assert rm.memory_bytes(mem) == cp.serialized_size(arrays)
-    rng = np.random.default_rng(11)
-    rm.reservoir_insert(mem, _entry(0), rng)
+    _insert(mem, 0, np.random.default_rng(11))
     assert rm.memory_bytes(mem) > cp.serialized_size(arrays)
+
+
+def test_snapshot_tensor_count_does_not_depend_on_entry_count():
+    mem = rm.ReservoirMemory(capacity=50)
+    rng = np.random.default_rng(18)
+    sizes = []
+    for step in range(60):
+        _insert(mem, step, rng, rows=3)
+        sizes.append(len(rm.snapshot_arrays(mem)))
+    assert set(sizes) == {5 + len(mem.fields)}
 
 
 def test_selected_layout_halves_patch_payload_at_half_ratio():
     # default-scale grids: audio 64 patches of 16 values, video 64 of 64
-    raw = _entry(0, rm.RAW, m=64, n=64, pa=16, pv=64, kap_a=32, kap_v=32)
-    sel = _entry(0, rm.SELECTED, m=64, n=64, pa=16, pv=64, kap_a=32, kap_v=32)
-    raw_payload = raw.audio_patches.nbytes + raw.video_patches.nbytes
-    sel_payload = sel.audio_patches.nbytes + sel.video_patches.nbytes
-    assert sel_payload * 2 == raw_payload
+    full = _batch(0, m=64, n=64, pa=16, pv=64)
+    sel = _batch(0, m=32, n=32, pa=16, pv=64)
+    full_payload = full["audio_patches"].nbytes + full["video_patches"].nbytes
+    sel_payload = sel["audio_patches"].nbytes + sel["video_patches"].nbytes
+    assert sel_payload * 2 == full_payload
 
 
 def test_raw_score_and_query_overhead_is_small_at_default_scale():
-    e = _entry(0, rm.RAW, m=64, n=64, pa=16, pv=64, h=4, d=8, feat=32,
-               kap_a=32, kap_v=32)
-    overhead = {k: np.asarray(v) for k, v in dict(
-        qa=e.q_audio, qv=e.q_video, ia=e.imp_audio, iv=e.imp_video,
-        ca=e.corr_audio, cv=e.corr_video).items()}
-    total = {k: np.asarray(v) for k, v in dict(
-        ap=e.audio_patches, vp=e.video_patches,
-        ai=e.audio_indices.astype(float), vi=e.video_indices.astype(float),
-        fa=e.feat_audio, fv=e.feat_video).items()} | overhead
-    frac = cp.serialized_size(overhead) / cp.serialized_size(total)
+    mem = rm.ReservoirMemory(capacity=8)
+    rm.reservoir_insert(mem, _batch(0, rows=8, m=64, n=64, pa=16, pv=64, h=4,
+                                    d=8, feat=32, kap_a=32, kap_v=32), 0, -1,
+                        np.random.default_rng(0))
+    arrays = rm.snapshot_arrays(mem)
+    overhead = {k: v for k, v in arrays.items()
+                if k.split("/")[-1] in ("q_audio", "q_video", "imp_audio",
+                                        "imp_video", "corr_audio", "corr_video")}
+    frac = cp.serialized_size(overhead) / cp.serialized_size(arrays)
     assert frac <= 0.10, f"overhead fraction {frac:.3f}"
 
 
@@ -287,56 +312,81 @@ def test_plus_capacity_matches_byte_budget_within_one_entry():
 # snapshots
 
 
-def _churned_memory(layout=rm.RAW):
-    mem = rm.ReservoirMemory(capacity=3, layout=layout)
+def _churned_memory(scored=True):
+    mem = rm.ReservoirMemory(capacity=3)
     rng = np.random.default_rng(13)
     for step in range(9):
-        rm.reservoir_insert(mem, _entry(step, layout, task=step % 2), rng)
+        _insert(mem, step, rng, task=step % 2, scored=scored)
     return mem
 
 
-def test_snapshot_roundtrip_preserves_everything(tmp_path):
-    for layout in (rm.RAW, rm.SELECTED):
-        mem = _churned_memory(layout)
-        path = tmp_path / f"mem_{layout}.bin"
-        rm.snapshot_save(path, mem)
-        back = rm.snapshot_load(path)
+def _through_container(mem):
+    return rm.memory_from_arrays(cp.from_bytes(cp.to_bytes(rm.snapshot_arrays(mem))))
+
+
+def test_snapshot_roundtrip_preserves_everything():
+    for scored in (True, False):
+        mem = _churned_memory(scored)
+        back = _through_container(mem)
         assert back.capacity == mem.capacity
         assert back.seen_count == mem.seen_count
-        assert back.layout == mem.layout
         assert len(back) == len(mem)
-        for a, b in zip(mem.entries, back.entries):
-            assert a.insertion_step == b.insertion_step
-            assert a.source_task == b.source_task
-            assert np.array_equal(a.audio_patches, b.audio_patches)
-            assert np.array_equal(a.video_indices, b.video_indices)
-            assert np.array_equal(a.feat_video, b.feat_video)
-            if layout == rm.RAW:
-                assert np.array_equal(a.corr_audio, b.corr_audio)
+        assert np.array_equal(back.steps, mem.steps)
+        assert np.array_equal(back.tasks, mem.tasks)
+        assert set(back.fields) == set(mem.fields)
+        for name, col in mem.fields.items():
+            assert np.array_equal(back.fields[name], col), name
 
 
-def test_snapshot_orders_entries_by_insertion_step():
+def test_snapshot_is_in_slot_order_and_deterministic():
     mem = _churned_memory()
     arrays = rm.snapshot_arrays(mem)
-    steps = [arrays[k][1] for k in sorted(arrays) if k.endswith("/meta")]
-    assert steps == sorted(steps)
-    # deterministic bytes
+    assert list(arrays["memory/steps"]) == list(mem.steps)
+    assert np.array_equal(arrays["memory/field/audio_patches"],
+                          mem.fields["audio_patches"])
     assert cp.to_bytes(arrays) == cp.to_bytes(rm.snapshot_arrays(mem))
+    assert not any("entry" in k for k in arrays)
 
 
-def test_snapshot_resume_is_bit_identical(tmp_path):
+def test_partially_filled_snapshot_roundtrips():
+    mem = rm.ReservoirMemory(capacity=5)
+    _insert(mem, 0, np.random.default_rng(19), rows=2)
+    back = _through_container(mem)
+    assert len(back) == 2 and back.fields["audio_patches"].shape[0] == 5
+    assert cp.to_bytes(rm.snapshot_arrays(back)) == cp.to_bytes(rm.snapshot_arrays(mem))
+
+
+def test_inconsistent_snapshot_rejected():
+    good = rm.snapshot_arrays(_churned_memory())
+    broken = [
+        {k: v for k, v in good.items() if k != "memory/steps"},
+        {k: v for k, v in good.items() if not k.startswith("memory/field/")},
+        {**good, "memory/count": np.array([4.0])},  # over capacity
+        {**good, "memory/seen": np.array([2.0])},  # fewer seen than stored
+        {**good, "memory/count": np.array([np.nan])},
+        {**good, "memory/tasks": np.zeros(2)},
+        {**good, "memory/field/feat_audio": good["memory/field/feat_audio"][:2]},
+        # the per-entry layout of earlier versions is not read
+        {"memory/capacity": np.array([3.0]), "memory/seen": np.array([9.0]),
+         "memory/layout": np.array([0.0]), "memory/count": np.array([1.0]),
+         "memory/entry/00000000/meta": np.zeros(3)},
+    ]
+    for arrays in broken:
+        with pytest.raises(rm.RehearsalError):
+            rm.memory_from_arrays(arrays)
+
+
+def test_snapshot_resume_is_bit_identical():
     mem = _churned_memory()
-    path = tmp_path / "mem.bin"
-    rm.snapshot_save(path, mem)
-    back = rm.snapshot_load(path)
+    back = _through_container(mem)
     b1 = rm.sample_replay(mem, 32, np.random.default_rng(14))
     b2 = rm.sample_replay(back, 32, np.random.default_rng(14))
-    assert np.array_equal(b1.steps, b2.steps)
-    assert np.array_equal(b1.audio_patches, b2.audio_patches)
+    for name in b1:
+        assert np.array_equal(b1[name], b2[name]), name
     # continued insertion also replays identically
     r1, r2 = np.random.default_rng(15), np.random.default_rng(15)
     for step in range(9, 30):
-        rm.reservoir_insert(mem, _entry(step), r1)
-        rm.reservoir_insert(back, _entry(step), r2)
-    assert [e.insertion_step for e in mem.entries] == \
-        [e.insertion_step for e in back.entries]
+        _insert(mem, step, r1)
+        _insert(back, step, r2)
+    assert np.array_equal(mem.steps, back.steps)
+    assert _ids(mem) == _ids(back)

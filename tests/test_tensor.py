@@ -1,5 +1,7 @@
 """Tensor engine: forward values, gradient tape, finite-difference oracles."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,32 @@ def test_no_grad_builds_no_graph():
         y = tt.mul(x, x)
     assert not y.requires_grad
     assert y._parents == ()
+
+
+def test_no_grad_is_per_thread():
+    """A no_grad block held open in another thread leaves this thread
+    recording, and this thread's block does not leak into that one."""
+    entered, release = threading.Event(), threading.Event()
+    seen = {}
+
+    def worker():
+        with tt.no_grad():
+            entered.set()
+            release.wait(5)
+            seen["inside"] = tt.mul(tt.parameter(np.ones(2)), 2.0).requires_grad
+        seen["after"] = tt.mul(tt.parameter(np.ones(2)), 2.0).requires_grad
+
+    th = threading.Thread(target=worker)
+    th.start()
+    assert entered.wait(5)
+    assert tt.add(tt.parameter(np.ones(2)), 1.0).requires_grad
+    with tt.no_grad():
+        release.set()
+        th.join(5)
+        assert not th.is_alive()
+        assert not tt.add(tt.parameter(np.ones(2)), 1.0).requires_grad
+    assert tt.add(tt.parameter(np.ones(2)), 1.0).requires_grad
+    assert seen == {"inside": False, "after": True}
 
 
 def test_two_layer_network_fd():

@@ -1,11 +1,14 @@
 """Continual trainer: strategy wiring, degeneracies, artifacts, resume."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import avcl.checkpoint as cp
 import avcl.memory as rm
+import avcl.tensor as tt
 import avcl.selection as sel
 import avcl.trainer as tr
 from avcl import backbone as bb
@@ -180,21 +183,25 @@ def test_stella_memory_stores_raw_pairs_with_scores(tasks, geom, mcfg):
     run, _, _ = tr.run_sequence(tasks, geom, mcfg, _cfg("stella"))
     kap_a = sel.kappa(geom.audio.patches, 0.5)
     kap_v = sel.kappa(geom.video.patches, 0.5)
-    assert run.mem.layout == rm.RAW and len(run.mem) == 6
-    for e in run.mem.entries:
-        assert e.audio_patches.shape == (geom.audio.patches,
-                                         geom.audio.patch_dim)
-        assert e.video_patches.shape == (geom.video.patches,
-                                         geom.video.patch_dim)
-        assert e.q_audio.shape == (mcfg.heads, mcfg.head_dim)
-        assert e.feat_audio.shape == (mcfg.embed_dim,)
-        assert e.imp_audio.shape == (geom.audio.patches,)
-        assert abs(e.imp_audio.sum() - 1.0) < 1e-9
-        assert abs(e.imp_video.sum() - 1.0) < 1e-9
-        assert e.corr_audio.shape == (kap_a,)
-        assert e.corr_video.shape == (kap_v,)
-        assert np.all((e.corr_audio >= 0.0) & (e.corr_audio <= 1.0))
-        assert e.source_task in (0, 1)
+    assert len(run.mem) == 6
+    f = {k: v[:len(run.mem)] for k, v in run.mem.fields.items()}
+    assert set(f) == {"audio_patches", "audio_indices", "video_patches",
+                      "video_indices", "feat_audio", "feat_video", "q_audio",
+                      "q_video", "imp_audio", "imp_video", "corr_audio",
+                      "corr_video"}
+    assert f["audio_patches"].shape == (6, geom.audio.patches,
+                                        geom.audio.patch_dim)
+    assert f["video_patches"].shape == (6, geom.video.patches,
+                                        geom.video.patch_dim)
+    assert f["q_audio"].shape == (6, mcfg.heads, mcfg.head_dim)
+    assert f["feat_audio"].shape == (6, mcfg.embed_dim)
+    assert f["imp_audio"].shape == (6, geom.audio.patches)
+    assert np.allclose(f["imp_audio"].sum(axis=1), 1.0, atol=1e-9)
+    assert np.allclose(f["imp_video"].sum(axis=1), 1.0, atol=1e-9)
+    assert f["corr_audio"].shape == (6, kap_a)
+    assert f["corr_video"].shape == (6, kap_v)
+    assert np.all((f["corr_audio"] >= 0.0) & (f["corr_audio"] <= 1.0))
+    assert set(run.mem.tasks) <= {0, 1}
 
 
 def test_stella_plus_memory_and_capacity(tasks, geom, mcfg):
@@ -204,24 +211,30 @@ def test_stella_plus_memory_and_capacity(tasks, geom, mcfg):
     expected = rm.plus_capacity(6, geom.audio.patches, geom.audio.patch_dim,
                                 geom.video.patches, geom.video.patch_dim,
                                 kap_a, kap_v)
-    assert run.mem.layout == rm.SELECTED
     assert run.mem.capacity == expected == 12
-    for e in run.mem.entries:
-        assert e.audio_patches.shape == (kap_a, geom.audio.patch_dim)
-        assert e.video_patches.shape == (kap_v, geom.video.patch_dim)
-        assert e.feat_audio.size == 0 and e.feat_video.size == 0
-        assert e.imp_audio is None and e.corr_video is None
-        # stored grid ids are distinct and strictly ascending
-        assert np.all(np.diff(e.audio_indices) > 0)
-        assert np.all(np.diff(e.video_indices) > 0)
+    n = len(run.mem)
+    f = {k: v[:n] for k, v in run.mem.fields.items()}
+    # selected patches with their grid ids and queries; no features or scores
+    assert set(f) == {"audio_patches", "audio_indices", "video_patches",
+                      "video_indices", "q_audio", "q_video"}
+    assert f["audio_patches"].shape == (n, kap_a, geom.audio.patch_dim)
+    assert f["video_patches"].shape == (n, kap_v, geom.video.patch_dim)
+    # stored grid ids are distinct and strictly ascending
+    assert np.all(np.diff(f["audio_indices"], axis=1) > 0)
+    assert np.all(np.diff(f["video_indices"], axis=1) > 0)
 
 
 def test_unscored_strategies_store_blank_scores(tasks, geom, mcfg):
+    """Unscored strategies store no queries or scores; only the penalized
+    ones keep the pooled features the penalty reads."""
+    patches = {"audio_patches", "audio_indices", "video_patches",
+               "video_indices"}
     run, _, _ = tr.run_sequence(tasks, geom, mcfg, _cfg("er"))
-    for e in run.mem.entries:
-        assert np.all(e.q_audio == 0.0) and np.all(e.q_video == 0.0)
-        assert np.all(e.imp_audio == 0.0) and e.corr_audio.size == 0
-        assert e.feat_audio.shape == (16,)  # features kept for the penalty
+    assert set(run.mem.fields) == patches
+    for strategy in ("derpp", "random_select"):
+        run, _, _ = tr.run_sequence(tasks, geom, mcfg, _cfg(strategy))
+        assert set(run.mem.fields) == patches | {"feat_audio", "feat_video"}
+        assert run.mem.fields["feat_audio"].shape[1:] == (16,)
 
 
 def test_penalty_is_zero_until_memory_is_replayable(tasks, geom, mcfg):
@@ -259,6 +272,30 @@ def test_eval_features_do_not_depend_on_eval_batching(tasks, geom, mcfg):
     assert np.array_equal(a1, a2) and np.array_equal(v1, v2)
 
 
+def test_threaded_evaluation_leaves_grad_mode_on(tasks, geom, mcfg):
+    run, _, _ = tr.run_sequence(tasks[:1], geom, mcfg, _cfg("finetune"))
+    serial = tr.evaluate_tasks(run.state, tasks, 1, geom, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the workers' no_grad blocks
+    try:
+        for _ in range(5):
+            assert tr.evaluate_tasks(run.state, tasks, 1, geom, workers=3) == serial
+            assert tt.add(tt.parameter(np.ones(2)), 1.0).requires_grad
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_restore_rejects_bad_optimizer_state(tasks, geom, mcfg, tmp_path):
+    cfg = _cfg("stella")
+    tr.run_sequence(tasks[:1], geom, mcfg, cfg, tmp_path)
+    ckpt = tmp_path / "task_00.ckpt"
+    arrays = cp.load(ckpt)
+    arrays["opt/avm/m/avm/head/b1"] = np.zeros(1)
+    cp.save(ckpt, arrays)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        tr.run_sequence(tasks, geom, mcfg, cfg, tmp_path)
+
+
 def test_empty_task_list_is_rejected(geom, mcfg):
     with pytest.raises(tr.TrainError):
         tr.run_sequence([], geom, mcfg, _cfg("finetune"))
@@ -284,9 +321,11 @@ def test_run_directory_artifacts(tasks, geom, mcfg, tmp_path):
     for t in range(len(tasks)):
         assert (tmp_path / f"task_{t:02d}.ckpt").exists()
         assert (tmp_path / f"task_{t:02d}.rng.json").exists()
-        assert (tmp_path / f"memory_task_{t:02d}.bin").exists()
-    snap = rm.snapshot_load(tmp_path / "memory_task_01.bin")
-    assert len(snap) == len(run.mem)
+    assert not list(tmp_path.glob("memory_*"))  # the memory lives in the ckpt
+    snap = rm.memory_from_arrays(cp.load(tmp_path / "task_01.ckpt"))
+    assert len(snap) == len(run.mem) and snap.seen_count == run.mem.seen_count
+    for name, col in run.mem.fields.items():
+        assert np.array_equal(snap.fields[name], col), name
     blob = json.loads((tmp_path / "task_01.rng.json").read_text())
     assert set(blob) == set(tr.STREAM_NAMES)
 
