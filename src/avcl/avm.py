@@ -146,28 +146,38 @@ def negative_pairing(rng: np.random.Generator, batch: int) -> tuple[np.ndarray, 
 
 
 def fusion_tokens(state: bb.BackboneState, aps: PatchSet, vps: PatchSet
-                  ) -> tuple[Tensor, Tensor]:
-    """Unmasked no-grad backbone forward; constants w.r.t. the tape."""
+                  ) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """Unmasked no-grad backbone pass; constants w.r.t. the tape.  Returns
+    the fusion tokens (o_a, o_v) and the encoder outputs (enc_a, enc_v)."""
     with tt.no_grad():
-        fwd = bb.forward_fused(state, bb.embed(aps, state), bb.embed(vps, state),
-                               None, None)
-    return fwd.o_a, fwd.o_v
+        enc_a, enc_v = bb.encode(state, aps, vps, None, None)
+        o_a, o_v = bb.forward_fused(state, enc_a, enc_v, None, None)
+    return o_a, o_v, enc_a, enc_v
 
 
-def _reindex(ps: PatchSet, rows: np.ndarray) -> PatchSet:
-    return PatchSet(ps.patches[rows], ps.indices[rows], ps.modality, ps.grid, ps.patch)
+def _shuffled_tokens(state: bb.BackboneState, enc_a: Tensor, enc_v: Tensor,
+                     rng: np.random.Generator
+                     ) -> tuple[np.ndarray, Tensor, Tensor]:
+    """Pair labels and the no-grad joint fusion of donor-shuffled audio with
+    the batch's video; the encoders work per row, so ``enc_a[donors]`` is
+    exactly the encoding of the shuffled audio."""
+    labels, donors = negative_pairing(rng, enc_a.shape[0])
+    with tt.no_grad():
+        o_a, o_v = bb.forward_fused(state, Tensor(enc_a.data[donors]), enc_v,
+                                    None, None)
+    return labels, o_a, o_v
 
 
-def avm_train_step(avm: AvmParams, state: bb.BackboneState, aps: PatchSet,
-                   vps: PatchSet, opt, rng: np.random.Generator) -> float:
+def avm_train_step(avm: AvmParams, state: bb.BackboneState, enc_a: Tensor,
+                   enc_v: Tensor, opt, rng: np.random.Generator) -> float:
     """One matching update: shuffle negatives, BCE, step only the AVM.
 
-    Returns the scalar loss. Backbone gradients are asserted to be exactly
-    zero after the backward pass — the matching objective must never train
-    the backbone.
+    Takes the batch's unmasked encoder outputs from :func:`fusion_tokens`
+    and returns the scalar loss. Backbone gradients are asserted to be
+    exactly zero after the backward pass — the matching objective must never
+    train the backbone.
     """
-    labels, donors = negative_pairing(rng, aps.patches.shape[0])
-    o_a, o_v = fusion_tokens(state, _reindex(aps, donors), vps)
+    labels, o_a, o_v = _shuffled_tokens(state, enc_a, enc_v, rng)
     yhat = matching_forward(avm, o_a, o_v)
     loss = tt.bce(yhat, Tensor(labels))
     loss.backward()
@@ -179,11 +189,10 @@ def avm_train_step(avm: AvmParams, state: bb.BackboneState, aps: PatchSet,
     return loss.item()
 
 
-def matching_accuracy(avm: AvmParams, state: bb.BackboneState, aps: PatchSet,
-                      vps: PatchSet, rng: np.random.Generator) -> float:
+def matching_accuracy(avm: AvmParams, state: bb.BackboneState, enc_a: Tensor,
+                      enc_v: Tensor, rng: np.random.Generator) -> float:
     """Held-out accuracy under the training pairing protocol (0.5 threshold)."""
-    labels, donors = negative_pairing(rng, aps.patches.shape[0])
-    o_a, o_v = fusion_tokens(state, _reindex(aps, donors), vps)
+    labels, o_a, o_v = _shuffled_tokens(state, enc_a, enc_v, rng)
     with tt.no_grad():
         yhat = matching_forward(avm, o_a, o_v)
     pred = (yhat.data >= 0.5).astype(float)

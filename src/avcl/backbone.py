@@ -1,21 +1,24 @@
 """Two-stream masked autoencoding backbone with shared fusion.
 
-Patches embed linearly plus a learned positional table per modality, pass
-through per-modality pre-norm transformer encoders, and meet in a shared
-fusion encoder. Three paths leave the fusion stage:
+The forward pass runs in stages; each caller runs only those it reads:
 
-* joint fusion over both modalities -> tokens (o_a, o_v) consumed by the
-  matching module and, with masked slots replaced by a learned mask token,
-  by the reconstruction decoder;
-* single-modality fusion + per-modality layernorm + visibility-weighted
-  mean pool + L2 normalization -> pooled contrastive features (c_a, c_v).
+* ``encode`` -> (enc_a, enc_v): linear embedding plus a learned positional
+  table per modality, then per-modality pre-norm transformer encoders;
+* ``forward_fused`` -> (o_a, o_v): joint fusion over both modalities'
+  encoder outputs, read by the matching module and the decoder;
+* ``decode``: masked slots of (o_a, o_v) become a learned mask token plus
+  the positional embedding of the slot's grid id, then a shared decoder and
+  per-modality linear heads reconstruct the patches;
+* ``contrastive_features`` -> (c_a, c_v): single-modality fusion over each
+  modality's encoder outputs + per-modality layernorm + visibility-weighted
+  mean pool + L2 normalization.  Retrieval reads only these, so evaluation
+  never runs the joint fusion.
 
 Masking semantics: masked tokens are invisible to every attention layer
 (key masking), which is exactly equivalent to dropping them from the
 sequence — all other ops are per-token — while keeping batches rectangular
 under iid Bernoulli masking. Outputs at masked slots are never consumed
-except by the decoder, which first overwrites them with mask token +
-positional embedding.
+except by the decoder, which first overwrites them.
 """
 
 from __future__ import annotations
@@ -191,63 +194,51 @@ def encode_modality(state: BackboneState, x: Tensor, modality: str,
                   x, key_bias(mask), state.cfg)
 
 
-@dataclass
-class FusedForward:
-    o_a: Tensor  # (B, M, D) joint-fusion audio tokens
-    o_v: Tensor  # (B, N, D) joint-fusion video tokens
-    a_tilde: Tensor  # (B, M, D) decoder input, masked slots = mask token + pos
-    v_tilde: Tensor
-    enc_a: Tensor  # (B, M, D) per-modality encoder outputs, pre-fusion;
-    enc_v: Tensor  # the contrastive path pools these through its own pass
+def encode(state: BackboneState, aps: PatchSet, vps: PatchSet,
+           m_a: np.ndarray | None, m_v: np.ndarray | None
+           ) -> tuple[Tensor, Tensor]:
+    """Embedding and per-modality encoder for both modalities."""
+    return (encode_modality(state, embed(aps, state), "audio", m_a),
+            encode_modality(state, embed(vps, state), "video", m_v))
 
 
-def forward_fused(state: BackboneState, a_emb: Tensor, v_emb: Tensor,
-                  m_a: np.ndarray | None, m_v: np.ndarray | None,
-                  a_indices: np.ndarray | None = None,
-                  v_indices: np.ndarray | None = None) -> FusedForward:
-    """Per-modality encoders on visible tokens, joint fusion, split back.
-
-    ``a_indices``/``v_indices`` are the original grid indices of each token
-    (defaults to 0..n-1), used to position mask tokens for the decoder.
-    """
-    cfg, params = state.cfg, state.params
-    na, nv = a_emb.shape[1], v_emb.shape[1]
-    ea = encode_modality(state, a_emb, "audio", m_a)
-    ev = encode_modality(state, v_emb, "video", m_v)
-
+def forward_fused(state: BackboneState, enc_a: Tensor, enc_v: Tensor,
+                  m_a: np.ndarray | None, m_v: np.ndarray | None
+                  ) -> tuple[Tensor, Tensor]:
+    """Joint fusion over both modalities' visible tokens, split back into
+    the audio and video tokens (o_a, o_v)."""
+    cfg = state.cfg
+    b, na = enc_a.shape[:2]
+    nv = enc_v.shape[1]
     joint_mask = None
     if m_a is not None or m_v is not None:
-        b = a_emb.shape[0]
         ja = m_a if m_a is not None else np.zeros((b, na), dtype=bool)
         jv = m_v if m_v is not None else np.zeros((b, nv), dtype=bool)
         joint_mask = np.concatenate([ja, jv], axis=1)
-    fused = _stack(params, "fusion", cfg.fusion_layers,
-                   tt.concat([ea, ev], axis=1), key_bias(joint_mask), cfg)
-    o_a = tt.narrow(fused, 1, 0, na)
-    o_v = tt.narrow(fused, 1, na, nv)
-
-    a_tilde = _decoder_input(state, o_a, m_a, a_indices, "audio")
-    v_tilde = _decoder_input(state, o_v, m_v, v_indices, "video")
-    return FusedForward(o_a, o_v, a_tilde, v_tilde, ea, ev)
+    fused = _stack(state.params, "fusion", cfg.fusion_layers,
+                   tt.concat([enc_a, enc_v], axis=1), key_bias(joint_mask), cfg)
+    return tt.narrow(fused, 1, 0, na), tt.narrow(fused, 1, na, nv)
 
 
-def _decoder_input(state: BackboneState, o: Tensor, mask: np.ndarray | None,
-                   indices: np.ndarray | None, modality: str) -> Tensor:
+def _decoder_input(state: BackboneState, o: Tensor, ps: PatchSet,
+                   mask: np.ndarray | None) -> Tensor:
     if mask is None or not mask.any():
         return o
-    b, n, d = o.shape
-    if indices is None:
-        indices = np.broadcast_to(np.arange(n), (b, n))
     params = state.params
-    tok = tt.add(tt.reshape(params[f"{modality}_mask_token"], (1, 1, d)),
-                 tt.gather_rows(params[f"{modality}_pos"], np.asarray(indices)))
+    tok = tt.add(tt.reshape(params[f"{ps.modality}_mask_token"], (1, 1, o.shape[2])),
+                 tt.gather_rows(params[f"{ps.modality}_pos"], ps.indices))
     m = Tensor(mask.astype(np.float64)[:, :, None])
     return tt.add(tt.mul(o, tt.sub(1.0, m)), tt.mul(tok, m))
 
 
-def decode(state: BackboneState, a_tilde: Tensor, v_tilde: Tensor) -> tuple[Tensor, Tensor]:
-    """Shared decoder block(s) per modality, then per-modality linear heads."""
+def decode(state: BackboneState, o_a: Tensor, o_v: Tensor, aps: PatchSet,
+           vps: PatchSet, m_a: np.ndarray | None, m_v: np.ndarray | None
+           ) -> tuple[Tensor, Tensor]:
+    """Mask tokens into the masked slots, shared decoder block(s) per
+    modality, then per-modality linear heads."""
     cfg, params = state.cfg, state.params
+    a_tilde = _decoder_input(state, o_a, aps, m_a)
+    v_tilde = _decoder_input(state, o_v, vps, m_v)
     da = _stack(params, "decoder", cfg.decoder_layers, a_tilde, None, cfg)
     dv = _stack(params, "decoder", cfg.decoder_layers, v_tilde, None, cfg)
     rec_a = tt.linear(da, params["decoder_head_audio/weight"], params["decoder_head_audio/bias"])
@@ -291,8 +282,8 @@ def contrastive_features(state: BackboneState, enc_a: Tensor, enc_v: Tensor,
                          ) -> tuple[Tensor, Tensor]:
     """Single-modality fusion pass + modality layernorm + visible-mean pool.
 
-    Takes the per-modality ENCODER outputs (``FusedForward.enc_a``/``enc_v``
-    — one encoder pass serves both objectives). The fusion blocks then run
+    Takes the per-modality ENCODER outputs of ``encode`` (one encoder pass
+    serves both objectives). The fusion blocks then run
     over one modality's tokens alone (no cross-modal concatenation), so each
     pooled feature depends only on its own modality — the cross-modal tie
     comes solely from the contrastive objective.

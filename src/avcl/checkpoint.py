@@ -11,8 +11,11 @@ entries; readers consume until EOF. Names must be unique within a file.
 
 from __future__ import annotations
 
+import contextlib
 import io
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -92,8 +95,20 @@ def serialized_size(tensors: dict[str, np.ndarray]) -> int:
     return total
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open ``<path>.tmp`` for writing and, once the block completes, rename
+    it over ``path``: readers see the old file or the whole new one, never a
+    partial one.  The temporary name does not match ``task_*.ckpt``."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, mode, **kwargs) as fh:
+        yield fh
+    os.replace(tmp, path)
+
+
 def save(path, tensors: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         write_entries(fh, tensors)
 
 

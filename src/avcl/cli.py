@@ -13,11 +13,14 @@ A run directory holds ``config.ini`` (the resolved configuration), and after
 every completed task ``task_XX.ckpt`` (model, optimizer state, rehearsal
 memory and run progress in one container) with ``task_XX.rng.json`` (the
 random-stream states) beside it; ``losses.csv``, ``acc_matrix.csv``,
-``gaps.csv`` and ``retrieval.json`` are rewritten as tasks complete.
+``gaps.csv`` and ``retrieval.json`` are rewritten as tasks complete.  Each
+file is replaced atomically and ``task_XX.rng.json`` is written last, so a
+task without it is redone on resume.
 
 Exit codes: 0 success; 2 configuration or usage error; 3 data error (missing,
-truncated, modified or unreadable files, including a checkpoint whose
-rehearsal-memory snapshot is inconsistent or in an older format); 4 numeric
+truncated, modified or unreadable files, including a checkpoint with a
+missing or malformed tensor or whose rehearsal-memory snapshot is
+inconsistent or in an older format); 4 numeric
 divergence during training.  A run aborted by a config or data error never
 leaves a partial run directory; an interrupted training run resumes from its
 last completed task.
@@ -121,6 +124,10 @@ def _check_config_matches_data(cfg: cf.RunConfig, tasks, geom) -> None:
         if len(task.train) != d.train_pairs or len(task.eval) != d.eval_pairs:
             raise cf.ConfigError(f"task {task.spec.task_id}: pair counts do "
                                  "not match the config")
+    chunk = cfg.train.chunk_size
+    if chunk is not None and chunk > geom.audio.num_time:
+        raise cf.ConfigError(f"chunk_size {chunk} exceeds the audio grid's "
+                             f"{geom.audio.num_time} time patches")
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +145,8 @@ def cmd_run(args) -> int:
         raise cf.ConfigError(f"{run_dir} was created with a different "
                              "configuration; refusing to resume with this one")
     run_dir.mkdir(parents=True, exist_ok=True)
-    existing.write_text(resolved)
+    with ckpt.atomic_open(existing) as fh:
+        fh.write(resolved)
     run, acc, gaps = tr.run_sequence(tasks, geom, cfg.model, cfg.train,
                                      run_dir, eval_ks=cfg.eval.ks,
                                      eval_workers=args.eval_workers)
@@ -264,8 +272,8 @@ def cmd_export_attention(args) -> int:
     aps = dt.full_patchset(split.audio_patches[:rows], "audio", geom)
     vps = dt.full_patchset(split.video_patches[:rows], "video", geom)
     beta = cfg.train.beta if cfg.train.beta is not None else 1.0
+    o_a, o_v, _, _ = am.fusion_tokens(state, aps, vps)
     with tt.no_grad():
-        o_a, o_v = am.fusion_tokens(state, aps, vps)
         maps = am.cross_attention(avm, o_a, o_v, beta=beta)
     logits = maps.audio_map if args.direction == "audio" else maps.video_map
     ev.export_attention(logits.data, args.out)

@@ -155,17 +155,22 @@ def memory_bytes(mem: ReservoirMemory) -> int:
     return cp.serialized_size(snapshot_arrays(mem))
 
 
-def memory_from_arrays(arrays: dict[str, np.ndarray]) -> ReservoirMemory:
-    """Inverse of :func:`snapshot_arrays`; ``arrays`` may hold other keys."""
+def memory_from_arrays(arrays: dict[str, np.ndarray],
+                       capacity: int) -> ReservoirMemory:
+    """Inverse of :func:`snapshot_arrays`; ``arrays`` may hold other keys.
+    The snapshot must hold ``capacity``, checked before any allocation."""
     try:
-        capacity = int(arrays["memory/capacity"][0])
+        stored_capacity = int(arrays["memory/capacity"][0])
         seen = int(arrays["memory/seen"][0])
         count = int(arrays["memory/count"][0])
         steps, tasks = arrays["memory/steps"], arrays["memory/tasks"]
     except (KeyError, IndexError, ValueError, OverflowError) as exc:
         raise RehearsalError(f"snapshot bookkeeping unreadable: {exc}") from None
+    if stored_capacity != capacity:
+        raise RehearsalError(f"snapshot capacity {stored_capacity} does not "
+                             f"match the configured {capacity}")
     stored = {k[len(_FIELD):]: v for k, v in arrays.items() if k.startswith(_FIELD)}
-    if not 0 <= count <= min(capacity, seen):
+    if not 0 <= count <= min(capacity, seen) or seen >= 2 ** 63:
         raise RehearsalError("snapshot entry count inconsistent")
     if (steps.shape != (count,) or tasks.shape != (count,)
             or (count and not stored)

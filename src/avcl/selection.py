@@ -37,55 +37,6 @@ def kappa(count: int, ratio: float) -> int:
     return max(1, int(np.floor(count * ratio + 0.5)))
 
 
-@dataclass(frozen=True)
-class SelectionConfig:
-    audio_ratio: float = 0.5
-    video_ratio: float = 0.5
-    chunk_size: int = 4
-    beta: float = 0.4
-
-    def __post_init__(self):
-        for name in ("audio_ratio", "video_ratio"):
-            r = getattr(self, name)
-            if not 0.0 < r <= 1.0:
-                raise SelectionError(f"{name} must be in (0, 1], got {r}")
-        if self.chunk_size < 1:
-            raise SelectionError("chunk_size must be at least 1")
-        if self.beta <= 0.0:
-            raise SelectionError("beta must be positive")
-
-
-@dataclass
-class ScorePack:
-    """Scores for one modality of one batch: importance over all patches,
-    its full ascending argsort, and correlation + exclusion flags aligned to
-    the top-kappa tail of that sort."""
-
-    importance: np.ndarray  # (B, n) rows summing to 1
-    order: np.ndarray  # (B, n) ascending stable argsort of importance
-    correlation: np.ndarray  # (B, kappa) in [0, 1]
-    flags: np.ndarray  # (B, kappa) bool, True = flagged for exclusion
-
-    def __post_init__(self):
-        b, n = self.importance.shape
-        if self.order.shape != (b, n):
-            raise SelectionError("order shape mismatch")
-        k = self.correlation.shape[1]
-        if self.correlation.shape != (b, k) or self.flags.shape != (b, k):
-            raise SelectionError("correlation/flags shape mismatch")
-        if not np.allclose(self.importance.sum(axis=1), 1.0, atol=1e-9):
-            raise SelectionError("importance rows must sum to 1")
-        if np.any(self.correlation < 0.0) or np.any(self.correlation > 1.0):
-            raise SelectionError("correlation must lie in [0, 1]")
-        if np.any(np.sort(self.order, axis=1) != np.arange(n)):
-            raise SelectionError("order rows must be permutations")
-
-    @property
-    def scored(self) -> np.ndarray:
-        """(B, kappa) patch ids the correlation columns refer to."""
-        return self.order[:, -self.correlation.shape[1]:]
-
-
 def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)

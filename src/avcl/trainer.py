@@ -33,6 +33,7 @@ alpha 0 matches ``er``, and ``stella`` at sampling ratio 1 matches ``derpp``.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -190,16 +191,22 @@ def init_run(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     streams = rng_streams(tcfg.train_seed)
     state = bb.init_backbone(mcfg, geom, streams["init"])
     avm_params = am.init_avm(mcfg, streams["init"]) if tcfg.strategy in SCORING else None
-    capacity = tcfg.memory_capacity
-    if tcfg.strategy == "stella_plus":
-        capacity = rm.plus_capacity(
-            tcfg.memory_capacity,
-            geom.audio.patches, geom.audio.patch_dim,
-            geom.video.patches, geom.video.patch_dim,
-            sel.kappa(geom.audio.patches, tcfg.rho_audio),
-            sel.kappa(geom.video.patches, tcfg.rho_video))
-    return _run_state(state, avm_params, rm.ReservoirMemory(capacity), tcfg,
+    return _run_state(state, avm_params,
+                      rm.ReservoirMemory(_memory_capacity(tcfg, geom)), tcfg,
                       streams)
+
+
+def _memory_capacity(tcfg: TrainConfig, geom: SceneGeometry) -> int:
+    """Reservoir entries the strategy keeps; ``stella_plus`` stores only
+    selected patches and scales up to the same patch byte budget."""
+    if tcfg.strategy != "stella_plus":
+        return tcfg.memory_capacity
+    return rm.plus_capacity(
+        tcfg.memory_capacity,
+        geom.audio.patches, geom.audio.patch_dim,
+        geom.video.patches, geom.video.patch_dim,
+        sel.kappa(geom.audio.patches, tcfg.rho_audio),
+        sel.kappa(geom.video.patches, tcfg.rho_video))
 
 
 def _run_state(state: bb.BackboneState, avm: am.AvmParams | None,
@@ -225,6 +232,9 @@ class _Scoring:
     loc_v: sel.LocalizedQueries | None
     corr_a: np.ndarray | None  # (B, kap_a) or None before any replay exists
     corr_v: np.ndarray | None
+    # unmasked encoder outputs of the scoring pass, reused by the AVM step
+    enc_a: tt.Tensor | None = None
+    enc_v: tt.Tensor | None = None
 
 
 def _uniform(rows: int, m: int, n: int, kap_a: int, kap_v: int) -> _Scoring:
@@ -249,7 +259,7 @@ def _score_batch(run: RunState, tcfg: TrainConfig, aps: PatchSet,
     if tcfg.strategy not in SCORING:
         return _uniform(b, m, n, kap_a, kap_v)
     with tt.no_grad():
-        o_a, o_v = am.fusion_tokens(run.state, aps, vps)
+        o_a, o_v, enc_a, enc_v = am.fusion_tokens(run.state, aps, vps)
         maps = am.cross_attention(run.avm, o_a, o_v, beta=tcfg.beta)
         imp_a, imp_v = sel.importance_scores(maps.audio_map.data,
                                              maps.video_map.data)
@@ -265,7 +275,8 @@ def _score_batch(run: RunState, tcfg: TrainConfig, aps: PatchSet,
                                         replay["q_video"][pair], tcfg.beta)
         corr_v = sel.correlation_scores(loc_v.keys, loc_a.pooled,
                                         replay["q_audio"][pair], tcfg.beta)
-    return _Scoring(imp_a, imp_v, kap_a, kap_v, loc_a, loc_v, corr_a, corr_v)
+    return _Scoring(imp_a, imp_v, kap_a, kap_v, loc_a, loc_v, corr_a, corr_v,
+                    enc_a, enc_v)
 
 
 def _select_pair(scoring: _Scoring, aps: PatchSet, vps: PatchSet,
@@ -354,13 +365,14 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     """One continual pre-training update on a current batch of paired clips.
 
     Order of operations (scoring strategies; others skip what they lack):
-    attention scoring -> replay draw -> correlation against stored queries ->
-    current selection -> replay selection -> joint masked forward and losses
-    -> memory insertion -> matching-module update -> backbone update.  Memory
-    insertion precedes both updates, so stored features reflect the weights
-    that produced the losses; the matching-module update precedes the
-    backbone backward pass, which keeps its gradient-isolation assertion
-    meaningful.
+    replay draw -> attention scoring (the one unmasked no-grad backbone pass)
+    -> correlation against stored queries -> current selection -> replay
+    selection -> masked encode, joint fusion, decode and contrastive pass,
+    losses -> memory insertion -> matching-module update on the scoring
+    pass's encoder outputs -> backbone update.  Memory insertion precedes
+    both updates, so stored features reflect the weights that produced the
+    losses; the matching-module update precedes the backbone backward pass,
+    which keeps its gradient-isolation assertion meaningful.
     """
     b = aps.patches.shape[0]
 
@@ -387,15 +399,12 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     m_a = random_mask(run.streams["mask"], nb, cat_aps.count, mcfg.mask_prob)
     m_v = random_mask(run.streams["mask"], nb, cat_vps.count, mcfg.mask_prob)
 
-    a_emb = bb.embed(cat_aps, run.state)
-    v_emb = bb.embed(cat_vps, run.state)
-    fwd = bb.forward_fused(run.state, a_emb, v_emb, m_a, m_v,
-                           cat_aps.indices, cat_vps.indices)
-    recon_a, recon_v = bb.decode(run.state, fwd.a_tilde, fwd.v_tilde)
+    enc_a, enc_v = bb.encode(run.state, cat_aps, cat_vps, m_a, m_v)
+    o_a, o_v = bb.forward_fused(run.state, enc_a, enc_v, m_a, m_v)
+    recon_a, recon_v = bb.decode(run.state, o_a, o_v, cat_aps, cat_vps, m_a, m_v)
     rec = bb.reconstruction_loss(recon_a, recon_v, cat_aps.patches,
                                  cat_vps.patches, m_a, m_v)
-    c_a, c_v = bb.contrastive_features(run.state, fwd.enc_a, fwd.enc_v,
-                                       m_a, m_v)
+    c_a, c_v = bb.contrastive_features(run.state, enc_a, enc_v, m_a, m_v)
     con = bb.contrastive_loss(c_a, c_v, mcfg.temperature)
 
     penalty = None
@@ -416,7 +425,7 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     if tcfg.strategy in SCORING:
         # runs before the backbone backward pass: backbone gradients are
         # still empty, so the isolation assertion inside is exact
-        avm_loss = am.avm_train_step(run.avm, run.state, aps, vps,
+        avm_loss = am.avm_train_step(run.avm, run.state, scoring.enc_a, scoring.enc_v,
                                      run.a_opt, run.streams["avm"])
 
     total.backward()
@@ -452,10 +461,8 @@ def eval_features(state: bb.BackboneState, samples: SampleSet,
             hi = min(lo + batch, n)
             aps = full_patchset(samples.audio_patches[lo:hi], "audio", geom)
             vps = full_patchset(samples.video_patches[lo:hi], "video", geom)
-            fwd = bb.forward_fused(state, bb.embed(aps, state),
-                                   bb.embed(vps, state), None, None)
-            c_a, c_v = bb.contrastive_features(state, fwd.enc_a, fwd.enc_v,
-                                               None, None)
+            enc_a, enc_v = bb.encode(state, aps, vps, None, None)
+            c_a, c_v = bb.contrastive_features(state, enc_a, enc_v, None, None)
             feats_a.append(c_a.data)
             feats_v.append(c_v.data)
     return np.concatenate(feats_a, axis=0), np.concatenate(feats_v, axis=0)
@@ -513,33 +520,14 @@ def _fmt(x: float) -> str:
     return _CSV_FMT % float(x)
 
 
-def write_losses_csv(path: Path, records: list[LossRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(_LOSS_HEADER)
-        for r in records:
-            w.writerow([r.step] + [_fmt(v) for v in
-                                   (r.recon, r.contrast, r.penalty, r.avm)])
-
-
-def write_acc_csv(path: Path, acc: list[list[float]]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in acc:
-            w.writerow([_fmt(v) for v in row])
+def _write_csv(path: Path, rows) -> None:
+    with cp.atomic_open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 def read_acc_csv(path: Path) -> list[list[float]]:
     with open(path, newline="") as fh:
         return [[float(v) for v in row] for row in csv.reader(fh) if row]
-
-
-def write_gaps_csv(path: Path, gaps: list[float]) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(("task", "gap"))
-        for t, g in enumerate(gaps):
-            w.writerow([t, _fmt(g)])
 
 
 def _rng_state_json(streams: dict[str, np.random.Generator]) -> str:
@@ -599,6 +587,21 @@ def _checkpoint_arrays(run: RunState, tasks_done: int,
     return out
 
 
+def _reads_checkpoint(fn):
+    """Missing, mis-shaped or malformed checkpoint tensors -> CheckpointError."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (cp.CheckpointError, rm.RehearsalError):
+            raise
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+            raise cp.CheckpointError("checkpoint tensor missing or malformed: "
+                                     f"{exc}") from None
+    return wrapper
+
+
+@_reads_checkpoint
 def backbone_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig,
                          geom: SceneGeometry) -> bb.BackboneState:
     """Rebuild a backbone from the ``model/`` keys of a checkpoint."""
@@ -609,6 +612,7 @@ def backbone_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig,
     return state
 
 
+@_reads_checkpoint
 def avm_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig
                     ) -> am.AvmParams | None:
     """Rebuild the matching module from a checkpoint, or None if it has none."""
@@ -622,6 +626,7 @@ def avm_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig
     return avm
 
 
+@_reads_checkpoint
 def _restore_run(arrays: dict[str, np.ndarray], streams, mcfg, tcfg, geom
                  ) -> tuple[RunState, int, list[list[float]], list[float]]:
     avm = avm_from_arrays(arrays, mcfg)
@@ -629,7 +634,8 @@ def _restore_run(arrays: dict[str, np.ndarray], streams, mcfg, tcfg, geom
         raise cp.CheckpointError("checkpoint matching module does not fit "
                                  f"strategy {tcfg.strategy!r}")
     run = _run_state(backbone_from_arrays(arrays, mcfg, geom), avm,
-                     rm.memory_from_arrays(arrays), tcfg, streams)
+                     rm.memory_from_arrays(arrays, _memory_capacity(tcfg, geom)),
+                     tcfg, streams)
     run.b_opt.load_arrays("opt/backbone", arrays)
     if avm is not None:
         run.a_opt.load_arrays("opt/avm", arrays)
@@ -660,14 +666,23 @@ def _latest_task_checkpoint(run_dir: Path) -> tuple[int, Path] | None:
 def save_task_artifacts(run: RunState, run_dir: Path, tasks_done: int,
                         acc: list[list[float]], gaps: list[float],
                         reports: list[ev.RetrievalReport]) -> None:
+    """Write every artifact of a completed task, each atomically.  The
+    random-stream file goes last: :func:`_latest_task_checkpoint` accepts a
+    task only once it exists, so a crash anywhere before it makes a resume
+    redo the task and rewrite all of its artifacts."""
     tag = f"task_{tasks_done - 1:02d}"
     cp.save(run_dir / f"{tag}.ckpt",
             _checkpoint_arrays(run, tasks_done, acc, gaps))
-    (run_dir / f"{tag}.rng.json").write_text(_rng_state_json(run.streams))
-    write_losses_csv(run_dir / "losses.csv", run.records)
-    write_acc_csv(run_dir / "acc_matrix.csv", acc)
-    write_gaps_csv(run_dir / "gaps.csv", gaps)
-    (run_dir / "retrieval.json").write_text(reports_to_json(reports))
+    _write_csv(run_dir / "losses.csv", [_LOSS_HEADER] + [
+        [r.step] + [_fmt(v) for v in (r.recon, r.contrast, r.penalty, r.avm)]
+        for r in run.records])
+    _write_csv(run_dir / "acc_matrix.csv", [[_fmt(v) for v in row] for row in acc])
+    _write_csv(run_dir / "gaps.csv",
+               [("task", "gap")] + [[t, _fmt(g)] for t, g in enumerate(gaps)])
+    for name, text in (("retrieval.json", reports_to_json(reports)),
+                       (f"{tag}.rng.json", _rng_state_json(run.streams))):
+        with cp.atomic_open(run_dir / name) as fh:
+            fh.write(text)
 
 
 def run_sequence(tasks: list[TaskData], geom: SceneGeometry,

@@ -166,13 +166,35 @@ def _batch(rng, batch=6, correlation=1.0, num_classes=4):
     return aps, vps
 
 
+def _encoded(state, aps, vps):
+    """Unmasked encoder outputs, as the scoring pass hands them on."""
+    _, _, enc_a, enc_v = av.fusion_tokens(state, aps, vps)
+    return enc_a, enc_v
+
+
+def test_reused_encoder_outputs_match_encoding_the_shuffled_batch():
+    """The step fuses ``enc_a[donors]`` instead of re-encoding the shuffled
+    audio; both must give the same tokens, bit for bit."""
+    state, _, rng = _setup(4)
+    aps, vps = _batch(rng)
+    enc_a, enc_v = _encoded(state, aps, vps)
+    _, donors = av.negative_pairing(np.random.default_rng(8), len(aps.patches))
+    shuffled = dd.PatchSet(aps.patches[donors], aps.indices[donors], "audio",
+                           aps.grid, aps.patch)
+    want = av.fusion_tokens(state, shuffled, vps)
+    assert np.array_equal(want[2].data, enc_a.data[donors])
+    got = bb.forward_fused(state, Tensor(enc_a.data[donors]), enc_v, None, None)
+    assert np.array_equal(got[0].data, want[0].data)
+    assert np.array_equal(got[1].data, want[1].data)
+
+
 def test_train_step_never_touches_backbone():
     state, avm, rng = _setup(5)
     aps, vps = _batch(rng)
     before = {k: v.copy() for k, v in state.named_arrays().items()}
     avm_before = {k: t.data.copy() for k, t in avm.params.items()}
     opt = Adam(avm.params, lr=1e-3)
-    loss = av.avm_train_step(avm, state, aps, vps, opt, rng)
+    loss = av.avm_train_step(avm, state, *_encoded(state, aps, vps), opt, rng)
     assert np.isfinite(loss)
     after = state.named_arrays()
     for k in before:
@@ -192,19 +214,19 @@ def test_training_learns_to_separate_pairs():
     # the acceptance suite, which prepares the backbone first.
     state, avm, rng = _setup(13)
     opt = Adam(avm.params, lr=3e-3)
-    pool = [_batch(rng, batch=8) for _ in range(4)]
+    pool = [_encoded(state, *_batch(rng, batch=8)) for _ in range(4)]
     losses = []
     for step in range(400):
         idx = step % len(pool)
-        aps, vps = pool[idx]
+        enc_a, enc_v = pool[idx]
         # per-batch seeded rng keeps each batch's positive/negative pairing
         # fixed across visits, so the task itself is stationary
-        losses.append(av.avm_train_step(avm, state, aps, vps, opt,
+        losses.append(av.avm_train_step(avm, state, enc_a, enc_v, opt,
                                         np.random.default_rng(1000 + idx)))
     assert np.mean(losses[-20:]) < 0.35 < np.mean(losses[:20])
-    correct = [av.matching_accuracy(avm, state, aps, vps,
+    correct = [av.matching_accuracy(avm, state, enc_a, enc_v,
                                     np.random.default_rng(1000 + idx))
-               for idx, (aps, vps) in enumerate(pool)]
+               for idx, (enc_a, enc_v) in enumerate(pool)]
     assert np.mean(correct) > 0.8
 
 
@@ -218,9 +240,9 @@ def test_step_is_deterministic():
     for _ in range(2):
         state, avm, rng = _setup(21)
         opt = Adam(avm.params, lr=1e-3)
-        aps, vps = _batch(np.random.default_rng(2), batch=4)
+        enc_a, enc_v = _encoded(state, *_batch(np.random.default_rng(2), batch=4))
         step_rng = np.random.default_rng(77)
-        loss = av.avm_train_step(avm, state, aps, vps, opt, step_rng)
+        loss = av.avm_train_step(avm, state, enc_a, enc_v, opt, step_rng)
         outs.append((loss, {k: v.data.copy() for k, v in avm.params.items()}))
     assert outs[0][0] == outs[1][0]
     for k in outs[0][1]:

@@ -1,4 +1,4 @@
-"""Backbone: embedding, masked fused forward, reconstruction/contrastive losses."""
+"""Backbone: embedding, masked encode / fusion / decode stages, losses."""
 
 import numpy as np
 import pytest
@@ -74,17 +74,24 @@ def test_embed_respects_selected_indices():
 
 
 # ---------------------------------------------------------------------------
-# fused forward
+# encode -> joint fusion -> decode
 # ---------------------------------------------------------------------------
+
+
+def fused(st, aps, vps, m_a, m_v):
+    """Encoder outputs and joint-fusion tokens of one batch."""
+    enc_a, enc_v = bb.encode(st, aps, vps, m_a, m_v)
+    return (enc_a, enc_v) + bb.forward_fused(st, enc_a, enc_v, m_a, m_v)
 
 
 def test_forward_token_counts_and_split():
     st = make_state()
     rng = np.random.default_rng(5)
     aps, vps = patch_batch(rng, 2)
-    fwd = bb.forward_fused(st, bb.embed(aps, st), bb.embed(vps, st), None, None)
-    assert fwd.o_a.shape == (2, GEOM.audio.patches, CFG.embed_dim)
-    assert fwd.o_v.shape == (2, GEOM.video.patches, CFG.embed_dim)
+    enc_a, enc_v, o_a, o_v = fused(st, aps, vps, None, None)
+    for t, n in ((enc_a, GEOM.audio.patches), (o_a, GEOM.audio.patches),
+                 (enc_v, GEOM.video.patches), (o_v, GEOM.video.patches)):
+        assert t.shape == (2, n, CFG.embed_dim)
 
 
 def test_forward_deterministic():
@@ -93,20 +100,25 @@ def test_forward_deterministic():
     aps, vps = patch_batch(rng, 2)
     m_a = np.zeros((2, aps.count), dtype=bool)
     m_a[:, :5] = True
-    f1 = bb.forward_fused(st, bb.embed(aps, st), bb.embed(vps, st), m_a, None)
-    f2 = bb.forward_fused(st, bb.embed(aps, st), bb.embed(vps, st), m_a, None)
-    assert np.array_equal(f1.o_a.data, f2.o_a.data)
-    assert np.array_equal(f1.v_tilde.data, f2.v_tilde.data)
+    f1 = fused(st, aps, vps, m_a, None)
+    f2 = fused(st, aps, vps, m_a, None)
+    for t1, t2 in zip(f1, f2):
+        assert np.array_equal(t1.data, t2.data)
+    r1 = bb.decode(st, f1[2], f1[3], aps, vps, m_a, None)
+    r2 = bb.decode(st, f2[2], f2[3], aps, vps, m_a, None)
+    assert np.array_equal(r1[0].data, r2[0].data)
+    assert np.array_equal(r1[1].data, r2[1].data)
 
 
 def test_masked_tokens_equivalent_to_dropping_them():
-    """Key-masked visible outputs == literally dropping masked tokens."""
+    """Key-masked visible outputs == literally dropping masked tokens, for
+    the encoders and the joint fusion alike."""
     st = make_state(7)
     rng = np.random.default_rng(8)
     aps, vps = patch_batch(rng, 2)
     m_a = rng.random((2, aps.count)) < 0.5
     m_v = rng.random((2, vps.count)) < 0.5
-    fwd = bb.forward_fused(st, bb.embed(aps, st), bb.embed(vps, st), m_a, m_v)
+    full = fused(st, aps, vps, m_a, m_v)
     for bi in range(2):
         keep_a = ~m_a[bi]
         keep_v = ~m_v[bi]
@@ -114,9 +126,9 @@ def test_masked_tokens_equivalent_to_dropping_them():
                             "audio", aps.grid, aps.patch)
         sub_v = dd.PatchSet(vps.patches[bi:bi + 1, keep_v], vps.indices[bi:bi + 1, keep_v],
                             "video", vps.grid, vps.patch)
-        dropped = bb.forward_fused(st, bb.embed(sub_a, st), bb.embed(sub_v, st), None, None)
-        assert np.allclose(dropped.o_a.data[0], fwd.o_a.data[bi][keep_a], atol=1e-9)
-        assert np.allclose(dropped.o_v.data[0], fwd.o_v.data[bi][keep_v], atol=1e-9)
+        dropped = fused(st, sub_a, sub_v, None, None)
+        for got, want, keep in zip(dropped, full, (keep_a, keep_v, keep_a, keep_v)):
+            assert np.allclose(got.data[0], want.data[bi][keep], atol=1e-9)
 
 
 def test_masked_content_cannot_leak():
@@ -126,15 +138,24 @@ def test_masked_content_cannot_leak():
     aps, vps = patch_batch(rng, 1)
     m_a = np.zeros((1, aps.count), dtype=bool)
     m_a[0, 3] = True
-    base = bb.forward_fused(st, bb.embed(aps, st), bb.embed(vps, st), m_a, None)
+    m_v = np.zeros((1, vps.count), dtype=bool)
+    m_v[0, 1] = True
+
+    def outputs(a_patches):
+        ps = dd.PatchSet(a_patches, aps.indices, "audio", aps.grid, aps.patch)
+        enc_a, enc_v, o_a, o_v = fused(st, ps, vps, m_a, m_v)
+        rec_a, rec_v = bb.decode(st, o_a, o_v, ps, vps, m_a, m_v)
+        return enc_a, o_a, enc_v, o_v, rec_a, rec_v
+
+    base = outputs(aps.patches)
     tampered = aps.patches.copy()
     tampered[0, 3] = 1e3
-    aps2 = dd.PatchSet(tampered, aps.indices, "audio", aps.grid, aps.patch)
-    out = bb.forward_fused(st, bb.embed(aps2, st), bb.embed(vps, st), m_a, None)
+    out = outputs(tampered)
     keep = ~m_a[0]
-    assert np.array_equal(base.o_a.data[0][keep], out.o_a.data[0][keep])
-    assert np.array_equal(base.o_v.data, out.o_v.data)
-    assert np.array_equal(base.a_tilde.data, out.a_tilde.data)  # mask token there
+    for t_base, t_out in zip(base[:2], out[:2]):  # audio: visible slots only
+        assert np.array_equal(t_base.data[0][keep], t_out.data[0][keep])
+    for t_base, t_out in zip(base[2:], out[2:]):  # the decoder sees mask tokens
+        assert np.array_equal(t_base.data, t_out.data)
 
 
 def test_permutation_equivariance_with_positions_zeroed():
@@ -142,27 +163,39 @@ def test_permutation_equivariance_with_positions_zeroed():
     st.params["audio_pos"].data[...] = 0.0
     rng = np.random.default_rng(12)
     aps, vps = patch_batch(rng, 1)
-    fwd = bb.forward_fused(st, bb.embed(aps, st), bb.embed(vps, st), None, None)
+    o_a = fused(st, aps, vps, None, None)[2]
     perm = aps.patches.copy()
     perm[0, [2, 7]] = perm[0, [7, 2]]
     aps2 = dd.PatchSet(perm, aps.indices, "audio", aps.grid, aps.patch)
-    fwd2 = bb.forward_fused(st, bb.embed(aps2, st), bb.embed(vps, st), None, None)
-    want = fwd.o_a.data[0].copy()
+    o_a2 = fused(st, aps2, vps, None, None)[2]
+    want = o_a.data[0].copy()
     want[[2, 7]] = want[[7, 2]]
-    assert np.allclose(fwd2.o_a.data[0], want, atol=1e-10)
+    assert np.allclose(o_a2.data[0], want, atol=1e-10)
 
 
 def test_decoder_sees_mask_token_plus_position():
+    """Decoding with a slot masked == decoding, unmasked, tokens whose slot
+    holds mask token + the positional embedding of the slot's grid id; the
+    patch set is a subset, so grid id and slot differ."""
     st = make_state(13)
     rng = np.random.default_rng(14)
-    aps, vps = patch_batch(rng, 1)
-    m_a = np.zeros((1, aps.count), dtype=bool)
-    m_a[0, 5] = True
-    fwd = bb.forward_fused(st, bb.embed(aps, st), bb.embed(vps, st), m_a, None)
-    want = st.params["audio_mask_token"].data + st.params["audio_pos"].data[5]
-    assert np.allclose(fwd.a_tilde.data[0, 5], want, atol=1e-15)
-    keep = ~m_a[0]
-    assert np.array_equal(fwd.a_tilde.data[0][keep], fwd.o_a.data[0][keep])
+    full_a, vps = patch_batch(rng, 1)
+    rows = np.array([1, 5, 6])
+    aps = dd.PatchSet(full_a.patches[:, rows], full_a.indices[:, rows], "audio",
+                      full_a.grid, full_a.patch)
+    m_a = np.array([[False, True, False]])
+    _, _, o_a, o_v = fused(st, aps, vps, m_a, None)
+    rec_a, rec_v = bb.decode(st, o_a, o_v, aps, vps, m_a, None)
+    written = o_a.data.copy()
+    written[0, 1] = st.params["audio_mask_token"].data + st.params["audio_pos"].data[5]
+    want_a, want_v = bb.decode(st, Tensor(written), o_v, aps, vps, None, None)
+    assert np.allclose(rec_a.data, want_a.data, atol=1e-15)
+    assert np.array_equal(rec_v.data, want_v.data)
+    # the masked slot's fusion output never reaches the decoder
+    moved = o_a.data.copy()
+    moved[0, 1] += 7.0
+    rec_moved, _ = bb.decode(st, Tensor(moved), o_v, aps, vps, m_a, None)
+    assert np.array_equal(rec_moved.data, rec_a.data)
 
 
 # ---------------------------------------------------------------------------
@@ -334,10 +367,10 @@ def test_composite_loss_gradients_flow_everywhere():
     m_v = np.array([[True, False], [False, True]])
 
     def objective():
-        fwd = bb.forward_fused(st, bb.embed(aps, st), bb.embed(vps, st), m_a, m_v)
-        ra, rv = bb.decode(st, fwd.a_tilde, fwd.v_tilde)
+        enc_a, enc_v, o_a, o_v = fused(st, aps, vps, m_a, m_v)
+        ra, rv = bb.decode(st, o_a, o_v, aps, vps, m_a, m_v)
         rec = bb.reconstruction_loss(ra, rv, aps.patches, vps.patches, m_a, m_v)
-        c_a, c_v = bb.contrastive_features(st, fwd.enc_a, fwd.enc_v, m_a, m_v)
+        c_a, c_v = bb.contrastive_features(st, enc_a, enc_v, m_a, m_v)
         con = bb.contrastive_loss(c_a, c_v, cfg.temperature)
         return bb.pretrain_objective(rec, con, None, cfg.contrastive_weight, 0.0)
 

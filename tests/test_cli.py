@@ -141,6 +141,57 @@ def test_truncated_rng_state_exits_3(ws, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def _damaged_copy(ws, name, damage):
+    """Resumable copy of the stella run whose last checkpoint ``damage``
+    edits in place; returns the run directory and its ``run`` arguments."""
+    run, args = _resume_copy(ws, name)
+    arrays = ckpt.load(run / "task_01.ckpt")
+    damage(arrays)
+    ckpt.save(run / "task_01.ckpt", arrays)
+    return run, args
+
+
+@pytest.mark.parametrize("shape", ["missing", "reshaped"])
+def test_bad_model_tensor_exits_3(ws, capsys, shape):
+    def damage(arrays):
+        if shape == "missing":
+            del arrays["model/audio_pos"]
+        else:
+            arrays["model/audio_pos"] = arrays["model/audio_pos"][:-1]
+
+    run, args = _damaged_copy(ws, f"run_bad_model_{shape}", damage)
+    given = ["--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
+             "--ckpt", str(run / "task_01.ckpt")]
+    assert cli.main(["eval"] + given) == 3
+    assert cli.main(["export-attention"] + given
+                    + ["--out", str(run / "maps.csv")]) == 3
+    assert cli.main(args) == 3  # resume
+    err = capsys.readouterr().err
+    assert err.count("data error") == 3 and "audio_pos" in err
+
+
+@pytest.mark.parametrize("step", ["missing", "infinite"])
+def test_bad_run_step_exits_3(ws, capsys, step):
+    def damage(arrays):
+        if step == "missing":
+            del arrays["run/step"]
+        else:
+            arrays["run/step"] = np.array(np.inf)
+
+    _, args = _damaged_copy(ws, f"run_{step}_step", damage)
+    assert cli.main(args) == 3
+    assert "data error" in capsys.readouterr().err
+
+
+def test_hostile_memory_capacity_exits_3_before_allocating(ws, capsys):
+    def damage(arrays):
+        arrays["memory/capacity"] = np.array([1e15])
+
+    _, args = _damaged_copy(ws, "run_huge_memory", damage)
+    assert cli.main(args) == 3
+    assert "capacity" in capsys.readouterr().err
+
+
 def test_unknown_strategy_exits_2_without_partial_run_dir(ws, capsys):
     bad = _variant(ws, "warp", "strategy = stella", "strategy = warp")
     code = cli.main(["run", "--config", str(bad), "--data", str(ws / "data"),
@@ -175,6 +226,19 @@ def test_config_data_mismatch_exits_2(ws):
                      "--out", str(ws / "run_mismatch")])
     assert code == 2
     assert not (ws / "run_mismatch").exists()
+
+
+def test_chunk_longer_than_audio_time_grid_exits_2(ws, capsys):
+    # audio_time_bins = 32 with 4-bin patches: 8 time patches
+    tasks, geom = cli.load_tasks(ws / "data")
+    fits = _variant(ws, "chunk8", "train_seed = 3", "train_seed = 3\nchunk_size = 8")
+    cli._check_config_matches_data(cf.load_config(fits), tasks, geom)
+    bad = _variant(ws, "chunk9", "train_seed = 3", "train_seed = 3\nchunk_size = 9")
+    code = cli.main(["run", "--config", str(bad), "--data", str(ws / "data"),
+                     "--out", str(ws / "run_chunk9")])
+    assert code == 2
+    assert not (ws / "run_chunk9").exists()
+    assert "chunk_size" in capsys.readouterr().err
 
 
 def test_resume_under_different_config_exits_2(ws, capsys):

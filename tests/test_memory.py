@@ -321,7 +321,8 @@ def _churned_memory(scored=True):
 
 
 def _through_container(mem):
-    return rm.memory_from_arrays(cp.from_bytes(cp.to_bytes(rm.snapshot_arrays(mem))))
+    return rm.memory_from_arrays(cp.from_bytes(cp.to_bytes(rm.snapshot_arrays(mem))),
+                                 mem.capacity)
 
 
 def test_snapshot_roundtrip_preserves_everything():
@@ -362,7 +363,11 @@ def test_inconsistent_snapshot_rejected():
         {k: v for k, v in good.items() if k != "memory/steps"},
         {k: v for k, v in good.items() if not k.startswith("memory/field/")},
         {**good, "memory/count": np.array([4.0])},  # over capacity
+        # not the configured capacity: rejected before anything is allocated
+        {**good, "memory/capacity": np.array([1e15])},
+        {**good, "memory/capacity": np.array([4.0])},
         {**good, "memory/seen": np.array([2.0])},  # fewer seen than stored
+        {**good, "memory/seen": np.array([1e30])},  # beyond the int64 draws
         {**good, "memory/count": np.array([np.nan])},
         {**good, "memory/tasks": np.zeros(2)},
         {**good, "memory/field/feat_audio": good["memory/field/feat_audio"][:2]},
@@ -373,7 +378,7 @@ def test_inconsistent_snapshot_rejected():
     ]
     for arrays in broken:
         with pytest.raises(rm.RehearsalError):
-            rm.memory_from_arrays(arrays)
+            rm.memory_from_arrays(arrays, 3)
 
 
 def test_snapshot_resume_is_bit_identical():

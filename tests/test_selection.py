@@ -118,18 +118,6 @@ def test_budget_rounds_half_up_with_floor_of_one():
         sel.kappa(64, 1.2)
 
 
-def test_selection_config_validation():
-    sel.SelectionConfig()
-    with pytest.raises(sel.SelectionError):
-        sel.SelectionConfig(audio_ratio=0.0)
-    with pytest.raises(sel.SelectionError):
-        sel.SelectionConfig(video_ratio=1.5)
-    with pytest.raises(sel.SelectionError):
-        sel.SelectionConfig(chunk_size=0)
-    with pytest.raises(sel.SelectionError):
-        sel.SelectionConfig(beta=0.0)
-
-
 def test_importance_matches_per_element_softmax_average():
     rng = np.random.default_rng(0)
     b, h, n, m = 3, 2, 5, 7
@@ -474,24 +462,6 @@ def test_gather_selected_matches_loop_and_remaps_indices():
         for j, idx in enumerate(selected[row]):
             assert np.array_equal(out.patches[row, j], aps.patches[row, idx])
             assert out.indices[row, j] == aps.indices[row, idx]
-
-
-def test_score_pack_validation():
-    rng = np.random.default_rng(19)
-    imp = _softmax_rows(rng, 2, 6)
-    order = np.argsort(imp, axis=1, kind="stable")
-    corr = rng.random((2, 3))
-    flags = corr > 0.5
-    pack = sel.ScorePack(imp, order, corr, flags)
-    assert pack.scored.shape == (2, 3)
-    for row in range(2):
-        assert list(pack.scored[row]) == list(order[row, -3:])
-    with pytest.raises(sel.SelectionError):
-        sel.ScorePack(imp * 2, order, corr, flags)
-    with pytest.raises(sel.SelectionError):
-        sel.ScorePack(imp, np.zeros_like(order), corr, flags)
-    with pytest.raises(sel.SelectionError):
-        sel.ScorePack(imp, order, corr + 1.0, flags)
 
 
 def test_trace_rows_cover_every_patch_once():

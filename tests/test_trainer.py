@@ -1,5 +1,7 @@
 """Continual trainer: strategy wiring, degeneracies, artifacts, resume."""
 
+import contextlib
+import functools
 import json
 import sys
 
@@ -11,6 +13,7 @@ import avcl.memory as rm
 import avcl.tensor as tt
 import avcl.selection as sel
 import avcl.trainer as tr
+from avcl import avm as am
 from avcl import backbone as bb
 from avcl import data as dt
 
@@ -272,6 +275,41 @@ def test_eval_features_do_not_depend_on_eval_batching(tasks, geom, mcfg):
     assert np.array_equal(a1, a2) and np.array_equal(v1, v2)
 
 
+def _count_calls(monkeypatch, calls, module, name):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_one_backbone_pass_per_distinct_input(tasks, geom, mcfg, monkeypatch):
+    """A stella step encodes its two distinct inputs once each (the unmasked
+    scoring batch and the masked training batch) and runs one no-grad
+    scoring pass; the matching-module step reuses that pass's encoder
+    outputs and only re-runs the joint fusion.  Evaluation reads the
+    single-modality features alone and never runs the joint fusion."""
+    cfg = _cfg("stella")
+    run = tr.init_run(mcfg, cfg, geom)
+    calls = {}
+    for module, name in ((bb, "encode_modality"), (bb, "forward_fused"),
+                         (am, "fusion_tokens")):
+        _count_calls(monkeypatch, calls, module, name)
+    train = tasks[0].train
+    for lo in (0, 4):  # the second step also replays
+        aps = dt.full_patchset(train.audio_patches[lo:lo + 4], "audio", geom)
+        vps = dt.full_patchset(train.video_patches[lo:lo + 4], "video", geom)
+        calls.clear()
+        tr.train_step(run, mcfg, cfg, aps, vps)
+        assert calls == {"encode_modality": 4, "fusion_tokens": 1,
+                         "forward_fused": 3}
+    calls.clear()
+    tr.eval_features(run.state, tasks[0].eval, geom, batch=8)
+    assert calls == {"encode_modality": 4}  # two batches of 12 pairs
+
+
 def test_threaded_evaluation_leaves_grad_mode_on(tasks, geom, mcfg):
     run, _, _ = tr.run_sequence(tasks[:1], geom, mcfg, _cfg("finetune"))
     serial = tr.evaluate_tasks(run.state, tasks, 1, geom, workers=1)
@@ -322,7 +360,8 @@ def test_run_directory_artifacts(tasks, geom, mcfg, tmp_path):
         assert (tmp_path / f"task_{t:02d}.ckpt").exists()
         assert (tmp_path / f"task_{t:02d}.rng.json").exists()
     assert not list(tmp_path.glob("memory_*"))  # the memory lives in the ckpt
-    snap = rm.memory_from_arrays(cp.load(tmp_path / "task_01.ckpt"))
+    snap = rm.memory_from_arrays(cp.load(tmp_path / "task_01.ckpt"),
+                                 run.mem.capacity)
     assert len(snap) == len(run.mem) and snap.seen_count == run.mem.seen_count
     for name, col in run.mem.fields.items():
         assert np.array_equal(snap.fields[name], col), name
@@ -364,3 +403,55 @@ def test_loss_csv_rewritten_cleanly_after_resume(tasks, geom, mcfg, tmp_path):
     run, _, _ = tr.run_sequence(tasks, geom, mcfg, cfg, tmp_path)
     lines = (tmp_path / "losses.csv").read_text().strip().splitlines()
     assert len(lines) - 1 == run.global_step
+
+
+class _Crash(Exception):
+    pass
+
+
+def _dir_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+@pytest.mark.parametrize("when", ["after", "during"])
+def test_crash_at_any_artifact_write_resumes_bit_identically(
+        tasks, geom, mcfg, tmp_path, monkeypatch, when):
+    """Kill the run right after (or in the middle of) each artifact write in
+    turn; resuming the directory must give exactly the uninterrupted run:
+    losses, accuracy rows, gaps, weights and every file's bytes."""
+    cfg = _cfg("stella")
+    real = cp.atomic_open
+    writes = []
+
+    @contextlib.contextmanager
+    def crashing(at, path, *args, **kwargs):
+        writes.append(path)
+        with real(path, *args, **kwargs) as fh:
+            yield fh
+            if when == "during" and len(writes) == at:
+                fh.flush()
+                fh.truncate(fh.tell() // 2)  # a torn write
+                raise _Crash(path)
+        if when == "after" and len(writes) == at:
+            raise _Crash(path)
+
+    def run_crashing_at(run_dir, at):
+        writes.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(cp, "atomic_open", functools.partial(crashing, at))
+            return tr.run_sequence(tasks, geom, mcfg, cfg, run_dir)
+
+    run_full, acc_full, gaps_full = run_crashing_at(tmp_path / "full", 0)
+    want_files = _dir_bytes(tmp_path / "full")
+    total = len(writes)
+    assert total == 2 * 6  # six artifacts per task
+    for at in range(1, total + 1):
+        run_dir = tmp_path / f"crash_{at:02d}"
+        with pytest.raises(_Crash):
+            run_crashing_at(run_dir, at)
+        run, acc, gaps = tr.run_sequence(tasks, geom, mcfg, cfg, run_dir)
+        assert np.array_equal(_records(run), _records(run_full)), at
+        assert acc == acc_full and gaps == gaps_full
+        for k, v in run_full.state.named_arrays().items():
+            assert np.array_equal(v, run.state.named_arrays()[k]), (at, k)
+        assert _dir_bytes(run_dir) == want_files, at
