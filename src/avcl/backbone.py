@@ -6,19 +6,26 @@ The forward pass runs in stages; each caller runs only those it reads:
   table per modality, then per-modality pre-norm transformer encoders;
 * ``forward_fused`` -> (o_a, o_v): joint fusion over both modalities'
   encoder outputs, read by the matching module and the decoder;
-* ``decode``: masked slots of (o_a, o_v) become a learned mask token plus
-  the positional embedding of the slot's grid id, then a shared decoder and
-  per-modality linear heads reconstruct the patches;
+* ``decode``: (o_a, o_v) go back to their full-length slots, masked slots
+  become a learned mask token plus the positional embedding of the slot's
+  grid id, then a shared decoder and per-modality linear heads reconstruct
+  the patches;
 * ``contrastive_features`` -> (c_a, c_v): single-modality fusion over each
   modality's encoder outputs + per-modality layernorm + visibility-weighted
   mean pool + L2 normalization.  Retrieval reads only these, so evaluation
   never runs the joint fusion.
 
-Masking semantics: masked tokens are invisible to every attention layer
-(key masking), which is exactly equivalent to dropping them from the
-sequence — all other ops are per-token — while keeping batches rectangular
-under iid Bernoulli masking. Outputs at masked slots are never consumed
-except by the decoder, which first overwrites them.
+Masking semantics: a masked training batch enters the encoders as its
+visible tokens only (``visible_tokens``): each row's visible patches come
+first, and the batch is cut to its largest visible count.  Rows with fewer
+visible patches are padded with some of their masked ones, which key
+masking hides from every attention layer; that is exactly equivalent to
+dropping them, since all other ops are per-token.  So key masking covers
+padding only, and a batch whose rows see equally many patches runs with no
+bias at all.  Only the decoder works at full length: ``decode`` scatters
+the visible outputs back to their slots and fills every masked slot with
+the mask token.  Unmasked callers (the matching module's scoring pass,
+evaluation) pass ``None`` masks and never compact.
 """
 
 from __future__ import annotations
@@ -134,6 +141,29 @@ def init_backbone(cfg: BackboneConfig, geom: SceneGeometry,
 # ---------------------------------------------------------------------------
 
 
+def visible_tokens(ps: PatchSet, mask: np.ndarray
+                   ) -> tuple[PatchSet, np.ndarray, np.ndarray]:
+    """Each row's visible patches first, cut to the batch's largest visible
+    count ``k``.
+
+    Returns the compact (B, k) patch set, its mask (True only on padding
+    columns, which hold masked patches) and ``slots``: for every full-length
+    slot, its row in the flattened (B * k) compact outputs, or -1 where the
+    slot is masked.  Patches and grid ids are constants, so the gather
+    records nothing on the tape; ``embed`` reads the positions off the
+    gathered grid ids.
+    """
+    k = int((~mask).sum(axis=1).max())
+    keep = np.argsort(mask, axis=1, kind="stable")[:, :k]
+    compact = PatchSet(np.take_along_axis(ps.patches, keep[:, :, None], axis=1),
+                       np.take_along_axis(ps.indices, keep, axis=1),
+                       ps.modality, ps.grid, ps.patch)
+    rank = np.cumsum(~mask, axis=1) - 1  # a visible slot's compact column
+    rows = np.arange(mask.shape[0])[:, None]
+    slots = np.where(mask, -1, rows * k + rank)
+    return compact, np.take_along_axis(mask, keep, axis=1), slots
+
+
 def key_bias(mask: np.ndarray | None) -> Tensor | None:
     """(B, n) True=masked -> (B, 1, 1, n) additive attention bias."""
     if mask is None or not mask.any():
@@ -221,24 +251,28 @@ def forward_fused(state: BackboneState, enc_a: Tensor, enc_v: Tensor,
 
 
 def _decoder_input(state: BackboneState, o: Tensor, ps: PatchSet,
-                   mask: np.ndarray | None) -> Tensor:
-    if mask is None or not mask.any():
-        return o
+                   slots: np.ndarray) -> Tensor:
+    """Full-length decoder input: each slot reads its compact output row, or,
+    where masked, the mask token plus the position of its grid id; one
+    gather over [outputs; mask token + positions] does both."""
     params = state.params
-    tok = tt.add(tt.reshape(params[f"{ps.modality}_mask_token"], (1, 1, o.shape[2])),
-                 tt.gather_rows(params[f"{ps.modality}_pos"], ps.indices))
-    m = Tensor(mask.astype(np.float64)[:, :, None])
-    return tt.add(tt.mul(o, tt.sub(1.0, m)), tt.mul(tok, m))
+    b, k, d = o.shape
+    tok = tt.add(tt.reshape(params[f"{ps.modality}_mask_token"], (1, d)),
+                 params[f"{ps.modality}_pos"])
+    table = tt.concat([tt.reshape(o, (b * k, d)), tok], axis=0)
+    return tt.gather_rows(table, np.where(slots < 0, b * k + ps.indices, slots))
 
 
 def decode(state: BackboneState, o_a: Tensor, o_v: Tensor, aps: PatchSet,
-           vps: PatchSet, m_a: np.ndarray | None, m_v: np.ndarray | None
+           vps: PatchSet, slots_a: np.ndarray, slots_v: np.ndarray
            ) -> tuple[Tensor, Tensor]:
-    """Mask tokens into the masked slots, shared decoder block(s) per
-    modality, then per-modality linear heads."""
+    """Scatter the compact fusion outputs back to the full-length slots of
+    ``aps``/``vps`` (``slots_*`` from :func:`visible_tokens`), mask tokens
+    into the masked slots, shared decoder block(s) per modality, then
+    per-modality linear heads."""
     cfg, params = state.cfg, state.params
-    a_tilde = _decoder_input(state, o_a, aps, m_a)
-    v_tilde = _decoder_input(state, o_v, vps, m_v)
+    a_tilde = _decoder_input(state, o_a, aps, slots_a)
+    v_tilde = _decoder_input(state, o_v, vps, slots_v)
     da = _stack(params, "decoder", cfg.decoder_layers, a_tilde, None, cfg)
     dv = _stack(params, "decoder", cfg.decoder_layers, v_tilde, None, cfg)
     rec_a = tt.linear(da, params["decoder_head_audio/weight"], params["decoder_head_audio/bias"])

@@ -32,17 +32,17 @@ def write_entries(fh, tensors: dict[str, np.ndarray]) -> int:
     written = 0
     for name, arr in tensors.items():
         a = np.asarray(arr, dtype=np.float64)
-        if a.ndim and not a.flags.c_contiguous:
-            a = np.ascontiguousarray(a)
         nb = name.encode("utf-8")
         fh.write(_U64.pack(len(nb)))
         fh.write(nb)
         fh.write(_U64.pack(a.ndim))
         for ext in a.shape:
             fh.write(_U64.pack(ext))
-        payload = a.astype(_F64LE, copy=False).tobytes(order="C")
+        # written from the array's own buffer: a bytes copy of a large
+        # memory column cost more than the write itself
+        payload = np.ascontiguousarray(a, dtype=_F64LE)
         fh.write(payload)
-        written += 8 + len(nb) + 8 + 8 * a.ndim + len(payload)
+        written += 8 + len(nb) + 8 + 8 * a.ndim + payload.nbytes
     return written
 
 

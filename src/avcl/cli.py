@@ -9,6 +9,11 @@ Subcommands::
     avcl report        runs/* [--out report.csv]
     avcl export-attention --config run.ini --data data/ --ckpt ... --out maps.csv
 
+A dataset directory holds one ``task_XX.bin`` per task, ``config.ini`` and
+``manifest.json`` (task file names and their SHA-256), each replaced
+atomically; the manifest is written last, and a dataset is read only through
+it, so an interrupted ``generate-data`` leaves nothing that loads as data.
+
 A run directory holds ``config.ini`` (the resolved configuration), and after
 every completed task ``task_XX.ckpt`` (model, optimizer state, rehearsal
 memory and run progress in one container) with ``task_XX.rng.json`` (the
@@ -71,10 +76,12 @@ def cmd_generate(args) -> int:
         name = _task_name(task.spec.task_id)
         dt.write_task_file(out / name, task, cfg.data)
         names.append(name)
+    cf.save_config(out / _CONFIG, cfg)
+    # the manifest goes last: until it lists a file, the file is not read
     manifest = {"format": 1, "tasks": names,
                 "sha256": {n: _sha256(out / n) for n in names}}
-    (out / _MANIFEST).write_text(json.dumps(manifest, indent=1))
-    cf.save_config(out / _CONFIG, cfg)
+    with ckpt.atomic_open(out / _MANIFEST) as fh:
+        fh.write(json.dumps(manifest, indent=1))
     print(f"wrote {len(names)} task files to {out}")
     return 0
 

@@ -25,6 +25,7 @@ import re
 from dataclasses import MISSING, dataclass, fields
 
 from avcl import backbone as bb
+from avcl import checkpoint as ckpt
 from avcl import data as dt
 from avcl import trainer as tr
 
@@ -248,5 +249,5 @@ def render_config(cfg: RunConfig) -> str:
 
 
 def save_config(path, cfg: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with ckpt.atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(render_config(cfg))

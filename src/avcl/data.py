@@ -461,7 +461,7 @@ def write_task_file(path, task: TaskData, cfg: DataConfig) -> None:
         tensors[f"{name}/audio_truth"] = split.audio_truth.astype(np.float64)
         tensors[f"{name}/video_truth"] = split.video_truth.astype(np.float64)
         tensors[f"{name}/class_ids"] = split.class_ids.astype(np.float64)
-    with open(path, "wb") as fh:
+    with ckpt.atomic_open(path, "wb") as fh:
         fh.write(header)
         ckpt.write_entries(fh, tensors)
 

@@ -155,10 +155,12 @@ def memory_bytes(mem: ReservoirMemory) -> int:
     return cp.serialized_size(snapshot_arrays(mem))
 
 
-def memory_from_arrays(arrays: dict[str, np.ndarray],
-                       capacity: int) -> ReservoirMemory:
+def memory_from_arrays(arrays: dict[str, np.ndarray], capacity: int,
+                       fields: dict[str, tuple[int, ...]]) -> ReservoirMemory:
     """Inverse of :func:`snapshot_arrays`; ``arrays`` may hold other keys.
-    The snapshot must hold ``capacity``, checked before any allocation."""
+    The snapshot must hold ``capacity`` and, unless it is empty, exactly the
+    stored ``fields`` (name -> per-entry shape), all checked before any
+    allocation."""
     try:
         stored_capacity = int(arrays["memory/capacity"][0])
         seen = int(arrays["memory/seen"][0])
@@ -176,6 +178,9 @@ def memory_from_arrays(arrays: dict[str, np.ndarray],
             or (count and not stored)
             or any(v.ndim == 0 or len(v) != count for v in stored.values())):
         raise RehearsalError("snapshot columns do not match the entry count")
+    if stored and {k: v.shape[1:] for k, v in stored.items()} != fields:
+        raise RehearsalError("snapshot fields do not match the fields this "
+                             f"run stores: {sorted(stored)} vs {sorted(fields)}")
     mem = ReservoirMemory(capacity, seen_count=seen, count=count)
     mem.steps[:count] = steps
     mem.tasks[:count] = tasks

@@ -209,6 +209,29 @@ def _memory_capacity(tcfg: TrainConfig, geom: SceneGeometry) -> int:
         sel.kappa(geom.video.patches, tcfg.rho_video))
 
 
+def _memory_fields(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
+                   geom: SceneGeometry) -> dict[str, tuple[int, ...]]:
+    """Per-entry shape of every field :func:`_store_current` stores."""
+    a, v = geom.audio, geom.video
+    if tcfg.strategy in SELECTING:
+        kap_a = sel.kappa(a.patches, tcfg.rho_audio)
+        kap_v = sel.kappa(v.patches, tcfg.rho_video)
+    n_a, n_v = a.patches, v.patches
+    if tcfg.strategy == "stella_plus":
+        n_a, n_v = kap_a, kap_v
+    fields = {"audio_patches": (n_a, a.patch_dim), "audio_indices": (n_a,),
+              "video_patches": (n_v, v.patch_dim), "video_indices": (n_v,)}
+    if tcfg.strategy in PENALIZED:
+        fields.update(feat_audio=(mcfg.embed_dim,), feat_video=(mcfg.embed_dim,))
+    if tcfg.strategy in SCORING:
+        query = (mcfg.heads, mcfg.head_dim)
+        fields.update(q_audio=query, q_video=query)
+    if tcfg.strategy == "stella":
+        fields.update(imp_audio=(a.patches,), imp_video=(v.patches,),
+                      corr_audio=(kap_a,), corr_video=(kap_v,))
+    return fields
+
+
 def _run_state(state: bb.BackboneState, avm: am.AvmParams | None,
                mem: rm.ReservoirMemory, tcfg: TrainConfig,
                streams: dict[str, np.random.Generator]) -> RunState:
@@ -302,9 +325,6 @@ def _past_patchsets(run: RunState, tcfg: TrainConfig,
         return p_aps, p_vps
     if tcfg.strategy == "stella_plus":
         # entries already hold exactly the selected patches
-        if p_aps.count != scoring.kap_a or p_vps.count != scoring.kap_v:
-            raise TrainError("stored selected patch counts do not match the "
-                             "current sampling ratios")
         return p_aps, p_vps
     if tcfg.strategy == "stella":
         # re-run selection on the stored full grids with the scores that were
@@ -367,12 +387,14 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     Order of operations (scoring strategies; others skip what they lack):
     replay draw -> attention scoring (the one unmasked no-grad backbone pass)
     -> correlation against stored queries -> current selection -> replay
-    selection -> masked encode, joint fusion, decode and contrastive pass,
-    losses -> memory insertion -> matching-module update on the scoring
-    pass's encoder outputs -> backbone update.  Memory insertion precedes
-    both updates, so stored features reflect the weights that produced the
-    losses; the matching-module update precedes the backbone backward pass,
-    which keeps its gradient-isolation assertion meaningful.
+    selection -> mask draws -> each modality cut to its visible tokens ->
+    encode, joint fusion and contrastive pass on the visible tokens, decode
+    at full length, losses -> memory insertion -> matching-module update on
+    the scoring pass's encoder outputs -> backbone update.  Memory
+    insertion precedes both updates, so stored features reflect the weights
+    that produced the losses; the matching-module update precedes the
+    backbone backward pass, which keeps its gradient-isolation assertion
+    meaningful.
     """
     b = aps.patches.shape[0]
 
@@ -399,12 +421,16 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     m_a = random_mask(run.streams["mask"], nb, cat_aps.count, mcfg.mask_prob)
     m_v = random_mask(run.streams["mask"], nb, cat_vps.count, mcfg.mask_prob)
 
-    enc_a, enc_v = bb.encode(run.state, cat_aps, cat_vps, m_a, m_v)
-    o_a, o_v = bb.forward_fused(run.state, enc_a, enc_v, m_a, m_v)
-    recon_a, recon_v = bb.decode(run.state, o_a, o_v, cat_aps, cat_vps, m_a, m_v)
+    vis_a, pad_a, slots_a = bb.visible_tokens(cat_aps, m_a)
+    vis_v, pad_v, slots_v = bb.visible_tokens(cat_vps, m_v)
+
+    enc_a, enc_v = bb.encode(run.state, vis_a, vis_v, pad_a, pad_v)
+    o_a, o_v = bb.forward_fused(run.state, enc_a, enc_v, pad_a, pad_v)
+    recon_a, recon_v = bb.decode(run.state, o_a, o_v, cat_aps, cat_vps,
+                                 slots_a, slots_v)
     rec = bb.reconstruction_loss(recon_a, recon_v, cat_aps.patches,
                                  cat_vps.patches, m_a, m_v)
-    c_a, c_v = bb.contrastive_features(run.state, enc_a, enc_v, m_a, m_v)
+    c_a, c_v = bb.contrastive_features(run.state, enc_a, enc_v, pad_a, pad_v)
     con = bb.contrastive_loss(c_a, c_v, mcfg.temperature)
 
     penalty = None
@@ -451,9 +477,16 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
 
 
 def eval_features(state: bb.BackboneState, samples: SampleSet,
-                  geom: SceneGeometry, batch: int = 32
+                  geom: SceneGeometry, batch: int = 8
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Unmasked pooled contrastive features for a whole evaluation set."""
+    """Unmasked pooled contrastive features for a whole evaluation set.
+
+    Every op works per row, so the features do not depend on ``batch``.  It
+    is small because evaluation follows training, whose visible-token
+    buffers leave little heap behind: at 32 rows each batch's float64
+    attention logits (4.2 MB at default geometry) landed on freshly faulted
+    pages, which made evaluation about 1.5x slower than at 8 rows.
+    """
     feats_a, feats_v = [], []
     n = samples.audio_patches.shape[0]
     with tt.no_grad():
@@ -634,7 +667,8 @@ def _restore_run(arrays: dict[str, np.ndarray], streams, mcfg, tcfg, geom
         raise cp.CheckpointError("checkpoint matching module does not fit "
                                  f"strategy {tcfg.strategy!r}")
     run = _run_state(backbone_from_arrays(arrays, mcfg, geom), avm,
-                     rm.memory_from_arrays(arrays, _memory_capacity(tcfg, geom)),
+                     rm.memory_from_arrays(arrays, _memory_capacity(tcfg, geom),
+                                           _memory_fields(mcfg, tcfg, geom)),
                      tcfg, streams)
     run.b_opt.load_arrays("opt/backbone", arrays)
     if avm is not None:

@@ -84,6 +84,20 @@ def fused(st, aps, vps, m_a, m_v):
     return (enc_a, enc_v) + bb.forward_fused(st, enc_a, enc_v, m_a, m_v)
 
 
+def decoded(st, aps, vps, m_a, m_v):
+    """The training path: each modality cut to its visible tokens, encode and
+    joint fusion on those, then decode at full length."""
+    vis_a, pad_a, slots_a = bb.visible_tokens(aps, m_a)
+    vis_v, pad_v, slots_v = bb.visible_tokens(vps, m_v)
+    enc_a, enc_v, o_a, o_v = fused(st, vis_a, vis_v, pad_a, pad_v)
+    return (enc_a, enc_v, o_a, o_v) + bb.decode(st, o_a, o_v, aps, vps,
+                                                slots_a, slots_v)
+
+
+def unmasked(ps):
+    return np.zeros(ps.indices.shape, dtype=bool)
+
+
 def test_forward_token_counts_and_split():
     st = make_state()
     rng = np.random.default_rng(5)
@@ -100,14 +114,10 @@ def test_forward_deterministic():
     aps, vps = patch_batch(rng, 2)
     m_a = np.zeros((2, aps.count), dtype=bool)
     m_a[:, :5] = True
-    f1 = fused(st, aps, vps, m_a, None)
-    f2 = fused(st, aps, vps, m_a, None)
+    f1 = decoded(st, aps, vps, m_a, unmasked(vps))
+    f2 = decoded(st, aps, vps, m_a, unmasked(vps))
     for t1, t2 in zip(f1, f2):
         assert np.array_equal(t1.data, t2.data)
-    r1 = bb.decode(st, f1[2], f1[3], aps, vps, m_a, None)
-    r2 = bb.decode(st, f2[2], f2[3], aps, vps, m_a, None)
-    assert np.array_equal(r1[0].data, r2[0].data)
-    assert np.array_equal(r1[1].data, r2[1].data)
 
 
 def test_masked_tokens_equivalent_to_dropping_them():
@@ -143,18 +153,14 @@ def test_masked_content_cannot_leak():
 
     def outputs(a_patches):
         ps = dd.PatchSet(a_patches, aps.indices, "audio", aps.grid, aps.patch)
-        enc_a, enc_v, o_a, o_v = fused(st, ps, vps, m_a, m_v)
-        rec_a, rec_v = bb.decode(st, o_a, o_v, ps, vps, m_a, m_v)
-        return enc_a, o_a, enc_v, o_v, rec_a, rec_v
+        return decoded(st, ps, vps, m_a, m_v)
 
     base = outputs(aps.patches)
     tampered = aps.patches.copy()
     tampered[0, 3] = 1e3
     out = outputs(tampered)
-    keep = ~m_a[0]
-    for t_base, t_out in zip(base[:2], out[:2]):  # audio: visible slots only
-        assert np.array_equal(t_base.data[0][keep], t_out.data[0][keep])
-    for t_base, t_out in zip(base[2:], out[2:]):  # the decoder sees mask tokens
+    assert base[0].shape[1] == aps.count - 1  # only visible tokens are encoded
+    for t_base, t_out in zip(base, out):  # the decoder sees mask tokens
         assert np.array_equal(t_base.data, t_out.data)
 
 
@@ -174,28 +180,86 @@ def test_permutation_equivariance_with_positions_zeroed():
 
 
 def test_decoder_sees_mask_token_plus_position():
-    """Decoding with a slot masked == decoding, unmasked, tokens whose slot
-    holds mask token + the positional embedding of the slot's grid id; the
-    patch set is a subset, so grid id and slot differ."""
+    """Decoding compact outputs == decoding, unmasked, full-length tokens
+    whose visible slots hold the outputs and whose masked slots hold mask
+    token + the positional embedding of the slot's grid id; the patch set is
+    a subset, so grid id and slot differ."""
     st = make_state(13)
     rng = np.random.default_rng(14)
-    full_a, vps = patch_batch(rng, 1)
+    full_a, vps = patch_batch(rng, 2)
     rows = np.array([1, 5, 6])
     aps = dd.PatchSet(full_a.patches[:, rows], full_a.indices[:, rows], "audio",
                       full_a.grid, full_a.patch)
-    m_a = np.array([[False, True, False]])
-    _, _, o_a, o_v = fused(st, aps, vps, m_a, None)
-    rec_a, rec_v = bb.decode(st, o_a, o_v, aps, vps, m_a, None)
-    written = o_a.data.copy()
-    written[0, 1] = st.params["audio_mask_token"].data + st.params["audio_pos"].data[5]
-    want_a, want_v = bb.decode(st, Tensor(written), o_v, aps, vps, None, None)
-    assert np.allclose(rec_a.data, want_a.data, atol=1e-15)
+    m_a = np.array([[False, True, False], [True, True, False]])
+    _, _, o_a, o_v, rec_a, rec_v = decoded(st, aps, vps, m_a, unmasked(vps))
+    tok = st.params["audio_mask_token"].data + st.params["audio_pos"].data
+    written = np.stack([[o_a.data[0, 0], tok[5], o_a.data[0, 1]],
+                        [tok[1], tok[5], o_a.data[1, 0]]])
+    _, _, slots = bb.visible_tokens(aps, unmasked(aps))
+    _, _, slots_v = bb.visible_tokens(vps, unmasked(vps))
+    want_a, want_v = bb.decode(st, Tensor(written), o_v, aps, vps, slots, slots_v)
+    assert np.array_equal(rec_a.data, want_a.data)
     assert np.array_equal(rec_v.data, want_v.data)
-    # the masked slot's fusion output never reaches the decoder
+    # the padding column (row 1 sees one patch, k = 2) never reaches the decoder
+    _, _, slots = bb.visible_tokens(aps, m_a)
     moved = o_a.data.copy()
-    moved[0, 1] += 7.0
-    rec_moved, _ = bb.decode(st, Tensor(moved), o_v, aps, vps, m_a, None)
+    moved[1, 1] += 7.0
+    rec_moved, _ = bb.decode(st, Tensor(moved), o_v, aps, vps, slots, slots_v)
     assert np.array_equal(rec_moved.data, rec_a.data)
+
+
+@pytest.mark.parametrize("mask", [
+    [[False, True, True, False, True], [True, True, False, True, True]],  # padding
+    [[True, False, True, False, True], [False, True, True, True, False]],  # equal
+    [[False, False, False, False, False], [True, False, True, True, True]],  # k == n
+], ids=["padded", "equal_counts", "fully_visible_row"])
+def test_visible_tokens_then_scatter_is_identity_on_visible_slots(mask):
+    st = make_state(15)
+    mask = np.array(mask)
+    b, n = mask.shape
+    rng = np.random.default_rng(16)
+    cols = np.array([0, 2, 3, 5, 7])
+    full, _ = patch_batch(rng, b)
+    ps = dd.PatchSet(full.patches[:, cols], full.indices[:, cols], "audio",
+                     full.grid, full.patch)
+    vis, mask_k, slots = bb.visible_tokens(ps, mask)
+    counts = (~mask).sum(axis=1)
+    assert vis.count == counts.max()
+    for bi in range(b):  # visible patches first, in slot order; padding masked
+        c = counts[bi]
+        assert np.array_equal(vis.patches[bi, :c], ps.patches[bi, ~mask[bi]])
+        assert np.array_equal(vis.indices[bi, :c], ps.indices[bi, ~mask[bi]])
+        assert not mask_k[bi, :c].any() and mask_k[bi, c:].all()
+    assert (bb.key_bias(mask_k) is None) == (counts.min() == counts.max())
+    assert np.array_equal(slots < 0, mask)
+    # scatter the compact embeddings back: visible slots get their own
+    # embedding back, masked slots the mask token plus their position
+    got = bb._decoder_input(st, bb.embed(vis, st), ps, slots).data
+    want = bb.embed(ps, st).data
+    assert np.array_equal(got[~mask], want[~mask])
+    tok = st.params["audio_mask_token"].data + st.params["audio_pos"].data
+    assert np.array_equal(got[mask], tok[ps.indices[mask]])
+
+
+def test_scatter_back_gradients():
+    """Finite-difference check of the decoder input's scatter back, through
+    the compact outputs, the mask token and the positional table."""
+    st = make_state(17)
+    rng = np.random.default_rng(18)
+    ps, _ = patch_batch(rng, 2)
+    mask = rng.random((2, ps.count)) < 0.6
+    mask[0, :3] = [False, True, False]
+    _, mask_k, slots = bb.visible_tokens(ps, mask)
+    o = tt.parameter(rng.normal(size=mask_k.shape + (CFG.embed_dim,)))
+    weights = rng.normal(size=(2, ps.count, CFG.embed_dim))
+
+    def objective():
+        x = bb._decoder_input(st, o, ps, slots)
+        return tt.sum_(tt.mul(tt.mul(x, x), Tensor(weights)))
+
+    from test_tensor import check_grads
+    check_grads(objective, [o, st.params["audio_mask_token"],
+                            st.params["audio_pos"]], tol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +431,12 @@ def test_composite_loss_gradients_flow_everywhere():
     m_v = np.array([[True, False], [False, True]])
 
     def objective():
-        enc_a, enc_v, o_a, o_v = fused(st, aps, vps, m_a, m_v)
-        ra, rv = bb.decode(st, o_a, o_v, aps, vps, m_a, m_v)
+        vis_a, pad_a, slots_a = bb.visible_tokens(aps, m_a)
+        vis_v, pad_v, slots_v = bb.visible_tokens(vps, m_v)
+        enc_a, enc_v, o_a, o_v = fused(st, vis_a, vis_v, pad_a, pad_v)
+        ra, rv = bb.decode(st, o_a, o_v, aps, vps, slots_a, slots_v)
         rec = bb.reconstruction_loss(ra, rv, aps.patches, vps.patches, m_a, m_v)
-        c_a, c_v = bb.contrastive_features(st, enc_a, enc_v, m_a, m_v)
+        c_a, c_v = bb.contrastive_features(st, enc_a, enc_v, pad_a, pad_v)
         con = bb.contrastive_loss(c_a, c_v, cfg.temperature)
         return bb.pretrain_objective(rec, con, None, cfg.contrastive_weight, 0.0)
 

@@ -11,6 +11,7 @@ from avcl import checkpoint as ckpt
 from avcl import cli
 from avcl import config as cf
 from avcl import evaluate as ev
+from avcl import memory as rm
 from avcl import trainer as tr
 
 CFG = """\
@@ -72,6 +73,35 @@ def test_generate_writes_manifest_with_correct_hashes(ws):
         assert actual == digest
     # the resolved config is kept next to the data
     assert cf.load_config(data / "config.ini") == cf.parse_config(CFG)
+
+
+def test_crash_during_generate_leaves_no_torn_task_file(ws, monkeypatch):
+    """A write that fails partway through a task file leaves neither a torn
+    file under its final name nor a manifest; regenerating then loads."""
+    data = ws / "data_crash"
+    write_entries = ckpt.write_entries
+
+    def torn(fh, tensors):
+        if fh.name.endswith("task_01.bin.tmp"):
+            fh.write(b"\0" * 64)
+            raise OSError("disk full")
+        return write_entries(fh, tensors)
+
+    monkeypatch.setattr(ckpt, "write_entries", torn)
+    args = ["generate-data", "--config", str(ws / "cfg.ini"), "--out", str(data)]
+    assert cli.main(args) == 3
+    assert (data / "task_00.bin").is_file()
+    assert not (data / "task_01.bin").exists()
+    assert not (data / "manifest.json").exists()
+    monkeypatch.undo()
+    assert cli.main(args) == 0
+    tasks, _ = cli.load_tasks(data)
+    want, _ = cli.load_tasks(ws / "data")
+    for got_task, want_task in zip(tasks, want):
+        assert np.array_equal(got_task.train.audio_patches,
+                              want_task.train.audio_patches)
+    assert sorted(p.name for p in data.iterdir()) == [
+        "config.ini", "manifest.json", "task_00.bin", "task_01.bin"]
 
 
 def test_load_tasks_round_trip(ws):
@@ -190,6 +220,27 @@ def test_hostile_memory_capacity_exits_3_before_allocating(ws, capsys):
     _, args = _damaged_copy(ws, "run_huge_memory", damage)
     assert cli.main(args) == 3
     assert "capacity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["oversize", "extra"])
+def test_hostile_memory_field_exits_3_before_allocating(ws, capsys, monkeypatch,
+                                                        field):
+    """A stored field the run does not store, or at another per-entry shape,
+    is rejected before the memory's capacity-sized columns exist."""
+    def damage(arrays):
+        count = len(arrays["memory/steps"])
+        if field == "oversize":
+            arrays["memory/field/imp_audio"] = np.zeros((count, 100_000))
+        else:
+            arrays["memory/field/extra"] = np.zeros((count, 4))
+
+    def allocate(*args, **kwargs):
+        raise AssertionError("memory allocated before its fields were checked")
+
+    _, args = _damaged_copy(ws, f"run_{field}_field", damage)
+    monkeypatch.setattr(rm, "ReservoirMemory", allocate)
+    assert cli.main(args) == 3
+    assert "snapshot fields" in capsys.readouterr().err
 
 
 def test_unknown_strategy_exits_2_without_partial_run_dir(ws, capsys):

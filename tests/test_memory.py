@@ -322,7 +322,11 @@ def _churned_memory(scored=True):
 
 def _through_container(mem):
     return rm.memory_from_arrays(cp.from_bytes(cp.to_bytes(rm.snapshot_arrays(mem))),
-                                 mem.capacity)
+                                 mem.capacity, _field_shapes(mem))
+
+
+def _field_shapes(mem):
+    return {k: v.shape[1:] for k, v in mem.fields.items()}
 
 
 def test_snapshot_roundtrip_preserves_everything():
@@ -358,7 +362,8 @@ def test_partially_filled_snapshot_roundtrips():
 
 
 def test_inconsistent_snapshot_rejected():
-    good = rm.snapshot_arrays(_churned_memory())
+    mem = _churned_memory()
+    good = rm.snapshot_arrays(mem)
     broken = [
         {k: v for k, v in good.items() if k != "memory/steps"},
         {k: v for k, v in good.items() if not k.startswith("memory/field/")},
@@ -371,6 +376,10 @@ def test_inconsistent_snapshot_rejected():
         {**good, "memory/count": np.array([np.nan])},
         {**good, "memory/tasks": np.zeros(2)},
         {**good, "memory/field/feat_audio": good["memory/field/feat_audio"][:2]},
+        # every field is the run's own, at its own per-entry shape
+        {k: v for k, v in good.items() if k != "memory/field/feat_audio"},
+        {**good, "memory/field/extra": np.zeros((len(mem), 4))},
+        {**good, "memory/field/imp_audio": np.zeros((len(mem), 1000))},
         # the per-entry layout of earlier versions is not read
         {"memory/capacity": np.array([3.0]), "memory/seen": np.array([9.0]),
          "memory/layout": np.array([0.0]), "memory/count": np.array([1.0]),
@@ -378,7 +387,7 @@ def test_inconsistent_snapshot_rejected():
     ]
     for arrays in broken:
         with pytest.raises(rm.RehearsalError):
-            rm.memory_from_arrays(arrays, 3)
+            rm.memory_from_arrays(arrays, 3, _field_shapes(mem))
 
 
 def test_snapshot_resume_is_bit_identical():

@@ -1,6 +1,7 @@
 """Continual trainer: strategy wiring, degeneracies, artifacts, resume."""
 
 import contextlib
+import copy
 import functools
 import json
 import sys
@@ -271,8 +272,9 @@ def test_single_task_sequence_gives_one_by_one_matrix(tasks, geom, mcfg):
 def test_eval_features_do_not_depend_on_eval_batching(tasks, geom, mcfg):
     run, _, _ = tr.run_sequence(tasks[:1], geom, mcfg, _cfg("finetune"))
     a1, v1 = tr.eval_features(run.state, tasks[0].eval, geom, batch=3)
-    a2, v2 = tr.eval_features(run.state, tasks[0].eval, geom, batch=32)
-    assert np.array_equal(a1, a2) and np.array_equal(v1, v2)
+    for kw in ({}, {"batch": 32}):  # the default splits the 12 pairs 8 + 4
+        a2, v2 = tr.eval_features(run.state, tasks[0].eval, geom, **kw)
+        assert np.array_equal(a1, a2) and np.array_equal(v1, v2)
 
 
 def _count_calls(monkeypatch, calls, module, name):
@@ -308,6 +310,81 @@ def test_one_backbone_pass_per_distinct_input(tasks, geom, mcfg, monkeypatch):
     calls.clear()
     tr.eval_features(run.state, tasks[0].eval, geom, batch=8)
     assert calls == {"encode_modality": 4}  # two batches of 12 pairs
+
+
+def _full_length(ps, mask):
+    """``visible_tokens`` without compaction: the full-length set, key-masked
+    by the full mask, and slots that leave every token in place."""
+    b, n = mask.shape
+    return ps, mask, np.where(mask, -1, np.arange(b * n).reshape(b, n))
+
+
+def _warm_derpp_run(tasks, geom, mcfg):
+    """A derpp run two steps in, so the next step replays and penalizes."""
+    cfg = _cfg("derpp")
+    run = tr.init_run(mcfg, cfg, geom)
+    train = tasks[0].train
+    batches = [(dt.full_patchset(train.audio_patches[lo:lo + 4], "audio", geom),
+                dt.full_patchset(train.video_patches[lo:lo + 4], "video", geom))
+               for lo in (0, 4, 8)]
+    for aps, vps in batches[:2]:
+        tr.train_step(run, mcfg, cfg, aps, vps)
+    return run, cfg, batches[2]
+
+
+def test_visible_token_step_matches_key_masked_full_length(tasks, geom, mcfg,
+                                                           monkeypatch):
+    """One masked step on the compact visible tokens gives the losses and
+    backbone gradients of the key-masked full-length path, up to the order
+    of float sums over exact-zero attention weights."""
+    run, cfg, (aps, vps) = _warm_derpp_run(tasks, geom, mcfg)
+
+    def one_step(r):
+        grads = {}
+        step = r.b_opt.step
+
+        def record_then_step():
+            grads.update({k: p.grad.copy() for k, p in r.state.params.items()})
+            step()
+
+        monkeypatch.setattr(r.b_opt, "step", record_then_step)
+        rec = tr.train_step(r, mcfg, cfg, aps, vps)
+        return np.array(rec.row()), grads
+
+    ref = copy.deepcopy(run)
+    with monkeypatch.context() as m:
+        m.setattr(bb, "visible_tokens", _full_length)
+        want_loss, want_grads = one_step(ref)
+    got_loss, got_grads = one_step(run)
+    assert want_loss[3] > 0.0  # the step replayed and penalized
+    np.testing.assert_allclose(got_loss, want_loss, rtol=1e-12, atol=0)
+    assert got_grads.keys() == want_grads.keys() == run.state.params.keys()
+    # key biases get analytically zero gradients, i.e. rounding noise; hold
+    # them to the scale of the largest gradient
+    scale = max(np.abs(g).max() for g in want_grads.values())
+    for name, want in want_grads.items():
+        np.testing.assert_allclose(got_grads[name], want, rtol=1e-12,
+                                   atol=1e-12 * scale, err_msg=name)
+
+
+def test_masked_encoders_see_only_visible_tokens(tasks, geom, mcfg, monkeypatch):
+    """Every masked encoder call of a replaying derpp step runs on at most
+    the batch's largest visible count of tokens, not the full grid."""
+    run, cfg, (aps, vps) = _warm_derpp_run(tasks, geom, mcfg)
+    seen = []
+    encode_modality = bb.encode_modality
+
+    def counted(state, x, modality, mask):
+        seen.append((x.shape[1], mask, modality))
+        return encode_modality(state, x, modality, mask)
+
+    monkeypatch.setattr(bb, "encode_modality", counted)
+    tr.train_step(run, mcfg, cfg, aps, vps)
+    assert len(seen) == 2
+    for tokens, mask, modality in seen:
+        assert mask is not None and tokens == mask.shape[1]
+        assert tokens == (~mask).sum(axis=1).max()
+        assert tokens < (aps if modality == "audio" else vps).count
 
 
 def test_threaded_evaluation_leaves_grad_mode_on(tasks, geom, mcfg):
@@ -361,7 +438,8 @@ def test_run_directory_artifacts(tasks, geom, mcfg, tmp_path):
         assert (tmp_path / f"task_{t:02d}.rng.json").exists()
     assert not list(tmp_path.glob("memory_*"))  # the memory lives in the ckpt
     snap = rm.memory_from_arrays(cp.load(tmp_path / "task_01.ckpt"),
-                                 run.mem.capacity)
+                                 run.mem.capacity,
+                                 tr._memory_fields(mcfg, _cfg("stella"), geom))
     assert len(snap) == len(run.mem) and snap.seen_count == run.mem.seen_count
     for name, col in run.mem.fields.items():
         assert np.array_equal(snap.fields[name], col), name
@@ -369,7 +447,7 @@ def test_run_directory_artifacts(tasks, geom, mcfg, tmp_path):
     assert set(blob) == set(tr.STREAM_NAMES)
 
 
-@pytest.mark.parametrize("strategy", ["er", "stella", "stella_plus"])
+@pytest.mark.parametrize("strategy", tr.STRATEGIES)
 def test_resume_reproduces_uninterrupted_run(tasks, geom, mcfg, tmp_path,
                                              strategy):
     full_dir, part_dir = tmp_path / "full", tmp_path / "part"
