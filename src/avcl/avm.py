@@ -79,7 +79,8 @@ def project_qkv(avm: AvmParams, tokens: Tensor, modality: str):
 
 @dataclass
 class CrossAttention:
-    """Bidirectional cross-attention logits plus the projections behind them.
+    """Bidirectional cross-attention logits plus the queries and keys behind
+    them.
 
     audio_map[b, h, i, j] scores video query i against audio key j (so a
     softmax over its last axis distributes attention across audio patches);
@@ -90,26 +91,27 @@ class CrossAttention:
     video_map: Tensor  # (B, H, M, N)
     q_audio: Tensor  # (B, H, M, d)
     k_audio: Tensor
-    v_audio: Tensor
     q_video: Tensor  # (B, H, N, d)
     k_video: Tensor
-    v_video: Tensor
 
 
 def cross_attention(avm: AvmParams, o_a: Tensor, o_v: Tensor,
                     beta: float = 1.0) -> CrossAttention:
-    q_a, k_a, v_a = project_qkv(avm, o_a, "audio")
-    q_v, k_v, v_v = project_qkv(avm, o_v, "video")
+    """Raw logit maps for patch selection and attention export; the matching
+    head itself runs the fused :func:`tt.attention`."""
+    q_a, k_a, _ = project_qkv(avm, o_a, "audio")
+    q_v, k_v, _ = project_qkv(avm, o_v, "video")
     audio_map = tt.attention_logits(q_v, k_a, beta)
     video_map = tt.attention_logits(q_a, k_v, beta)
-    return CrossAttention(audio_map, video_map, q_a, k_a, v_a, q_v, k_v, v_v)
+    return CrossAttention(audio_map, video_map, q_a, k_a, q_v, k_v)
 
 
 def matching_forward(avm: AvmParams, o_a: Tensor, o_v: Tensor) -> Tensor:
     """Probability that each (audio, video) row is a genuine pair; (B,)."""
-    ca = cross_attention(avm, o_a, o_v, beta=1.0)
-    att_a = tt.matmul(tt.softmax(ca.audio_map, axis=-1), ca.v_audio)  # (B,H,N,d)
-    att_v = tt.matmul(tt.softmax(ca.video_map, axis=-1), ca.v_video)  # (B,H,M,d)
+    q_a, k_a, v_a = project_qkv(avm, o_a, "audio")
+    q_v, k_v, v_v = project_qkv(avm, o_v, "video")
+    att_a = tt.attention(q_v, k_a, v_a)  # video queries over audio; (B,H,N,d)
+    att_v = tt.attention(q_a, k_v, v_v)  # (B,H,M,d)
     pooled_a = tt.mean(att_a, axis=2)  # patch-wise mean per head -> (B,H,d)
     pooled_v = tt.mean(att_v, axis=2)
     b, h, d = pooled_a.shape
@@ -155,30 +157,39 @@ def fusion_tokens(state: bb.BackboneState, aps: PatchSet, vps: PatchSet
     return o_a, o_v, enc_a, enc_v
 
 
-def _shuffled_tokens(state: bb.BackboneState, enc_a: Tensor, enc_v: Tensor,
-                     rng: np.random.Generator
+def _shuffled_tokens(state: bb.BackboneState, o_a: Tensor, o_v: Tensor,
+                     enc_a: Tensor, enc_v: Tensor, rng: np.random.Generator
                      ) -> tuple[np.ndarray, Tensor, Tensor]:
-    """Pair labels and the no-grad joint fusion of donor-shuffled audio with
-    the batch's video; the encoders work per row, so ``enc_a[donors]`` is
-    exactly the encoding of the shuffled audio."""
+    """Pair labels and the joint fusion tokens of the batch with its audio
+    shuffled among the negative rows.
+
+    A positive row keeps its own audio, so its tokens are the scoring pass's
+    (o_a, o_v); only the negative rows are fused again, from
+    ``enc_a[donors]`` and ``enc_v`` (the encoders work per row, so that is
+    exactly the encoding of the shuffled audio).
+    """
     labels, donors = negative_pairing(rng, enc_a.shape[0])
+    neg = np.flatnonzero(labels == 0.0)
     with tt.no_grad():
-        o_a, o_v = bb.forward_fused(state, Tensor(enc_a.data[donors]), enc_v,
-                                    None, None)
-    return labels, o_a, o_v
+        f_a, f_v = bb.forward_fused(state, Tensor(enc_a.data[donors[neg]]),
+                                    Tensor(enc_v.data[neg]), None, None)
+    s_a, s_v = o_a.data.copy(), o_v.data.copy()
+    s_a[neg], s_v[neg] = f_a.data, f_v.data
+    return labels, Tensor(s_a), Tensor(s_v)
 
 
-def avm_train_step(avm: AvmParams, state: bb.BackboneState, enc_a: Tensor,
-                   enc_v: Tensor, opt, rng: np.random.Generator) -> float:
+def avm_train_step(avm: AvmParams, state: bb.BackboneState, o_a: Tensor,
+                   o_v: Tensor, enc_a: Tensor, enc_v: Tensor, opt,
+                   rng: np.random.Generator) -> float:
     """One matching update: shuffle negatives, BCE, step only the AVM.
 
-    Takes the batch's unmasked encoder outputs from :func:`fusion_tokens`
-    and returns the scalar loss. Backbone gradients are asserted to be
-    exactly zero after the backward pass — the matching objective must never
-    train the backbone.
+    Takes the batch's unmasked fusion tokens and encoder outputs from
+    :func:`fusion_tokens` and returns the scalar loss. Backbone gradients
+    are asserted to be exactly zero after the backward pass — the matching
+    objective must never train the backbone.
     """
-    labels, o_a, o_v = _shuffled_tokens(state, enc_a, enc_v, rng)
-    yhat = matching_forward(avm, o_a, o_v)
+    labels, s_a, s_v = _shuffled_tokens(state, o_a, o_v, enc_a, enc_v, rng)
+    yhat = matching_forward(avm, s_a, s_v)
     loss = tt.bce(yhat, Tensor(labels))
     loss.backward()
     for name, p in state.params.items():
@@ -189,11 +200,12 @@ def avm_train_step(avm: AvmParams, state: bb.BackboneState, enc_a: Tensor,
     return loss.item()
 
 
-def matching_accuracy(avm: AvmParams, state: bb.BackboneState, enc_a: Tensor,
-                      enc_v: Tensor, rng: np.random.Generator) -> float:
+def matching_accuracy(avm: AvmParams, state: bb.BackboneState, o_a: Tensor,
+                      o_v: Tensor, enc_a: Tensor, enc_v: Tensor,
+                      rng: np.random.Generator) -> float:
     """Held-out accuracy under the training pairing protocol (0.5 threshold)."""
-    labels, o_a, o_v = _shuffled_tokens(state, enc_a, enc_v, rng)
+    labels, s_a, s_v = _shuffled_tokens(state, o_a, o_v, enc_a, enc_v, rng)
     with tt.no_grad():
-        yhat = matching_forward(avm, o_a, o_v)
+        yhat = matching_forward(avm, s_a, s_v)
     pred = (yhat.data >= 0.5).astype(float)
     return float((pred == labels).mean())

@@ -192,13 +192,12 @@ def _merge_heads(x: Tensor) -> Tensor:
 
 
 def _attention(params, prefix, x: Tensor, bias: Tensor | None, heads: int) -> Tensor:
+    """Multi-head attention of every block; ``tt.attention`` records it as one
+    tape node, so no (n, n) logits stay on the tape."""
     q = _split_heads(tt.linear(x, params[f"{prefix}/attn/wq"], params[f"{prefix}/attn/bq"]), heads)
     k = _split_heads(tt.linear(x, params[f"{prefix}/attn/wk"], params[f"{prefix}/attn/bk"]), heads)
     v = _split_heads(tt.linear(x, params[f"{prefix}/attn/wv"], params[f"{prefix}/attn/bv"]), heads)
-    logits = tt.attention_logits(q, k)
-    if bias is not None:
-        logits = tt.add(logits, bias)
-    out = tt.matmul(tt.softmax(logits, axis=-1), v)
+    out = tt.attention(q, k, v, bias)
     return tt.linear(_merge_heads(out), params[f"{prefix}/attn/wo"], params[f"{prefix}/attn/bo"])
 
 

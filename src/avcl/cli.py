@@ -22,7 +22,8 @@ random-stream states) beside it; ``losses.csv``, ``acc_matrix.csv``,
 file is replaced atomically and ``task_XX.rng.json`` is written last, so a
 task without it is redone on resume.
 
-Exit codes: 0 success; 2 configuration or usage error; 3 data error (missing,
+Exit codes: 0 success; 2 configuration or usage error (including
+``--rows`` or ``--eval-workers`` below 1); 3 data error (missing,
 truncated, modified or unreadable files, including a checkpoint with a
 missing or malformed tensor or whose rehearsal-memory snapshot is
 inconsistent or in an older format); 4 numeric
@@ -141,7 +142,13 @@ def _check_config_matches_data(cfg: cf.RunConfig, tasks, geom) -> None:
 # training
 
 
+def _check_at_least_one(value: int, flag: str) -> None:
+    if value < 1:
+        raise cf.ConfigError(f"{flag} must be at least 1, got {value}")
+
+
 def cmd_run(args) -> int:
+    _check_at_least_one(args.eval_workers, "--eval-workers")
     cfg = cf.load_config(args.config)
     tasks, geom = load_tasks(args.data)
     _check_config_matches_data(cfg, tasks, geom)
@@ -178,6 +185,7 @@ def _load_model(args, cfg):
 
 
 def cmd_eval(args) -> int:
+    _check_at_least_one(args.eval_workers, "--eval-workers")
     cfg = cf.load_config(args.config)
     _, tasks, geom, state = _load_model(args, cfg)
     row, gap, reports = tr.evaluate_tasks(state, tasks, len(tasks) - 1, geom,
@@ -274,6 +282,7 @@ def cmd_export_attention(args) -> int:
                              "export needs a scoring strategy (stella/stella_plus)")
     if not 0 <= args.task < len(tasks):
         raise cf.ConfigError(f"--task must lie in [0, {len(tasks) - 1}]")
+    _check_at_least_one(args.rows, "--rows")
     split = tasks[args.task].eval
     rows = min(args.rows, len(split))
     aps = dt.full_patchset(split.audio_patches[:rows], "audio", geom)

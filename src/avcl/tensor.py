@@ -7,9 +7,10 @@ reverse topological order and accumulates gradients into leaf tensors.
 
 Design constraints baked in here:
 
-* float64 everywhere — results are validated to be finite after every
-  forward op; overflow/NaN raises :class:`NumericError` rather than
-  propagating silently.
+* float64 everywhere — every recorded op's output is validated to be
+  finite; overflow/NaN raises :class:`NumericError` rather than
+  propagating silently.  The fused ``attention`` node checks its output,
+  which covers its probabilities, and ``backward`` checks every gradient.
 * Leaves created with ``requires_grad=True`` allocate a zero gradient buffer
   up front, so a leaf that ends up disconnected from the loss still reports
   an all-zero gradient instead of erroring.
@@ -486,7 +487,9 @@ def attention_logits(q, k, beta: float = 1.0) -> Tensor:
     """Scaled dot-product logits: out[..., i, j] = q_i . k_j / (beta*sqrt(d)).
 
     q: (..., n_q, d), k: (..., n_k, d) -> (..., n_q, n_k). ``beta`` is an
-    extra sharpening temperature on top of the usual 1/sqrt(d) scale.
+    extra sharpening temperature on top of the usual 1/sqrt(d) scale.  For
+    callers that read the raw maps (patch selection, attention export);
+    attention itself runs as the fused :func:`attention`.
     """
     q, k = as_tensor(q), as_tensor(k)
     if q.shape[-1] != k.shape[-1]:
@@ -496,6 +499,51 @@ def attention_logits(q, k, beta: float = 1.0) -> Tensor:
     d = q.shape[-1]
     scale = 1.0 / (beta * np.sqrt(d))
     return mul(matmul(q, swap_last(k)), scale)
+
+
+def attention(q, k, v, bias=None) -> Tensor:
+    """softmax(q k^T / sqrt(d) + bias) v as one recorded node.
+
+    q: (..., n_q, d), k and v: (..., n_k, d); ``bias`` is a constant that
+    broadcasts against the (..., n_q, n_k) logits.  The logits buffer
+    becomes the probabilities in place and is the only (n_q, n_k)-sized
+    array kept for the backward pass.  The finiteness check on the output
+    covers it: a NaN or +inf logit turns its whole row of probabilities
+    into NaN, while a -inf logit is a zero weight, as a masked key's is.
+    The arithmetic order matches
+    ``attention_logits`` -> ``add`` -> ``softmax`` -> ``matmul``.
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    if q.shape[-1] != k.shape[-1]:
+        raise ShapeError("q/k feature dims differ")
+    if k.shape[-2] != v.shape[-2]:
+        raise ShapeError("k/v token counts differ")
+    if bias is not None:
+        bias = as_tensor(bias)
+        if bias.requires_grad:
+            raise ValueError("attention bias must be a constant")
+    scale = 1.0 / np.sqrt(q.shape[-1])
+    kt = np.ascontiguousarray(k.data.swapaxes(-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.matmul(q.data, kt)
+        p *= scale
+        if bias is not None:
+            p += bias.data
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+    out = np.matmul(p, v.data)
+
+    def grad_fn(g):
+        gv = np.matmul(p.swapaxes(-1, -2), g)
+        gp = np.matmul(g, v.data.swapaxes(-1, -2))
+        gl = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        gl = gl * scale
+        gq = np.matmul(gl, kt.swapaxes(-1, -2))
+        gk = np.matmul(q.data.swapaxes(-1, -2), gl).swapaxes(-1, -2)
+        return (gq, gk, gv)
+
+    return _make(out, (q, k, v), grad_fn)
 
 
 def weighted_mean_pool(x, axis: int, weights=None) -> Tensor:
@@ -509,11 +557,12 @@ def weighted_mean_pool(x, axis: int, weights=None) -> Tensor:
     if weights is None:
         return mean(x, axis=ax)
     w = as_tensor(weights)
+    if w.ndim != x.ndim:
+        raise ShapeError("pooling weights must have the rank of x")
     if np.any(w.data < 0):
         raise NumericError("pooling weights must be non-negative")
-    wb = mul(w, Tensor(np.ones_like(x.data)))  # broadcast w against x
     num = sum_(mul(x, w), axis=ax)
-    den = sum_(wb, axis=ax)
+    den = sum_(w, axis=ax)  # the division broadcasts it against num
     if np.any(den.data == 0.0):
         raise NumericError("zero total pooling weight")
     return div(num, den)

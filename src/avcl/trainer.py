@@ -255,7 +255,10 @@ class _Scoring:
     loc_v: sel.LocalizedQueries | None
     corr_a: np.ndarray | None  # (B, kap_a) or None before any replay exists
     corr_v: np.ndarray | None
-    # unmasked encoder outputs of the scoring pass, reused by the AVM step
+    # unmasked fusion tokens and encoder outputs of the scoring pass, reused
+    # by the AVM step
+    o_a: tt.Tensor | None = None
+    o_v: tt.Tensor | None = None
     enc_a: tt.Tensor | None = None
     enc_v: tt.Tensor | None = None
 
@@ -299,7 +302,7 @@ def _score_batch(run: RunState, tcfg: TrainConfig, aps: PatchSet,
         corr_v = sel.correlation_scores(loc_v.keys, loc_a.pooled,
                                         replay["q_audio"][pair], tcfg.beta)
     return _Scoring(imp_a, imp_v, kap_a, kap_v, loc_a, loc_v, corr_a, corr_v,
-                    enc_a, enc_v)
+                    o_a, o_v, enc_a, enc_v)
 
 
 def _select_pair(scoring: _Scoring, aps: PatchSet, vps: PatchSet,
@@ -390,7 +393,7 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     selection -> mask draws -> each modality cut to its visible tokens ->
     encode, joint fusion and contrastive pass on the visible tokens, decode
     at full length, losses -> memory insertion -> matching-module update on
-    the scoring pass's encoder outputs -> backbone update.  Memory
+    the scoring pass's outputs -> backbone update.  Memory
     insertion precedes both updates, so stored features reflect the weights
     that produced the losses; the matching-module update precedes the
     backbone backward pass, which keeps its gradient-isolation assertion
@@ -451,8 +454,9 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     if tcfg.strategy in SCORING:
         # runs before the backbone backward pass: backbone gradients are
         # still empty, so the isolation assertion inside is exact
-        avm_loss = am.avm_train_step(run.avm, run.state, scoring.enc_a, scoring.enc_v,
-                                     run.a_opt, run.streams["avm"])
+        avm_loss = am.avm_train_step(run.avm, run.state, scoring.o_a, scoring.o_v,
+                                     scoring.enc_a, scoring.enc_v, run.a_opt,
+                                     run.streams["avm"])
 
     total.backward()
     run.b_opt.step()

@@ -172,6 +172,39 @@ def _encoded(state, aps, vps):
     return enc_a, enc_v
 
 
+def test_negative_rows_fusion_matches_fusing_the_whole_shuffled_batch():
+    """The step re-fuses only the negative rows and reuses the scoring
+    pass's tokens for the positive ones; together they must equal the
+    fusion of the whole shuffled batch, bit for bit."""
+    state, _, rng = _setup(4)
+    aps, vps = _batch(rng, batch=6)
+    o_a, o_v, enc_a, enc_v = av.fusion_tokens(state, aps, vps)
+    labels, s_a, s_v = av._shuffled_tokens(state, o_a, o_v, enc_a, enc_v,
+                                           np.random.default_rng(8))
+    _, donors = av.negative_pairing(np.random.default_rng(8), 6)
+    assert np.array_equal(donors == np.arange(6), labels == 1.0)
+    want = bb.forward_fused(state, Tensor(enc_a.data[donors]), enc_v, None, None)
+    assert np.array_equal(s_a.data, want[0].data)
+    assert np.array_equal(s_v.data, want[1].data)
+
+
+@pytest.mark.parametrize("batch", [2, 5, 8])
+def test_avm_step_fuses_only_the_negative_rows(monkeypatch, batch):
+    state, avm, rng = _setup(5)
+    aps, vps = _batch(rng, batch=batch)
+    tokens = av.fusion_tokens(state, aps, vps)
+    rows = []
+    fuse = bb.forward_fused
+
+    def counting(state, enc_a, enc_v, m_a, m_v):
+        rows.append((enc_a.shape[0], enc_v.shape[0]))
+        return fuse(state, enc_a, enc_v, m_a, m_v)
+
+    monkeypatch.setattr(bb, "forward_fused", counting)
+    av.avm_train_step(avm, state, *tokens, Adam(avm.params, lr=1e-3), rng)
+    assert rows == [(batch // 2, batch // 2)]
+
+
 def test_reused_encoder_outputs_match_encoding_the_shuffled_batch():
     """The step fuses ``enc_a[donors]`` instead of re-encoding the shuffled
     audio; both must give the same tokens, bit for bit."""
@@ -194,7 +227,8 @@ def test_train_step_never_touches_backbone():
     before = {k: v.copy() for k, v in state.named_arrays().items()}
     avm_before = {k: t.data.copy() for k, t in avm.params.items()}
     opt = Adam(avm.params, lr=1e-3)
-    loss = av.avm_train_step(avm, state, *_encoded(state, aps, vps), opt, rng)
+    loss = av.avm_train_step(avm, state, *av.fusion_tokens(state, aps, vps),
+                             opt, rng)
     assert np.isfinite(loss)
     after = state.named_arrays()
     for k in before:
@@ -214,19 +248,18 @@ def test_training_learns_to_separate_pairs():
     # the acceptance suite, which prepares the backbone first.
     state, avm, rng = _setup(13)
     opt = Adam(avm.params, lr=3e-3)
-    pool = [_encoded(state, *_batch(rng, batch=8)) for _ in range(4)]
+    pool = [av.fusion_tokens(state, *_batch(rng, batch=8)) for _ in range(4)]
     losses = []
     for step in range(400):
         idx = step % len(pool)
-        enc_a, enc_v = pool[idx]
         # per-batch seeded rng keeps each batch's positive/negative pairing
         # fixed across visits, so the task itself is stationary
-        losses.append(av.avm_train_step(avm, state, enc_a, enc_v, opt,
+        losses.append(av.avm_train_step(avm, state, *pool[idx], opt,
                                         np.random.default_rng(1000 + idx)))
     assert np.mean(losses[-20:]) < 0.35 < np.mean(losses[:20])
-    correct = [av.matching_accuracy(avm, state, enc_a, enc_v,
+    correct = [av.matching_accuracy(avm, state, *tokens,
                                     np.random.default_rng(1000 + idx))
-               for idx, (enc_a, enc_v) in enumerate(pool)]
+               for idx, tokens in enumerate(pool)]
     assert np.mean(correct) > 0.8
 
 
@@ -240,9 +273,9 @@ def test_step_is_deterministic():
     for _ in range(2):
         state, avm, rng = _setup(21)
         opt = Adam(avm.params, lr=1e-3)
-        enc_a, enc_v = _encoded(state, *_batch(np.random.default_rng(2), batch=4))
+        tokens = av.fusion_tokens(state, *_batch(np.random.default_rng(2), batch=4))
         step_rng = np.random.default_rng(77)
-        loss = av.avm_train_step(avm, state, enc_a, enc_v, opt, step_rng)
+        loss = av.avm_train_step(avm, state, *tokens, opt, step_rng)
         outs.append((loss, {k: v.data.copy() for k, v in avm.params.items()}))
     assert outs[0][0] == outs[1][0]
     for k in outs[0][1]:

@@ -267,6 +267,42 @@ def test_scatter_back_gradients():
 # ---------------------------------------------------------------------------
 
 
+def test_fused_attention_blocks_match_the_unfused_chain(monkeypatch):
+    """Every encoder, fusion and decoder block runs ``tt.attention``; on a
+    training batch whose rows see different visible counts (so padding
+    columns are key-masked), outputs and every parameter gradient equal
+    the unfused logits -> add -> softmax -> matmul chain bit for bit."""
+    from test_tensor import unfused_attention
+    rng = np.random.default_rng(31)
+    aps, vps = patch_batch(rng, 3)
+    m_a = rng.random(aps.indices.shape) < 0.6
+    m_v = rng.random(vps.indices.shape) < 0.6
+    assert len(set((~m_a).sum(axis=1))) > 1  # some rows are padded
+
+    def step():
+        st = make_state(5)
+        vis_a, pad_a, slots_a = bb.visible_tokens(aps, m_a)
+        vis_v, pad_v, slots_v = bb.visible_tokens(vps, m_v)
+        enc_a, enc_v, o_a, o_v = fused(st, vis_a, vis_v, pad_a, pad_v)
+        ra, rv = bb.decode(st, o_a, o_v, aps, vps, slots_a, slots_v)
+        c_a, c_v = bb.contrastive_features(st, enc_a, enc_v, pad_a, pad_v)
+        loss = bb.pretrain_objective(
+            bb.reconstruction_loss(ra, rv, aps.patches, vps.patches, m_a, m_v),
+            bb.contrastive_loss(c_a, c_v, CFG.temperature), None,
+            CFG.contrastive_weight, 0.0)
+        loss.backward()
+        return ([t.data for t in (o_a, o_v, ra, rv, c_a, c_v, loss)],
+                {k: p.grad for k, p in st.params.items()})
+
+    outs, grads = step()
+    monkeypatch.setattr(tt, "attention", unfused_attention)
+    want_outs, want_grads = step()
+    for got, want in zip(outs, want_outs):
+        assert np.array_equal(got, want)
+    for k in grads:
+        assert np.array_equal(grads[k], want_grads[k]), k
+
+
 def test_reconstruction_perfect_is_zero():
     rng = np.random.default_rng(15)
     ta = rng.normal(size=(2, 4, 6))
@@ -405,6 +441,40 @@ def test_pooled_features_unit_norm_and_visibility():
         esub = bb.encode_modality(st, bb.embed(sub, st), "audio", None)
         csub, _ = bb.contrastive_features(st, esub, esub, None, None)
         assert np.allclose(csub.data[0], c_a.data[bi], atol=1e-9)
+
+
+def test_pooled_features_keep_their_bits_without_a_ones_placeholder(monkeypatch):
+    """The pool's denominator is ``sum_(w)``, broadcast by the division, not
+    the sum of ``w`` times an array of ones; both are the same exact small
+    integers, so masked features and their gradients keep every bit."""
+
+    def ones_placeholder_pool(x, axis, weights=None):
+        ax = tt._norm_axes(axis, x.ndim)[0]
+        w = tt.as_tensor(weights)
+        num = tt.sum_(tt.mul(x, w), axis=ax)
+        den = tt.sum_(tt.mul(w, Tensor(np.ones_like(x.data))), axis=ax)
+        return tt.div(num, den)
+
+    rng = np.random.default_rng(17)
+    aps, vps = patch_batch(rng, 3)
+    m_a = rng.random(aps.indices.shape) < 0.5
+    m_v = rng.random(vps.indices.shape) < 0.5
+    vis_a, pad_a, _ = bb.visible_tokens(aps, m_a)
+    vis_v, pad_v, _ = bb.visible_tokens(vps, m_v)
+    assert pad_a.any() and pad_v.any()
+    results = []
+    for _ in range(2):
+        st = make_state(6)
+        enc_a, enc_v = bb.encode(st, vis_a, vis_v, pad_a, pad_v)
+        c_a, c_v = bb.contrastive_features(st, enc_a, enc_v, pad_a, pad_v)
+        bb.contrastive_loss(c_a, c_v, CFG.temperature).backward()
+        results.append((c_a.data, c_v.data,
+                        {k: p.grad for k, p in st.params.items()}))
+        monkeypatch.setattr(tt, "weighted_mean_pool", ones_placeholder_pool)
+    (a1, v1, g1), (a2, v2, g2) = results
+    assert np.array_equal(a1, a2) and np.array_equal(v1, v2)
+    for k in g1:
+        assert np.array_equal(g1[k], g2[k]), k
 
 
 def test_objective_arithmetic():

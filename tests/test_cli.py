@@ -337,6 +337,21 @@ def test_eval_workers_do_not_change_results(ws):
     assert out1.read_text() == out3.read_text()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_eval_workers_below_one_exit_2(ws, capsys, workers):
+    run_dir, out = ws / f"run_workers{workers}", ws / f"eval_workers{workers}.json"
+    code = cli.main(["run", "--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
+                     "--out", str(run_dir), "--eval-workers", workers])
+    assert code == 2
+    assert not run_dir.exists()
+    code = cli.main(["eval", "--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
+                     "--ckpt", str(ws / "run_stella" / "task_01.ckpt"),
+                     "--out", str(out), "--eval-workers", workers])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count("--eval-workers must be at least 1") == 2
+
+
 def test_eval_missing_checkpoint_exits_3(ws):
     code = cli.main(["eval", "--config", str(ws / "cfg.ini"),
                      "--data", str(ws / "data"),
@@ -429,3 +444,15 @@ def test_export_attention_needs_a_scoring_checkpoint(ws, capsys):
                      "--out", str(ws / "maps_ft.csv")])
     assert code == 2
     assert "no matching module" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", ["0", "-1", "-100"])
+def test_export_attention_rows_below_one_exit_2(ws, capsys, rows):
+    out = ws / f"maps_rows{rows}.csv"
+    code = cli.main(["export-attention", "--config", str(ws / "cfg.ini"),
+                     "--data", str(ws / "data"),
+                     "--ckpt", str(ws / "run_stella" / "task_01.ckpt"),
+                     "--out", str(out), "--rows", rows])
+    assert code == 2
+    assert not out.exists()
+    assert "--rows must be at least 1" in capsys.readouterr().err

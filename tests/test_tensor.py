@@ -155,6 +155,83 @@ def test_attention_logits_brute_force_oracle():
                     assert abs(out[b, h, i, j] - want) <= 1e-12
 
 
+def unfused_attention(q, k, v, bias=None):
+    """The op chain ``tt.attention`` fuses, as separate tape nodes."""
+    logits = tt.attention_logits(q, k)
+    if bias is not None:
+        logits = tt.add(logits, bias)
+    return tt.matmul(tt.softmax(logits, axis=-1), v)
+
+
+def _padding_bias(b, n_k, padded):
+    """(B, 1, 1, n_k) key bias hiding the last ``padded[row]`` keys."""
+    mask = np.arange(n_k)[None, :] >= (n_k - np.asarray(padded))[:, None]
+    assert mask.shape == (b, n_k)
+    return Tensor((-1e30 * mask)[:, None, None, :])
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_fused_attention_matches_the_unfused_chain_bit_for_bit(masked):
+    rng = np.random.default_rng(41)
+    arrays = [rng.normal(size=s) for s in ((3, 2, 5, 4), (3, 2, 6, 4), (3, 2, 6, 4))]
+    w = rng.normal(size=(3, 2, 5, 4))
+    bias = _padding_bias(3, 6, [2, 0, 5]) if masked else None
+    got = []
+    for op in (tt.attention, unfused_attention):
+        q, k, v = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out = op(q, k, v, bias)
+        tt.backward(tt.sum_(tt.mul(out, w)))
+        got.append((out.data, q.grad, k.grad, v.grad))
+    for fused, chain in zip(*got):
+        assert np.array_equal(fused, chain)
+    if masked:  # hidden keys get no attention and so no key/value gradient
+        assert not got[0][2][0, :, 4:].any() and not got[0][3][2, :, 1:].any()
+
+
+def test_fused_attention_records_one_node():
+    rng = np.random.default_rng(42)
+    q, k, v = leaf(rng, 2, 3, 4), leaf(rng, 2, 5, 4), leaf(rng, 2, 5, 4)
+    out = tt.attention(q, k, v)
+    assert out.shape == (2, 3, 4)
+    assert out._parents == (q, k, v)
+    with tt.no_grad():
+        assert not tt.attention(q, k, v).requires_grad
+    with pytest.raises(tt.ShapeError):
+        tt.attention(q, leaf(rng, 2, 5, 3), v)
+    with pytest.raises(tt.ShapeError):
+        tt.attention(q, k, leaf(rng, 2, 4, 4))
+    with pytest.raises(ValueError, match="constant"):
+        tt.attention(q, k, v, leaf(rng, 2, 1, 5))
+
+
+def test_fused_attention_nonfinite_forward_raises():
+    rng = np.random.default_rng(43)
+    q, k, v = leaf(rng, 2, 3, 4), leaf(rng, 2, 5, 4), leaf(rng, 2, 5, 4)
+    q.data[1, 2, 0] = np.nan
+    with pytest.raises(tt.NumericError):
+        tt.attention(q, k, v)
+    # finite operands whose logits overflow to inf
+    big = Tensor(np.full((1, 2, 4), 1e200))
+    with pytest.raises(tt.NumericError):
+        tt.attention(big, big, Tensor(np.ones((1, 2, 4))))
+
+
+def test_fused_attention_nonfinite_gradient_raises():
+    rng = np.random.default_rng(44)
+    q, k, v = leaf(rng, 2, 3, 4), leaf(rng, 2, 5, 4), leaf(rng, 2, 5, 4)
+    out = tt.attention(q, k, v)
+    # a NaN arriving as the node's upstream gradient
+    poisoned = tt._make(out.data.copy(), (out,), lambda g: (np.full_like(g, np.nan),))
+    with pytest.raises(tt.NumericError, match="gradient"):
+        tt.backward(tt.sum_(poisoned))
+    # a NaN produced by the node's own backward rule
+    loss = tt.sum_(out)
+    v.data[0, 1, 2] = np.nan
+    with pytest.raises(tt.NumericError, match="gradient"):
+        tt.backward(loss)
+    assert not q.grad.any() and not k.grad.any() and not v.grad.any()
+
+
 def test_weighted_mean_pool_values():
     x = Tensor(np.array([[2.0, 4.0, 6.0]]))
     out = tt.weighted_mean_pool(x, axis=1)
@@ -427,6 +504,15 @@ def test_fd_composite_losses():
     k = leaf(rng, 2, 2, 5, 4)
     w = Tensor(rng.normal(size=(2, 2, 3, 5)))
     check_grads(lambda: tt.sum_(tt.mul(tt.attention_logits(q, k, beta=0.4), w)), [q, k])
+    v = leaf(rng, 2, 2, 5, 3)
+    w = Tensor(w.data[..., :3])
+    check_grads(lambda: tt.sum_(tt.mul(tt.attention(q, k, v), w)), [q, k, v])
+    bias = Tensor(rng.normal(size=(2, 1, 1, 5)))
+    check_grads(lambda: tt.sum_(tt.mul(tt.attention(q, k, v, bias), w)),
+                [q, k, v])
+    hidden = _padding_bias(2, 5, [1, 3])
+    check_grads(lambda: tt.sum_(tt.mul(tt.attention(q, k, v, hidden), w)),
+                [q, k, v])
     x = leaf(rng, 2, 5, 3)
     wt = Tensor(np.abs(rng.normal(size=(2, 5, 1))) + 0.1, requires_grad=True)
     check_grads(lambda: tt.sum_(tt.weighted_mean_pool(x, axis=1, weights=wt)), [x, wt])

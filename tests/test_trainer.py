@@ -312,6 +312,29 @@ def test_one_backbone_pass_per_distinct_input(tasks, geom, mcfg, monkeypatch):
     assert calls == {"encode_modality": 4}  # two batches of 12 pairs
 
 
+def test_softmax_runs_only_in_the_contrastive_loss(tasks, geom, mcfg, monkeypatch):
+    """Attention runs as one fused node, so a replaying derpp step calls
+    ``tt.softmax`` only for the two directions of the contrastive loss."""
+    cfg = _cfg("derpp")
+    run = tr.init_run(mcfg, cfg, geom)
+    callers = []
+    softmax = tt.softmax
+
+    def recorded(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return softmax(*args, **kwargs)
+
+    monkeypatch.setattr(tt, "softmax", recorded)
+    train = tasks[0].train
+    for lo in (0, 4):  # the second step also replays
+        aps = dt.full_patchset(train.audio_patches[lo:lo + 4], "audio", geom)
+        vps = dt.full_patchset(train.video_patches[lo:lo + 4], "video", geom)
+        callers.clear()
+        tr.train_step(run, mcfg, cfg, aps, vps)
+        assert callers == ["contrastive_loss", "contrastive_loss"]
+    assert len(run.mem) > 0
+
+
 def _full_length(ps, mask):
     """``visible_tokens`` without compaction: the full-length set, key-masked
     by the full mask, and slots that leave every token in place."""
