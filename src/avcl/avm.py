@@ -68,12 +68,17 @@ def size_ratio(avm: AvmParams, state: bb.BackboneState) -> float:
     return param_count(avm.params) / param_count(state.params)
 
 
+def _split_heads(x: Tensor, heads: int) -> Tensor:
+    b, n, d = x.shape
+    return tt.transpose(tt.reshape(x, (b, n, heads, d // heads)), (0, 2, 1, 3))
+
+
 def project_qkv(avm: AvmParams, tokens: Tensor, modality: str):
     """(B, n, D) fusion tokens -> per-head q, k, v of shape (B, H, n, d)."""
     out = []
     for proj in ("wq", "wk", "wv"):
         x = tt.matmul(tokens, avm.params[f"avm/{modality}/{proj}"])
-        out.append(bb._split_heads(x, avm.heads))
+        out.append(_split_heads(x, avm.heads))
     return tuple(out)
 
 

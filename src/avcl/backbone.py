@@ -15,6 +15,10 @@ The forward pass runs in stages; each caller runs only those it reads:
   mean pool + L2 normalization.  Retrieval reads only these, so evaluation
   never runs the joint fusion.
 
+Every transformer block (encoders, joint fusion, contrastive fusion,
+decoder) is one call of ``tt.prenorm_block``: a single tape node when
+gradients are recorded, plain numpy under ``no_grad``.
+
 Masking semantics: a masked training batch enters the encoders as its
 visible tokens only (``visible_tokens``): each row's visible patches come
 first, and the batch is cut to its largest visible count.  Rows with fewer
@@ -181,34 +185,16 @@ def embed(ps: PatchSet, state: BackboneState) -> Tensor:
     return tt.add(x, tt.gather_rows(pos, ps.indices))
 
 
-def _split_heads(x: Tensor, heads: int) -> Tensor:
-    b, n, d = x.shape
-    return tt.transpose(tt.reshape(x, (b, n, heads, d // heads)), (0, 2, 1, 3))
-
-
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, n, hd = x.shape
-    return tt.reshape(tt.transpose(x, (0, 2, 1, 3)), (b, n, h * hd))
-
-
-def _attention(params, prefix, x: Tensor, bias: Tensor | None, heads: int) -> Tensor:
-    """Multi-head attention of every block; ``tt.attention`` records it as one
-    tape node, so no (n, n) logits stay on the tape."""
-    q = _split_heads(tt.linear(x, params[f"{prefix}/attn/wq"], params[f"{prefix}/attn/bq"]), heads)
-    k = _split_heads(tt.linear(x, params[f"{prefix}/attn/wk"], params[f"{prefix}/attn/bk"]), heads)
-    v = _split_heads(tt.linear(x, params[f"{prefix}/attn/wv"], params[f"{prefix}/attn/bv"]), heads)
-    out = tt.attention(q, k, v, bias)
-    return tt.linear(_merge_heads(out), params[f"{prefix}/attn/wo"], params[f"{prefix}/attn/bo"])
+_BLOCK_PARAMS = ("ln1/gain", "ln1/bias", "attn/wq", "attn/bq", "attn/wk", "attn/bk",
+                 "attn/wv", "attn/bv", "attn/wo", "attn/bo", "ln2/gain", "ln2/bias",
+                 "mlp/w1", "mlp/b1", "mlp/w2", "mlp/b2")
 
 
 def _block(params, prefix, x: Tensor, bias: Tensor | None, cfg: BackboneConfig) -> Tensor:
-    eps = cfg.layernorm_eps
-    h = tt.layernorm(x, params[f"{prefix}/ln1/gain"], params[f"{prefix}/ln1/bias"], eps)
-    x = tt.add(x, _attention(params, prefix, h, bias, cfg.heads))
-    h = tt.layernorm(x, params[f"{prefix}/ln2/gain"], params[f"{prefix}/ln2/bias"], eps)
-    m = tt.linear(tt.gelu(tt.linear(h, params[f"{prefix}/mlp/w1"], params[f"{prefix}/mlp/b1"])),
-                  params[f"{prefix}/mlp/w2"], params[f"{prefix}/mlp/b2"])
-    return tt.add(x, m)
+    """One pre-norm block (layernorm -> attention -> residual -> layernorm ->
+    MLP -> residual), recorded as one tape node by ``tt.prenorm_block``."""
+    return tt.prenorm_block(x, [params[f"{prefix}/{name}"] for name in _BLOCK_PARAMS],
+                            bias, cfg.heads, cfg.layernorm_eps)
 
 
 def _stack(params, base, count, x, bias, cfg):

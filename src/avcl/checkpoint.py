@@ -75,14 +75,18 @@ def read_entries(fh) -> dict[str, np.ndarray]:
             count *= ext
             if 8 * count > end - fh.tell():
                 raise CheckpointError("truncated payload")
-        payload = take(8 * count, "payload")
         if name in out:
             raise CheckpointError(f"duplicate tensor name {name!r}")
-        arr = np.frombuffer(payload, dtype=_F64LE, count=count).astype(np.float64)
         try:
-            out[name] = arr.reshape(shape).copy(order="C")
-        except ValueError:
+            arr = np.empty(shape, dtype=np.float64)
+        except (ValueError, OverflowError):
             raise CheckpointError(f"invalid extents {shape} for {name!r}") from None
+        # the payload lands in the array's own buffer: no bytes copy
+        if fh.readinto(arr) != arr.nbytes:
+            raise CheckpointError("truncated payload")
+        if not _F64LE.isnative:
+            arr.byteswap(inplace=True)
+        out[name] = arr
     return out
 
 
@@ -115,13 +119,3 @@ def save(path, tensors: dict[str, np.ndarray]) -> None:
 def load(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fh:
         return read_entries(fh)
-
-
-def to_bytes(tensors: dict[str, np.ndarray]) -> bytes:
-    buf = io.BytesIO()
-    write_entries(buf, tensors)
-    return buf.getvalue()
-
-
-def from_bytes(data: bytes) -> dict[str, np.ndarray]:
-    return read_entries(io.BytesIO(data))

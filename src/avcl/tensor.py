@@ -9,8 +9,15 @@ Design constraints baked in here:
 
 * float64 everywhere — every recorded op's output is validated to be
   finite; overflow/NaN raises :class:`NumericError` rather than
-  propagating silently.  The fused ``attention`` node checks its output,
-  which covers its probabilities, and ``backward`` checks every gradient.
+  propagating silently, and ``backward`` checks every gradient.
+* Two fused nodes do the work of a whole op chain each, with a backward
+  rule written out by hand: ``attention`` (softmax(q k^T/sqrt(d) + bias) v)
+  and ``prenorm_block`` (a whole pre-norm transformer block).  Each checks
+  only its output; a NaN or inf in any intermediate (logits,
+  probabilities, normalized activations, the MLP's hidden units) reaches
+  that output, so it still raises.  Both share their numpy bodies with
+  ``attention``, ``layernorm`` and ``gelu`` and reproduce the unfused
+  chain's arithmetic.
 * Leaves created with ``requires_grad=True`` allocate a zero gradient buffer
   up front, so a leaf that ends up disconnected from the loss still reports
   an all-zero gradient instead of erroring.
@@ -397,16 +404,34 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
+def _gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x * Phi(x), Phi(x)); the cdf is what the backward rule reads."""
+    cdf = _erf(x / _SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
+    return x * cdf, cdf
+
+
+def _gelu_slope(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """d gelu / dx = Phi(x) + x * phi(x), in a fresh buffer."""
+    s = -0.5 * x
+    s *= x
+    np.exp(s, out=s)
+    s *= _INV_SQRT_2PI
+    s *= x
+    s += cdf
+    return s
+
+
 def gelu(a) -> Tensor:
     """Exact Gaussian-error-linear unit: x * Phi(x)."""
     a = as_tensor(a)
-    x = a.data
-    cdf = 0.5 * (1.0 + _erf(x / _SQRT2))
-    out = x * cdf
+    out, cdf = _gelu_fwd(a.data)
 
     def grad_fn(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        return (g * (cdf + x * pdf),)
+        s = _gelu_slope(a.data, cdf)
+        s *= g
+        return (s,)
 
     return _make(out, (a,), grad_fn)
 
@@ -429,25 +454,47 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _make(out, (a,), grad_fn)
 
 
+def _layernorm_fwd(x: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """(xhat, 1/std) of a normalization over the last axis."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xc *= inv
+    return xc, inv
+
+
+def _affine(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    out = xhat * gain
+    out += bias
+    return out
+
+
+def _layernorm_bwd(g, gain, xhat, inv):
+    """(gx, ggain, gbias) of ``_affine(xhat, gain, bias)``; the gain and
+    bias gradients are summed down to the gain's shape."""
+    gy = g * gain
+    t = gy * xhat
+    m1 = gy.mean(axis=-1, keepdims=True)
+    m2 = t.mean(axis=-1, keepdims=True)
+    gy -= m1
+    np.multiply(xhat, m2, out=t)
+    gy -= t
+    gy *= inv
+    np.multiply(g, xhat, out=t)
+    return gy, _unbroadcast(t, gain.shape), _unbroadcast(g, gain.shape)
+
+
 def layernorm(x, gain, bias, eps: float = 1e-6) -> Tensor:
     """Normalize over the last axis, then scale/shift with learnable params."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    if gain.shape != bias.shape:
+        raise ShapeError("layernorm gain and bias shapes differ")
+    xhat, inv = _layernorm_fwd(x.data, eps)
 
     def grad_fn(g):
-        gy = g * gain.data
-        m1 = gy.mean(axis=-1, keepdims=True)
-        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-        gx = (gy - m1 - xhat * m2) * inv
-        ggain = _unbroadcast(g * xhat, gain.shape)
-        gbias = _unbroadcast(g, bias.shape)
-        return (gx, ggain, gbias)
+        return _layernorm_bwd(g, gain.data, xhat, inv)
 
-    return _make(xhat * gain.data + bias.data, (x, gain, bias), grad_fn)
+    return _make(_affine(xhat, gain.data, bias.data), (x, gain, bias), grad_fn)
 
 
 def l2_normalize(a, axis: int = -1, eps: float = 1e-12) -> Tensor:
@@ -501,49 +548,155 @@ def attention_logits(q, k, beta: float = 1.0) -> Tensor:
     return mul(matmul(q, swap_last(k)), scale)
 
 
+def _attention_fwd(q, k, v, bias):
+    """(softmax(q k^T / sqrt(d) + bias) v, probabilities, k^T) on arrays.
+
+    The logits buffer becomes the probabilities in place.  A NaN or +inf
+    logit turns its whole row of probabilities into NaN, which reaches the
+    output; a -inf logit is a zero weight, as a masked key's is.  The
+    arithmetic order matches ``attention_logits`` -> ``add`` -> ``softmax``
+    -> ``matmul``.
+    """
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = np.matmul(q, kt)
+        p *= 1.0 / np.sqrt(q.shape[-1])
+        if bias is not None:
+            p += bias
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=-1, keepdims=True)
+    return np.matmul(p, v), p, kt
+
+
+def _attention_bwd(g, q, kt, v, p):
+    """(gq, gk, gv) of ``_attention_fwd``; ``p`` and ``kt`` are its saved
+    probabilities and transposed keys, and are left unchanged."""
+    gv = np.matmul(p.swapaxes(-1, -2), g)
+    gl = np.matmul(g, v.swapaxes(-1, -2))
+    # (gl * p).sum(-1), one leading index at a time: the same row sums
+    # without a second probabilities-sized temporary
+    dot = np.empty(p.shape[:-1] + (1,))
+    row = np.empty(p.shape[1:])
+    for i in range(p.shape[0]):
+        np.multiply(gl[i], p[i], out=row)
+        row.sum(axis=-1, keepdims=True, out=dot[i])
+    gl -= dot
+    gl *= p
+    gl *= 1.0 / np.sqrt(q.shape[-1])
+    gq = np.matmul(gl, kt.swapaxes(-1, -2))
+    gk = np.matmul(q.swapaxes(-1, -2), gl).swapaxes(-1, -2)
+    return gq, gk, gv
+
+
+def _constant_data(bias) -> np.ndarray | None:
+    if bias is None:
+        return None
+    bias = as_tensor(bias)
+    if bias.requires_grad:
+        raise ValueError("attention bias must be a constant")
+    return bias.data
+
+
 def attention(q, k, v, bias=None) -> Tensor:
     """softmax(q k^T / sqrt(d) + bias) v as one recorded node.
 
     q: (..., n_q, d), k and v: (..., n_k, d); ``bias`` is a constant that
-    broadcasts against the (..., n_q, n_k) logits.  The logits buffer
-    becomes the probabilities in place and is the only (n_q, n_k)-sized
-    array kept for the backward pass.  The finiteness check on the output
-    covers it: a NaN or +inf logit turns its whole row of probabilities
-    into NaN, while a -inf logit is a zero weight, as a masked key's is.
-    The arithmetic order matches
-    ``attention_logits`` -> ``add`` -> ``softmax`` -> ``matmul``.
+    broadcasts against the (..., n_q, n_k) logits.  The probabilities are
+    the only (n_q, n_k)-sized array kept for the backward pass, and the
+    finiteness check on the output covers them (see ``_attention_fwd``).
     """
     q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
     if q.shape[-1] != k.shape[-1]:
         raise ShapeError("q/k feature dims differ")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeError("k/v token counts differ")
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.requires_grad:
-            raise ValueError("attention bias must be a constant")
-    scale = 1.0 / np.sqrt(q.shape[-1])
-    kt = np.ascontiguousarray(k.data.swapaxes(-1, -2))
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = np.matmul(q.data, kt)
-        p *= scale
-        if bias is not None:
-            p += bias.data
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
-    out = np.matmul(p, v.data)
+    out, p, kt = _attention_fwd(q.data, k.data, v.data, _constant_data(bias))
 
     def grad_fn(g):
-        gv = np.matmul(p.swapaxes(-1, -2), g)
-        gp = np.matmul(g, v.data.swapaxes(-1, -2))
-        gl = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-        gl = gl * scale
-        gq = np.matmul(gl, kt.swapaxes(-1, -2))
-        gk = np.matmul(q.data.swapaxes(-1, -2), gl).swapaxes(-1, -2)
-        return (gq, gk, gv)
+        return _attention_bwd(g, q.data, kt, v.data, p)
 
     return _make(out, (q, k, v), grad_fn)
+
+
+def prenorm_block(x, weights, bias, heads: int, eps: float) -> Tensor:
+    """One pre-norm transformer block as one recorded node:
+
+        x1 = x + Wo . MHA(LN1(x), bias) + bo
+        y  = x1 + W2 . gelu(W1 . LN2(x1) + b1) + b2
+
+    x: (B, n, D); ``weights`` are the block's 16 parameters in the order
+    ln1 gain, ln1 bias, wq, bq, wk, bk, wv, bv, wo, bo, ln2 gain, ln2 bias,
+    w1, b1, w2, b2 (every weight matrix is (in, out));
+    ``bias`` is a constant additive attention bias that broadcasts against
+    the (B, heads, n, n) logits, or None.  The node's parents are
+    ``(x, *weights)`` and its backward rule is written out here from the
+    same helpers as ``layernorm``, ``attention`` and ``gelu``; the
+    arithmetic matches that primitive chain step for step, so an isolated
+    block reproduces its output and gradients bit for bit.  Only the output
+    is finite-checked: a NaN or inf in any intermediate reaches it.
+    """
+    x = as_tensor(x)
+    weights = tuple(as_tensor(w) for w in weights)
+    if len(weights) != 16:
+        raise ShapeError("a block takes 16 parameters")
+    if x.ndim != 3:
+        raise ShapeError("block input must be (batch, tokens, dim)")
+    b, n, d = x.shape
+    if heads < 1 or d % heads:
+        raise ShapeError("block width must be a multiple of heads")
+    g1, c1, wq, bq, wk, bk, wv, bv, wo, bo, g2, c2, w1, b1, w2, b2 = (w.data for w in weights)
+    hd = d // heads
+
+    def split(t):  # (B, n, D) -> (B, H, n, hd)
+        return np.ascontiguousarray(t.reshape(b, n, heads, hd).transpose(0, 2, 1, 3))
+
+    def linear(t, w, wb):
+        out = np.matmul(t, w)
+        out += wb
+        return out
+
+    xhat1, inv1 = _layernorm_fwd(x.data, eps)
+    h1 = _affine(xhat1, g1, c1)
+    q, k, v = (split(linear(h1, w, wb)) for w, wb in ((wq, bq), (wk, bk), (wv, bv)))
+    att, p, kt = _attention_fwd(q, k, v, _constant_data(bias))
+    merged = np.ascontiguousarray(att.transpose(0, 2, 1, 3)).reshape(b, n, d)
+    x1 = linear(merged, wo, bo)
+    x1 += x.data
+    xhat2, inv2 = _layernorm_fwd(x1, eps)
+    u = linear(_affine(xhat2, g2, c2), w1, b1)
+    act, cdf = _gelu_fwd(u)
+    y = linear(act, w2, b2)
+    y += x1
+
+    def weight_grads(a, w, g):
+        """(ga, gw, gb) of ``linear(a, w, wb)``, as matmul and add reduce them."""
+        return (np.matmul(g, w.swapaxes(-1, -2)),
+                np.matmul(a.swapaxes(-1, -2), g).sum(axis=0), g.sum(axis=(0, 1)))
+
+    def grad_fn(gy):
+        gact, gw2, gb2 = weight_grads(u * cdf, w2, gy)
+        gact *= _gelu_slope(u, cdf)
+        gh2, gw1, gb1 = weight_grads(_affine(xhat2, g2, c2), w1, gact)
+        gx1, gg2, gc2 = _layernorm_bwd(gh2, g2, xhat2, inv2)
+        gx1 += gy
+        gm, gwo, gbo = weight_grads(merged, wo, gx1)
+        g_heads = _attention_bwd(gm.reshape(b, n, heads, hd).transpose(0, 2, 1, 3),
+                                 q, kt, v, p)
+        h1 = _affine(xhat1, g1, c1)
+        # a plain reshape, as the tape's: the key gradient stays a strided
+        # view, and its bias gradient (analytically zero) sums in that order
+        (gh1, gwq, gbq), (gh_k, gwk, gbk), (gh_v, gwv, gbv) = (
+            weight_grads(h1, w, g.transpose(0, 2, 1, 3).reshape(b, n, d))
+            for g, w in zip(g_heads, (wq, wk, wv)))
+        gh1 += gh_k  # the tape's order: q, then k, then v
+        gh1 += gh_v
+        gx, gg1, gc1 = _layernorm_bwd(gh1, g1, xhat1, inv1)
+        gx += gx1
+        return (gx, gg1, gc1, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,
+                gg2, gc2, gw1, gb1, gw2, gb2)
+
+    return _make(y, (x, *weights), grad_fn)
 
 
 def weighted_mean_pool(x, axis: int, weights=None) -> Tensor:

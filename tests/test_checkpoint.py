@@ -9,6 +9,16 @@ import pytest
 from avcl import checkpoint as ckpt
 
 
+def _to_bytes(tensors):
+    buf = io.BytesIO()
+    ckpt.write_entries(buf, tensors)
+    return buf.getvalue()
+
+
+def _from_bytes(raw):
+    return ckpt.read_entries(io.BytesIO(raw))
+
+
 def test_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     tensors = {
@@ -31,7 +41,7 @@ def test_roundtrip_bit_exact(tmp_path):
 
 def test_entry_byte_layout_is_as_documented():
     arr = np.array([[1.0, 2.0], [3.0, 4.0]])
-    raw = ckpt.to_bytes({"ab": arr})
+    raw = _to_bytes({"ab": arr})
     off = 0
     (name_len,) = struct.unpack_from("<Q", raw, off)
     off += 8
@@ -51,43 +61,43 @@ def test_entry_byte_layout_is_as_documented():
 
 def test_unicode_names_roundtrip():
     tensors = {"päramiétro/τ": np.arange(3.0)}
-    back = ckpt.from_bytes(ckpt.to_bytes(tensors))
+    back = _from_bytes(_to_bytes(tensors))
     assert list(back) == list(tensors)
 
 
 def test_duplicate_name_on_read_rejected():
-    raw = ckpt.to_bytes({"x": np.zeros(2)})
+    raw = _to_bytes({"x": np.zeros(2)})
     with pytest.raises(ckpt.CheckpointError):
         ckpt.read_entries(io.BytesIO(raw + raw))
 
 
 def test_truncated_file_rejected():
-    raw = ckpt.to_bytes({"x": np.zeros(4)})
+    raw = _to_bytes({"x": np.zeros(4)})
     for cut in (4, len(raw) - 8, len(raw) - 1):
         with pytest.raises(ckpt.CheckpointError):
-            ckpt.from_bytes(raw[:cut])
+            _from_bytes(raw[:cut])
 
 
 def test_serialized_size_matches_actual():
     rng = np.random.default_rng(1)
     tensors = {"a": rng.normal(size=(7,)), "bß": rng.normal(size=(2, 3, 4))}
-    assert ckpt.serialized_size(tensors) == len(ckpt.to_bytes(tensors))
+    assert ckpt.serialized_size(tensors) == len(_to_bytes(tensors))
 
 
 def test_empty_container():
-    assert ckpt.from_bytes(b"") == {}
+    assert _from_bytes(b"") == {}
     assert ckpt.serialized_size({}) == 0
 
 
 def test_rank_zero_tensor():
-    back = ckpt.from_bytes(ckpt.to_bytes({"s": np.array(2.5)}))
+    back = _from_bytes(_to_bytes({"s": np.array(2.5)}))
     assert back["s"].shape == ()
     assert back["s"] == 2.5
 
 
 def _header_fields(name="ab", shape=(2, 3)):
     """One entry split at its header fields: name_len, rank, extents."""
-    raw = ckpt.to_bytes({name: np.ones(shape)})
+    raw = _to_bytes({name: np.ones(shape)})
     n = len(name.encode("utf-8"))
     rank_at = 8 + n
     ext_at = rank_at + 8
@@ -102,7 +112,7 @@ def test_oversize_header_value_rejected(field, value):
     bad = bytearray(raw)
     struct.pack_into("<Q", bad, offsets[field], value)
     with pytest.raises(ckpt.CheckpointError):
-        ckpt.from_bytes(bytes(bad))
+        _from_bytes(bytes(bad))
 
 
 def test_overflowing_extent_product_rejected():
@@ -110,11 +120,11 @@ def test_overflowing_extent_product_rejected():
     bad = bytearray(raw)
     struct.pack_into("<QQ", bad, offsets["extents"], 2**31, 2**31)
     with pytest.raises(ckpt.CheckpointError):
-        ckpt.from_bytes(bytes(bad))
+        _from_bytes(bytes(bad))
     # a zero extent beside an impossible one: no payload, still invalid
     struct.pack_into("<QQ", bad, offsets["extents"], 0, 2**63)
     with pytest.raises(ckpt.CheckpointError):
-        ckpt.from_bytes(bytes(bad))
+        _from_bytes(bytes(bad))
 
 
 @pytest.mark.parametrize("field", ["name_len", "rank", "extents"])
@@ -122,11 +132,11 @@ def test_truncation_inside_each_header_field_rejected(field):
     raw, offsets = _header_fields()
     start = offsets[field]
     end = start + (16 if field == "extents" else 8)
-    lead = ckpt.to_bytes({"ok": np.zeros(2)})  # cuts also land mid-file
+    lead = _to_bytes({"ok": np.zeros(2)})  # cuts also land mid-file
     for cut in range(max(start, 1), end + 1):
         for prefix in (b"", lead):
             with pytest.raises(ckpt.CheckpointError):
-                ckpt.from_bytes(prefix + raw[:cut])
+                _from_bytes(prefix + raw[:cut])
 
 
 def test_random_header_corruption_never_escapes():
@@ -137,15 +147,39 @@ def test_random_header_corruption_never_escapes():
         at = int(rng.integers(0, 40))
         bad[at:at + 8] = rng.integers(0, 256, size=8, dtype=np.uint8).tobytes()
         try:
-            back = ckpt.from_bytes(bytes(bad[:len(raw)]))
+            back = _from_bytes(bytes(bad[:len(raw)]))
         except ckpt.CheckpointError:
             continue
         assert sum(a.size for a in back.values()) * 8 <= len(raw)
 
 
 def test_non_utf8_name_rejected():
-    raw = bytearray(ckpt.to_bytes({"ab": np.zeros(1)}))
+    raw = bytearray(_to_bytes({"ab": np.zeros(1)}))
     raw[8] = 0xFF
     with pytest.raises(ckpt.CheckpointError):
-        ckpt.from_bytes(bytes(raw))
+        _from_bytes(bytes(raw))
 
+
+
+def test_loaded_arrays_own_writeable_c_contiguous_buffers(tmp_path):
+    rng = np.random.default_rng(2)
+    tensors = {"m": rng.normal(size=(3, 4)), "s": np.array(1.5), "e": np.zeros((0, 3)),
+               "t": np.asfortranarray(rng.normal(size=(2, 3, 2)))}
+    ckpt.save(tmp_path / "t.ckpt", tensors)
+    for back in (ckpt.load(tmp_path / "t.ckpt"), _from_bytes(_to_bytes(tensors))):
+        for name, arr in back.items():
+            assert arr.flags.c_contiguous and arr.flags.writeable, name
+            assert arr.flags.owndata and arr.base is None, name
+            assert arr.dtype == np.float64 and np.array_equal(arr, tensors[name]), name
+
+
+def test_short_payload_read_rejected():
+    """A payload read that returns fewer bytes than the header promised (the
+    file shrank under the reader) is a CheckpointError."""
+
+    class Shrinking(io.BytesIO):
+        def readinto(self, buf):
+            return max(super().readinto(buf) - 8, 0)
+
+    with pytest.raises(ckpt.CheckpointError, match="truncated"):
+        ckpt.read_entries(Shrinking(_to_bytes({"x": np.ones(3)})))

@@ -1,6 +1,8 @@
 """Rehearsal memory tests: reservoir statistics, replay sampling, the
 feature-drift penalty, byte accounting, and snapshot round-trips."""
 
+import io
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -320,8 +322,15 @@ def _churned_memory(scored=True):
     return mem
 
 
+def _container_bytes(arrays):
+    buf = io.BytesIO()
+    cp.write_entries(buf, arrays)
+    return buf.getvalue()
+
+
 def _through_container(mem):
-    return rm.memory_from_arrays(cp.from_bytes(cp.to_bytes(rm.snapshot_arrays(mem))),
+    raw = _container_bytes(rm.snapshot_arrays(mem))
+    return rm.memory_from_arrays(cp.read_entries(io.BytesIO(raw)),
                                  mem.capacity, _field_shapes(mem))
 
 
@@ -349,7 +358,7 @@ def test_snapshot_is_in_slot_order_and_deterministic():
     assert list(arrays["memory/steps"]) == list(mem.steps)
     assert np.array_equal(arrays["memory/field/audio_patches"],
                           mem.fields["audio_patches"])
-    assert cp.to_bytes(arrays) == cp.to_bytes(rm.snapshot_arrays(mem))
+    assert _container_bytes(arrays) == _container_bytes(rm.snapshot_arrays(mem))
     assert not any("entry" in k for k in arrays)
 
 
@@ -358,7 +367,7 @@ def test_partially_filled_snapshot_roundtrips():
     _insert(mem, 0, np.random.default_rng(19), rows=2)
     back = _through_container(mem)
     assert len(back) == 2 and back.fields["audio_patches"].shape[0] == 5
-    assert cp.to_bytes(rm.snapshot_arrays(back)) == cp.to_bytes(rm.snapshot_arrays(mem))
+    assert _container_bytes(rm.snapshot_arrays(back)) == _container_bytes(rm.snapshot_arrays(mem))
 
 
 def test_inconsistent_snapshot_rejected():

@@ -232,6 +232,66 @@ def test_fused_attention_nonfinite_gradient_raises():
     assert not q.grad.any() and not k.grad.any() and not v.grad.any()
 
 
+def block_weights(rng, d=4, hidden=6):
+    """The 16 leaves of one ``prenorm_block``, in the order it takes them."""
+    shapes = [(d,), (d,)] + [(d, d), (d,)] * 4 + [(d,), (d,), (d, hidden), (hidden,),
+                                                  (hidden, d), (d,)]
+    ws = [leaf(rng, *s) for s in shapes]
+    for gain in (ws[0], ws[10]):
+        gain.data += 1.0
+    return ws
+
+
+def test_block_records_one_node():
+    rng = np.random.default_rng(45)
+    x, ws = leaf(rng, 2, 3, 4), block_weights(rng)
+    out = tt.prenorm_block(x, ws, None, 2, 1e-6)
+    assert out.shape == (2, 3, 4)
+    assert out._parents == (x, *ws)
+    with tt.no_grad():
+        quiet = tt.prenorm_block(x, ws, None, 2, 1e-6)
+    assert not quiet.requires_grad and quiet._parents == () and quiet._grad_fn is None
+    assert np.array_equal(quiet.data, out.data)
+    with pytest.raises(tt.ShapeError):
+        tt.prenorm_block(x, ws, None, 3, 1e-6)  # 4 is no multiple of 3 heads
+    with pytest.raises(tt.ShapeError):
+        tt.prenorm_block(x, ws[:-1], None, 2, 1e-6)
+    with pytest.raises(ValueError, match="constant"):
+        tt.prenorm_block(x, ws, leaf(rng, 2, 1, 1, 3), 2, 1e-6)
+
+
+def test_fd_prenorm_block():
+    rng = np.random.default_rng(46)
+    x, ws = leaf(rng, 2, 3, 4), block_weights(rng)
+    w = Tensor(rng.normal(size=(2, 3, 4)))
+    for bias in (None, _padding_bias(2, 3, [1, 0])):
+        check_grads(lambda: tt.sum_(tt.mul(tt.prenorm_block(x, ws, bias, 2, 1e-6), w)),
+                    [x, *ws])
+
+
+def test_block_nonfinite_forward_raises():
+    rng = np.random.default_rng(47)
+    x, ws = leaf(rng, 2, 3, 4), block_weights(rng)
+    x.data[1, 2, 0] = np.nan
+    with pytest.raises(tt.NumericError):
+        tt.prenorm_block(x, ws, None, 2, 1e-6)
+    # a finite input whose attention logits overflow to inf
+    x.data[1, 2, 0] = 0.0
+    ws[2].data[...] = ws[4].data[...] = 1e200
+    with pytest.raises(tt.NumericError):
+        tt.prenorm_block(x, ws, None, 2, 1e-6)
+
+
+def test_block_nonfinite_gradient_raises():
+    rng = np.random.default_rng(48)
+    x, ws = leaf(rng, 2, 3, 4), block_weights(rng)
+    out = tt.prenorm_block(x, ws, None, 2, 1e-6)
+    poisoned = tt._make(out.data.copy(), (out,), lambda g: (np.full_like(g, np.nan),))
+    with pytest.raises(tt.NumericError, match="gradient"):
+        tt.backward(tt.sum_(poisoned))
+    assert not x.grad.any() and not any(w.grad.any() for w in ws)
+
+
 def test_weighted_mean_pool_values():
     x = Tensor(np.array([[2.0, 4.0, 6.0]]))
     out = tt.weighted_mean_pool(x, axis=1)

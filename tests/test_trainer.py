@@ -410,6 +410,54 @@ def test_masked_encoders_see_only_visible_tokens(tasks, geom, mcfg, monkeypatch)
         assert tokens < (aps if modality == "audio" else vps).count
 
 
+def test_each_block_is_one_tape_node(tasks, geom, mcfg, monkeypatch):
+    """The tape budget of a replaying derpp step: the backward sweep reaches
+    exactly one node per block call (7 on this geometry: two encoders, the
+    joint fusion, the decoder per modality and the contrastive fusion per
+    modality), and no layernorm, attention or gelu node except the two
+    ``ln_audio``/``ln_video`` layernorms before pooling."""
+    run, cfg, (aps, vps) = _warm_derpp_run(tasks, geom, mcfg)
+    made_by = {}
+    make, backward = tt._make, tt.backward
+    block_calls = []
+    sweeps = []
+
+    def recorded_make(data, parents, grad_fn):
+        out = make(data, parents, grad_fn)
+        if out._grad_fn is not None:
+            made_by[id(out)] = sys._getframe(1).f_code.co_name
+        return out
+
+    def counted_block(*args, **kwargs):
+        block_calls.append(1)
+        return block(*args, **kwargs)
+
+    def walked_backward(loss):
+        ops = {}
+        seen, stack = {id(loss)}, [loss]
+        while stack:
+            node = stack.pop()
+            if node._grad_fn is not None:
+                ops[made_by[id(node)]] = ops.get(made_by[id(node)], 0) + 1
+            for p in node._parents:
+                if p.requires_grad and id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        sweeps.append(ops)
+        return backward(loss)
+
+    block = tt.prenorm_block
+    monkeypatch.setattr(tt, "_make", recorded_make)
+    monkeypatch.setattr(tt, "prenorm_block", counted_block)
+    monkeypatch.setattr(tt, "backward", walked_backward)
+    rec = tr.train_step(run, mcfg, cfg, aps, vps)
+    assert rec.penalty > 0.0  # the step replayed
+    (ops,) = sweeps
+    assert len(block_calls) == ops["prenorm_block"] == 7
+    assert ops.get("layernorm") == 2
+    assert "attention" not in ops and "gelu" not in ops
+
+
 def test_threaded_evaluation_leaves_grad_mode_on(tasks, geom, mcfg):
     run, _, _ = tr.run_sequence(tasks[:1], geom, mcfg, _cfg("finetune"))
     serial = tr.evaluate_tasks(run.state, tasks, 1, geom, workers=1)
