@@ -39,22 +39,18 @@ class AvmParams:
             p.data = np.ascontiguousarray(arrays[k], dtype=np.float64)
 
 
-def init_avm(cfg: bb.BackboneConfig, rng: np.random.Generator,
-             head_hidden: int | None = None) -> AvmParams:
+def init_avm(cfg: bb.BackboneConfig, rng: np.random.Generator) -> AvmParams:
     # Fan-in scaling: unlike the backbone blocks there is no normalization
     # anywhere in this head, so a fixed small init would shrink activations
     # multiplicatively across the three layers and stall training.
     d = cfg.embed_dim
-    hidden = d if head_hidden is None else int(head_hidden)
-    if hidden < 1:
-        raise ValueError("head_hidden must be positive")
     p: dict[str, Tensor] = {}
     for mod in ("audio", "video"):
         for proj in ("wq", "wk", "wv"):
             p[f"avm/{mod}/{proj}"] = tt.parameter((d, d), rng, scale=d ** -0.5)
-    p["avm/head/w1"] = tt.parameter((2 * d, hidden), rng, scale=(2 * d) ** -0.5)
-    p["avm/head/b1"] = tt.parameter(np.zeros(hidden))
-    p["avm/head/w2"] = tt.parameter((hidden, 1), rng, scale=hidden ** -0.5)
+    p["avm/head/w1"] = tt.parameter((2 * d, d), rng, scale=(2 * d) ** -0.5)
+    p["avm/head/b1"] = tt.parameter(np.zeros(d))
+    p["avm/head/w2"] = tt.parameter((d, 1), rng, scale=d ** -0.5)
     p["avm/head/b2"] = tt.parameter(np.zeros(1))
     return AvmParams(cfg.heads, p)
 

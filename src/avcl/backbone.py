@@ -161,7 +161,7 @@ def visible_tokens(ps: PatchSet, mask: np.ndarray
     keep = np.argsort(mask, axis=1, kind="stable")[:, :k]
     compact = PatchSet(np.take_along_axis(ps.patches, keep[:, :, None], axis=1),
                        np.take_along_axis(ps.indices, keep, axis=1),
-                       ps.modality, ps.grid, ps.patch)
+                       ps.modality, ps.grid)
     rank = np.cumsum(~mask, axis=1) - 1  # a visible slot's compact column
     rows = np.arange(mask.shape[0])[:, None]
     slots = np.where(mask, -1, rows * k + rank)

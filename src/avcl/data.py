@@ -222,7 +222,6 @@ class PatchSet:
     indices: np.ndarray  # (B, n) int64 flat grid indices
     modality: str  # "audio" | "video"
     grid: tuple[int, ...]  # audio: (num_time, num_freq); video: (frames, rows, cols)
-    patch: int
 
     def __post_init__(self):
         self.patches = np.asarray(self.patches, dtype=np.float64)
@@ -326,7 +325,7 @@ def full_patchset(patches: np.ndarray, modality: str, geom: SceneGeometry) -> Pa
     if n != g.patches:
         raise DataError("patch count does not match geometry")
     idx = np.broadcast_to(np.arange(n, dtype=np.int64), (b, n)).copy()
-    return PatchSet(patches, idx, modality, grid, g.patch)
+    return PatchSet(patches, idx, modality, grid)
 
 
 # ---------------------------------------------------------------------------

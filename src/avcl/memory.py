@@ -160,7 +160,10 @@ def memory_from_arrays(arrays: dict[str, np.ndarray], capacity: int,
     """Inverse of :func:`snapshot_arrays`; ``arrays`` may hold other keys.
     The snapshot must hold ``capacity`` and, unless it is empty, exactly the
     stored ``fields`` (name -> per-entry shape), all checked before any
-    allocation."""
+    allocation.  A full snapshot's columns are adopted as they are when they
+    own writeable C-contiguous float64 buffers, as the checkpoint reader
+    returns them; views, such as those of :func:`snapshot_arrays`, are
+    copied."""
     try:
         stored_capacity = int(arrays["memory/capacity"][0])
         seen = int(arrays["memory/seen"][0])
@@ -185,6 +188,9 @@ def memory_from_arrays(arrays: dict[str, np.ndarray], capacity: int,
     mem.steps[:count] = steps
     mem.tasks[:count] = tasks
     for name, col in stored.items():
-        mem.fields[name] = np.zeros((capacity,) + col.shape[1:])
-        mem.fields[name][:count] = col
+        if count == capacity:
+            mem.fields[name] = np.require(col, np.float64, "CWO")
+        else:
+            mem.fields[name] = np.zeros((capacity,) + col.shape[1:])
+            mem.fields[name][:count] = col
     return mem

@@ -5,18 +5,21 @@ importance-sorted query/key gathering, past-vs-current correlation scores,
 probabilistic video patch selection, audio time-chunk selection, and the
 final patch gather.
 
-Randomness protocol (relied on by tests and by bit-exact replays): every
-select_* call spawns one child generator per batch row via ``rng.spawn(B)``
-and consumes, per row, first the Bernoulli exclusion draws (a single
-``random(kappa)`` call — drawn even when correlation is absent so that a run
-with no memory consumes the same stream as one with correlation forced to
-zero), then the weighted draws-without-replacement one ``random()`` at a
-time. Degenerate paths that select "everything with positive mass" skip the
-weighted draws entirely.
+Randomness protocol (relied on by tests and by bit-exact replays), owned by
+``_select_rows`` for both modalities: every select_* call spawns one child
+generator per batch row via ``rng.spawn(B)`` and consumes, per row, first
+the Bernoulli exclusion draws (a single ``random(kappa)`` call — drawn even
+when correlation is absent so that a run with no memory consumes the same
+stream as one with correlation forced to zero), then the modality's own
+weighted draws-without-replacement one ``random()`` at a time: patches by
+importance for video, the time-chunk schedule for audio. Degenerate video
+rows that select "everything with positive mass" skip the weighted draws
+entirely.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,20 +132,42 @@ def _draw_without_replacement(rng: np.random.Generator, weights: np.ndarray,
     return out
 
 
-def _fallback_fill(selected: np.ndarray, c_full: np.ndarray, need: int) -> list[int]:
-    """Deterministic fill for degenerate rows: unselected patches ordered by
-    ascending correlation (least past-correlated first), index-stable."""
-    cand = np.flatnonzero(~selected)
-    order = np.lexsort((cand, c_full[cand]))
-    return list(cand[order][:need])
+def _select_rows(importance: np.ndarray, correlation: np.ndarray | None,
+                 kap: int, rng: np.random.Generator,
+                 draw: Callable[[np.ndarray, np.ndarray, np.random.Generator],
+                                Sequence[int]]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The per-row protocol both selectors share.
 
-
-def _row_flags(rng: np.random.Generator, correlation: np.ndarray | None,
-               kap: int) -> np.ndarray:
-    draws = rng.random(kap)
-    if correlation is None:
-        return np.zeros(kap, dtype=bool)
-    return draws < correlation
+    The top-kappa patches by importance (stable ascending order) are the
+    scored ones; ``correlation[:, j]`` belongs to the j-th of them.  Per row
+    and child generator: Bernoulli(correlation) flags on the scored patches
+    from one ``random(kappa)`` call, then ``draw(importance_row, flagged,
+    child)``, which returns at most kappa distinct picks.  A short row is
+    filled deterministically with unpicked patches by ascending correlation
+    (least past-correlated first, unscored patches counting as zero),
+    index-stable.  Returns (ascending indices (B, kappa), flags (B, n))."""
+    b, n = importance.shape
+    if not 1 <= kap <= n:
+        raise SelectionError(f"kappa {kap} out of range for {n} patches")
+    if correlation is not None and correlation.shape != (b, kap):
+        raise SelectionError("correlation must be (B, kappa)")
+    scored = np.argsort(importance, axis=1, kind="stable")[:, -kap:]
+    selected = np.empty((b, kap), dtype=np.int64)
+    flags = np.zeros((b, n), dtype=bool)
+    for row, child in enumerate(rng.spawn(b)):
+        draws = child.random(kap)
+        c_full = np.zeros(n)
+        if correlation is not None:
+            flags[row, scored[row][draws < correlation[row]]] = True
+            c_full[scored[row]] = correlation[row]
+        picks = np.asarray(draw(importance[row], flags[row], child), dtype=np.int64)
+        if len(picks) < kap:
+            cand = np.setdiff1d(np.arange(n), picks)
+            fill = cand[np.lexsort((cand, c_full[cand]))][:kap - len(picks)]
+            picks = np.concatenate([picks, fill])
+        selected[row] = np.sort(picks)
+    return selected, flags
 
 
 def select_video(importance: np.ndarray, correlation: np.ndarray | None,
@@ -155,34 +180,14 @@ def select_video(importance: np.ndarray, correlation: np.ndarray | None,
     the Bernoulli stream is still consumed so runs with and without stored
     correlation stay stream-aligned. Returns (ascending indices (B, kappa),
     full-length exclusion flags (B, n))."""
-    b, n = importance.shape
-    if not 1 <= kap <= n:
-        raise SelectionError(f"kappa {kap} out of range for {n} patches")
-    if correlation is not None and correlation.shape != (b, kap):
-        raise SelectionError("correlation must be (B, kappa)")
-    order = np.argsort(importance, axis=1, kind="stable")
-    scored = order[:, -kap:]
-    selected = np.empty((b, kap), dtype=np.int64)
-    flags_full = np.zeros((b, n), dtype=bool)
-    for row, child in enumerate(rng.spawn(b)):
-        f = _row_flags(child, None if correlation is None else correlation[row], kap)
-        flags_full[row, scored[row][f]] = True
-        itil = importance[row].copy()
-        itil[flags_full[row]] = 0.0
-        c_full = np.zeros(n)
-        if correlation is not None:
-            c_full[scored[row]] = correlation[row]
-        positive = itil > 0.0
-        if positive.sum() >= kap:
-            picks = _draw_without_replacement(child, itil, kap)
-        else:
-            picks = list(np.flatnonzero(positive))
-        if len(picks) < kap:
-            chosen = np.zeros(n, dtype=bool)
-            chosen[picks] = True
-            picks.extend(_fallback_fill(chosen, c_full, kap - len(picks)))
-        selected[row] = np.sort(np.asarray(picks, dtype=np.int64))
-    return selected, flags_full
+    def draw(imp_row, flagged, child):
+        weights = np.where(flagged, 0.0, imp_row)
+        positive = weights > 0.0
+        if positive.sum() < kap:
+            return np.flatnonzero(positive)
+        return _draw_without_replacement(child, weights, kap)
+
+    return _select_rows(importance, correlation, kap, rng, draw)
 
 
 def select_audio(importance: np.ndarray, correlation: np.ndarray | None,
@@ -198,52 +203,31 @@ def select_audio(importance: np.ndarray, correlation: np.ndarray | None,
     the final chunk's tail to land exactly on kappa. Rows that run out of
     unflagged chunk patches fall back to ascending-correlation fill.
     Returns (ascending indices (B, kappa), full-length flags (B, M))."""
-    b, m = importance.shape
     num_time, num_freq = grid
-    if num_time * num_freq != m:
+    if num_time * num_freq != importance.shape[1]:
         raise SelectionError("grid does not match importance width")
-    if not 1 <= kap <= m:
-        raise SelectionError(f"kappa {kap} out of range for {m} patches")
     if chunk_size < 1 or chunk_size > num_time:
         raise SelectionError("chunk_size must lie in [1, num_time]")
-    if correlation is not None and correlation.shape != (b, kap):
-        raise SelectionError("correlation must be (B, kappa)")
-    order = np.argsort(importance, axis=1, kind="stable")
-    scored = order[:, -kap:]
     num_chunks = num_time // chunk_size
-    selected = np.empty((b, kap), dtype=np.int64)
-    flags_full = np.zeros((b, m), dtype=bool)
-    for row, child in enumerate(rng.spawn(b)):
-        f = _row_flags(child, None if correlation is None else correlation[row], kap)
-        flags_full[row, scored[row][f]] = True
-        c_full = np.zeros(m)
-        if correlation is not None:
-            c_full[scored[row]] = correlation[row]
-        time_mass = importance[row].reshape(num_time, num_freq).sum(axis=1)
+    span = chunk_size * num_freq
+
+    def draw(imp_row, flagged, child):
+        time_mass = imp_row.reshape(num_time, num_freq).sum(axis=1)
         chunk_mass = time_mass[:num_chunks * chunk_size]
         chunk_mass = chunk_mass.reshape(num_chunks, chunk_size).mean(axis=1)
         chunk_order = _draw_without_replacement(child, chunk_mass, num_chunks)
         # zero-mass chunks (possible on generic inputs) keep a deterministic
         # ascending-index order at the end of the schedule
-        if len(chunk_order) < num_chunks:
-            rest = sorted(set(range(num_chunks)) - set(chunk_order))
-            chunk_order.extend(rest)
-        chosen = np.zeros(m, dtype=bool)
-        count = 0
+        chunk_order += sorted(set(range(num_chunks)) - set(chunk_order))
+        picks: list[int] = []
         for c in chunk_order:
-            lo = c * chunk_size * num_freq
-            hi = lo + chunk_size * num_freq
-            kept = np.flatnonzero(~flags_full[row, lo:hi]) + lo
-            take = kept[:kap - count]
-            chosen[take] = True
-            count += len(take)
-            if count == kap:
+            kept = np.flatnonzero(~flagged[c * span:(c + 1) * span]) + c * span
+            picks.extend(kept[:kap - len(picks)])
+            if len(picks) == kap:
                 break
-        picks = list(np.flatnonzero(chosen))
-        if count < kap:
-            picks.extend(_fallback_fill(chosen, c_full, kap - count))
-        selected[row] = np.sort(np.asarray(picks, dtype=np.int64))
-    return selected, flags_full
+        return picks
+
+    return _select_rows(importance, correlation, kap, rng, draw)
 
 
 def gather_selected(ps: PatchSet, selected: np.ndarray) -> PatchSet:
@@ -259,30 +243,4 @@ def gather_selected(ps: PatchSet, selected: np.ndarray) -> PatchSet:
     patches = np.take_along_axis(ps.patches, selected[:, :, None], axis=1)
     indices = np.take_along_axis(ps.indices, selected, axis=1)
     return PatchSet(np.ascontiguousarray(patches), np.ascontiguousarray(indices),
-                    ps.modality, ps.grid, ps.patch)
-
-
-def trace_rows(step: int, modality: str, importance: np.ndarray,
-               correlation: np.ndarray | None, flags_full: np.ndarray,
-               selected: np.ndarray):
-    """Yield per-patch diagnostic dicts (one per batch row and patch id)."""
-    b, n = importance.shape
-    order = np.argsort(importance, axis=1, kind="stable")
-    for row in range(b):
-        c_full = np.full(n, np.nan)
-        if correlation is not None:
-            kap = correlation.shape[1]
-            c_full[order[row, -kap:]] = correlation[row]
-        chosen = np.zeros(n, dtype=bool)
-        chosen[selected[row]] = True
-        for idx in range(n):
-            yield {
-                "step": step,
-                "modality": modality,
-                "row": row,
-                "patch_index": idx,
-                "importance": importance[row, idx],
-                "correlation": "" if np.isnan(c_full[idx]) else repr(float(c_full[idx])),
-                "flagged": int(flags_full[row, idx]),
-                "selected": int(chosen[idx]),
-            }
+                    ps.modality, ps.grid)

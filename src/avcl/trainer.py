@@ -247,43 +247,29 @@ def _run_state(state: bb.BackboneState, avm: am.AvmParams | None,
 
 @dataclass
 class _Scoring:
+    """What the attention-scoring pass produces for the current batch."""
+
     imp_a: np.ndarray  # (B, M)
     imp_v: np.ndarray  # (B, N)
-    kap_a: int
-    kap_v: int
-    loc_a: sel.LocalizedQueries | None  # None for uniform (unscored) selection
-    loc_v: sel.LocalizedQueries | None
-    corr_a: np.ndarray | None  # (B, kap_a) or None before any replay exists
+    loc_a: sel.LocalizedQueries
+    loc_v: sel.LocalizedQueries
+    corr_a: np.ndarray | None  # (B, kap_a), or None when nothing is replayed
     corr_v: np.ndarray | None
-    # unmasked fusion tokens and encoder outputs of the scoring pass, reused
-    # by the AVM step
-    o_a: tt.Tensor | None = None
-    o_v: tt.Tensor | None = None
-    enc_a: tt.Tensor | None = None
-    enc_v: tt.Tensor | None = None
-
-
-def _uniform(rows: int, m: int, n: int, kap_a: int, kap_v: int) -> _Scoring:
-    """Uniform importance and no correlation: ``random_select`` scoring."""
-    return _Scoring(np.full((rows, m), 1.0 / m), np.full((rows, n), 1.0 / n),
-                    kap_a, kap_v, None, None, None, None)
+    # unmasked fusion tokens and encoder outputs, reused by the AVM step
+    o_a: tt.Tensor
+    o_v: tt.Tensor
+    enc_a: tt.Tensor
+    enc_v: tt.Tensor
 
 
 def _score_batch(run: RunState, tcfg: TrainConfig, aps: PatchSet,
                  vps: PatchSet, replay: dict[str, np.ndarray] | None
                  ) -> _Scoring:
-    """Importance and correlation for the current batch.
-
-    Scoring strategies read both off the matching module's cross-attention;
-    ``random_select`` uses uniform importance through the same downstream
-    machinery and never consults attention or memory.
-    """
-    b, m = aps.patches.shape[0], aps.count
-    n = vps.count
-    kap_a = sel.kappa(m, tcfg.rho_audio)
-    kap_v = sel.kappa(n, tcfg.rho_video)
-    if tcfg.strategy not in SCORING:
-        return _uniform(b, m, n, kap_a, kap_v)
+    """Importance and correlation for the current batch of a scoring
+    strategy, both read off the matching module's cross-attention."""
+    b = aps.patches.shape[0]
+    kap_a = sel.kappa(aps.count, tcfg.rho_audio)
+    kap_v = sel.kappa(vps.count, tcfg.rho_video)
     with tt.no_grad():
         o_a, o_v, enc_a, enc_v = am.fusion_tokens(run.state, aps, vps)
         maps = am.cross_attention(run.avm, o_a, o_v, beta=tcfg.beta)
@@ -301,47 +287,54 @@ def _score_batch(run: RunState, tcfg: TrainConfig, aps: PatchSet,
                                         replay["q_video"][pair], tcfg.beta)
         corr_v = sel.correlation_scores(loc_v.keys, loc_a.pooled,
                                         replay["q_audio"][pair], tcfg.beta)
-    return _Scoring(imp_a, imp_v, kap_a, kap_v, loc_a, loc_v, corr_a, corr_v,
+    return _Scoring(imp_a, imp_v, loc_a, loc_v, corr_a, corr_v,
                     o_a, o_v, enc_a, enc_v)
 
 
-def _select_pair(scoring: _Scoring, aps: PatchSet, vps: PatchSet,
+def _select_pair(tcfg: TrainConfig, aps: PatchSet, vps: PatchSet,
+                 imp_a: np.ndarray, imp_v: np.ndarray,
                  corr_a: np.ndarray | None, corr_v: np.ndarray | None,
-                 chunk: int, rng: np.random.Generator
-                 ) -> tuple[PatchSet, PatchSet]:
-    """Audio then video selection on one (possibly replayed) pair batch."""
-    sel_a, _ = sel.select_audio(scoring.imp_a, corr_a, scoring.kap_a,
-                                chunk, aps.grid, rng)
-    sel_v, _ = sel.select_video(scoring.imp_v, corr_v, scoring.kap_v, rng)
+                 rng: np.random.Generator) -> tuple[PatchSet, PatchSet]:
+    """Audio then video selection on one (possibly replayed) pair batch,
+    given each modality's importance and correlation (None: nothing to
+    correlate with, so no patch is flagged)."""
+    sel_a, _ = sel.select_audio(imp_a, corr_a, sel.kappa(aps.count, tcfg.rho_audio),
+                                tcfg.chunk_size, aps.grid, rng)
+    sel_v, _ = sel.select_video(imp_v, corr_v, sel.kappa(vps.count, tcfg.rho_video),
+                                rng)
     return sel.gather_selected(aps, sel_a), sel.gather_selected(vps, sel_v)
 
 
+def _select_uniformly(tcfg: TrainConfig, aps: PatchSet, vps: PatchSet,
+                      rng: np.random.Generator) -> tuple[PatchSet, PatchSet]:
+    """``random_select`` on a current or replayed batch: uniform importance,
+    no correlation, never attention or memory."""
+    return _select_pair(tcfg, aps, vps,
+                        np.full(aps.patches.shape[:2], 1.0 / aps.count),
+                        np.full(vps.patches.shape[:2], 1.0 / vps.count),
+                        None, None, rng)
+
+
 def _past_patchsets(run: RunState, tcfg: TrainConfig,
-                    replay: dict[str, np.ndarray], scoring: _Scoring,
-                    aps: PatchSet, vps: PatchSet) -> tuple[PatchSet, PatchSet]:
+                    replay: dict[str, np.ndarray], aps: PatchSet,
+                    vps: PatchSet) -> tuple[PatchSet, PatchSet]:
     """Replayed batch in the same patch layout as the current one."""
     p_aps = PatchSet(replay["audio_patches"], replay["audio_indices"],
-                     "audio", aps.grid, aps.patch)
+                     "audio", aps.grid)
     p_vps = PatchSet(replay["video_patches"], replay["video_indices"],
-                     "video", vps.grid, vps.patch)
-    if tcfg.strategy in ("er", "derpp"):
-        return p_aps, p_vps
-    if tcfg.strategy == "stella_plus":
-        # entries already hold exactly the selected patches
-        return p_aps, p_vps
+                     "video", vps.grid)
+    rng = run.streams["selection"]
     if tcfg.strategy == "stella":
         # re-run selection on the stored full grids with the scores that were
         # frozen at insertion time
-        past = _Scoring(replay["imp_audio"], replay["imp_video"],
-                        scoring.kap_a, scoring.kap_v, None, None, None, None)
-        corr_a, corr_v = replay["corr_audio"], replay["corr_video"]
-    else:
-        # random_select: fresh uniform re-selection of the stored full grids
-        past = _uniform(len(p_aps.patches), p_aps.count, p_vps.count,
-                        scoring.kap_a, scoring.kap_v)
-        corr_a = corr_v = None
-    return _select_pair(past, p_aps, p_vps, corr_a, corr_v, tcfg.chunk_size,
-                        run.streams["selection"])
+        return _select_pair(tcfg, p_aps, p_vps, replay["imp_audio"],
+                            replay["imp_video"], replay["corr_audio"],
+                            replay["corr_video"], rng)
+    if tcfg.strategy == "random_select":
+        return _select_uniformly(tcfg, p_aps, p_vps, rng)
+    # er and derpp replay full pairs; stella_plus entries already hold
+    # exactly the selected patches
+    return p_aps, p_vps
 
 
 def _concat_sets(cur: PatchSet, past: PatchSet | None) -> PatchSet:
@@ -351,7 +344,7 @@ def _concat_sets(cur: PatchSet, past: PatchSet | None) -> PatchSet:
         raise TrainError("current and replayed patch counts disagree")
     return PatchSet(np.concatenate([cur.patches, past.patches], axis=0),
                     np.concatenate([cur.indices, past.indices], axis=0),
-                    cur.modality, cur.grid, cur.patch)
+                    cur.modality, cur.grid)
 
 
 def _store_current(run: RunState, tcfg: TrainConfig,
@@ -372,12 +365,12 @@ def _store_current(run: RunState, tcfg: TrainConfig,
     if tcfg.strategy in SCORING:
         batch.update(q_audio=scoring.loc_a.pooled, q_video=scoring.loc_v.pooled)
     if tcfg.strategy == "stella":
-        b = len(a.patches)
+        no_corr = scoring.corr_a is None
         batch.update(
             imp_audio=scoring.imp_a, imp_video=scoring.imp_v,
-            corr_audio=(np.zeros((b, scoring.kap_a)) if scoring.corr_a is None
+            corr_audio=(np.zeros(scoring.loc_a.indices.shape) if no_corr
                         else scoring.corr_a),
-            corr_video=(np.zeros((b, scoring.kap_v)) if scoring.corr_v is None
+            corr_video=(np.zeros(scoring.loc_v.indices.shape) if no_corr
                         else scoring.corr_v))
     rm.reservoir_insert(run.mem, batch, run.global_step, run.diagnostic_task,
                         run.streams["memory"])
@@ -409,14 +402,16 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     scoring = None
     cur_aps, cur_vps = aps, vps
     past_aps = past_vps = None
-    if tcfg.strategy in SELECTING:
+    rng = run.streams["selection"]
+    if tcfg.strategy in SCORING:
         scoring = _score_batch(run, tcfg, aps, vps, replay)
-        cur_aps, cur_vps = _select_pair(
-            scoring, aps, vps, scoring.corr_a, scoring.corr_v,
-            tcfg.chunk_size, run.streams["selection"])
+        cur_aps, cur_vps = _select_pair(tcfg, aps, vps, scoring.imp_a,
+                                        scoring.imp_v, scoring.corr_a,
+                                        scoring.corr_v, rng)
+    elif tcfg.strategy == "random_select":
+        cur_aps, cur_vps = _select_uniformly(tcfg, aps, vps, rng)
     if replay is not None:
-        past_aps, past_vps = _past_patchsets(run, tcfg, replay, scoring,
-                                             aps, vps)
+        past_aps, past_vps = _past_patchsets(run, tcfg, replay, aps, vps)
 
     cat_aps = _concat_sets(cur_aps, past_aps)
     cat_vps = _concat_sets(cur_vps, past_vps)
@@ -657,8 +652,7 @@ def avm_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig
            if k.startswith("model/avm/")}
     if not sub:
         return None
-    avm = am.init_avm(mcfg, np.random.default_rng(0),
-                      head_hidden=sub["avm/head/w1"].shape[1])
+    avm = am.init_avm(mcfg, np.random.default_rng(0))
     avm.load_arrays(sub)
     return avm
 

@@ -213,7 +213,7 @@ def test_reused_encoder_outputs_match_encoding_the_shuffled_batch():
     enc_a, enc_v = _encoded(state, aps, vps)
     _, donors = av.negative_pairing(np.random.default_rng(8), len(aps.patches))
     shuffled = dd.PatchSet(aps.patches[donors], aps.indices[donors], "audio",
-                           aps.grid, aps.patch)
+                           aps.grid)
     want = av.fusion_tokens(state, shuffled, vps)
     assert np.array_equal(want[2].data, enc_a.data[donors])
     got = bb.forward_fused(state, Tensor(enc_a.data[donors]), enc_v, None, None)

@@ -66,7 +66,7 @@ def test_embed_respects_selected_indices():
     rng = np.random.default_rng(4)
     ps, _ = patch_batch(rng, 1)
     sub = dd.PatchSet(ps.patches[:, [5, 7]], ps.indices[:, [5, 7]], "audio",
-                      ps.grid, ps.patch)
+                      ps.grid)
     full = bb.embed(ps, st).data
     part = bb.embed(sub, st).data
     assert np.allclose(part[0, 0], full[0, 5], atol=1e-15)
@@ -133,9 +133,9 @@ def test_masked_tokens_equivalent_to_dropping_them():
         keep_a = ~m_a[bi]
         keep_v = ~m_v[bi]
         sub_a = dd.PatchSet(aps.patches[bi:bi + 1, keep_a], aps.indices[bi:bi + 1, keep_a],
-                            "audio", aps.grid, aps.patch)
+                            "audio", aps.grid)
         sub_v = dd.PatchSet(vps.patches[bi:bi + 1, keep_v], vps.indices[bi:bi + 1, keep_v],
-                            "video", vps.grid, vps.patch)
+                            "video", vps.grid)
         dropped = fused(st, sub_a, sub_v, None, None)
         for got, want, keep in zip(dropped, full, (keep_a, keep_v, keep_a, keep_v)):
             assert np.allclose(got.data[0], want.data[bi][keep], atol=1e-9)
@@ -152,7 +152,7 @@ def test_masked_content_cannot_leak():
     m_v[0, 1] = True
 
     def outputs(a_patches):
-        ps = dd.PatchSet(a_patches, aps.indices, "audio", aps.grid, aps.patch)
+        ps = dd.PatchSet(a_patches, aps.indices, "audio", aps.grid)
         return decoded(st, ps, vps, m_a, m_v)
 
     base = outputs(aps.patches)
@@ -172,7 +172,7 @@ def test_permutation_equivariance_with_positions_zeroed():
     o_a = fused(st, aps, vps, None, None)[2]
     perm = aps.patches.copy()
     perm[0, [2, 7]] = perm[0, [7, 2]]
-    aps2 = dd.PatchSet(perm, aps.indices, "audio", aps.grid, aps.patch)
+    aps2 = dd.PatchSet(perm, aps.indices, "audio", aps.grid)
     o_a2 = fused(st, aps2, vps, None, None)[2]
     want = o_a.data[0].copy()
     want[[2, 7]] = want[[7, 2]]
@@ -189,7 +189,7 @@ def test_decoder_sees_mask_token_plus_position():
     full_a, vps = patch_batch(rng, 2)
     rows = np.array([1, 5, 6])
     aps = dd.PatchSet(full_a.patches[:, rows], full_a.indices[:, rows], "audio",
-                      full_a.grid, full_a.patch)
+                      full_a.grid)
     m_a = np.array([[False, True, False], [True, True, False]])
     _, _, o_a, o_v, rec_a, rec_v = decoded(st, aps, vps, m_a, unmasked(vps))
     tok = st.params["audio_mask_token"].data + st.params["audio_pos"].data
@@ -221,7 +221,7 @@ def test_visible_tokens_then_scatter_is_identity_on_visible_slots(mask):
     cols = np.array([0, 2, 3, 5, 7])
     full, _ = patch_batch(rng, b)
     ps = dd.PatchSet(full.patches[:, cols], full.indices[:, cols], "audio",
-                     full.grid, full.patch)
+                     full.grid)
     vis, mask_k, slots = bb.visible_tokens(ps, mask)
     counts = (~mask).sum(axis=1)
     assert vis.count == counts.max()
@@ -494,7 +494,7 @@ def test_pooled_features_unit_norm_and_visibility():
     for bi in range(3):
         keep = ~m_a[bi]
         sub = dd.PatchSet(aps.patches[bi:bi + 1, keep], aps.indices[bi:bi + 1, keep],
-                          "audio", aps.grid, aps.patch)
+                          "audio", aps.grid)
         esub = bb.encode_modality(st, bb.embed(sub, st), "audio", None)
         csub, _ = bb.contrastive_features(st, esub, esub, None, None)
         assert np.allclose(csub.data[0], c_a.data[bi], atol=1e-9)

@@ -200,6 +200,31 @@ def test_bad_model_tensor_exits_3(ws, capsys, shape):
     assert err.count("data error") == 3 and "audio_pos" in err
 
 
+def test_matching_head_of_another_width_exits_3(ws, capsys):
+    """The matching head is always ``embed_dim`` wide, so a checkpoint whose
+    head (with its optimizer moments) is narrower is rejected by resume and
+    by export instead of running another architecture."""
+    run, args = _resume_copy(ws, "run_narrow_head")
+    for name in ("task_01.ckpt", "task_01.rng.json"):
+        (run / name).unlink()
+    arrays = ckpt.load(run / "task_00.ckpt")
+    for key in list(arrays):
+        if key.endswith("avm/head/w1"):
+            arrays[key] = arrays[key][:, :8]
+        elif key.endswith(("avm/head/b1", "avm/head/w2")):
+            arrays[key] = arrays[key][:8]
+    ckpt.save(run / "task_00.ckpt", arrays)
+    out = run / "maps.csv"
+    assert cli.main(["export-attention", "--config", str(ws / "cfg.ini"),
+                     "--data", str(ws / "data"),
+                     "--ckpt", str(run / "task_00.ckpt"),
+                     "--out", str(out)]) == 3
+    assert cli.main(args) == 3  # resume
+    err = capsys.readouterr().err
+    assert err.count("data error") == 2 and "avm/head/w1" in err
+    assert not out.exists() and not (run / "task_01.ckpt").exists()
+
+
 @pytest.mark.parametrize("step", ["missing", "infinite"])
 def test_bad_run_step_exits_3(ws, capsys, step):
     def damage(arrays):

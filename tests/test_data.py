@@ -208,9 +208,9 @@ def test_patchset_validation_and_indices():
     assert ps.indices.shape == (2, 64)
     assert np.array_equal(ps.indices[0], np.arange(64))
     with pytest.raises(dd.DataError):
-        dd.PatchSet(arr, np.full((2, 64), 64), "audio", (16, 4), 4)  # out of range
+        dd.PatchSet(arr, np.full((2, 64), 64), "audio", (16, 4))  # out of range
     with pytest.raises(dd.DataError):
-        dd.PatchSet(arr, ps.indices, "smell", (16, 4), 4)
+        dd.PatchSet(arr, ps.indices, "smell", (16, 4))
 
 
 # ---------------------------------------------------------------------------

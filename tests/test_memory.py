@@ -413,3 +413,32 @@ def test_snapshot_resume_is_bit_identical():
         _insert(back, step, r2)
     assert np.array_equal(mem.steps, back.steps)
     assert _ids(mem) == _ids(back)
+
+
+def test_full_snapshot_columns_are_adopted_without_a_copy():
+    """A snapshot that fills the capacity is restored by keeping the owned,
+    writeable columns the checkpoint reader returns."""
+    mem = _churned_memory()
+    assert len(mem) == mem.capacity
+    arrays = cp.read_entries(io.BytesIO(_container_bytes(rm.snapshot_arrays(mem))))
+    back = rm.memory_from_arrays(arrays, mem.capacity, _field_shapes(mem))
+    for name, col in back.fields.items():
+        assert col is arrays["memory/field/" + name], name
+        assert np.array_equal(col, mem.fields[name]), name
+
+
+@pytest.mark.parametrize("inserts", [9, 2])  # full, partially filled
+def test_restore_from_snapshot_views_never_aliases_the_source(inserts):
+    mem = rm.ReservoirMemory(capacity=3)
+    rng = np.random.default_rng(13)
+    for step in range(inserts):
+        _insert(mem, step, rng)
+    back = rm.memory_from_arrays(rm.snapshot_arrays(mem), mem.capacity,
+                                 _field_shapes(mem))
+    for name, col in mem.fields.items():
+        assert back.fields[name].shape == col.shape, name
+        assert not np.shares_memory(back.fields[name], col), name
+    before = {k: v.copy() for k, v in mem.fields.items()}
+    _insert(back, inserts, np.random.default_rng(14))
+    for name, col in mem.fields.items():
+        assert np.array_equal(col, before[name]), name

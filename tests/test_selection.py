@@ -440,7 +440,7 @@ def test_audio_rejects_bad_chunk_and_grid():
 
 
 # ---------------------------------------------------------------------------
-# gather + packs + trace
+# gather
 
 
 def test_gather_selected_matches_loop_and_remaps_indices():
@@ -462,26 +462,6 @@ def test_gather_selected_matches_loop_and_remaps_indices():
         for j, idx in enumerate(selected[row]):
             assert np.array_equal(out.patches[row, j], aps.patches[row, idx])
             assert out.indices[row, j] == aps.indices[row, idx]
-
-
-def test_trace_rows_cover_every_patch_once():
-    rng = np.random.default_rng(20)
-    imp = _softmax_rows(rng, 2, 8)
-    kap = 3
-    corr = rng.random((2, kap))
-    got, flags = sel.select_video(imp, corr, kap, rng)
-    rows = list(sel.trace_rows(7, "video", imp, corr, flags, got))
-    assert len(rows) == 2 * 8
-    for row in range(2):
-        sub = [r for r in rows if r["row"] == row]
-        assert [r["patch_index"] for r in sub] == list(range(8))
-        assert sum(r["selected"] for r in sub) == kap
-        assert sum(r["flagged"] for r in sub) == flags[row].sum()
-        scored = np.argsort(imp[row], kind="stable")[-kap:]
-        for r in sub:
-            assert r["step"] == 7 and r["modality"] == "video"
-            has_c = r["patch_index"] in scored
-            assert (r["correlation"] != "") == has_c
 
 
 def test_video_selection_frequency_monotone_in_importance():

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import functools
+import inspect
 import json
 import sys
 
@@ -239,6 +240,73 @@ def test_unscored_strategies_store_blank_scores(tasks, geom, mcfg):
         run, _, _ = tr.run_sequence(tasks, geom, mcfg, _cfg(strategy))
         assert set(run.mem.fields) == patches | {"feat_audio", "feat_video"}
         assert run.mem.fields["feat_audio"].shape[1:] == (16,)
+
+
+def _recorded(monkeypatch, module, name, log):
+    """Swap ``module.name`` for a wrapper that appends ``(name, bound
+    arguments, result)`` to ``log``."""
+    fn = getattr(module, name)
+    signature = inspect.signature(fn)
+
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        log.append((name, signature.bind(*args, **kwargs).arguments, out))
+        return out
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.mark.parametrize("strategy", ["stella", "random_select"])
+def test_selection_inputs_of_a_replaying_step(tasks, geom, mcfg, monkeypatch,
+                                              strategy):
+    """What a replaying step hands the selectors: audio then video, current
+    batch then replay, at the configured budgets.  ``stella`` selects the
+    current batch with the scoring pass's importance and correlation and
+    the replay with the scores stored beside it; ``random_select`` uses
+    uniform importance and no correlation for both."""
+    cfg = _cfg(strategy, rho_video=0.25)
+    run = tr.init_run(mcfg, cfg, geom)
+    train = tasks[0].train
+    batches = [(dt.full_patchset(train.audio_patches[lo:lo + 4], "audio", geom),
+                dt.full_patchset(train.video_patches[lo:lo + 4], "video", geom))
+               for lo in (0, 4)]
+    tr.train_step(run, mcfg, cfg, *batches[0])
+    selects, scores = [], []
+    for name in ("select_audio", "select_video"):
+        _recorded(monkeypatch, sel, name, selects)
+    for name in ("importance_scores", "correlation_scores"):
+        _recorded(monkeypatch, sel, name, scores)
+    _recorded(monkeypatch, rm, "sample_replay", scores)
+    tr.train_step(run, mcfg, cfg, *batches[1])
+
+    assert [name for name, _, _ in selects] == ["select_audio", "select_video"] * 2
+    m, n = geom.audio.patches, geom.video.patches
+    kap_a, kap_v = sel.kappa(m, 0.5), sel.kappa(n, 0.25)
+    assert kap_a != kap_v
+    assert [args["kap"] for _, args, _ in selects] == [kap_a, kap_v] * 2
+    for _, args, _ in selects[::2]:
+        assert args["chunk_size"] == 2
+        assert args["grid"] == (geom.audio.num_time, geom.audio.num_freq)
+    replay = next(out for name, _, out in scores if name == "sample_replay")
+    if strategy == "stella":
+        assert [name for name, _, _ in scores] == [
+            "sample_replay", "importance_scores", "correlation_scores",
+            "correlation_scores"]
+        (imp_a, imp_v), corr_a, corr_v = [out for _, _, out in scores[1:]]
+        want = [(imp_a, corr_a), (imp_v, corr_v),
+                (replay["imp_audio"], replay["corr_audio"]),
+                (replay["imp_video"], replay["corr_video"])]
+    else:
+        assert [name for name, _, _ in scores] == ["sample_replay"]
+        rb = cfg.effective_replay_batch
+        want = [(np.full((4, m), 1.0 / m), None), (np.full((4, n), 1.0 / n), None),
+                (np.full((rb, m), 1.0 / m), None), (np.full((rb, n), 1.0 / n), None)]
+    for (name, args, _), (imp, corr) in zip(selects, want):
+        assert np.array_equal(args["importance"], imp), name
+        if corr is None:
+            assert args["correlation"] is None, name
+        else:
+            assert np.array_equal(args["correlation"], corr), name
 
 
 def test_penalty_is_zero_until_memory_is_replayable(tasks, geom, mcfg):

@@ -1,0 +1,63 @@
+"""Package hygiene: public names that only tests call.
+
+A helper with no caller in the package is either wired into a production
+path or deleted.  This pins the remaining list, so a new test-only helper
+fails here, and so does wiring or deleting one without shrinking the list.
+"""
+
+import ast
+from pathlib import Path
+
+import avcl
+
+PACKAGE = Path(avcl.__file__).parent
+
+#: public module-level names with no reference in the package outside their
+#: own definition
+UNREFERENCED = {
+    "import_attention", "matching_accuracy", "mean_gap_decline",
+    "memory_bytes", "selection_quality", "size_ratio", "unpatchify_audio",
+    "unpatchify_video",
+}
+
+
+def _defined(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _referenced(node: ast.AST, own: set[str]) -> set[str]:
+    """Names read (bare, as an attribute or by import) under ``node``,
+    except those in ``own``."""
+    found = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            found.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            found.update(alias.name for alias in sub.names)
+    return found - own
+
+
+def _unreferenced_public_names() -> set[str]:
+    defined, used = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            own = {n for n in _defined(node) if not n.startswith("_")}
+            defined |= own
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                # a target is not a read of itself; its value may be
+                node = node.value
+            if node is not None:
+                used |= _referenced(node, own)
+    return defined - used
+
+
+def test_test_only_helpers_are_the_pinned_list():
+    assert _unreferenced_public_names() == UNREFERENCED
