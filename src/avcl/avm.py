@@ -55,15 +55,6 @@ def init_avm(cfg: bb.BackboneConfig, rng: np.random.Generator) -> AvmParams:
     return AvmParams(cfg.heads, p)
 
 
-def param_count(params: dict[str, Tensor]) -> int:
-    return sum(int(t.size) for t in params.values())
-
-
-def size_ratio(avm: AvmParams, state: bb.BackboneState) -> float:
-    """Matching-module parameter count relative to the backbone's."""
-    return param_count(avm.params) / param_count(state.params)
-
-
 def _split_heads(x: Tensor, heads: int) -> Tensor:
     b, n, d = x.shape
     return tt.transpose(tt.reshape(x, (b, n, heads, d // heads)), (0, 2, 1, 3))

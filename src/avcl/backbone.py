@@ -221,15 +221,11 @@ def forward_fused(state: BackboneState, enc_a: Tensor, enc_v: Tensor,
                   m_a: np.ndarray | None, m_v: np.ndarray | None
                   ) -> tuple[Tensor, Tensor]:
     """Joint fusion over both modalities' visible tokens, split back into
-    the audio and video tokens (o_a, o_v)."""
+    the audio and video tokens (o_a, o_v).  The pad masks come as a pair,
+    or both None when every token is visible."""
     cfg = state.cfg
-    b, na = enc_a.shape[:2]
-    nv = enc_v.shape[1]
-    joint_mask = None
-    if m_a is not None or m_v is not None:
-        ja = m_a if m_a is not None else np.zeros((b, na), dtype=bool)
-        jv = m_v if m_v is not None else np.zeros((b, nv), dtype=bool)
-        joint_mask = np.concatenate([ja, jv], axis=1)
+    na, nv = enc_a.shape[1], enc_v.shape[1]
+    joint_mask = None if m_a is None else np.concatenate([m_a, m_v], axis=1)
     fused = _stack(state.params, "fusion", cfg.fusion_layers,
                    tt.concat([enc_a, enc_v], axis=1), key_bias(joint_mask), cfg)
     return tt.narrow(fused, 1, 0, na), tt.narrow(fused, 1, na, nv)

@@ -99,6 +99,8 @@ def load_tasks(data_dir) -> tuple[list[dt.TaskData], dt.SceneGeometry]:
         hashes = dict(manifest["sha256"])
     except (ValueError, KeyError, TypeError) as exc:
         raise dt.DataError(f"malformed {_MANIFEST}: {exc}") from None
+    if not all(isinstance(name, str) for name in names):
+        raise dt.DataError(f"malformed {_MANIFEST}: task names must be strings")
     tasks, geom = [], None
     for name in names:
         path = data_dir / name
@@ -280,6 +282,10 @@ def cmd_export_attention(args) -> int:
     if avm is None:
         raise cf.ConfigError("checkpoint holds no matching module; attention "
                              "export needs a scoring strategy (stella/stella_plus)")
+    if cfg.train.beta is None:
+        raise cf.ConfigError(f"strategy {cfg.train.strategy!r} sets no beta; "
+                             "attention export needs a scoring strategy "
+                             "(stella/stella_plus)")
     if not 0 <= args.task < len(tasks):
         raise cf.ConfigError(f"--task must lie in [0, {len(tasks) - 1}]")
     _check_at_least_one(args.rows, "--rows")
@@ -287,10 +293,9 @@ def cmd_export_attention(args) -> int:
     rows = min(args.rows, len(split))
     aps = dt.full_patchset(split.audio_patches[:rows], "audio", geom)
     vps = dt.full_patchset(split.video_patches[:rows], "video", geom)
-    beta = cfg.train.beta if cfg.train.beta is not None else 1.0
     o_a, o_v, _, _ = am.fusion_tokens(state, aps, vps)
     with tt.no_grad():
-        maps = am.cross_attention(avm, o_a, o_v, beta=beta)
+        maps = am.cross_attention(avm, o_a, o_v, beta=cfg.train.beta)
     logits = maps.audio_map if args.direction == "audio" else maps.video_map
     ev.export_attention(logits.data, args.out)
     print(f"wrote {args.direction} attention for {rows} pairs to {args.out}")
@@ -355,7 +360,7 @@ def main(argv=None) -> int:
     except cf.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (tr.DivergenceError, tt.NumericError) as exc:
+    except tt.NumericError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return 4
     except tr.TrainError as exc:

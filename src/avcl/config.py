@@ -65,10 +65,10 @@ _MODEL_KEYS = {
     "contrastive_weight": "float", "layernorm_eps": "float",
 }
 _TRAIN_KEYS = {
-    "strategy": "str", "lr": "float", "avm_lr": "float", "batch": "int",
-    "replay_batch": "int", "epochs": "int", "memory_capacity": "int",
-    "alpha": "float", "beta": "float", "rho_audio": "float",
-    "rho_video": "float", "chunk_size": "int", "train_seed": "int",
+    "strategy": "str", "lr": "float", "batch": "int", "epochs": "int",
+    "memory_capacity": "int", "alpha": "float", "beta": "float",
+    "rho_audio": "float", "rho_video": "float", "chunk_size": "int",
+    "train_seed": "int",
 }
 _EVAL_KEYS = {"ks": "ks"}
 _SCHEMA = {"data": _DATA_KEYS, "model": _MODEL_KEYS,

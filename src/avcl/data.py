@@ -9,9 +9,8 @@ actual spatio-temporal correspondence, not just class statistics. With
 probability 1 - correlation the audio signature instead comes from an
 independently drawn decoy class at an independent position.
 
-Everything downstream consumes patch grids; the patchify/unpatchify pair is
-an exact bijection and ground-truth patch masks mark which patches intersect
-the planted regions.
+Everything downstream consumes patch grids; ground-truth patch masks mark
+which patches intersect the planted regions.
 """
 
 from __future__ import annotations
@@ -258,17 +257,6 @@ def patchify_audio(values: np.ndarray, geom: AudioGeometry) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(lead + (geom.patches, p * p)))
 
 
-def unpatchify_audio(patches: np.ndarray, geom: AudioGeometry) -> np.ndarray:
-    arr = np.asarray(patches, dtype=np.float64)
-    if arr.shape[-2:] != (geom.patches, geom.patch_dim):
-        raise DataError("audio patches do not match geometry")
-    lead = arr.shape[:-2]
-    p = geom.patch
-    x = arr.reshape(lead + (geom.num_time, geom.num_freq, p, p))
-    x = np.moveaxis(x, -2, -3)
-    return np.ascontiguousarray(x.reshape(lead + (geom.time_bins, geom.freq_bins)))
-
-
 def patchify_video(values: np.ndarray, geom: VideoGeometry) -> np.ndarray:
     """(..., frames, h, w) -> (..., N, p*p), frame-major flat patch order."""
     arr = np.asarray(values, dtype=np.float64)
@@ -279,17 +267,6 @@ def patchify_video(values: np.ndarray, geom: VideoGeometry) -> np.ndarray:
     x = arr.reshape(lead + (geom.frames, geom.rows, p, geom.cols, p))
     x = np.moveaxis(x, -3, -2)  # (..., frames, rows, cols, p, p)
     return np.ascontiguousarray(x.reshape(lead + (geom.patches, p * p)))
-
-
-def unpatchify_video(patches: np.ndarray, geom: VideoGeometry) -> np.ndarray:
-    arr = np.asarray(patches, dtype=np.float64)
-    if arr.shape[-2:] != (geom.patches, geom.patch_dim):
-        raise DataError("video patches do not match geometry")
-    lead = arr.shape[:-2]
-    p = geom.patch
-    x = arr.reshape(lead + (geom.frames, geom.rows, geom.cols, p, p))
-    x = np.moveaxis(x, -2, -3)
-    return np.ascontiguousarray(x.reshape(lead + (geom.frames, geom.height, geom.width)))
 
 
 def audio_truth_mask(band: tuple[int, int], geom: AudioGeometry) -> np.ndarray:

@@ -175,17 +175,3 @@ def export_attention(maps: np.ndarray, path) -> None:
         for s in range(b):
             for qi in range(q):
                 writer.writerow([s, qi] + [f"{x:.17g}" for x in probs[s, qi]])
-
-
-def import_attention(path) -> np.ndarray:
-    """Read an exported attention CSV back to (B, Q, K)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, data = rows[0], rows[1:]
-    k = len(header) - 2
-    b = int(data[-1][0]) + 1
-    q = int(data[-1][1]) + 1
-    out = np.empty((b, q, k))
-    for row in data:
-        out[int(row[0]), int(row[1])] = [float(x) for x in row[2:]]
-    return out

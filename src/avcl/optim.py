@@ -35,8 +35,6 @@ class Adam:
         c2 = 1.0 - self.beta2 ** self.step_count
         for k, p in self.params.items():
             g = p.grad
-            if g is None:
-                continue
             self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
             self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
             mhat = self.m[k] / c1

@@ -109,40 +109,9 @@ class Tensor:
     def zero_grad(self):
         if self.grad is not None:
             self.grad[...] = 0.0
-        elif self.requires_grad and not self._parents:
-            self.grad = np.zeros_like(self.data)
 
     def backward(self):
         backward(self)
-
-    # -- operator sugar ------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def as_tensor(x) -> Tensor:
@@ -365,13 +334,6 @@ def mean(a, axis=None, keepdims=False) -> Tensor:
 # ---------------------------------------------------------------------------
 # nonlinearities and normalizations
 # ---------------------------------------------------------------------------
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)  # overflow -> inf -> NumericError in the ctor
-    return _make(out, (a,), lambda g: (g * out,))
 
 
 def log(a) -> Tensor:
@@ -777,18 +739,14 @@ def backward(loss: Tensor) -> None:
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        g = grads.pop(id(node))
         if node._grad_fn is None:
             # leaf: accumulate persistently
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
             node.grad += g
             continue
         parent_grads = node._grad_fn(g)
         for p, pg in zip(node._parents, parent_grads):
-            if pg is None or not p.requires_grad:
+            if not p.requires_grad:
                 continue
             if pg.size and not (np.isfinite(pg.min()) and np.isfinite(pg.max())):
                 raise NumericError("non-finite gradient")

@@ -57,10 +57,6 @@ class TrainError(ValueError):
     pass
 
 
-class DivergenceError(TrainError):
-    """A loss component left the finite range during training."""
-
-
 STRATEGIES = ("finetune", "er", "derpp", "random_select", "stella", "stella_plus")
 #: strategies whose objective carries the alpha-weighted feature penalty
 PENALIZED = ("derpp", "random_select", "stella")
@@ -85,9 +81,7 @@ class TrainConfig:
 
     strategy: str
     lr: float = 1e-4
-    avm_lr: float | None = None  # defaults to lr
     batch: int = 8
-    replay_batch: int | None = None  # defaults to batch
     epochs: int = 3
     memory_capacity: int = 64
     alpha: float | None = None
@@ -103,12 +97,8 @@ class TrainConfig:
             raise TrainError(f"unknown strategy {s!r}")
         if self.lr <= 0.0:
             raise TrainError("lr must be positive")
-        if self.avm_lr is not None and self.avm_lr <= 0.0:
-            raise TrainError("avm_lr must be positive")
         if self.batch < 1 or self.epochs < 1:
             raise TrainError("batch and epochs must be at least 1")
-        if self.replay_batch is not None and self.replay_batch < 1:
-            raise TrainError("replay_batch must be at least 1")
         if self.memory_capacity < 0:
             raise TrainError("memory_capacity must be non-negative")
         if s == "finetune" and self.memory_capacity != 0:
@@ -139,14 +129,6 @@ class TrainConfig:
             raise TrainError(f"strategy {self.strategy!r} requires {name}")
         if not wanted and value is not None:
             raise TrainError(f"strategy {self.strategy!r} does not use {name}")
-
-    @property
-    def effective_avm_lr(self) -> float:
-        return self.lr if self.avm_lr is None else self.avm_lr
-
-    @property
-    def effective_replay_batch(self) -> int:
-        return self.batch if self.replay_batch is None else self.replay_batch
 
 
 def rng_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -236,7 +218,7 @@ def _run_state(state: bb.BackboneState, avm: am.AvmParams | None,
                mem: rm.ReservoirMemory, tcfg: TrainConfig,
                streams: dict[str, np.random.Generator]) -> RunState:
     """Run state with fresh optimizers over the given parameters."""
-    a_opt = None if avm is None else op.Adam(avm.params, lr=tcfg.effective_avm_lr)
+    a_opt = None if avm is None else op.Adam(avm.params, lr=tcfg.lr)
     return RunState(state, avm, mem, op.Adam(state.params, lr=tcfg.lr), a_opt,
                     streams)
 
@@ -267,7 +249,6 @@ def _score_batch(run: RunState, tcfg: TrainConfig, aps: PatchSet,
                  ) -> _Scoring:
     """Importance and correlation for the current batch of a scoring
     strategy, both read off the matching module's cross-attention."""
-    b = aps.patches.shape[0]
     kap_a = sel.kappa(aps.count, tcfg.rho_audio)
     kap_v = sel.kappa(vps.count, tcfg.rho_video)
     with tt.no_grad():
@@ -279,14 +260,13 @@ def _score_batch(run: RunState, tcfg: TrainConfig, aps: PatchSet,
         loc_v = sel.gather_localized(maps.q_video.data, maps.k_video.data, imp_v, kap_v)
     corr_a = corr_v = None
     if replay is not None:
-        # Each current row is paired with one stored entry (the replay draw is
+        # Current row i is paired with replayed row i (the replay draw is
         # already uniform with replacement); an audio patch is compared under
         # the video-side queries that attend it, and vice versa.
-        pair = np.arange(b) % tcfg.effective_replay_batch
         corr_a = sel.correlation_scores(loc_a.keys, loc_v.pooled,
-                                        replay["q_video"][pair], tcfg.beta)
+                                        replay["q_video"], tcfg.beta)
         corr_v = sel.correlation_scores(loc_v.keys, loc_a.pooled,
-                                        replay["q_audio"][pair], tcfg.beta)
+                                        replay["q_audio"], tcfg.beta)
     return _Scoring(imp_a, imp_v, loc_a, loc_v, corr_a, corr_v,
                     o_a, o_v, enc_a, enc_v)
 
@@ -396,8 +376,7 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
 
     replay = None
     if tcfg.strategy != "finetune" and len(run.mem) > 0:
-        replay = rm.sample_replay(run.mem, tcfg.effective_replay_batch,
-                                  run.streams["memory"])
+        replay = rm.sample_replay(run.mem, b, run.streams["memory"])
 
     scoring = None
     cur_aps, cur_vps = aps, vps
@@ -434,9 +413,8 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     penalty = None
     alpha_eff = tcfg.alpha if tcfg.strategy in PENALIZED else 0.0
     if alpha_eff and replay is not None:
-        rb = tcfg.effective_replay_batch
-        penalty = rm.der_penalty(tt.narrow(c_a, 0, b, rb),
-                                 tt.narrow(c_v, 0, b, rb),
+        penalty = rm.der_penalty(tt.narrow(c_a, 0, b, b),
+                                 tt.narrow(c_v, 0, b, b),
                                  replay["feat_audio"], replay["feat_video"])
     total = bb.pretrain_objective(rec, con, penalty,
                                   mcfg.contrastive_weight, alpha_eff)
@@ -460,12 +438,6 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     record = LossRecord(run.global_step, float(rec.data), float(con.data),
                         0.0 if penalty is None else float(penalty.data),
                         avm_loss, float(total.data))
-    for name, value in (("reconstruction", record.recon),
-                        ("contrastive", record.contrast),
-                        ("penalty", record.penalty),
-                        ("matching", record.avm)):
-        if not np.isfinite(value):
-            raise DivergenceError(f"{name} loss diverged at step {record.step}")
     run.global_step += 1
     run.records.append(record)
     return record
@@ -577,6 +549,22 @@ def _rng_state_json(streams: dict[str, np.random.Generator]) -> str:
     return json.dumps(blob)
 
 
+def _reads_checkpoint(fn):
+    """Missing, mis-shaped or malformed checkpoint tensors or random-stream
+    states -> CheckpointError."""
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (cp.CheckpointError, rm.RehearsalError):
+            raise
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+            raise cp.CheckpointError("checkpoint data missing or malformed: "
+                                     f"{exc}") from None
+    return wrapper
+
+
+@_reads_checkpoint
 def _streams_from_json(text: str) -> dict[str, np.random.Generator]:
     blob = json.loads(text)
     streams = {}
@@ -617,20 +605,6 @@ def _checkpoint_arrays(run: RunState, tasks_done: int,
         out[f"run/acc/{t:02d}"] = np.asarray(row, dtype=np.float64)
     out["run/gaps"] = np.asarray(gaps, dtype=np.float64)
     return out
-
-
-def _reads_checkpoint(fn):
-    """Missing, mis-shaped or malformed checkpoint tensors -> CheckpointError."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (cp.CheckpointError, rm.RehearsalError):
-            raise
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-            raise cp.CheckpointError("checkpoint tensor missing or malformed: "
-                                     f"{exc}") from None
-    return wrapper
 
 
 @_reads_checkpoint

@@ -265,7 +265,8 @@ def test_training_learns_to_separate_pairs():
 
 def test_size_ratio_is_small():
     state, avm, _ = _setup()
-    assert 0.0 < av.size_ratio(avm, state) < 0.5
+    size = sum(p.size for p in avm.params.values())
+    assert 0.0 < size / sum(p.size for p in state.params.values()) < 0.5
 
 
 def test_step_is_deterministic():

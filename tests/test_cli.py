@@ -171,6 +171,21 @@ def test_truncated_rng_state_exits_3(ws, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["missing_stream", "bad_state"])
+def test_malformed_rng_state_exits_3(ws, capsys, damage):
+    """Valid JSON that lacks a stream or holds a state the generator
+    rejects is a data error, not a traceback."""
+    run, args = _resume_copy(ws, f"run_rng_{damage}")
+    blob = json.loads((run / "task_01.rng.json").read_text())
+    if damage == "missing_stream":
+        del blob["mask"]
+    else:
+        blob["mask"]["state"] = 7
+    (run / "task_01.rng.json").write_text(json.dumps(blob))
+    assert cli.main(args) == 3
+    assert "data error" in capsys.readouterr().err
+
+
 def _damaged_copy(ws, name, damage):
     """Resumable copy of the stella run whose last checkpoint ``damage``
     edits in place; returns the run directory and its ``run`` arguments."""
@@ -294,6 +309,19 @@ def test_missing_manifest_exits_3(ws, tmp_path):
     code = cli.main(["run", "--config", str(ws / "cfg.ini"),
                      "--data", str(tmp_path), "--out", str(tmp_path / "run")])
     assert code == 3
+
+
+def test_non_string_task_names_exit_3_without_partial_run_dir(ws, capsys):
+    data = ws / "data_int_names"
+    shutil.copytree(ws / "data", data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["tasks"] = [1, 2]
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    code = cli.main(["run", "--config", str(ws / "cfg.ini"),
+                     "--data", str(data), "--out", str(ws / "run_int_names")])
+    assert code == 3
+    assert not (ws / "run_int_names").exists()
+    assert "task names must be strings" in capsys.readouterr().err
 
 
 def test_config_data_mismatch_exits_2(ws):
@@ -434,6 +462,12 @@ def test_report_on_unfinished_directory_exits_3(ws, tmp_path):
 # export-attention
 
 
+def _read_attention(path):
+    """An exported attention CSV back as (samples, queries, keys)."""
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return table[:, 2:].reshape(int(table[-1, 0]) + 1, -1, table.shape[1] - 2)
+
+
 def test_export_attention_round_trips(ws):
     out = ws / "maps.csv"
     code = cli.main(["export-attention", "--config", str(ws / "cfg.ini"),
@@ -441,7 +475,7 @@ def test_export_attention_round_trips(ws):
                      "--ckpt", str(ws / "run_stella" / "task_01.ckpt"),
                      "--out", str(out), "--rows", "3"])
     assert code == 0
-    probs = ev.import_attention(out)
+    probs = _read_attention(out)
     # audio direction: one row of key-probabilities per video query patch
     assert probs.shape == (3, 8, 16)
     assert np.allclose(probs.sum(axis=-1), 1.0)
@@ -454,7 +488,7 @@ def test_export_attention_video_direction(ws):
                      "--ckpt", str(ws / "run_stella" / "task_01.ckpt"),
                      "--out", str(out), "--rows", "2", "--direction", "video"])
     assert code == 0
-    assert ev.import_attention(out).shape == (2, 16, 8)
+    assert _read_attention(out).shape == (2, 16, 8)
 
 
 def test_export_attention_needs_a_scoring_checkpoint(ws, capsys):
@@ -469,6 +503,22 @@ def test_export_attention_needs_a_scoring_checkpoint(ws, capsys):
                      "--out", str(ws / "maps_ft.csv")])
     assert code == 2
     assert "no matching module" in capsys.readouterr().err
+
+
+def test_export_attention_needs_a_config_that_scores(ws, capsys):
+    """A stella checkpoint exported under a derpp config has no beta to
+    scale the maps with, so it is refused rather than exported at a
+    made-up one."""
+    cfg = _variant(ws, "derpp_export", "strategy = stella",
+                   "strategy = derpp")
+    out = ws / "maps_derpp.csv"
+    code = cli.main(["export-attention", "--config", str(cfg),
+                     "--data", str(ws / "data"),
+                     "--ckpt", str(ws / "run_stella" / "task_01.ckpt"),
+                     "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    assert "sets no beta" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rows", ["0", "-1", "-100"])

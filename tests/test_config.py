@@ -47,12 +47,11 @@ def test_strategy_conditional_defaults(strategy, expect):
 def test_explicit_values_override_defaults():
     cfg = _parse("[train]\nstrategy = stella\nalpha = 0.25\nbeta = 1.0\n"
                  "rho_audio = 0.75\nrho_video = 0.3\nchunk_size = 2\n"
-                 "memory_capacity = 10\nlr = 0.001\navm_lr = 0.01\n"
-                 "replay_batch = 4\n")
+                 "memory_capacity = 10\nlr = 0.001\n")
     t = cfg.train
     assert (t.alpha, t.beta, t.rho_audio, t.rho_video) == (0.25, 1.0, 0.75, 0.3)
     assert (t.chunk_size, t.memory_capacity) == (2, 10)
-    assert (t.lr, t.avm_lr, t.replay_batch) == (0.001, 0.01, 4)
+    assert t.lr == 0.001
 
 
 def test_geometry_keys_build_the_scene_geometry():
@@ -127,7 +126,6 @@ def test_render_omits_unset_optional_knobs():
     text = cf.render_config(_parse("[train]\nstrategy = er\n"))
     assert "alpha" not in text and "beta" not in text
     assert "rho_audio" not in text and "chunk_size" not in text
-    assert "avm_lr" not in text and "replay_batch" not in text
 
 
 def test_save_and_load_config(tmp_path):

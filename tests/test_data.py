@@ -172,14 +172,6 @@ def test_patchify_video_against_loop_oracle():
                 assert np.array_equal(patches[flat], want)
 
 
-def test_unpatchify_is_bit_exact_inverse():
-    rng = np.random.default_rng(7)
-    a = rng.normal(size=(3, GEOM.audio.time_bins, GEOM.audio.freq_bins))
-    v = rng.normal(size=(2, GEOM.video.frames, GEOM.video.height, GEOM.video.width))
-    assert np.array_equal(dd.unpatchify_audio(dd.patchify_audio(a, GEOM.audio), GEOM.audio), a)
-    assert np.array_equal(dd.unpatchify_video(dd.patchify_video(v, GEOM.video), GEOM.video), v)
-
-
 def test_truth_masks_match_geometric_oracle():
     g = GEOM
     cls = dd.make_class(1, 55, g)

@@ -217,11 +217,17 @@ def test_uniform_random_selection_recall_matches_expectation():
 # attention export
 
 
+def _read_attention(path):
+    """An exported attention CSV back as (samples, queries, keys)."""
+    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return table[:, 2:].reshape(int(table[-1, 0]) + 1, -1, table.shape[1] - 2)
+
+
 def test_uniform_logits_export_uniform_grid(tmp_path):
     maps = np.zeros((2, 3, 4, 5))
     path = tmp_path / "attn.csv"
     ev.export_attention(maps, path)
-    back = ev.import_attention(path)
+    back = _read_attention(path)
     assert back.shape == (2, 4, 5)
     assert np.allclose(back, 0.2, atol=1e-15)
 
@@ -231,7 +237,7 @@ def test_export_roundtrip_is_exact(tmp_path):
     maps = rng.normal(size=(3, 2, 5, 7)) * 4.0
     path = tmp_path / "attn.csv"
     ev.export_attention(maps, path)
-    back = ev.import_attention(path)
+    back = _read_attention(path)
     shifted = maps - maps.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     want = (e / e.sum(axis=-1, keepdims=True)).mean(axis=1)

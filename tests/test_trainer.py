@@ -107,15 +107,6 @@ def test_config_rejects_bad_ranges():
         _cfg("er", epochs=0)
 
 
-def test_config_effective_defaults():
-    cfg = _cfg("er")
-    assert cfg.effective_avm_lr == cfg.lr
-    assert cfg.effective_replay_batch == cfg.batch
-    cfg = _cfg("stella", avm_lr=3e-3, replay_batch=2)
-    assert cfg.effective_avm_lr == 3e-3
-    assert cfg.effective_replay_batch == 2
-
-
 def test_rng_streams_are_named_independent_and_reproducible():
     a = tr.rng_streams(11)
     b = tr.rng_streams(11)
@@ -298,7 +289,7 @@ def test_selection_inputs_of_a_replaying_step(tasks, geom, mcfg, monkeypatch,
                 (replay["imp_video"], replay["corr_video"])]
     else:
         assert [name for name, _, _ in scores] == ["sample_replay"]
-        rb = cfg.effective_replay_batch
+        rb = cfg.batch
         want = [(np.full((4, m), 1.0 / m), None), (np.full((4, n), 1.0 / n), None),
                 (np.full((rb, m), 1.0 / m), None), (np.full((rb, n), 1.0 / n), None)]
     for (name, args, _), (imp, corr) in zip(selects, want):
