@@ -59,12 +59,18 @@ class BackboneConfig:
     layernorm_eps: float = 1e-6
 
     def __post_init__(self):
+        if min(self.embed_dim, self.heads, self.mlp_ratio) < 1:
+            raise ValueError("embed_dim, heads and mlp_ratio must be at least 1")
+        if min(self.encoder_layers, self.fusion_layers, self.decoder_layers) < 0:
+            raise ValueError("layer counts must be non-negative")
         if self.embed_dim % self.heads:
             raise ValueError("embed_dim must be a multiple of heads")
         if not 0.0 <= self.mask_prob < 1.0:
             raise ValueError("mask_prob must lie in [0, 1)")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
+        if self.layernorm_eps <= 0:
+            raise ValueError("layernorm_eps must be positive")
 
     @property
     def head_dim(self) -> int:

@@ -22,14 +22,19 @@ random-stream states) beside it; ``losses.csv``, ``acc_matrix.csv``,
 file is replaced atomically and ``task_XX.rng.json`` is written last, so a
 task without it is redone on resume.
 
+The ``--out`` files of ``eval``, ``report`` and ``export-attention`` are
+replaced atomically too, so a failed write leaves no partial output.
+
 Exit codes: 0 success; 2 configuration or usage error (including
-``--rows`` or ``--eval-workers`` below 1); 3 data error (missing,
-truncated, modified or unreadable files, including a checkpoint with a
-missing or malformed tensor or whose rehearsal-memory snapshot is
-inconsistent or in an older format); 4 numeric
-divergence during training.  A run aborted by a config or data error never
-leaves a partial run directory; an interrupted training run resumes from its
-last completed task.
+out-of-range ``[data]``, ``[model]``, ``[train]`` or ``[eval]`` values,
+such as a zero patch size or head count or a ``correlation`` outside
+[0, 1], and ``--rows`` or ``--eval-workers`` below 1); 3 data error
+(missing, truncated, modified or unreadable files, including a checkpoint
+with a missing or malformed tensor or whose rehearsal-memory snapshot is
+inconsistent or in an older format); 4 numeric divergence during training.
+A run aborted by a config or data error never leaves a partial run
+directory; an interrupted training run resumes from its last
+completed task.
 """
 
 from __future__ import annotations
@@ -201,7 +206,8 @@ def cmd_eval(args) -> int:
             "video_to_audio": {str(k): v for k, v in rep.video_to_audio.items()}})
     text = json.dumps(blob, indent=1)
     if args.out:
-        Path(args.out).write_text(text)
+        with ckpt.atomic_open(args.out) as fh:
+            fh.write(text)
     else:
         print(text)
     return 0
@@ -261,11 +267,11 @@ def cmd_report(args) -> int:
         lines.append(",".join(row[:1] + [str(row[1])] +
                               [f"{v:.6g}" for v in row[2:]]))
     text = "\n".join(lines) + "\n"
-    if args.out and str(args.out).endswith(".json"):
-        blob = [dict(zip(header, row)) for row in table]
-        Path(args.out).write_text(json.dumps(blob, indent=1))
-    elif args.out:
-        Path(args.out).write_text(text)
+    if args.out:
+        if args.out.endswith(".json"):
+            text = json.dumps([dict(zip(header, row)) for row in table], indent=1)
+        with ckpt.atomic_open(args.out) as fh:
+            fh.write(text)
     else:
         print(text, end="")
     return 0

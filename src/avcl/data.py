@@ -46,6 +46,8 @@ class AudioGeometry:
     patch: int = 4
 
     def __post_init__(self):
+        if min(self.time_bins, self.freq_bins, self.patch) < 1:
+            raise DataError("audio grid extents and patch size must be at least 1")
         if self.time_bins % self.patch or self.freq_bins % self.patch:
             raise DataError("audio patch size must divide both grid extents")
 
@@ -74,6 +76,8 @@ class VideoGeometry:
     patch: int = 8
 
     def __post_init__(self):
+        if min(self.frames, self.height, self.width, self.patch) < 1:
+            raise DataError("video grid extents and patch size must be at least 1")
         if self.height % self.patch or self.width % self.patch:
             raise DataError("video patch size must divide height and width")
 
@@ -151,8 +155,6 @@ def signature_shapes(geom: SceneGeometry) -> tuple[tuple[int, int], tuple[int, i
 def make_class(class_id: int, master_seed: int, geom: SceneGeometry,
                correlation: float = 1.0) -> SyntheticClass:
     """Signatures are a pure function of (class_id, master_seed)."""
-    if not 0.0 <= correlation <= 1.0:
-        raise DataError("correlation strength must lie in [0, 1]")
     rng = np.random.default_rng(
         np.random.SeedSequence([master_seed, _CLASS_STREAM_TAG, class_id]))
     (band_w, fbins), (span, box_h, box_w) = signature_shapes(geom)
@@ -342,6 +344,18 @@ class DataConfig:
     seed: int = 1
     geometry: SceneGeometry = field(default_factory=SceneGeometry)
 
+    def __post_init__(self):
+        if min(self.num_tasks, self.classes_per_task, self.train_pairs,
+               self.eval_pairs) < 1:
+            raise DataError("num_tasks, classes_per_task, train_pairs and "
+                            "eval_pairs must be at least 1")
+        if not 0.0 <= self.correlation <= 1.0:
+            raise DataError("correlation strength must lie in [0, 1]")
+        if self.noise_std < 0.0:
+            raise DataError("noise_std must be non-negative")
+        if self.seed < 0:
+            raise DataError("seed must be non-negative")
+
 
 @dataclass
 class SampleSet:
@@ -366,13 +380,7 @@ class TaskData:
 
 def build_task_specs(cfg: DataConfig) -> list[TaskSpec]:
     c = cfg.classes_per_task
-    specs = [TaskSpec(k, tuple(range(k * c, (k + 1) * c))) for k in range(cfg.num_tasks)]
-    seen: set[int] = set()
-    for s in specs:
-        if seen.intersection(s.class_ids):
-            raise DataError("task class sets must be disjoint")
-        seen.update(s.class_ids)
-    return specs
+    return [TaskSpec(k, tuple(range(k * c, (k + 1) * c))) for k in range(cfg.num_tasks)]
 
 
 def _build_split(cfg: DataConfig, spec: TaskSpec, classes: dict[int, SyntheticClass],

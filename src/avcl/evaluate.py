@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from avcl import checkpoint as ckpt
+
 
 class EvalError(ValueError):
     pass
@@ -169,7 +171,7 @@ def export_attention(maps: np.ndarray, path) -> None:
     e = np.exp(shifted)
     probs = (e / e.sum(axis=-1, keepdims=True)).mean(axis=1)  # (B, Q, K)
     b, q, k = probs.shape
-    with open(path, "w", newline="") as fh:
+    with ckpt.atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample", "query"] + [f"key_{j}" for j in range(k)])
         for s in range(b):

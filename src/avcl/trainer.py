@@ -122,6 +122,8 @@ class TrainConfig:
             raise TrainError("chunk_size must be at least 1")
         if s in SCORING and self.batch < 2:
             raise TrainError("matching-module training needs batch >= 2")
+        if self.train_seed < 0:
+            raise TrainError("train_seed must be non-negative")
 
     def _check_field(self, name: str, wanted: bool) -> None:
         value = getattr(self, name)

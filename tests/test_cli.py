@@ -1,7 +1,9 @@
 """Command-line workflow: dataset round trip, runs, reports, exit codes."""
 
+import contextlib
 import hashlib
 import json
+import re
 import shutil
 
 import numpy as np
@@ -292,6 +294,36 @@ def test_unknown_strategy_exits_2_without_partial_run_dir(ws, capsys):
     assert "unknown strategy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("data", "num_tasks", "0"), ("data", "classes_per_task", "0"),
+    ("data", "train_pairs", "-1"), ("data", "correlation", "2.0"),
+    ("data", "noise_std", "-1.0"), ("data", "seed", "-1"),
+    ("data", "audio_time_bins", "0"), ("data", "audio_patch", "0"),
+    ("data", "video_frames", "0"), ("data", "video_patch", "0"),
+    ("model", "embed_dim", "0"), ("model", "heads", "0"),
+    ("model", "encoder_layers", "-1"), ("model", "mlp_ratio", "0"),
+    ("model", "layernorm_eps", "-1.0"), ("train", "train_seed", "-1"),
+])
+def test_out_of_range_value_exits_2_without_output(ws, capsys, section, key,
+                                                  value):
+    """Each value is checked by its config dataclass before anything is
+    built, so neither a dataset nor a run directory appears."""
+    line = re.compile(rf"^{key} = .*$", re.M)
+    text = (line.sub(f"{key} = {value}", CFG) if line.search(CFG) else
+            CFG.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
+    tag = f"{key}{value}"
+    cfg = ws / f"cfg_{tag}.ini"
+    cfg.write_text(text)
+    data, run = ws / f"data_{tag}", ws / f"run_{tag}"
+    assert cli.main(["generate-data", "--config", str(cfg),
+                     "--out", str(data)]) == 2
+    assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
+                     "--out", str(run)]) == 2
+    assert not data.exists() and not run.exists()
+    err = capsys.readouterr().err
+    assert err.count(f"config error: [{section}]: ") == 2, err
+
+
 def test_tampered_data_exits_3_without_partial_run_dir(ws, capsys):
     data = ws / "data_tampered"
     shutil.copytree(ws / "data", data)
@@ -456,6 +488,37 @@ def test_report_json_output(ws):
 
 def test_report_on_unfinished_directory_exits_3(ws, tmp_path):
     assert cli.main(["report", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("command", ["eval", "report_csv", "report_json",
+                                     "export_attention"])
+def test_failed_out_write_leaves_no_partial_file(ws, capsys, monkeypatch,
+                                                 command):
+    """A write of an ``--out`` file that fails partway through exits 3 and
+    leaves no file under the ``--out`` name."""
+    ckpt_args = ["--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
+                 "--ckpt", str(ws / "run_stella" / "task_01.ckpt")]
+    out, args = {
+        "eval": ("torn_eval.json", ["eval"] + ckpt_args),
+        "report_csv": ("torn_report.csv", ["report", str(ws / "run_stella")]),
+        "report_json": ("torn_report.json", ["report", str(ws / "run_stella")]),
+        "export_attention": ("torn_maps.csv", ["export-attention"] + ckpt_args),
+    }[command]
+    out = ws / out
+    real = ckpt.atomic_open
+
+    @contextlib.contextmanager
+    def torn(path, *a, **kw):
+        with real(path, *a, **kw) as fh:
+            yield fh
+            fh.flush()
+            fh.truncate(fh.tell() // 2)
+            raise OSError("disk full")
+
+    monkeypatch.setattr(ckpt, "atomic_open", torn)
+    assert cli.main(args + ["--out", str(out)]) == 3
+    assert not out.exists()
+    assert "disk full" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

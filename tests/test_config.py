@@ -122,6 +122,70 @@ def test_render_round_trips_resolved_config(strategy):
     assert cf.render_config(cf.parse_config(text)) == text  # stable
 
 
+_RENDERED_HEAD = """\
+[data]
+num_tasks = 4
+classes_per_task = 5
+train_pairs = 256
+eval_pairs = 64
+correlation = 1.0
+noise_std = 1.0
+amplitude = 3.0
+seed = 1
+audio_time_bins = 64
+audio_freq_bins = 16
+audio_patch = 4
+video_frames = 4
+video_height = 32
+video_width = 32
+video_patch = 8
+
+[model]
+embed_dim = 32
+heads = 4
+encoder_layers = 2
+fusion_layers = 1
+decoder_layers = 1
+mlp_ratio = 2
+mask_prob = 0.8
+temperature = 0.07
+contrastive_weight = 0.1
+layernorm_eps = 1e-06
+
+[train]
+strategy = {strategy}
+lr = 0.0001
+batch = 8
+epochs = 3
+memory_capacity = {capacity}
+"""
+_RENDERED_TAIL = """\
+train_seed = 0
+
+[eval]
+ks = 1,5,10
+"""
+_SELECTING = "rho_audio = 0.5\nrho_video = 0.5\nchunk_size = 4\n"
+
+
+@pytest.mark.parametrize("strategy,capacity,knobs", [
+    ("finetune", 0, ""),
+    ("er", 64, ""),
+    ("derpp", 64, "alpha = 0.5\n"),
+    ("random_select", 64, "alpha = 0.5\n" + _SELECTING),
+    ("stella", 64, "alpha = 0.5\nbeta = 0.4\n" + _SELECTING),
+    ("stella_plus", 64, "beta = 0.4\n" + _SELECTING),
+])
+def test_rendered_defaults_are_pinned(strategy, capacity, knobs):
+    """The rendered text is the run directory's resume key: a reordered or
+    renamed config field would make existing run directories refuse to
+    resume, so the exact text is pinned."""
+    want = (_RENDERED_HEAD.format(strategy=strategy, capacity=capacity)
+            + knobs + _RENDERED_TAIL)
+    text = cf.render_config(_parse(f"[train]\nstrategy = {strategy}\n"))
+    assert text == want
+
+
 def test_render_omits_unset_optional_knobs():
     text = cf.render_config(_parse("[train]\nstrategy = er\n"))
     assert "alpha" not in text and "beta" not in text

@@ -295,3 +295,16 @@ def test_task_file_truncation(tmp_path):
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(dd.DataError):
         dd.read_task_file(path)
+
+
+def test_task_file_zero_patch_header_is_a_data_error(tmp_path):
+    """A header whose audio patch size is 0 fails the geometry check rather
+    than dividing by it."""
+    cfg = _small_cfg()
+    path = tmp_path / "task0.stla"
+    dd.write_task_file(path, dd.build_sequence(cfg)[0], cfg)
+    raw = bytearray(path.read_bytes())
+    raw[4 + 6 * 8:4 + 7 * 8] = bytes(8)  # magic, then the 7th header field
+    path.write_bytes(bytes(raw))
+    with pytest.raises(dd.DataError, match="at least 1"):
+        dd.read_task_file(path)
