@@ -23,20 +23,9 @@ from avcl.tensor import Tensor
 
 
 @dataclass
-class AvmParams:
+class AvmParams(tt.Parameters):
     heads: int
     params: dict[str, Tensor]
-
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.data for k, v in self.params.items()}
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for k, p in self.params.items():
-            if k not in arrays:
-                raise KeyError(f"missing parameter {k!r}")
-            if arrays[k].shape != p.shape:
-                raise ValueError(f"shape mismatch for {k!r}")
-            p.data = np.ascontiguousarray(arrays[k], dtype=np.float64)
 
 
 def init_avm(cfg: bb.BackboneConfig, rng: np.random.Generator) -> AvmParams:

@@ -78,21 +78,10 @@ class BackboneConfig:
 
 
 @dataclass
-class BackboneState:
+class BackboneState(tt.Parameters):
     cfg: BackboneConfig
     geom: SceneGeometry
     params: dict[str, Tensor] = field(default_factory=dict)
-
-    def named_arrays(self) -> dict[str, np.ndarray]:
-        return {k: v.data for k, v in self.params.items()}
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for k, p in self.params.items():
-            if k not in arrays:
-                raise KeyError(f"missing parameter {k!r}")
-            if arrays[k].shape != p.shape:
-                raise ValueError(f"shape mismatch for {k!r}")
-            p.data = np.ascontiguousarray(arrays[k], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

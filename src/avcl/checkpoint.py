@@ -103,12 +103,17 @@ def serialized_size(tensors: dict[str, np.ndarray]) -> int:
 def atomic_open(path, mode: str = "w", **kwargs):
     """Open ``<path>.tmp`` for writing and, once the block completes, rename
     it over ``path``: readers see the old file or the whole new one, never a
-    partial one.  The temporary name does not match ``task_*.ckpt``."""
+    partial one.  If the block or the rename fails, the temporary file is
+    removed and the error propagates.  The temporary name does not match
+    ``task_*.ckpt``."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, mode, **kwargs) as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already after the rename
 
 
 def save(path, tensors: dict[str, np.ndarray]) -> None:

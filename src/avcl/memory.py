@@ -1,14 +1,14 @@
 """Rehearsal memory.
 
-A columnar reservoir of past training pairs: one preallocated
-``(capacity, ...)`` float64 array per stored field, plus slot-indexed
-insertion steps and source tasks.  A strategy stores exactly the fields its
-replay reads — patches and their grid ids always, pooled features for the
-feature-drift penalty, localized queries and selection scores for
-attention-guided selection — so no field is ever a placeholder.  Alongside
-the store: batch-wise reservoir insertion, uniform replay sampling, the
-feature-drift penalty applied to replayed features, and a snapshot of a
-fixed handful of tensors for the checkpoint container.
+A columnar reservoir of past training pairs: one float64 array per stored
+field, plus insertion steps and source tasks, all grown by doubling up to
+the capacity as entries arrive.  A strategy stores exactly the fields its
+replay reads — patches always, grid ids for selected subsets, pooled
+features for the feature-drift penalty, localized queries and selection
+scores for attention-guided selection — so no field is ever a placeholder.
+Alongside the store: batch-wise reservoir insertion, uniform replay
+sampling, the feature-drift penalty applied to replayed features, and a
+snapshot of a fixed handful of tensors for the checkpoint container.
 """
 
 from __future__ import annotations
@@ -28,26 +28,39 @@ class RehearsalError(ValueError):
 
 @dataclass
 class ReservoirMemory:
-    """Slots ``[0, count)`` hold the stored pairs.  ``fields`` maps a field
-    name to its ``(capacity, ...)`` column and is created by the first
-    insert; grid ids are stored as exact float64 like every other field.
-    ``tasks`` is diagnostics only and never read by training logic."""
+    """Rows ``[0, count)`` of every column hold the stored pairs; each column
+    has between ``count`` and ``min(capacity, 2 * count)`` rows, and rows
+    past ``count`` are never read.  ``fields`` maps a field name to its
+    column and is created by the first insert.  ``tasks`` is diagnostics
+    only and never read by training logic."""
 
     capacity: int
     seen_count: int = 0
     count: int = 0
     fields: dict[str, np.ndarray] = field(default_factory=dict)
-    steps: np.ndarray = field(init=False)
-    tasks: np.ndarray = field(init=False)
+    steps: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
+    tasks: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
 
     def __post_init__(self):
         if self.capacity < 0:
             raise RehearsalError("capacity must be non-negative")
-        self.steps = np.zeros(self.capacity, dtype=np.int64)
-        self.tasks = np.full(self.capacity, -1, dtype=np.int64)
 
     def __len__(self):
         return self.count
+
+
+def _grow(mem: ReservoirMemory, filled: int) -> None:
+    """Double every column, or more if ``mem.count`` needs it, up to the
+    capacity; rows past the ``filled`` ones kept are left uninitialised."""
+    rows = min(mem.capacity, max(mem.count, 2 * len(mem.steps)))
+
+    def grown(col: np.ndarray) -> np.ndarray:
+        out = np.empty((rows,) + col.shape[1:], col.dtype)
+        out[:filled] = col[:filled]
+        return out
+
+    mem.fields = {name: grown(col) for name, col in mem.fields.items()}
+    mem.steps, mem.tasks = grown(mem.steps), grown(mem.tasks)
 
 
 def reservoir_insert(mem: ReservoirMemory, batch: dict[str, np.ndarray],
@@ -68,8 +81,8 @@ def reservoir_insert(mem: ReservoirMemory, batch: dict[str, np.ndarray],
         mem.seen_count += b
         return
     if not mem.fields:
-        mem.fields = {k: np.zeros((mem.capacity,) + v.shape[1:])
-                      for k, v in batch.items()}
+        mem.fields = {k: np.empty((0,) + v.shape[1:]) for k, v in batch.items()}
+    filled = mem.count
     slot_row: dict[int, int] = {}  # a later row replacing a slot wins
     for row in range(b):
         mem.seen_count += 1
@@ -82,6 +95,8 @@ def reservoir_insert(mem: ReservoirMemory, batch: dict[str, np.ndarray],
             slot_row[j] = row
     if not slot_row:
         return
+    if mem.count > len(mem.steps):
+        _grow(mem, filled)
     slots = np.fromiter(slot_row.keys(), dtype=np.int64)
     picks = np.fromiter(slot_row.values(), dtype=np.int64)
     for name, col in mem.fields.items():
@@ -159,11 +174,10 @@ def memory_from_arrays(arrays: dict[str, np.ndarray], capacity: int,
                        fields: dict[str, tuple[int, ...]]) -> ReservoirMemory:
     """Inverse of :func:`snapshot_arrays`; ``arrays`` may hold other keys.
     The snapshot must hold ``capacity`` and, unless it is empty, exactly the
-    stored ``fields`` (name -> per-entry shape), all checked before any
-    allocation.  A full snapshot's columns are adopted as they are when they
-    own writeable C-contiguous float64 buffers, as the checkpoint reader
-    returns them; views, such as those of :func:`snapshot_arrays`, are
-    copied."""
+    stored ``fields`` (name -> per-entry shape), all checked before the
+    memory is built.  Field columns are adopted as they are when they own
+    writeable C-contiguous float64 buffers, as the checkpoint reader returns
+    them; views, such as those of :func:`snapshot_arrays`, are copied."""
     try:
         stored_capacity = int(arrays["memory/capacity"][0])
         seen = int(arrays["memory/seen"][0])
@@ -184,13 +198,8 @@ def memory_from_arrays(arrays: dict[str, np.ndarray], capacity: int,
     if stored and {k: v.shape[1:] for k, v in stored.items()} != fields:
         raise RehearsalError("snapshot fields do not match the fields this "
                              f"run stores: {sorted(stored)} vs {sorted(fields)}")
-    mem = ReservoirMemory(capacity, seen_count=seen, count=count)
-    mem.steps[:count] = steps
-    mem.tasks[:count] = tasks
-    for name, col in stored.items():
-        if count == capacity:
-            mem.fields[name] = np.require(col, np.float64, "CWO")
-        else:
-            mem.fields[name] = np.zeros((capacity,) + col.shape[1:])
-            mem.fields[name][:count] = col
-    return mem
+    return ReservoirMemory(
+        capacity, seen_count=seen, count=count,
+        fields={name: np.require(col, np.float64, "CWO")
+                for name, col in stored.items()},
+        steps=steps.astype(np.int64), tasks=tasks.astype(np.int64))

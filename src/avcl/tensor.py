@@ -132,6 +132,23 @@ def parameter(x, rng: np.random.Generator | None = None, scale: float = 0.02) ->
     return Tensor(x, requires_grad=True)
 
 
+class Parameters:
+    """Export and checked load of the named trainable tensors ``params``."""
+
+    params: dict[str, Tensor]
+
+    def named_arrays(self) -> dict[str, np.ndarray]:
+        return {k: v.data for k, v in self.params.items()}
+
+    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
+        for k, p in self.params.items():
+            if k not in arrays:
+                raise KeyError(f"missing parameter {k!r}")
+            if arrays[k].shape != p.shape:
+                raise ValueError(f"shape mismatch for {k!r}")
+            p.data = np.ascontiguousarray(arrays[k], dtype=np.float64)
+
+
 def _make(data, parents, grad_fn) -> Tensor:
     if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _grad_fn=grad_fn)

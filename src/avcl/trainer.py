@@ -14,12 +14,13 @@ Six strategies share one step pipeline:
                       with their queries and scores so replay re-runs the
                       same selection machinery.
 * ``stella_plus``   — selection as ``stella`` but the memory keeps only the
-                      selected patches and their queries; capacity grows to
-                      fill the same patch byte budget and replayed entries
-                      are used as-is.
+                      selected patches, their grid ids and their queries;
+                      capacity grows to fill the same patch byte budget and
+                      replayed entries are used as-is.
 
 Each strategy stores exactly the memory fields its replay reads (see
-``_store_current``).
+``_store_current``); only ``stella_plus`` entries hold patch subsets, so
+only they store grid ids.
 
 Training never reads task identity: the step API has no task argument, and
 the only task-shaped value (``RunState.diagnostic_task``) is copied verbatim
@@ -163,9 +164,13 @@ class RunState:
     b_opt: op.Adam
     a_opt: op.Adam | None
     streams: dict[str, np.random.Generator]
-    global_step: int = 0
     records: list[LossRecord] = field(default_factory=list)
     diagnostic_task: int = -1  # metadata only; no step logic reads it
+
+    @property
+    def global_step(self) -> int:
+        """Steps taken so far: every step records exactly one loss row."""
+        return len(self.records)
 
 
 def init_run(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
@@ -200,11 +205,11 @@ def _memory_fields(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     if tcfg.strategy in SELECTING:
         kap_a = sel.kappa(a.patches, tcfg.rho_audio)
         kap_v = sel.kappa(v.patches, tcfg.rho_video)
-    n_a, n_v = a.patches, v.patches
+    fields = {"audio_patches": (a.patches, a.patch_dim),
+              "video_patches": (v.patches, v.patch_dim)}
     if tcfg.strategy == "stella_plus":
-        n_a, n_v = kap_a, kap_v
-    fields = {"audio_patches": (n_a, a.patch_dim), "audio_indices": (n_a,),
-              "video_patches": (n_v, v.patch_dim), "video_indices": (n_v,)}
+        fields = {"audio_patches": (kap_a, a.patch_dim), "audio_indices": (kap_a,),
+                  "video_patches": (kap_v, v.patch_dim), "video_indices": (kap_v,)}
     if tcfg.strategy in PENALIZED:
         fields.update(feat_audio=(mcfg.embed_dim,), feat_video=(mcfg.embed_dim,))
     if tcfg.strategy in SCORING:
@@ -300,11 +305,12 @@ def _select_uniformly(tcfg: TrainConfig, aps: PatchSet, vps: PatchSet,
 def _past_patchsets(run: RunState, tcfg: TrainConfig,
                     replay: dict[str, np.ndarray], aps: PatchSet,
                     vps: PatchSet) -> tuple[PatchSet, PatchSet]:
-    """Replayed batch in the same patch layout as the current one."""
-    p_aps = PatchSet(replay["audio_patches"], replay["audio_indices"],
-                     "audio", aps.grid)
-    p_vps = PatchSet(replay["video_patches"], replay["video_indices"],
-                     "video", vps.grid)
+    """Replayed batch in the same patch layout as the current one.  Entries
+    without stored grid ids hold full grids, whose ids are the current's."""
+    p_aps = PatchSet(replay["audio_patches"],
+                     replay.get("audio_indices", aps.indices), "audio", aps.grid)
+    p_vps = PatchSet(replay["video_patches"],
+                     replay.get("video_indices", vps.indices), "video", vps.grid)
     rng = run.streams["selection"]
     if tcfg.strategy == "stella":
         # re-run selection on the stored full grids with the scores that were
@@ -334,14 +340,15 @@ def _store_current(run: RunState, tcfg: TrainConfig,
                    trained: tuple[PatchSet, PatchSet], scoring: _Scoring | None,
                    feat_a: np.ndarray, feat_v: np.ndarray) -> None:
     """Insert the current batch into the reservoir (memory stream), keeping
-    only the fields the strategy's replay reads: patches and grid ids (the
-    selected subset for ``stella_plus``), the pooled features for the drift
-    penalty, and the queries and selection scores for attention-guided
-    selection.  Zero correlation stands for "no memory yet", exactly as
-    selection treats a missing correlation."""
+    only the fields the strategy's replay reads: the full patch grids, or
+    for ``stella_plus`` the selected patches with their grid ids, the pooled
+    features for the drift penalty, and the queries and selection scores
+    for attention-guided selection.  Zero correlation stands for "no memory
+    yet", exactly as selection treats a missing correlation."""
     a, v = trained if tcfg.strategy == "stella_plus" else full
-    batch = {"audio_patches": a.patches, "audio_indices": a.indices,
-             "video_patches": v.patches, "video_indices": v.indices}
+    batch = {"audio_patches": a.patches, "video_patches": v.patches}
+    if tcfg.strategy == "stella_plus":
+        batch.update(audio_indices=a.indices, video_indices=v.indices)
     if tcfg.strategy in PENALIZED:
         batch.update(feat_audio=feat_a, feat_video=feat_v)
     if tcfg.strategy in SCORING:
@@ -440,7 +447,6 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     record = LossRecord(run.global_step, float(rec.data), float(con.data),
                         0.0 if penalty is None else float(penalty.data),
                         avm_loss, float(total.data))
-    run.global_step += 1
     run.records.append(record)
     return record
 
@@ -537,18 +543,12 @@ def read_acc_csv(path: Path) -> list[list[float]]:
 
 
 def _rng_state_json(streams: dict[str, np.random.Generator]) -> str:
-    blob = {}
-    for name, gen in streams.items():
-        bg = gen.bit_generator
-        ss = bg.seed_seq
-        entropy = ss.entropy
-        blob[name] = {
-            "entropy": entropy if isinstance(entropy, int) else list(entropy),
-            "spawn_key": list(ss.spawn_key),
-            "n_children_spawned": ss.n_children_spawned,
-            "state": bg.state,
-        }
-    return json.dumps(blob)
+    """Per stream, what the seed does not rebuild: the generator state and
+    the spawn count (``Generator.spawn`` in selection advances it)."""
+    return json.dumps({name: {"n_children_spawned":
+                              gen.bit_generator.seed_seq.n_children_spawned,
+                              "state": gen.bit_generator.state}
+                       for name, gen in streams.items()})
 
 
 def _reads_checkpoint(fn):
@@ -567,40 +567,29 @@ def _reads_checkpoint(fn):
 
 
 @_reads_checkpoint
-def _streams_from_json(text: str) -> dict[str, np.random.Generator]:
+def _streams_from_json(text: str, seed: int) -> dict[str, np.random.Generator]:
+    """Inverse of :func:`_rng_state_json` for a run seeded with ``seed``.
+    The spawn count is a constructor argument, so it costs no replay."""
     blob = json.loads(text)
     streams = {}
-    for name in STREAM_NAMES:
-        item = blob[name]
-        entropy = item["entropy"]
+    for name, gen in rng_streams(seed).items():
+        ss = gen.bit_generator.seed_seq
         ss = np.random.SeedSequence(
-            entropy if isinstance(entropy, int) else [int(e) for e in entropy],
-            spawn_key=tuple(item["spawn_key"]))
-        spawned = int(item["n_children_spawned"])
-        if spawned:
-            ss.spawn(spawned)  # replay the spawn counter; children discarded
-        gen = np.random.Generator(np.random.PCG64(ss))
-        gen.bit_generator.state = item["state"]
-        streams[name] = gen
+            ss.entropy, spawn_key=ss.spawn_key,
+            n_children_spawned=int(blob[name]["n_children_spawned"]))
+        streams[name] = np.random.Generator(np.random.PCG64(ss))
+        streams[name].bit_generator.state = blob[name]["state"]
     return streams
 
 
-def _checkpoint_arrays(run: RunState, tasks_done: int,
-                       acc: list[list[float]], gaps: list[float]
-                       ) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for k, v in run.state.named_arrays().items():
-        out[f"model/{k}"] = v
-    for k, v in run.b_opt.named_arrays("opt/backbone").items():
-        out[k] = v
+def _checkpoint_arrays(run: RunState, acc: list[list[float]],
+                       gaps: list[float]) -> dict[str, np.ndarray]:
+    out = {f"model/{k}": v for k, v in run.state.named_arrays().items()}
+    out.update(run.b_opt.named_arrays("opt/backbone"))
     if run.avm is not None:
-        for k, v in run.avm.named_arrays().items():
-            out[f"model/{k}"] = v
-        for k, v in run.a_opt.named_arrays("opt/avm").items():
-            out[k] = v
+        out.update({f"model/{k}": v for k, v in run.avm.named_arrays().items()})
+        out.update(run.a_opt.named_arrays("opt/avm"))
     out.update(rm.snapshot_arrays(run.mem))
-    out["run/step"] = np.array(float(run.global_step))
-    out["run/tasks_done"] = np.array(float(tasks_done))
     out["run/records"] = (np.array([r.row() for r in run.records])
                           if run.records else np.zeros((0, 6)))
     for t, row in enumerate(acc):
@@ -634,8 +623,11 @@ def avm_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig
 
 
 @_reads_checkpoint
-def _restore_run(arrays: dict[str, np.ndarray], streams, mcfg, tcfg, geom
-                 ) -> tuple[RunState, int, list[list[float]], list[float]]:
+def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, streams,
+                 mcfg, tcfg, geom
+                 ) -> tuple[RunState, list[list[float]], list[float]]:
+    """Run state, accuracy rows and gaps of the checkpoint written after
+    ``tasks_done`` tasks; ``run/step`` and ``run/tasks_done`` are not read."""
     avm = avm_from_arrays(arrays, mcfg)
     if (avm is not None) != (tcfg.strategy in SCORING):
         raise cp.CheckpointError("checkpoint matching module does not fit "
@@ -647,28 +639,20 @@ def _restore_run(arrays: dict[str, np.ndarray], streams, mcfg, tcfg, geom
     run.b_opt.load_arrays("opt/backbone", arrays)
     if avm is not None:
         run.a_opt.load_arrays("opt/avm", arrays)
-    run.global_step = int(arrays["run/step"])
     run.records = [LossRecord(int(r[0]), *[float(v) for v in r[1:]])
                    for r in arrays["run/records"]]
-    tasks_done = int(arrays["run/tasks_done"])
-    acc = []
-    for t in range(tasks_done):
-        acc.append([float(v) for v in arrays[f"run/acc/{t:02d}"]])
+    acc = [[float(v) for v in arrays[f"run/acc/{t:02d}"]]
+           for t in range(tasks_done)]
     gaps = [float(v) for v in arrays["run/gaps"]]
-    return run, tasks_done, acc, gaps
+    return run, acc, gaps
 
 
 def _latest_task_checkpoint(run_dir: Path) -> tuple[int, Path] | None:
-    best = None
-    for path in run_dir.glob("task_*.ckpt"):
-        m = re.fullmatch(r"task_(\d+)\.ckpt", path.name)
-        if not m:
-            continue
-        t = int(m.group(1))
-        if path.with_suffix(".rng.json").exists():
-            if best is None or t > best[0]:
-                best = (t, path)
-    return best
+    """Tasks done and checkpoint of the last task whose streams file exists."""
+    done = [(int(m.group(1)) + 1, path) for path in run_dir.glob("task_*.ckpt")
+            if (m := re.fullmatch(r"task_(\d+)\.ckpt", path.name))
+            and path.with_suffix(".rng.json").exists()]
+    return max(done, default=None)
 
 
 def save_task_artifacts(run: RunState, run_dir: Path, tasks_done: int,
@@ -680,7 +664,7 @@ def save_task_artifacts(run: RunState, run_dir: Path, tasks_done: int,
     redo the task and rewrite all of its artifacts."""
     tag = f"task_{tasks_done - 1:02d}"
     cp.save(run_dir / f"{tag}.ckpt",
-            _checkpoint_arrays(run, tasks_done, acc, gaps))
+            _checkpoint_arrays(run, acc, gaps))
     _write_csv(run_dir / "losses.csv", [_LOSS_HEADER] + [
         [r.step] + [_fmt(v) for v in (r.recon, r.contrast, r.penalty, r.avm)]
         for r in run.records])
@@ -719,11 +703,11 @@ def run_sequence(tasks: list[TaskData], geom: SceneGeometry,
         run_dir.mkdir(parents=True, exist_ok=True)
         found = _latest_task_checkpoint(run_dir)
         if found is not None:
-            t_done, ckpt = found
+            start_task, ckpt = found
             streams = _streams_from_json(
-                ckpt.with_suffix(".rng.json").read_text())
-            run, start_task, acc, gaps = _restore_run(
-                cp.load(ckpt), streams, mcfg, tcfg, geom)
+                ckpt.with_suffix(".rng.json").read_text(), tcfg.train_seed)
+            run, acc, gaps = _restore_run(cp.load(ckpt), start_task, streams,
+                                          mcfg, tcfg, geom)
     if run is None:
         run = init_run(mcfg, tcfg, geom)
 

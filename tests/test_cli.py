@@ -173,16 +173,20 @@ def test_truncated_rng_state_exits_3(ws, capsys):
     assert "data error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["missing_stream", "bad_state"])
+@pytest.mark.parametrize("damage", ["missing_stream", "bad_state",
+                                    "huge_spawn_count"])
 def test_malformed_rng_state_exits_3(ws, capsys, damage):
-    """Valid JSON that lacks a stream or holds a state the generator
-    rejects is a data error, not a traceback."""
+    """Valid JSON that lacks a stream, holds a state the generator rejects
+    or a spawn count beyond its range is a data error, not a traceback or
+    an unbounded replay."""
     run, args = _resume_copy(ws, f"run_rng_{damage}")
     blob = json.loads((run / "task_01.rng.json").read_text())
     if damage == "missing_stream":
         del blob["mask"]
-    else:
+    elif damage == "bad_state":
         blob["mask"]["state"] = 7
+    else:
+        blob["selection"]["n_children_spawned"] = 2 ** 40
     (run / "task_01.rng.json").write_text(json.dumps(blob))
     assert cli.main(args) == 3
     assert "data error" in capsys.readouterr().err
@@ -242,17 +246,47 @@ def test_matching_head_of_another_width_exits_3(ws, capsys):
     assert not out.exists() and not (run / "task_01.ckpt").exists()
 
 
-@pytest.mark.parametrize("step", ["missing", "infinite"])
-def test_bad_run_step_exits_3(ws, capsys, step):
+@pytest.mark.parametrize("records", ["missing", "flat", "narrow"])
+def test_bad_run_records_exits_3(ws, capsys, records):
+    """The loss records are the run's only step count."""
     def damage(arrays):
-        if step == "missing":
-            del arrays["run/step"]
+        if records == "missing":
+            del arrays["run/records"]
+        elif records == "flat":
+            arrays["run/records"] = arrays["run/records"].ravel()
         else:
-            arrays["run/step"] = np.array(np.inf)
+            arrays["run/records"] = arrays["run/records"][:, :3]
 
-    _, args = _damaged_copy(ws, f"run_{step}_step", damage)
+    _, args = _damaged_copy(ws, f"run_{records}_records", damage)
     assert cli.main(args) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def test_checkpoint_with_old_progress_keys_resumes(ws):
+    """Checkpoints that still store ``run/step`` and ``run/tasks_done`` load
+    as before; the keys are not read."""
+    run, args = _resume_copy(ws, "run_old_keys")
+    full = (run / "task_01.ckpt").read_bytes()
+    for name in ("task_01.ckpt", "task_01.rng.json"):
+        (run / name).unlink()
+    arrays = ckpt.load(run / "task_00.ckpt")
+    arrays["run/step"] = np.array(float(len(arrays["run/records"])))
+    arrays["run/tasks_done"] = np.array(1.0)
+    ckpt.save(run / "task_00.ckpt", arrays)
+    assert cli.main(args) == 0
+    assert (run / "task_01.ckpt").read_bytes() == full
+
+
+def test_huge_memory_capacity_runs(ws):
+    """Memory columns grow with the stored entries, so a capacity far beyond
+    the data allocates nothing up front."""
+    cfg = _variant(ws, "huge_capacity", "memory_capacity = 6",
+                   "memory_capacity = 100000000000")
+    run = ws / "run_huge_capacity"
+    assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
+                     "--out", str(run)]) == 0
+    arrays = ckpt.load(run / "task_01.ckpt")
+    assert arrays["memory/count"][0] == arrays["memory/seen"][0] == 32
 
 
 def test_hostile_memory_capacity_exits_3_before_allocating(ws, capsys):
@@ -518,6 +552,7 @@ def test_failed_out_write_leaves_no_partial_file(ws, capsys, monkeypatch,
     monkeypatch.setattr(ckpt, "atomic_open", torn)
     assert cli.main(args + ["--out", str(out)]) == 3
     assert not out.exists()
+    assert not list(ws.glob("*.tmp"))
     assert "disk full" in capsys.readouterr().err
 
 

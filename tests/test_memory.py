@@ -55,7 +55,7 @@ def test_reservoir_keeps_everything_under_capacity():
     for step in range(10):
         _insert(mem, step, rng)
     assert _ids(mem) == list(range(10))
-    assert list(mem.steps) == list(range(10))
+    assert list(mem.steps[:len(mem)]) == list(range(10))
     assert mem.seen_count == 10
 
 
@@ -67,6 +67,33 @@ def test_reservoir_never_exceeds_capacity():
         assert len(mem) <= 5
         assert mem.seen_count == step + 1
     assert all(col.shape[0] == 5 for col in mem.fields.values())
+
+
+def _rows(mem):
+    """Row counts of every column, bookkeeping included."""
+    return {len(col) for col in [mem.steps, mem.tasks, *mem.fields.values()]}
+
+
+def test_columns_grow_geometrically_up_to_capacity():
+    """Whatever the batch sizes, every column holds at least ``count`` rows
+    and at most ``min(capacity, 2 * count)``; none is sized by the capacity
+    before entries exist."""
+    rng = np.random.default_rng(20)
+    for capacity in (1, 5, 16, 37):
+        mem = rm.ReservoirMemory(capacity=capacity)
+        assert _rows(mem) == {0} and not mem.fields
+        for step in range(40):
+            _insert(mem, step, rng, rows=int(rng.integers(0, 7)))
+            (rows,) = _rows(mem)
+            assert len(mem) <= rows <= min(capacity, 2 * len(mem)), (capacity, step)
+        assert len(mem) == capacity
+
+
+def test_huge_capacity_allocates_nothing_up_front():
+    mem = rm.ReservoirMemory(capacity=10 ** 11)
+    assert _rows(mem) == {0} and not mem.fields
+    _insert(mem, 0, np.random.default_rng(21), rows=3)
+    assert _rows(mem) == {3} and len(mem) == 3
 
 
 def test_zero_capacity_is_a_noop_that_skips_the_draw():
@@ -344,29 +371,36 @@ def test_snapshot_roundtrip_preserves_everything():
         back = _through_container(mem)
         assert back.capacity == mem.capacity
         assert back.seen_count == mem.seen_count
-        assert len(back) == len(mem)
-        assert np.array_equal(back.steps, mem.steps)
-        assert np.array_equal(back.tasks, mem.tasks)
+        n = len(back)
+        assert n == len(mem)
+        assert np.array_equal(back.steps[:n], mem.steps[:n])
+        assert np.array_equal(back.tasks[:n], mem.tasks[:n])
         assert set(back.fields) == set(mem.fields)
         for name, col in mem.fields.items():
-            assert np.array_equal(back.fields[name], col), name
+            assert np.array_equal(back.fields[name][:n], col[:n]), name
 
 
 def test_snapshot_is_in_slot_order_and_deterministic():
     mem = _churned_memory()
     arrays = rm.snapshot_arrays(mem)
-    assert list(arrays["memory/steps"]) == list(mem.steps)
+    assert list(arrays["memory/steps"]) == list(mem.steps[:len(mem)])
     assert np.array_equal(arrays["memory/field/audio_patches"],
-                          mem.fields["audio_patches"])
+                          mem.fields["audio_patches"][:len(mem)])
     assert _container_bytes(arrays) == _container_bytes(rm.snapshot_arrays(mem))
     assert not any("entry" in k for k in arrays)
 
 
 def test_partially_filled_snapshot_roundtrips():
+    """A restored partial memory holds exactly its entries, and the next
+    insert grows every column as it would have grown the original."""
     mem = rm.ReservoirMemory(capacity=5)
     _insert(mem, 0, np.random.default_rng(19), rows=2)
     back = _through_container(mem)
-    assert len(back) == 2 and back.fields["audio_patches"].shape[0] == 5
+    assert len(back) == 2 and _rows(back) == {2}
+    assert _container_bytes(rm.snapshot_arrays(back)) == _container_bytes(rm.snapshot_arrays(mem))
+    for m in (mem, back):
+        _insert(m, 1, np.random.default_rng(22), rows=1)
+    assert len(back) == 3 and _rows(back) == _rows(mem) == {4}
     assert _container_bytes(rm.snapshot_arrays(back)) == _container_bytes(rm.snapshot_arrays(mem))
 
 
@@ -411,20 +445,28 @@ def test_snapshot_resume_is_bit_identical():
     for step in range(9, 30):
         _insert(mem, step, r1)
         _insert(back, step, r2)
-    assert np.array_equal(mem.steps, back.steps)
+    assert np.array_equal(mem.steps[:len(mem)], back.steps[:len(back)])
     assert _ids(mem) == _ids(back)
 
 
 def test_full_snapshot_columns_are_adopted_without_a_copy():
-    """A snapshot that fills the capacity is restored by keeping the owned,
-    writeable columns the checkpoint reader returns."""
-    mem = _churned_memory()
-    assert len(mem) == mem.capacity
-    arrays = cp.read_entries(io.BytesIO(_container_bytes(rm.snapshot_arrays(mem))))
-    back = rm.memory_from_arrays(arrays, mem.capacity, _field_shapes(mem))
+    """A full or partly filled snapshot is restored by keeping the owned,
+    writeable columns the checkpoint reader returns; the next insert that
+    needs room grows a partial one."""
+    partial = rm.ReservoirMemory(capacity=5)
+    _insert(partial, 0, np.random.default_rng(23), rows=3)
+    for mem in (_churned_memory(), partial):
+        arrays = cp.read_entries(io.BytesIO(_container_bytes(rm.snapshot_arrays(mem))))
+        back = rm.memory_from_arrays(arrays, mem.capacity, _field_shapes(mem))
+        n = len(mem)
+        for name, col in back.fields.items():
+            assert col is arrays["memory/field/" + name], name
+            assert np.array_equal(col, mem.fields[name][:n]), name
+    _insert(back, 1, np.random.default_rng(24), rows=1)
+    assert len(back) == 4 and _rows(back) == {5}
     for name, col in back.fields.items():
-        assert col is arrays["memory/field/" + name], name
-        assert np.array_equal(col, mem.fields[name]), name
+        assert col is not arrays["memory/field/" + name], name
+        assert np.array_equal(col[:3], arrays["memory/field/" + name]), name
 
 
 @pytest.mark.parametrize("inserts", [9, 2])  # full, partially filled
@@ -436,7 +478,7 @@ def test_restore_from_snapshot_views_never_aliases_the_source(inserts):
     back = rm.memory_from_arrays(rm.snapshot_arrays(mem), mem.capacity,
                                  _field_shapes(mem))
     for name, col in mem.fields.items():
-        assert back.fields[name].shape == col.shape, name
+        assert back.fields[name].shape == col[:len(mem)].shape, name
         assert not np.shares_memory(back.fields[name], col), name
     before = {k: v.copy() for k, v in mem.fields.items()}
     _insert(back, inserts, np.random.default_rng(14))

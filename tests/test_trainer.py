@@ -181,10 +181,9 @@ def test_stella_memory_stores_raw_pairs_with_scores(tasks, geom, mcfg):
     kap_v = sel.kappa(geom.video.patches, 0.5)
     assert len(run.mem) == 6
     f = {k: v[:len(run.mem)] for k, v in run.mem.fields.items()}
-    assert set(f) == {"audio_patches", "audio_indices", "video_patches",
-                      "video_indices", "feat_audio", "feat_video", "q_audio",
-                      "q_video", "imp_audio", "imp_video", "corr_audio",
-                      "corr_video"}
+    assert set(f) == {"audio_patches", "video_patches", "feat_audio",
+                      "feat_video", "q_audio", "q_video", "imp_audio",
+                      "imp_video", "corr_audio", "corr_video"}
     assert f["audio_patches"].shape == (6, geom.audio.patches,
                                         geom.audio.patch_dim)
     assert f["video_patches"].shape == (6, geom.video.patches,
@@ -197,7 +196,7 @@ def test_stella_memory_stores_raw_pairs_with_scores(tasks, geom, mcfg):
     assert f["corr_audio"].shape == (6, kap_a)
     assert f["corr_video"].shape == (6, kap_v)
     assert np.all((f["corr_audio"] >= 0.0) & (f["corr_audio"] <= 1.0))
-    assert set(run.mem.tasks) <= {0, 1}
+    assert set(run.mem.tasks[:len(run.mem)]) <= {0, 1}
 
 
 def test_stella_plus_memory_and_capacity(tasks, geom, mcfg):
@@ -220,11 +219,18 @@ def test_stella_plus_memory_and_capacity(tasks, geom, mcfg):
     assert np.all(np.diff(f["video_indices"], axis=1) > 0)
 
 
+@pytest.mark.parametrize("strategy", tr.STRATEGIES[1:])
+def test_only_selected_entries_store_grid_ids(geom, mcfg, strategy):
+    fields = tr._memory_fields(mcfg, _cfg(strategy), geom)
+    ids = {"audio_indices", "video_indices"}
+    assert ids <= set(fields) if strategy == "stella_plus" else not ids & set(fields)
+
+
 def test_unscored_strategies_store_blank_scores(tasks, geom, mcfg):
     """Unscored strategies store no queries or scores; only the penalized
-    ones keep the pooled features the penalty reads."""
-    patches = {"audio_patches", "audio_indices", "video_patches",
-               "video_indices"}
+    ones keep the pooled features the penalty reads.  None stores grid ids:
+    a full grid's are the same in every row."""
+    patches = {"audio_patches", "video_patches"}
     run, _, _ = tr.run_sequence(tasks, geom, mcfg, _cfg("er"))
     assert set(run.mem.fields) == patches
     for strategy in ("derpp", "random_select"):
@@ -570,11 +576,18 @@ def test_run_directory_artifacts(tasks, geom, mcfg, tmp_path):
     snap = rm.memory_from_arrays(cp.load(tmp_path / "task_01.ckpt"),
                                  run.mem.capacity,
                                  tr._memory_fields(mcfg, _cfg("stella"), geom))
-    assert len(snap) == len(run.mem) and snap.seen_count == run.mem.seen_count
+    n = len(run.mem)
+    assert len(snap) == n and snap.seen_count == run.mem.seen_count
     for name, col in run.mem.fields.items():
-        assert np.array_equal(snap.fields[name], col), name
+        assert np.array_equal(snap.fields[name], col[:n]), name
     blob = json.loads((tmp_path / "task_01.rng.json").read_text())
     assert set(blob) == set(tr.STREAM_NAMES)
+    # the seed rebuilds the rest of each stream
+    assert all(set(item) == {"state", "n_children_spawned"}
+               for item in blob.values())
+    assert blob["selection"]["n_children_spawned"] > 0
+    assert not any(k in cp.load(tmp_path / "task_01.ckpt")
+                   for k in ("run/step", "run/tasks_done"))
 
 
 @pytest.mark.parametrize("strategy", tr.STRATEGIES)
