@@ -15,15 +15,19 @@ atomically; the manifest is written last, and a dataset is read only through
 it, so an interrupted ``generate-data`` leaves nothing that loads as data.
 
 A run directory holds ``config.ini`` (the resolved configuration), and after
-every completed task ``task_XX.ckpt`` (model, optimizer state, rehearsal
-memory and loss records in one container) with ``task_XX.rng.json`` (per
-random stream, the state and spawn count; ``train_seed`` rebuilds the rest)
-beside it; ``losses.csv``, ``acc_matrix.csv``, ``gaps.csv`` and
-``retrieval.json`` are rewritten as tasks complete.  Each file is replaced
-atomically and ``task_XX.rng.json`` is written last, so a task without it is
-redone on resume.  Only ``stella_plus`` memories store grid ids: a run
-directory written with grid-id columns for another strategy exits 3 on
-resume ("snapshot fields do not match").
+every completed task ``task_XX.ckpt`` (model, optimizer moments, rehearsal
+memory, loss records, accuracy rows and gaps in one container) with
+``task_XX.rng.json`` (per random stream, the state and spawn count;
+``train_seed`` rebuilds the rest) beside it; ``losses.csv``,
+``acc_matrix.csv``, ``gaps.csv`` and ``retrieval.json`` are rewritten as
+tasks complete.  Each file is replaced atomically and ``task_XX.rng.json``
+is written last, so a task without it is redone on resume.  The step count
+is the number of loss records (five losses per step); resume checks it, the
+accuracy rows and the gaps against the finished tasks before training, so
+an older run directory with six-column records exits 3.  Only
+``stella_plus`` memories store grid ids: a run directory written with
+grid-id columns for another strategy exits 3 on resume ("snapshot fields
+do not match").
 
 The ``--out`` files of ``eval``, ``report`` and ``export-attention`` are
 replaced atomically too, so a failed write leaves no partial output.

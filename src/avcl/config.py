@@ -19,8 +19,7 @@ Every key is optional except ``train.strategy``.  Unknown sections or keys
 are rejected, values are type-checked exactly (an ``int`` key rejects
 ``3.0``), and there is no value interpolation or environment lookup.
 Strategy-conditional knobs that the strategy requires but the file omits
-take the canonical defaults ``alpha = 0.5``, ``beta = 0.4``,
-``rho_audio = rho_video = 0.5`` and ``chunk_size = 4``; ``finetune``
+take their canonical defaults from ``trainer.STRATEGY_KNOBS``; ``finetune``
 defaults ``memory_capacity`` to 0.  The fully resolved configuration can be
 rendered back to text (and is written into every run directory) so a run is
 reproducible from its artifacts alone.
@@ -151,17 +150,9 @@ def _train_values(vals: dict[str, object]) -> dict[str, object]:
     strat = vals["strategy"]
     kw = dict(vals)
     # canonical defaults for knobs the strategy requires but the file omits
-    if strat in tr.PENALIZED and "alpha" not in vals:
-        kw["alpha"] = 0.5
-    if strat in tr.SCORING and "beta" not in vals:
-        kw["beta"] = 0.4
-    if strat in tr.SELECTING:
-        if "rho_audio" not in vals:
-            kw["rho_audio"] = 0.5
-        if "rho_video" not in vals:
-            kw["rho_video"] = 0.5
-        if "chunk_size" not in vals:
-            kw["chunk_size"] = 4
+    for name, (users, default) in tr.STRATEGY_KNOBS.items():
+        if strat in users and name not in vals:
+            kw[name] = default
     if strat == "finetune" and "memory_capacity" not in vals:
         kw["memory_capacity"] = 0
     return kw

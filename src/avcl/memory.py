@@ -149,14 +149,14 @@ _FIELD = "memory/field/"
 
 
 def snapshot_arrays(mem: ReservoirMemory) -> dict[str, np.ndarray]:
-    """Flat named-array view of the memory in slot order: five bookkeeping
-    tensors plus one ``(count, ...)`` tensor per stored field, so a load
-    restores the exact reservoir state."""
+    """Flat named-array view of the memory in slot order: four bookkeeping
+    tensors (capacity, seen count, insertion steps, source tasks) plus one
+    ``(count, ...)`` tensor per stored field, so a load restores the exact
+    reservoir state."""
     n = mem.count
     out: dict[str, np.ndarray] = {
         "memory/capacity": np.array([float(mem.capacity)]),
         "memory/seen": np.array([float(mem.seen_count)]),
-        "memory/count": np.array([float(n)]),
         "memory/steps": mem.steps[:n].astype(np.float64),
         "memory/tasks": mem.tasks[:n].astype(np.float64),
     }
@@ -173,23 +173,25 @@ def memory_bytes(mem: ReservoirMemory) -> int:
 def memory_from_arrays(arrays: dict[str, np.ndarray], capacity: int,
                        fields: dict[str, tuple[int, ...]]) -> ReservoirMemory:
     """Inverse of :func:`snapshot_arrays`; ``arrays`` may hold other keys.
-    The snapshot must hold ``capacity`` and, unless it is empty, exactly the
-    stored ``fields`` (name -> per-entry shape), all checked before the
-    memory is built.  Field columns are adopted as they are when they own
-    writeable C-contiguous float64 buffers, as the checkpoint reader returns
-    them; views, such as those of :func:`snapshot_arrays`, are copied."""
+    The entry count is the length of ``memory/steps``, at most ``capacity``
+    and the seen count.  The snapshot must hold ``capacity`` and, unless it
+    is empty, exactly the stored ``fields`` (name -> per-entry shape) with
+    one row per entry, all checked before the memory is built.  Field
+    columns are adopted as they are when they own writeable C-contiguous
+    float64 buffers, as the checkpoint reader returns them; views, such as
+    those of :func:`snapshot_arrays`, are copied."""
     try:
         stored_capacity = int(arrays["memory/capacity"][0])
         seen = int(arrays["memory/seen"][0])
-        count = int(arrays["memory/count"][0])
         steps, tasks = arrays["memory/steps"], arrays["memory/tasks"]
-    except (KeyError, IndexError, ValueError, OverflowError) as exc:
+        count = len(steps)
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise RehearsalError(f"snapshot bookkeeping unreadable: {exc}") from None
     if stored_capacity != capacity:
         raise RehearsalError(f"snapshot capacity {stored_capacity} does not "
                              f"match the configured {capacity}")
     stored = {k[len(_FIELD):]: v for k, v in arrays.items() if k.startswith(_FIELD)}
-    if not 0 <= count <= min(capacity, seen) or seen >= 2 ** 63:
+    if not count <= min(capacity, seen) or seen >= 2 ** 63:
         raise RehearsalError("snapshot entry count inconsistent")
     if (steps.shape != (count,) or tasks.shape != (count,)
             or (count and not stored)

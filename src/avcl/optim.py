@@ -1,4 +1,4 @@
-"""Adam optimizer over named parameter dicts, with checkpointable state."""
+"""Adam optimizer over named parameter dicts, with checkpointable moments."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ from avcl.tensor import Tensor
 
 
 class Adam:
-    """Adam with bias correction; moments are persisted across restarts."""
+    """Adam with bias correction.  Only the moments are checkpointed; the
+    trainer restores ``step_count`` from its loss records, one per step."""
 
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
                  beta1: float = 0.95, beta2: float = 0.999, eps: float = 1e-8):
@@ -42,14 +43,10 @@ class Adam:
             p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
     def named_arrays(self, prefix: str) -> dict[str, np.ndarray]:
-        out = {f"{prefix}/step": np.array(float(self.step_count))}
-        for k in self.params:
-            out[f"{prefix}/m/{k}"] = self.m[k]
-            out[f"{prefix}/v/{k}"] = self.v[k]
-        return out
+        return {f"{prefix}/{kind}/{k}": moments[k] for k in self.params
+                for kind, moments in (("m", self.m), ("v", self.v))}
 
     def load_arrays(self, prefix: str, arrays: dict[str, np.ndarray]) -> None:
-        self.step_count = int(arrays[f"{prefix}/step"])
         for k, p in self.params.items():
             m, v = arrays[f"{prefix}/m/{k}"], arrays[f"{prefix}/v/{k}"]
             if m.shape != p.shape or v.shape != p.shape:

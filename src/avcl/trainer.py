@@ -65,6 +65,10 @@ PENALIZED = ("derpp", "random_select", "stella")
 SELECTING = ("random_select", "stella", "stella_plus")
 #: strategies that score patches with the matching module's attention
 SCORING = ("stella", "stella_plus")
+#: strategy-conditional knob -> (strategies that use it, canonical default)
+STRATEGY_KNOBS = {"alpha": (PENALIZED, 0.5), "beta": (SCORING, 0.4),
+                  "rho_audio": (SELECTING, 0.5), "rho_video": (SELECTING, 0.5),
+                  "chunk_size": (SELECTING, 4)}
 
 STREAM_NAMES = ("init", "order", "mask", "selection", "avm", "memory")
 
@@ -108,10 +112,10 @@ class TrainConfig:
             # er with zero capacity is the documented finetune-degenerate case;
             # richer strategies with no memory are almost certainly a typo.
             raise TrainError(f"{s} needs a rehearsal memory (capacity > 0)")
-        self._check_field("alpha", s in PENALIZED)
-        self._check_field("beta", s in SCORING)
-        for name in ("rho_audio", "rho_video", "chunk_size"):
-            self._check_field(name, s in SELECTING)
+        for name, (users, _) in STRATEGY_KNOBS.items():
+            if (s in users) != (getattr(self, name) is not None):
+                verb = "requires" if s in users else "does not use"
+                raise TrainError(f"strategy {s!r} {verb} {name}")
         if self.alpha is not None and self.alpha < 0.0:
             raise TrainError("alpha must be non-negative")
         if self.beta is not None and self.beta <= 0.0:
@@ -125,13 +129,6 @@ class TrainConfig:
             raise TrainError("matching-module training needs batch >= 2")
         if self.train_seed < 0:
             raise TrainError("train_seed must be non-negative")
-
-    def _check_field(self, name: str, wanted: bool) -> None:
-        value = getattr(self, name)
-        if wanted and value is None:
-            raise TrainError(f"strategy {self.strategy!r} requires {name}")
-        if not wanted and value is not None:
-            raise TrainError(f"strategy {self.strategy!r} does not use {name}")
 
 
 def rng_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -152,8 +149,8 @@ class LossRecord:
     total: float
 
     def row(self) -> list[float]:
-        return [float(self.step), self.recon, self.contrast, self.penalty,
-                self.avm, self.total]
+        """The five losses; a record's step is its index in the run."""
+        return [self.recon, self.contrast, self.penalty, self.avm, self.total]
 
 
 @dataclass
@@ -384,7 +381,7 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     b = aps.patches.shape[0]
 
     replay = None
-    if tcfg.strategy != "finetune" and len(run.mem) > 0:
+    if len(run.mem) > 0:
         replay = rm.sample_replay(run.mem, b, run.streams["memory"])
 
     scoring = None
@@ -420,7 +417,7 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     con = bb.contrastive_loss(c_a, c_v, mcfg.temperature)
 
     penalty = None
-    alpha_eff = tcfg.alpha if tcfg.strategy in PENALIZED else 0.0
+    alpha_eff = tcfg.alpha or 0.0
     if alpha_eff and replay is not None:
         penalty = rm.der_penalty(tt.narrow(c_a, 0, b, b),
                                  tt.narrow(c_v, 0, b, b),
@@ -525,7 +522,7 @@ def reports_from_json(text: str) -> list[ev.RetrievalReport]:
 # run directory artifacts
 
 _CSV_FMT = "%.17g"
-_LOSS_HEADER = ("step", "recon", "contrast", "penalty", "avm")
+_LOSS_HEADER = ("step", "recon", "contrast", "penalty", "avm", "total")
 
 
 def _fmt(x: float) -> str:
@@ -590,8 +587,7 @@ def _checkpoint_arrays(run: RunState, acc: list[list[float]],
         out.update({f"model/{k}": v for k, v in run.avm.named_arrays().items()})
         out.update(run.a_opt.named_arrays("opt/avm"))
     out.update(rm.snapshot_arrays(run.mem))
-    out["run/records"] = (np.array([r.row() for r in run.records])
-                          if run.records else np.zeros((0, 6)))
+    out["run/records"] = np.reshape([r.row() for r in run.records], (-1, 5))
     for t, row in enumerate(acc):
         out[f"run/acc/{t:02d}"] = np.asarray(row, dtype=np.float64)
     out["run/gaps"] = np.asarray(gaps, dtype=np.float64)
@@ -623,11 +619,26 @@ def avm_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig
 
 
 @_reads_checkpoint
-def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, streams,
-                 mcfg, tcfg, geom
+def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
+                 streams, mcfg, tcfg, geom
                  ) -> tuple[RunState, list[list[float]], list[float]]:
     """Run state, accuracy rows and gaps of the checkpoint written after
-    ``tasks_done`` tasks; ``run/step`` and ``run/tasks_done`` are not read."""
+    ``tasks_done`` tasks of ``steps`` steps in all, once ``run/records``
+    holds five losses per step, the accuracy rows pass
+    :func:`evaluate.check_acc_matrix` and ``run/gaps`` one value per task.
+    The records give both optimizers' step counts; ``run/step`` and
+    ``run/tasks_done`` of older checkpoints are not read."""
+    records = arrays["run/records"]
+    if records.shape != (steps, 5):
+        raise cp.CheckpointError(f"run/records has shape {records.shape}, not "
+                                 f"({steps}, 5): five losses per step taken")
+    acc = [[float(v) for v in arrays[f"run/acc/{t:02d}"]]
+           for t in range(tasks_done)]
+    ev.check_acc_matrix(acc)
+    gaps = [float(v) for v in arrays["run/gaps"]]
+    if len(gaps) != tasks_done:
+        raise cp.CheckpointError(f"run/gaps holds {len(gaps)} values, not "
+                                 f"{tasks_done}: one per finished task")
     avm = avm_from_arrays(arrays, mcfg)
     if (avm is not None) != (tcfg.strategy in SCORING):
         raise cp.CheckpointError("checkpoint matching module does not fit "
@@ -636,14 +647,13 @@ def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, streams,
                      rm.memory_from_arrays(arrays, _memory_capacity(tcfg, geom),
                                            _memory_fields(mcfg, tcfg, geom)),
                      tcfg, streams)
+    run.records = [LossRecord(i, *[float(v) for v in r])
+                   for i, r in enumerate(records)]
     run.b_opt.load_arrays("opt/backbone", arrays)
+    run.b_opt.step_count = run.global_step
     if avm is not None:
         run.a_opt.load_arrays("opt/avm", arrays)
-    run.records = [LossRecord(int(r[0]), *[float(v) for v in r[1:]])
-                   for r in arrays["run/records"]]
-    acc = [[float(v) for v in arrays[f"run/acc/{t:02d}"]]
-           for t in range(tasks_done)]
-    gaps = [float(v) for v in arrays["run/gaps"]]
+        run.a_opt.step_count = run.global_step
     return run, acc, gaps
 
 
@@ -666,8 +676,7 @@ def save_task_artifacts(run: RunState, run_dir: Path, tasks_done: int,
     cp.save(run_dir / f"{tag}.ckpt",
             _checkpoint_arrays(run, acc, gaps))
     _write_csv(run_dir / "losses.csv", [_LOSS_HEADER] + [
-        [r.step] + [_fmt(v) for v in (r.recon, r.contrast, r.penalty, r.avm)]
-        for r in run.records])
+        [r.step] + [_fmt(v) for v in r.row()] for r in run.records])
     _write_csv(run_dir / "acc_matrix.csv", [[_fmt(v) for v in row] for row in acc])
     _write_csv(run_dir / "gaps.csv",
                [("task", "gap")] + [[t, _fmt(g)] for t, g in enumerate(gaps)])
@@ -706,8 +715,11 @@ def run_sequence(tasks: list[TaskData], geom: SceneGeometry,
             start_task, ckpt = found
             streams = _streams_from_json(
                 ckpt.with_suffix(".rng.json").read_text(), tcfg.train_seed)
-            run, acc, gaps = _restore_run(cp.load(ckpt), start_task, streams,
-                                          mcfg, tcfg, geom)
+            # the loop below trains on whole batches only
+            steps = sum(tcfg.epochs * (len(task.train) // tcfg.batch)
+                        for task in tasks[:start_task])
+            run, acc, gaps = _restore_run(cp.load(ckpt), start_task, steps,
+                                          streams, mcfg, tcfg, geom)
     if run is None:
         run = init_run(mcfg, tcfg, geom)
 

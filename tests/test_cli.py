@@ -159,7 +159,7 @@ def _resume_copy(ws, name):
 def test_inconsistent_memory_snapshot_exits_3(ws, capsys):
     run, args = _resume_copy(ws, "run_bad_memory")
     arrays = ckpt.load(run / "task_01.ckpt")
-    arrays["memory/count"] = arrays["memory/count"] + 1.0
+    arrays["memory/steps"] = arrays["memory/steps"][:-1]
     ckpt.save(run / "task_01.ckpt", arrays)
     assert cli.main(args) == 3
     assert "snapshot" in capsys.readouterr().err
@@ -190,6 +190,15 @@ def test_malformed_rng_state_exits_3(ws, capsys, damage):
     (run / "task_01.rng.json").write_text(json.dumps(blob))
     assert cli.main(args) == 3
     assert "data error" in capsys.readouterr().err
+
+
+def _first_task_copy(ws, name):
+    """Copy of the stella run cut back to its first task, so a resume
+    trains the second task from ``task_00.ckpt``."""
+    run, args = _resume_copy(ws, name)
+    for path in ("task_01.ckpt", "task_01.rng.json"):
+        (run / path).unlink()
+    return run, args
 
 
 def _damaged_copy(ws, name, damage):
@@ -225,9 +234,7 @@ def test_matching_head_of_another_width_exits_3(ws, capsys):
     """The matching head is always ``embed_dim`` wide, so a checkpoint whose
     head (with its optimizer moments) is narrower is rejected by resume and
     by export instead of running another architecture."""
-    run, args = _resume_copy(ws, "run_narrow_head")
-    for name in ("task_01.ckpt", "task_01.rng.json"):
-        (run / name).unlink()
+    run, args = _first_task_copy(ws, "run_narrow_head")
     arrays = ckpt.load(run / "task_00.ckpt")
     for key in list(arrays):
         if key.endswith("avm/head/w1"):
@@ -246,16 +253,25 @@ def test_matching_head_of_another_width_exits_3(ws, capsys):
     assert not out.exists() and not (run / "task_01.ckpt").exists()
 
 
-@pytest.mark.parametrize("records", ["missing", "flat", "narrow"])
+@pytest.mark.parametrize("records", ["missing", "flat", "narrow", "wide",
+                                     "short"])
 def test_bad_run_records_exits_3(ws, capsys, records):
-    """The loss records are the run's only step count."""
+    """The loss records are the run's only step count: five losses per step
+    the finished tasks took.  ``wide`` is the layout that also stored each
+    step, which is no longer read."""
     def damage(arrays):
+        rec = arrays["run/records"]
         if records == "missing":
             del arrays["run/records"]
         elif records == "flat":
-            arrays["run/records"] = arrays["run/records"].ravel()
+            arrays["run/records"] = rec.ravel()
+        elif records == "narrow":
+            arrays["run/records"] = rec[:, :3]
+        elif records == "wide":
+            arrays["run/records"] = np.column_stack([np.arange(len(rec)),
+                                                     rec[:, -5:]])
         else:
-            arrays["run/records"] = arrays["run/records"][:, :3]
+            arrays["run/records"] = rec[:-1]
 
     _, args = _damaged_copy(ws, f"run_{records}_records", damage)
     assert cli.main(args) == 3
@@ -265,16 +281,41 @@ def test_bad_run_records_exits_3(ws, capsys, records):
 def test_checkpoint_with_old_progress_keys_resumes(ws):
     """Checkpoints that still store ``run/step`` and ``run/tasks_done`` load
     as before; the keys are not read."""
-    run, args = _resume_copy(ws, "run_old_keys")
-    full = (run / "task_01.ckpt").read_bytes()
-    for name in ("task_01.ckpt", "task_01.rng.json"):
-        (run / name).unlink()
+    full = (ws / "run_stella" / "task_01.ckpt").read_bytes()
+    run, args = _first_task_copy(ws, "run_old_keys")
     arrays = ckpt.load(run / "task_00.ckpt")
     arrays["run/step"] = np.array(float(len(arrays["run/records"])))
     arrays["run/tasks_done"] = np.array(1.0)
     ckpt.save(run / "task_00.ckpt", arrays)
     assert cli.main(args) == 0
     assert (run / "task_01.ckpt").read_bytes() == full
+
+
+@pytest.mark.parametrize("history", ["acc_width", "acc_range", "gaps_long",
+                                     "gaps_empty"])
+def test_bad_run_history_exits_3_before_training(ws, capsys, monkeypatch,
+                                                 history):
+    """Accuracy rows and gaps that do not fit the finished tasks are a data
+    error at restore, before the next task trains or writes anything."""
+    run, args = _first_task_copy(ws, f"run_bad_{history}")
+    arrays = ckpt.load(run / "task_00.ckpt")
+    if history == "acc_width":
+        arrays["run/acc/00"] = np.full(5, 10.0)
+    elif history == "acc_range":
+        arrays["run/acc/00"] = np.array([150.0])
+    elif history == "gaps_long":
+        arrays["run/gaps"] = np.concatenate([arrays["run/gaps"], [0.1, 0.2]])
+    else:
+        arrays["run/gaps"] = np.zeros(0)
+    ckpt.save(run / "task_00.ckpt", arrays)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained on an unchecked history")
+
+    monkeypatch.setattr(tr, "train_step", no_training)
+    assert cli.main(args) == 3
+    assert "data error" in capsys.readouterr().err
+    assert not (run / "task_01.ckpt").exists()
 
 
 def test_huge_memory_capacity_runs(ws):
@@ -286,7 +327,7 @@ def test_huge_memory_capacity_runs(ws):
     assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
                      "--out", str(run)]) == 0
     arrays = ckpt.load(run / "task_01.ckpt")
-    assert arrays["memory/count"][0] == arrays["memory/seen"][0] == 32
+    assert len(arrays["memory/steps"]) == arrays["memory/seen"][0] == 32
 
 
 def test_hostile_memory_capacity_exits_3_before_allocating(ws, capsys):

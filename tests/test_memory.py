@@ -279,8 +279,8 @@ def test_penalty_shape_mismatch_rejected():
 def test_memory_bytes_empty_is_header_only():
     mem = rm.ReservoirMemory(capacity=4)
     arrays = rm.snapshot_arrays(mem)
-    assert set(arrays) == {"memory/capacity", "memory/seen", "memory/count",
-                           "memory/steps", "memory/tasks"}
+    assert set(arrays) == {"memory/capacity", "memory/seen", "memory/steps",
+                           "memory/tasks"}
     assert rm.memory_bytes(mem) == cp.serialized_size(arrays)
     _insert(mem, 0, np.random.default_rng(11))
     assert rm.memory_bytes(mem) > cp.serialized_size(arrays)
@@ -293,7 +293,7 @@ def test_snapshot_tensor_count_does_not_depend_on_entry_count():
     for step in range(60):
         _insert(mem, step, rng, rows=3)
         sizes.append(len(rm.snapshot_arrays(mem)))
-    assert set(sizes) == {5 + len(mem.fields)}
+    assert set(sizes) == {4 + len(mem.fields)}
 
 
 def test_selected_layout_halves_patch_payload_at_half_ratio():
@@ -407,16 +407,19 @@ def test_partially_filled_snapshot_roundtrips():
 def test_inconsistent_snapshot_rejected():
     mem = _churned_memory()
     good = rm.snapshot_arrays(mem)
+    # every column one row longer: four entries at capacity 3
+    over = {k: np.concatenate([v, v[:1]]) if k not in
+            ("memory/capacity", "memory/seen") else v for k, v in good.items()}
     broken = [
         {k: v for k, v in good.items() if k != "memory/steps"},
         {k: v for k, v in good.items() if not k.startswith("memory/field/")},
-        {**good, "memory/count": np.array([4.0])},  # over capacity
+        over,
+        {**good, "memory/steps": np.zeros(())},  # the entry count has no length
         # not the configured capacity: rejected before anything is allocated
         {**good, "memory/capacity": np.array([1e15])},
         {**good, "memory/capacity": np.array([4.0])},
         {**good, "memory/seen": np.array([2.0])},  # fewer seen than stored
         {**good, "memory/seen": np.array([1e30])},  # beyond the int64 draws
-        {**good, "memory/count": np.array([np.nan])},
         {**good, "memory/tasks": np.zeros(2)},
         {**good, "memory/field/feat_audio": good["memory/field/feat_audio"][:2]},
         # every field is the run's own, at its own per-entry shape

@@ -5,6 +5,7 @@ import copy
 import functools
 import inspect
 import json
+import re
 import sys
 
 import numpy as np
@@ -54,7 +55,7 @@ def _cfg(strategy, **kw):
 
 
 def _records(run):
-    return np.array([r.row() for r in run.records])
+    return np.array([[r.step] + r.row() for r in run.records])
 
 
 # --------------------------------------------------------------------------
@@ -436,16 +437,16 @@ def test_visible_token_step_matches_key_masked_full_length(tasks, geom, mcfg,
             step()
 
         monkeypatch.setattr(r.b_opt, "step", record_then_step)
-        rec = tr.train_step(r, mcfg, cfg, aps, vps)
-        return np.array(rec.row()), grads
+        return tr.train_step(r, mcfg, cfg, aps, vps), grads
 
     ref = copy.deepcopy(run)
     with monkeypatch.context() as m:
         m.setattr(bb, "visible_tokens", _full_length)
-        want_loss, want_grads = one_step(ref)
-    got_loss, got_grads = one_step(run)
-    assert want_loss[3] > 0.0  # the step replayed and penalized
-    np.testing.assert_allclose(got_loss, want_loss, rtol=1e-12, atol=0)
+        want_rec, want_grads = one_step(ref)
+    got_rec, got_grads = one_step(run)
+    assert want_rec.penalty > 0.0  # the step replayed and penalized
+    np.testing.assert_allclose(got_rec.row(), want_rec.row(), rtol=1e-12,
+                               atol=0)
     assert got_grads.keys() == want_grads.keys() == run.state.params.keys()
     # key biases get analytically zero gradients, i.e. rounding noise; hold
     # them to the scale of the largest gradient
@@ -560,7 +561,7 @@ def test_run_directory_artifacts(tasks, geom, mcfg, tmp_path):
     run, acc, gaps = tr.run_sequence(tasks, geom, mcfg, _cfg("stella"),
                                      tmp_path)
     lines = (tmp_path / "losses.csv").read_text().strip().splitlines()
-    assert lines[0] == "step,recon,contrast,penalty,avm"
+    assert lines[0] == "step,recon,contrast,penalty,avm,total"
     assert len(lines) - 1 == run.global_step
     # float64 round-trip through the CSV text
     first = lines[1].split(",")
@@ -604,8 +605,42 @@ def test_resume_reproduces_uninterrupted_run(tasks, geom, mcfg, tmp_path,
     assert acc_full == acc_res and gaps_full == gaps_res
     for k, v in run_full.state.named_arrays().items():
         assert np.array_equal(v, run_res.state.named_arrays()[k]), k
+    # the step counts come from the loss records of the restored task
+    assert run_res.b_opt.step_count == len(run_res.records)
+    if run_res.a_opt is not None:
+        assert run_res.a_opt.step_count == len(run_res.records)
     assert ((full_dir / "task_01.ckpt").read_bytes()
             == (part_dir / "task_01.ckpt").read_bytes())
+
+
+_PATCHES = {"audio_patches", "video_patches"}
+_FEATS = {"feat_audio", "feat_video"}
+_QUERIES = {"q_audio", "q_video"}
+_STORED = {
+    "finetune": set(),
+    "er": _PATCHES,
+    "derpp": _PATCHES | _FEATS,
+    "random_select": _PATCHES | _FEATS,
+    "stella": _PATCHES | _FEATS | _QUERIES | {"imp_audio", "imp_video",
+                                              "corr_audio", "corr_video"},
+    "stella_plus": _PATCHES | _QUERIES | {"audio_indices", "video_indices"},
+}
+
+
+@pytest.mark.parametrize("strategy", tr.STRATEGIES)
+def test_checkpoint_keys_are_pinned(tasks, geom, mcfg, tmp_path, strategy):
+    """Every checkpoint key outside the model and the optimizer moments is
+    pinned, so a key that only repeats another one (a step count, an entry
+    count) cannot come back unnoticed."""
+    run, _, _ = tr.run_sequence(tasks[:1], geom, mcfg, _cfg(strategy), tmp_path)
+    arrays = cp.load(tmp_path / "task_00.ckpt")
+    moments = re.compile(r"opt/(backbone|avm)/[mv]/.+")
+    rest = {k for k in arrays
+            if not k.startswith("model/") and not moments.fullmatch(k)}
+    assert rest == ({"memory/capacity", "memory/seen", "memory/steps",
+                     "memory/tasks", "run/records", "run/acc/00", "run/gaps"}
+                    | {f"memory/field/{name}" for name in _STORED[strategy]})
+    assert arrays["run/records"].shape == (run.global_step, 5)
 
 
 def test_resume_skips_completed_tasks(tasks, geom, mcfg, tmp_path):
