@@ -49,13 +49,11 @@ def _split_heads(x: Tensor, heads: int) -> Tensor:
     return tt.transpose(tt.reshape(x, (b, n, heads, d // heads)), (0, 2, 1, 3))
 
 
-def project_qkv(avm: AvmParams, tokens: Tensor, modality: str):
-    """(B, n, D) fusion tokens -> per-head q, k, v of shape (B, H, n, d)."""
-    out = []
-    for proj in ("wq", "wk", "wv"):
-        x = tt.matmul(tokens, avm.params[f"avm/{modality}/{proj}"])
-        out.append(_split_heads(x, avm.heads))
-    return tuple(out)
+def _project(avm: AvmParams, tokens: Tensor, modality: str, proj: str) -> Tensor:
+    """(B, n, D) fusion tokens -> per-head ``proj`` (wq, wk or wv) of shape
+    (B, H, n, d)."""
+    return _split_heads(tt.matmul(tokens, avm.params[f"avm/{modality}/{proj}"]),
+                        avm.heads)
 
 
 @dataclass
@@ -80,8 +78,8 @@ def cross_attention(avm: AvmParams, o_a: Tensor, o_v: Tensor,
                     beta: float = 1.0) -> CrossAttention:
     """Raw logit maps for patch selection and attention export; the matching
     head itself runs the fused :func:`tt.attention`."""
-    q_a, k_a, _ = project_qkv(avm, o_a, "audio")
-    q_v, k_v, _ = project_qkv(avm, o_v, "video")
+    q_a, k_a = (_project(avm, o_a, "audio", p) for p in ("wq", "wk"))
+    q_v, k_v = (_project(avm, o_v, "video", p) for p in ("wq", "wk"))
     audio_map = tt.attention_logits(q_v, k_a, beta)
     video_map = tt.attention_logits(q_a, k_v, beta)
     return CrossAttention(audio_map, video_map, q_a, k_a, q_v, k_v)
@@ -89,8 +87,8 @@ def cross_attention(avm: AvmParams, o_a: Tensor, o_v: Tensor,
 
 def matching_forward(avm: AvmParams, o_a: Tensor, o_v: Tensor) -> Tensor:
     """Probability that each (audio, video) row is a genuine pair; (B,)."""
-    q_a, k_a, v_a = project_qkv(avm, o_a, "audio")
-    q_v, k_v, v_v = project_qkv(avm, o_v, "video")
+    q_a, k_a, v_a = (_project(avm, o_a, "audio", p) for p in ("wq", "wk", "wv"))
+    q_v, k_v, v_v = (_project(avm, o_v, "video", p) for p in ("wq", "wk", "wv"))
     att_a = tt.attention(q_v, k_a, v_a)  # video queries over audio; (B,H,N,d)
     att_v = tt.attention(q_a, k_v, v_v)  # (B,H,M,d)
     pooled_a = tt.mean(att_a, axis=2)  # patch-wise mean per head -> (B,H,d)

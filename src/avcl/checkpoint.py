@@ -27,9 +27,9 @@ class CheckpointError(ValueError):
     """Malformed container bytes or invalid entry set."""
 
 
-def write_entries(fh, tensors: dict[str, np.ndarray]) -> int:
-    """Append entries to a binary file handle; returns bytes written."""
-    written = 0
+def write_entries(fh, tensors: dict[str, np.ndarray]) -> None:
+    """Append entries to a binary file handle; :func:`serialized_size`
+    gives the bytes they take."""
     for name, arr in tensors.items():
         a = np.asarray(arr, dtype=np.float64)
         nb = name.encode("utf-8")
@@ -42,8 +42,6 @@ def write_entries(fh, tensors: dict[str, np.ndarray]) -> int:
         # memory column cost more than the write itself
         payload = np.ascontiguousarray(a, dtype=_F64LE)
         fh.write(payload)
-        written += 8 + len(nb) + 8 + 8 * a.ndim + payload.nbytes
-    return written
 
 
 def read_entries(fh) -> dict[str, np.ndarray]:

@@ -9,10 +9,17 @@ Subcommands::
     avcl report        runs/* [--out report.csv]
     avcl export-attention --config run.ini --data data/ --ckpt ... --out maps.csv
 
-A dataset directory holds one ``task_XX.bin`` per task, ``config.ini`` and
-``manifest.json`` (task file names and their SHA-256), each replaced
-atomically; the manifest is written last, and a dataset is read only through
-it, so an interrupted ``generate-data`` leaves nothing that loads as data.
+A dataset directory holds ``config.ini`` (the resolved configuration; its
+``[data]`` section is the one description of the data), one ``task_XX.bin``
+per task (a checkpoint container of the ten ``{train,eval}/<field>`` split
+tensors and nothing else) and ``manifest.json`` (``format`` 2, the task file
+names in task order, and the SHA-256 of ``config.ini`` and of each task
+file).  Each file is replaced atomically and the manifest is written last; a
+dataset is read only through it, so an interrupted ``generate-data`` leaves
+nothing that loads as data.  ``run``, ``eval`` and ``export-attention`` check
+the format, then the hashes, then that their ``[data]`` equals the dataset's,
+and only then parse the task files, each tensor against the shape that
+``[data]`` gives it.
 
 A run directory holds ``config.ini`` (the resolved configuration), and after
 every completed task ``task_XX.ckpt`` (model, optimizer moments, rehearsal
@@ -35,10 +42,13 @@ replaced atomically too, so a failed write leaves no partial output.
 Exit codes: 0 success; 2 configuration or usage error (including
 out-of-range ``[data]``, ``[model]``, ``[train]`` or ``[eval]`` values,
 such as a zero patch size or head count or a ``correlation`` outside
-[0, 1], and ``--rows`` or ``--eval-workers`` below 1); 3 data error
-(missing, truncated, modified or unreadable files, including a checkpoint
-with a missing or malformed tensor or whose rehearsal-memory snapshot is
-inconsistent or in an older format); 4 numeric divergence during training.
+[0, 1], a ``[data]`` section that differs from the dataset's
+``config.ini``, and ``--rows`` or ``--eval-workers`` below 1); 3 data error
+(missing, truncated, modified or unreadable files, including a task file or
+checkpoint with a missing or malformed tensor, a checkpoint whose
+rehearsal-memory snapshot is inconsistent or in an older format, and a
+format-1 dataset, which must be regenerated); 4 numeric divergence during
+training.
 A run aborted by a config or data error never leaves a partial run
 directory; an interrupted training run resumes from its last
 completed task.
@@ -50,6 +60,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +76,7 @@ from avcl import trainer as tr
 
 _MANIFEST = "manifest.json"
 _CONFIG = "config.ini"
+_FORMAT = 2  # task files hold only tensors; config.ini is hashed
 
 
 def _sha256(path: Path) -> str:
@@ -87,69 +99,57 @@ def cmd_generate(args) -> int:
     names = []
     for task in tasks:
         name = _task_name(task.spec.task_id)
-        dt.write_task_file(out / name, task, cfg.data)
+        dt.write_task_file(out / name, task)
         names.append(name)
     cf.save_config(out / _CONFIG, cfg)
     # the manifest goes last: until it lists a file, the file is not read
-    manifest = {"format": 1, "tasks": names,
-                "sha256": {n: _sha256(out / n) for n in names}}
+    manifest = {"format": _FORMAT, "tasks": names,
+                "sha256": {n: _sha256(out / n) for n in [_CONFIG] + names}}
     with ckpt.atomic_open(out / _MANIFEST) as fh:
         fh.write(json.dumps(manifest, indent=1))
     print(f"wrote {len(names)} task files to {out}")
     return 0
 
 
-def load_tasks(data_dir) -> tuple[list[dt.TaskData], dt.SceneGeometry]:
-    """Read a generated dataset, verifying the manifest hashes first."""
+def load_tasks(data_dir, dcfg: dt.DataConfig) -> list[dt.TaskData]:
+    """Read the dataset in ``data_dir``, which must have been generated from
+    ``dcfg``.  The manifest format, then the hashes of ``config.ini`` and the
+    task files, then ``config.ini``'s ``[data]`` are checked before any task
+    file is parsed."""
     data_dir = Path(data_dir)
     mpath = data_dir / _MANIFEST
     if not mpath.is_file():
         raise dt.DataError(f"no {_MANIFEST} in {data_dir}")
     try:
         manifest = json.loads(mpath.read_text())
+        fmt = manifest["format"]
         names = list(manifest["tasks"])
         hashes = dict(manifest["sha256"])
     except (ValueError, KeyError, TypeError) as exc:
         raise dt.DataError(f"malformed {_MANIFEST}: {exc}") from None
+    if fmt != _FORMAT:
+        raise dt.DataError(f"{data_dir} holds a format-{fmt} dataset; "
+                           "regenerate it with generate-data")
     if not all(isinstance(name, str) for name in names):
         raise dt.DataError(f"malformed {_MANIFEST}: task names must be strings")
-    tasks, geom = [], None
-    for name in names:
+    for name in [_CONFIG] + names:
         path = data_dir / name
         if not path.is_file():
             raise dt.DataError(f"data file {name} is missing")
         if _sha256(path) != hashes.get(name):
             raise dt.DataError(f"data file {name} does not match its manifest "
                                "hash (modified or truncated)")
-        task, tgeom = dt.read_task_file(path)
-        if geom is None:
-            geom = tgeom
-        elif tgeom != geom:
-            raise dt.DataError(f"{name}: geometry differs from earlier tasks")
-        tasks.append(task)
-    if not tasks:
-        raise dt.DataError("manifest lists no tasks")
-    for pos, task in enumerate(tasks):
-        if task.spec.task_id != pos:
-            raise dt.DataError(f"task ids out of order at position {pos}")
-    return tasks, geom
-
-
-def _check_config_matches_data(cfg: cf.RunConfig, tasks, geom) -> None:
-    d = cfg.data
-    if len(tasks) != d.num_tasks:
-        raise cf.ConfigError(f"config expects {d.num_tasks} tasks, data "
-                             f"directory holds {len(tasks)}")
-    if geom != d.geometry:
-        raise cf.ConfigError("config geometry does not match the data files")
-    for task in tasks:
-        if len(task.train) != d.train_pairs or len(task.eval) != d.eval_pairs:
-            raise cf.ConfigError(f"task {task.spec.task_id}: pair counts do "
-                                 "not match the config")
-    chunk = cfg.train.chunk_size
-    if chunk is not None and chunk > geom.audio.num_time:
-        raise cf.ConfigError(f"chunk_size {chunk} exceeds the audio grid's "
-                             f"{geom.audio.num_time} time patches")
+    ours, theirs = asdict(dcfg), asdict(cf.load_config(data_dir / _CONFIG).data)
+    differ = [key for key in ours if ours[key] != theirs[key]]
+    if differ:
+        raise cf.ConfigError(f"[data] differs from the dataset's "
+                             f"{data_dir / _CONFIG} in {', '.join(differ)}")
+    specs = dt.build_task_specs(dcfg)
+    if names != [_task_name(spec.task_id) for spec in specs]:
+        raise dt.DataError(f"{_MANIFEST} does not list the {len(specs)} task "
+                           f"files its {_CONFIG} describes")
+    return [dt.read_task_file(data_dir / name, dcfg, spec)
+            for name, spec in zip(names, specs)]
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +164,7 @@ def _check_at_least_one(value: int, flag: str) -> None:
 def cmd_run(args) -> int:
     _check_at_least_one(args.eval_workers, "--eval-workers")
     cfg = cf.load_config(args.config)
-    tasks, geom = load_tasks(args.data)
-    _check_config_matches_data(cfg, tasks, geom)
+    tasks = load_tasks(args.data, cfg.data)
     run_dir = Path(args.out)
     resolved = cf.render_config(cfg)
     existing = run_dir / _CONFIG
@@ -175,8 +174,8 @@ def cmd_run(args) -> int:
     run_dir.mkdir(parents=True, exist_ok=True)
     with ckpt.atomic_open(existing) as fh:
         fh.write(resolved)
-    run, acc, gaps = tr.run_sequence(tasks, geom, cfg.model, cfg.train,
-                                     run_dir, eval_ks=cfg.eval.ks,
+    run, acc, gaps = tr.run_sequence(tasks, cfg.data.geometry, cfg.model,
+                                     cfg.train, run_dir, eval_ks=cfg.eval.ks,
                                      eval_workers=args.eval_workers)
     print(f"strategy={cfg.train.strategy} seed={cfg.train.train_seed} "
           f"tasks={len(tasks)} steps={run.global_step}")
@@ -192,18 +191,17 @@ def cmd_run(args) -> int:
 
 def _load_model(args, cfg):
     arrays = ckpt.load(args.ckpt)
-    tasks, geom = load_tasks(args.data)
-    _check_config_matches_data(cfg, tasks, geom)
-    state = tr.backbone_from_arrays(arrays, cfg.model, geom)
-    return arrays, tasks, geom, state
+    tasks = load_tasks(args.data, cfg.data)
+    state = tr.backbone_from_arrays(arrays, cfg.model, cfg.data.geometry)
+    return arrays, tasks, state
 
 
 def cmd_eval(args) -> int:
     _check_at_least_one(args.eval_workers, "--eval-workers")
     cfg = cf.load_config(args.config)
-    _, tasks, geom, state = _load_model(args, cfg)
-    row, gap, reports = tr.evaluate_tasks(state, tasks, len(tasks) - 1, geom,
-                                          cfg.eval.ks,
+    _, tasks, state = _load_model(args, cfg)
+    row, gap, reports = tr.evaluate_tasks(state, tasks, len(tasks) - 1,
+                                          cfg.data.geometry, cfg.eval.ks,
                                           workers=args.eval_workers)
     blob = {"checkpoint": str(args.ckpt), "first_task_gap": gap, "tasks": []}
     for t, (headline, rep) in enumerate(zip(row, reports)):
@@ -290,7 +288,7 @@ def cmd_report(args) -> int:
 
 def cmd_export_attention(args) -> int:
     cfg = cf.load_config(args.config)
-    arrays, tasks, geom, state = _load_model(args, cfg)
+    arrays, tasks, state = _load_model(args, cfg)
     avm = tr.avm_from_arrays(arrays, cfg.model)
     if avm is None:
         raise cf.ConfigError("checkpoint holds no matching module; attention "
@@ -304,6 +302,7 @@ def cmd_export_attention(args) -> int:
     _check_at_least_one(args.rows, "--rows")
     split = tasks[args.task].eval
     rows = min(args.rows, len(split))
+    geom = cfg.data.geometry
     aps = dt.full_patchset(split.audio_patches[:rows], "audio", geom)
     vps = dt.full_patchset(split.video_patches[:rows], "video", geom)
     o_a, o_v, _, _ = am.fusion_tokens(state, aps, vps)

@@ -11,17 +11,21 @@ independently drawn decoy class at an independent position.
 
 Everything downstream consumes patch grids; ground-truth patch masks mark
 which patches intersect the planted regions.
+
+A :class:`DataConfig` is the one description of a task sequence: the
+geometry, the pair counts and each task's classes all derive from it.  A
+task file therefore holds only tensors, the five :class:`SampleSet` arrays
+of each split in one checkpoint container, and is read back against the
+config that generated it.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-MAGIC = b"STLA"
-FORMAT_VERSION = 1
+from avcl import checkpoint as ckpt
 
 # planted-signature geometry, as fractions of the full extent
 _VIDEO_BOX_FRACTION = 0.375
@@ -428,65 +432,52 @@ def build_sequence(cfg: DataConfig) -> list[TaskData]:
 # ---------------------------------------------------------------------------
 
 
-def write_task_file(path, task: TaskData, cfg: DataConfig) -> None:
-    from avcl import checkpoint as ckpt
-
-    geom = cfg.geometry
+def _split_shapes(geom: SceneGeometry, n: int) -> dict[str, tuple[int, ...]]:
+    """:class:`SampleSet` field -> shape, for a split of ``n`` pairs."""
     a, v = geom.audio, geom.video
-    header = MAGIC + struct.pack(
-        "<12Q", FORMAT_VERSION, task.spec.task_id, len(task.train), len(task.eval),
-        a.time_bins, a.freq_bins, a.patch, v.frames, v.height, v.width, v.patch,
-        len(task.spec.class_ids))
-    tensors: dict[str, np.ndarray] = {
-        "class_ids": np.asarray(task.spec.class_ids, dtype=np.float64)}
-    for name, split in (("train", task.train), ("eval", task.eval)):
-        tensors[f"{name}/audio_patches"] = split.audio_patches
-        tensors[f"{name}/video_patches"] = split.video_patches
-        tensors[f"{name}/audio_truth"] = split.audio_truth.astype(np.float64)
-        tensors[f"{name}/video_truth"] = split.video_truth.astype(np.float64)
-        tensors[f"{name}/class_ids"] = split.class_ids.astype(np.float64)
-    with ckpt.atomic_open(path, "wb") as fh:
-        fh.write(header)
-        ckpt.write_entries(fh, tensors)
+    return {"audio_patches": (n, a.patches, a.patch_dim),
+            "video_patches": (n, v.patches, v.patch_dim),
+            "audio_truth": (n, a.patches), "video_truth": (n, v.patches),
+            "class_ids": (n,)}
 
 
-def read_task_file(path) -> tuple[TaskData, SceneGeometry]:
-    from avcl import checkpoint as ckpt
+def write_task_file(path, task: TaskData) -> None:
+    """Save the ten split tensors of ``task``, ``{train,eval}/<field>`` for
+    each :class:`SampleSet` field, as one checkpoint container.
 
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MAGIC:
-            raise DataError(f"bad magic {magic!r}")
-        raw = fh.read(12 * 8)
-        if len(raw) != 96:
-            raise DataError("truncated task header")
-        (version, task_id, n_train, n_eval, t, f, pa, fr, h, w, pv,
-         n_classes) = struct.unpack("<12Q", raw)
-        if version != FORMAT_VERSION:
-            raise DataError(f"unsupported format version {version}")
-        try:
-            tensors = ckpt.read_entries(fh)
-        except ckpt.CheckpointError as e:
-            raise DataError(str(e)) from e
-    geom = SceneGeometry(AudioGeometry(t, f, pa), VideoGeometry(fr, h, w, pv))
-    class_ids = tensors.get("class_ids")
-    if class_ids is None or class_ids.shape != (n_classes,):
-        raise DataError("missing or malformed class id table")
-    spec = TaskSpec(task_id, tuple(int(c) for c in class_ids))
+    Masks and class ids are stored as float64 like every entry.  Nothing
+    else is written: the dataset's ``[data]`` config holds the geometry,
+    the pair counts and, through :func:`build_task_specs`, the classes.
+    """
+    ckpt.save(path, {f"{name}/{f.name}": getattr(split, f.name)
+                     for name, split in (("train", task.train), ("eval", task.eval))
+                     for f in fields(SampleSet)})
 
-    def split(name, n):
-        try:
-            ap = tensors[f"{name}/audio_patches"]
-            vp = tensors[f"{name}/video_patches"]
-            at = tensors[f"{name}/audio_truth"]
-            vt = tensors[f"{name}/video_truth"]
-            ids = tensors[f"{name}/class_ids"]
-        except KeyError as e:
-            raise DataError(f"missing tensor {e.args[0]!r}") from e
-        ga, gv = geom.audio, geom.video
-        if ap.shape != (n, ga.patches, ga.patch_dim) or vp.shape != (n, gv.patches, gv.patch_dim):
-            raise DataError(f"{name} split shapes do not match header")
+
+def read_task_file(path, cfg: DataConfig, spec: TaskSpec) -> TaskData:
+    """Load the task ``spec`` from a file written by :func:`write_task_file`.
+
+    Every one of the ten tensors must be present with the shape ``cfg``
+    gives it.  Unreadable bytes, or a missing or mis-shaped tensor, raise
+    :class:`DataError` naming the file and the tensor.
+    """
+    try:
+        tensors = ckpt.load(path)
+    except ckpt.CheckpointError as e:
+        raise DataError(f"{path}: {e}") from e
+
+    def split(name: str, n: int) -> SampleSet:
+        arrays = []
+        for attr, shape in _split_shapes(cfg.geometry, n).items():
+            key = f"{name}/{attr}"
+            if key not in tensors:
+                raise DataError(f"{path}: missing tensor {key!r}")
+            if tensors[key].shape != shape:
+                raise DataError(f"{path}: tensor {key!r} has shape "
+                                f"{tensors[key].shape}, expected {shape}")
+            arrays.append(tensors[key])
+        ap, vp, at, vt, ids = arrays
         return SampleSet(ap, vp, at.astype(bool), vt.astype(bool), ids.astype(np.int64))
 
-    task = TaskData(spec, split("train", n_train), split("eval", n_eval))
-    return task, geom
+    return TaskData(spec, split("train", cfg.train_pairs),
+                    split("eval", cfg.eval_pairs))

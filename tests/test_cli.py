@@ -12,6 +12,7 @@ import pytest
 from avcl import checkpoint as ckpt
 from avcl import cli
 from avcl import config as cf
+from avcl import data as dt
 from avcl import evaluate as ev
 from avcl import memory as rm
 from avcl import trainer as tr
@@ -97,8 +98,9 @@ def test_crash_during_generate_leaves_no_torn_task_file(ws, monkeypatch):
     assert not (data / "manifest.json").exists()
     monkeypatch.undo()
     assert cli.main(args) == 0
-    tasks, _ = cli.load_tasks(data)
-    want, _ = cli.load_tasks(ws / "data")
+    dcfg = cf.parse_config(CFG).data
+    tasks = cli.load_tasks(data, dcfg)
+    want = cli.load_tasks(ws / "data", dcfg)
     for got_task, want_task in zip(tasks, want):
         assert np.array_equal(got_task.train.audio_patches,
                               want_task.train.audio_patches)
@@ -107,10 +109,30 @@ def test_crash_during_generate_leaves_no_torn_task_file(ws, monkeypatch):
 
 
 def test_load_tasks_round_trip(ws):
-    tasks, geom = cli.load_tasks(ws / "data")
+    dcfg = cf.parse_config(CFG).data
+    tasks = cli.load_tasks(ws / "data", dcfg)
     assert [t.spec.task_id for t in tasks] == [0, 1]
-    assert geom.audio.time_bins == 32 and geom.video.height == 16
+    assert [t.spec.class_ids for t in tasks] == [(0, 1), (2, 3)]
     assert len(tasks[0].train) == 16 and len(tasks[0].eval) == 12
+    for got, want in zip(tasks, dt.build_sequence(dcfg)):
+        assert np.array_equal(got.eval.video_truth, want.eval.video_truth)
+        assert np.array_equal(got.train.class_ids, want.train.class_ids)
+
+
+def test_task_file_keys_are_pinned(ws):
+    """A task file holds the ten split tensors and nothing else, and the
+    manifest hashes config.ini with them: a second copy of anything the
+    config states needs an edit here."""
+    data = ws / "data"
+    assert sorted(ckpt.load(data / "task_00.bin")) == sorted(
+        f"{split}/{field}" for split in ("train", "eval")
+        for field in ("audio_patches", "video_patches", "audio_truth",
+                      "video_truth", "class_ids"))
+    manifest = json.loads((data / "manifest.json").read_text())
+    assert manifest["format"] == 2
+    assert sorted(manifest) == ["format", "sha256", "tasks"]
+    assert sorted(manifest["sha256"]) == ["config.ini", "task_00.bin",
+                                          "task_01.bin"]
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +434,80 @@ def test_tampered_data_exits_3_without_partial_run_dir(ws, capsys):
     assert "manifest hash" in capsys.readouterr().err
 
 
+def _rehash(data, name):
+    """Rewrite the manifest hash of ``name`` so that only the content checks
+    behind the hash check can catch an edit."""
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["sha256"][name] = hashlib.sha256((data / name).read_bytes()).hexdigest()
+    (data / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("key,shape", [("train/audio_truth", (16, 3)),
+                                       ("eval/class_ids", (5,)),
+                                       ("train/video_truth", None)])
+def test_misshaped_task_tensor_exits_3_without_partial_run_dir(ws, capsys, key,
+                                                               shape):
+    tag = key.replace("/", "_")
+    data, run = ws / f"data_bad_{tag}", ws / f"run_bad_{tag}"
+    shutil.copytree(ws / "data", data)
+    tensors = ckpt.load(data / "task_01.bin")
+    if shape is None:
+        del tensors[key]
+    else:
+        tensors[key] = tensors[key][..., :shape[-1]]
+        assert tensors[key].shape == shape
+    ckpt.save(data / "task_01.bin", tensors)
+    _rehash(data, "task_01.bin")
+    code = cli.main(["run", "--config", str(ws / "cfg.ini"),
+                     "--data", str(data), "--out", str(run)])
+    assert code == 3
+    assert not run.exists()
+    err = capsys.readouterr().err
+    assert "task_01.bin" in err and key in err, err
+
+
+def test_edited_dataset_config_exits_3(ws, capsys):
+    """config.ini is hashed with the task files, so the statement of what
+    the data is cannot drift from the data."""
+    data = ws / "data_cfg_edit"
+    shutil.copytree(ws / "data", data)
+    text = (data / "config.ini").read_text()
+    (data / "config.ini").write_text(text.replace("seed = 1", "seed = 7"))
+    code = cli.main(["run", "--config", str(ws / "cfg.ini"),
+                     "--data", str(data), "--out", str(ws / "run_cfg_edit")])
+    assert code == 3
+    assert not (ws / "run_cfg_edit").exists()
+    assert "config.ini does not match its manifest hash" in capsys.readouterr().err
+
+
+def test_format_1_dataset_exits_3(ws, capsys):
+    data = ws / "data_format1"
+    shutil.copytree(ws / "data", data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["format"] = 1
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    code = cli.main(["run", "--config", str(ws / "cfg.ini"),
+                     "--data", str(data), "--out", str(ws / "run_format1")])
+    assert code == 3
+    assert not (ws / "run_format1").exists()
+    assert "regenerate it with generate-data" in capsys.readouterr().err
+
+
+def test_reordered_manifest_exits_3(ws, capsys):
+    """The manifest's task order must be the config's: two task files of
+    one shape are not interchangeable."""
+    data = ws / "data_reordered"
+    shutil.copytree(ws / "data", data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["tasks"].reverse()
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    code = cli.main(["run", "--config", str(ws / "cfg.ini"),
+                     "--data", str(data), "--out", str(ws / "run_reordered")])
+    assert code == 3
+    assert not (ws / "run_reordered").exists()
+    assert "does not list the 2 task files" in capsys.readouterr().err
+
+
 def test_missing_manifest_exits_3(ws, tmp_path):
     code = cli.main(["run", "--config", str(ws / "cfg.ini"),
                      "--data", str(tmp_path), "--out", str(tmp_path / "run")])
@@ -439,11 +535,28 @@ def test_config_data_mismatch_exits_2(ws):
     assert not (ws / "run_mismatch").exists()
 
 
+@pytest.mark.parametrize("key,value", [("seed", "7"), ("correlation", "0.5"),
+                                       ("amplitude", "9.0")])
+def test_data_section_unlike_the_datasets_exits_2(ws, capsys, key, value):
+    """The run's [data] must be the one that generated the dataset; else
+    the run directory's config.ini would describe data it never saw."""
+    cfg = _variant(ws, f"data_{key}", "[data]\n", f"[data]\n{key} = {value}\n")
+    run, out = ws / f"run_data_{key}", ws / f"out_data_{key}"
+    common = ["--config", str(cfg), "--data", str(ws / "data")]
+    ckpt_arg = ["--ckpt", str(ws / "run_stella" / "task_01.ckpt")]
+    assert cli.main(["run", *common, "--out", str(run)]) == 2
+    assert cli.main(["eval", *common, *ckpt_arg, "--out", str(out)]) == 2
+    assert cli.main(["export-attention", *common, *ckpt_arg,
+                     "--out", str(out)]) == 2
+    assert not run.exists() and not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("config error: [data] differs from the dataset's") == 3, err
+    assert err.count(f"config.ini in {key}\n") == 3, err
+
+
 def test_chunk_longer_than_audio_time_grid_exits_2(ws, capsys):
     # audio_time_bins = 32 with 4-bin patches: 8 time patches
-    tasks, geom = cli.load_tasks(ws / "data")
-    fits = _variant(ws, "chunk8", "train_seed = 3", "train_seed = 3\nchunk_size = 8")
-    cli._check_config_matches_data(cf.load_config(fits), tasks, geom)
+    cf.parse_config(CFG.replace("train_seed = 3", "train_seed = 3\nchunk_size = 8"))
     bad = _variant(ws, "chunk9", "train_seed = 3", "train_seed = 3\nchunk_size = 9")
     code = cli.main(["run", "--config", str(bad), "--data", str(ws / "data"),
                      "--out", str(ws / "run_chunk9")])

@@ -266,45 +266,43 @@ def test_sequence_class_layout():
 
 def test_task_file_roundtrip(tmp_path):
     cfg = _small_cfg()
-    task = dd.build_sequence(cfg)[0]
-    path = tmp_path / "task0.stla"
-    dd.write_task_file(path, task, cfg)
-    with open(path, "rb") as fh:
-        assert fh.read(4) == b"STLA"
-    back, geom = dd.read_task_file(path)
+    task = dd.build_sequence(cfg)[1]
+    path = tmp_path / "task1.bin"
+    dd.write_task_file(path, task)
+    back = dd.read_task_file(path, cfg, dd.build_task_specs(cfg)[1])
     assert back.spec == task.spec
-    assert geom == cfg.geometry
-    assert np.array_equal(back.train.audio_patches, task.train.audio_patches)
-    assert np.array_equal(back.eval.video_truth, task.eval.video_truth)
-    assert np.array_equal(back.train.class_ids, task.train.class_ids)
+    for split in ("train", "eval"):
+        for field in ("audio_patches", "video_patches", "audio_truth",
+                      "video_truth", "class_ids"):
+            want = getattr(getattr(task, split), field)
+            got = getattr(getattr(back, split), field)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_task_file_bad_magic(tmp_path):
-    p = tmp_path / "junk.stla"
+    cfg = _small_cfg()
+    p = tmp_path / "junk.bin"
     p.write_bytes(b"NOPE" + b"\x00" * 96)
     with pytest.raises(dd.DataError):
-        dd.read_task_file(p)
+        dd.read_task_file(p, cfg, dd.build_task_specs(cfg)[0])
 
 
 def test_task_file_truncation(tmp_path):
     cfg = _small_cfg()
     task = dd.build_sequence(cfg)[0]
-    path = tmp_path / "task0.stla"
-    dd.write_task_file(path, task, cfg)
+    path = tmp_path / "task0.bin"
+    dd.write_task_file(path, task)
     raw = path.read_bytes()
     path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(dd.DataError):
-        dd.read_task_file(path)
+    with pytest.raises(dd.DataError, match="truncated"):
+        dd.read_task_file(path, cfg, task.spec)
 
 
-def test_task_file_zero_patch_header_is_a_data_error(tmp_path):
-    """A header whose audio patch size is 0 fails the geometry check rather
-    than dividing by it."""
+def test_task_file_of_another_config_is_a_data_error(tmp_path):
+    """Tensors are checked against the shapes the reader's config gives."""
     cfg = _small_cfg()
-    path = tmp_path / "task0.stla"
-    dd.write_task_file(path, dd.build_sequence(cfg)[0], cfg)
-    raw = bytearray(path.read_bytes())
-    raw[4 + 6 * 8:4 + 7 * 8] = bytes(8)  # magic, then the 7th header field
-    path.write_bytes(bytes(raw))
-    with pytest.raises(dd.DataError, match="at least 1"):
-        dd.read_task_file(path)
+    path = tmp_path / "task0.bin"
+    dd.write_task_file(path, dd.build_sequence(cfg)[0])
+    other = _small_cfg(train_pairs=13)
+    with pytest.raises(dd.DataError, match="train/audio_patches"):
+        dd.read_task_file(path, other, dd.build_task_specs(other)[0])
