@@ -45,10 +45,12 @@ such as a zero patch size or head count or a ``correlation`` outside
 [0, 1], a ``[data]`` section that differs from the dataset's
 ``config.ini``, and ``--rows`` or ``--eval-workers`` below 1); 3 data error
 (missing, truncated, modified or unreadable files, including a task file or
-checkpoint with a missing or malformed tensor, a checkpoint whose
-rehearsal-memory snapshot is inconsistent or in an older format, and a
-format-1 dataset, which must be regenerated); 4 numeric divergence during
-training.
+checkpoint with a missing or malformed tensor, task-file truth masks outside
+{0, 1} or class ids outside the task's classes, a run directory whose
+``acc_matrix.csv`` or ``retrieval.json`` is malformed or lacks a configured
+cutoff for ``report``, a checkpoint whose rehearsal-memory snapshot is
+inconsistent or in an older format, and a format-1 dataset, which must be
+regenerated); 4 numeric divergence during training.
 A run aborted by a config or data error never leaves a partial run
 directory; an interrupted training run resumes from its last
 completed task.
@@ -207,8 +209,7 @@ def cmd_eval(args) -> int:
     for t, (headline, rep) in enumerate(zip(row, reports)):
         blob["tasks"].append({
             "task": t, "pairs": rep.size, "headline": headline,
-            "audio_to_video": {str(k): v for k, v in rep.audio_to_video.items()},
-            "video_to_audio": {str(k): v for k, v in rep.video_to_audio.items()}})
+            "audio_to_video": rep.audio_to_video, "video_to_audio": rep.video_to_audio})
     text = json.dumps(blob, indent=1)
     if args.out:
         with ckpt.atomic_open(args.out) as fh:
@@ -223,6 +224,7 @@ def cmd_eval(args) -> int:
 
 
 def _read_run_dir(path: Path):
+    """Strategy, cutoffs and the run's value of each report column in order."""
     for name in (_CONFIG, "acc_matrix.csv", "retrieval.json"):
         if not (path / name).is_file():
             raise dt.DataError(f"{path} is not a finished run directory "
@@ -230,15 +232,16 @@ def _read_run_dir(path: Path):
     cfg = cf.load_config(path / _CONFIG)
     acc = tr.read_acc_csv(path / "acc_matrix.csv")
     reports = tr.reports_from_json((path / "retrieval.json").read_text())
-    a = ev.average_accuracy(acc)
-    f = ev.average_forgetting(acc) if len(acc) > 1 else float("nan")
-    ks = cfg.eval.ks
-    recalls = {}
+    metrics = [ev.average_accuracy(acc),
+               ev.average_forgetting(acc) if len(acc) > 1 else float("nan")]
     for direction in ("audio_to_video", "video_to_audio"):
-        for k in ks:
-            vals = [getattr(rep, direction)[k] for rep in reports]
-            recalls[(direction, k)] = float(np.mean(vals))
-    return cfg.train.strategy, ks, a, f, recalls
+        for k in cfg.eval.ks:
+            if any(k not in getattr(rep, direction) for rep in reports):
+                raise dt.DataError(f"{path / 'retrieval.json'} lacks the "
+                                   f"{direction} cutoff {k} of a task")
+            metrics.append(float(np.mean([getattr(rep, direction)[k]
+                                          for rep in reports])))
+    return cfg.train.strategy, cfg.eval.ks, metrics
 
 
 def cmd_report(args) -> int:
@@ -247,24 +250,16 @@ def cmd_report(args) -> int:
     if any(r[1] != ks for r in rows):
         raise dt.DataError("run directories use different retrieval cutoffs")
     by_strategy: dict[str, list] = {}
-    for strategy, _, a, f, recalls in rows:
-        by_strategy.setdefault(strategy, []).append((a, f, recalls))
-    header = ["strategy", "runs", "avg_acc_mean", "avg_acc_std",
-              "forgetting_mean", "forgetting_std"]
-    rec_cols = [(d, k) for d in ("audio_to_video", "video_to_audio") for k in ks]
-    for d, k in rec_cols:
-        tag = "a2v" if d == "audio_to_video" else "v2a"
-        header += [f"{tag}@{k}_mean", f"{tag}@{k}_std"]
+    for strategy, _, metrics in rows:
+        by_strategy.setdefault(strategy, []).append(metrics)
+    names = ["avg_acc", "forgetting"] + [f"{t}@{k}" for t in ("a2v", "v2a") for k in ks]
+    header = ["strategy", "runs"] + [f"{n}_{s}" for n in names for s in ("mean", "std")]
     table = []
     for strategy, runs in by_strategy.items():
-        a_vals = np.array([r[0] for r in runs])
-        f_vals = np.array([r[1] for r in runs])
-        rec = {c: np.array([r[2][c] for r in runs]) for c in rec_cols}
-        row = [strategy, len(runs),
-               float(a_vals.mean()), float(a_vals.std()),
-               float(f_vals.mean()), float(f_vals.std())]
-        for c in rec_cols:
-            row += [float(rec[c].mean()), float(rec[c].std())]
+        row = [strategy, len(runs)]
+        for column in zip(*runs):
+            vals = np.array(column)
+            row += [float(vals.mean()), float(vals.std())]
         table.append(row)
     table.sort(key=lambda r: -r[2])  # stable: ties keep first-seen order
     lines = [",".join(header)]
@@ -369,17 +364,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except cf.ConfigError as exc:
+    except (cf.ConfigError, tr.TrainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except tt.NumericError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return 4
-    except tr.TrainError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except (dt.DataError, ckpt.CheckpointError, rm.RehearsalError, ev.EvalError,
-            json.JSONDecodeError, OSError) as exc:
+            OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
 

@@ -18,11 +18,11 @@ is ``audio_patch``.  Range checks live in the dataclasses' ``__post_init__``.
 Every key is optional except ``train.strategy``.  Unknown sections or keys
 are rejected, values are type-checked exactly (an ``int`` key rejects
 ``3.0``), and there is no value interpolation or environment lookup.
-Strategy-conditional knobs that the strategy requires but the file omits
-take their canonical defaults from ``trainer.STRATEGY_KNOBS``; ``finetune``
-defaults ``memory_capacity`` to 0.  The fully resolved configuration can be
-rendered back to text (and is written into every run directory) so a run is
-reproducible from its artifacts alone.
+Knobs that the strategy's row of ``trainer.STRATEGIES`` requires but the
+file omits take their defaults from ``trainer.STRATEGY_KNOBS``, and a
+strategy that keeps no memory defaults ``memory_capacity`` to 0.  The fully
+resolved configuration can be rendered back to text (and is written into
+every run directory) so a run is reproducible from its artifacts alone.
 """
 
 from __future__ import annotations
@@ -147,14 +147,13 @@ def _build(cls, vals: dict[str, object], prefix: str = ""):
 def _train_values(vals: dict[str, object]) -> dict[str, object]:
     if "strategy" not in vals:
         raise ConfigError("[train] strategy is required")
-    strat = vals["strategy"]
+    row = tr.STRATEGIES.get(vals["strategy"])  # None: TrainConfig rejects it
     kw = dict(vals)
-    # canonical defaults for knobs the strategy requires but the file omits
-    for name, (users, default) in tr.STRATEGY_KNOBS.items():
-        if strat in users and name not in vals:
-            kw[name] = default
-    if strat == "finetune" and "memory_capacity" not in vals:
-        kw["memory_capacity"] = 0
+    if row is not None:  # canonical defaults for what the file omits
+        for name in row.knobs:
+            kw.setdefault(name, tr.STRATEGY_KNOBS[name])
+        if row.memory is None:
+            kw.setdefault("memory_capacity", 0)
     return kw
 
 

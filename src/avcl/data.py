@@ -458,13 +458,15 @@ def read_task_file(path, cfg: DataConfig, spec: TaskSpec) -> TaskData:
     """Load the task ``spec`` from a file written by :func:`write_task_file`.
 
     Every one of the ten tensors must be present with the shape ``cfg``
-    gives it.  Unreadable bytes, or a missing or mis-shaped tensor, raise
-    :class:`DataError` naming the file and the tensor.
+    gives it, truth masks must hold only 0 and 1 and class ids only those of
+    ``spec``.  Unreadable bytes or a missing, mis-shaped or out-of-range
+    tensor raise :class:`DataError` naming the file and the tensor.
     """
     try:
         tensors = ckpt.load(path)
     except ckpt.CheckpointError as e:
         raise DataError(f"{path}: {e}") from e
+    allowed = {"audio_truth": (0, 1), "video_truth": (0, 1), "class_ids": spec.class_ids}
 
     def split(name: str, n: int) -> SampleSet:
         arrays = []
@@ -475,6 +477,9 @@ def read_task_file(path, cfg: DataConfig, spec: TaskSpec) -> TaskData:
             if tensors[key].shape != shape:
                 raise DataError(f"{path}: tensor {key!r} has shape "
                                 f"{tensors[key].shape}, expected {shape}")
+            if attr in allowed and not np.isin(tensors[key], allowed[attr]).all():
+                raise DataError(f"{path}: tensor {key!r} holds a value not among "
+                                f"{allowed[attr]}")
             arrays.append(tensors[key])
         ap, vp, at, vt, ids = arrays
         return SampleSet(ap, vp, at.astype(bool), vt.astype(bool), ids.astype(np.int64))

@@ -1,26 +1,11 @@
 """Continual pre-training loops over a task sequence.
 
-Six strategies share one step pipeline:
-
-* ``finetune``      — current batch only, no memory.
-* ``er``            — rehearse full stored pairs alongside the current batch.
-* ``derpp``         — ``er`` plus a feature-drift penalty on replayed rows.
-* ``random_select`` — ``derpp`` with uniform-random patch selection (audio
-                      kept in whole time chunks) on both current and replayed
-                      batches.
-* ``stella``        — attention-guided selection: importance from the
-                      matching module's cross-attention, correlation against
-                      stored past queries; the memory keeps full patch grids
-                      with their queries and scores so replay re-runs the
-                      same selection machinery.
-* ``stella_plus``   — selection as ``stella`` but the memory keeps only the
-                      selected patches, their grid ids and their queries;
-                      capacity grows to fill the same patch byte budget and
-                      replayed entries are used as-is.
-
-Each strategy stores exactly the memory fields its replay reads (see
-``_store_current``); only ``stella_plus`` entries hold patch subsets, so
-only they store grid ids.
+Six strategies share one step pipeline.  Each is one row of
+:data:`STRATEGIES`: what the rehearsal memory stores, whether the
+feature-drift penalty applies, and how patches are selected (uniformly with
+audio kept in whole time chunks, or by importance and past correlation read
+off the matching module's cross-attention).  Everything else derives from
+the row (see :class:`Strategy`).
 
 Training never reads task identity: the step API has no task argument, and
 the only task-shaped value (``RunState.diagnostic_task``) is copied verbatim
@@ -36,6 +21,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import operator
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -51,24 +37,50 @@ from avcl import evaluate as ev
 from avcl import memory as rm
 from avcl import optim as op
 from avcl import selection as sel
-from avcl.data import PatchSet, SampleSet, SceneGeometry, TaskData, full_patchset, random_mask
+from avcl.data import (DataError, PatchSet, SampleSet, SceneGeometry, TaskData,
+                       full_patchset, random_mask)
 
 
 class TrainError(ValueError):
     pass
 
 
-STRATEGIES = ("finetune", "er", "derpp", "random_select", "stella", "stella_plus")
-#: strategies whose objective carries the alpha-weighted feature penalty
-PENALIZED = ("derpp", "random_select", "stella")
-#: strategies that train on a selected patch subset
-SELECTING = ("random_select", "stella", "stella_plus")
-#: strategies that score patches with the matching module's attention
-SCORING = ("stella", "stella_plus")
-#: strategy-conditional knob -> (strategies that use it, canonical default)
-STRATEGY_KNOBS = {"alpha": (PENALIZED, 0.5), "beta": (SCORING, 0.4),
-                  "rho_audio": (SELECTING, 0.5), "rho_video": (SELECTING, 0.5),
-                  "chunk_size": (SELECTING, 4)}
+FULL, SUBSETS, UNIFORM, ATTENTION = "full", "subsets", "uniform", "attention"
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """One strategy as three facts; everything else derives from them."""
+
+    memory: str | None  # None (no memory), FULL grids or selected SUBSETS
+    penalty: bool  # alpha-weighted feature-drift penalty on replayed rows
+    selector: str | None  # None, UNIFORM or ATTENTION patch selection
+
+    @property
+    def attention(self) -> bool:  # scores with, and trains, the matching module
+        return self.selector == ATTENTION
+
+    @property
+    def reselects(self) -> bool:  # replay re-runs selection on stored full grids
+        return self.selector is not None and self.memory == FULL
+
+    @property
+    def knobs(self) -> tuple[str, ...]:  # the STRATEGY_KNOBS it needs, no other
+        return (("alpha",) * self.penalty + ("beta",) * self.attention
+                + ("rho_audio", "rho_video", "chunk_size") * bool(self.selector))
+
+
+STRATEGIES = {
+    "finetune": Strategy(None, False, None),
+    "er": Strategy(FULL, False, None),
+    "derpp": Strategy(FULL, True, None),
+    "random_select": Strategy(FULL, True, UNIFORM),
+    "stella": Strategy(FULL, True, ATTENTION),
+    "stella_plus": Strategy(SUBSETS, False, ATTENTION),
+}
+#: canonical default of each strategy-conditional knob
+STRATEGY_KNOBS = {"alpha": 0.5, "beta": 0.4, "rho_audio": 0.5, "rho_video": 0.5,
+                  "chunk_size": 4}
 
 STREAM_NAMES = ("init", "order", "mask", "selection", "avm", "memory")
 
@@ -77,11 +89,9 @@ STREAM_NAMES = ("init", "order", "mask", "selection", "avm", "memory")
 class TrainConfig:
     """Continual-training knobs; model-shape knobs live on the model config.
 
-    Strategy-specific fields are mandatory exactly where they are meaningful
-    (``alpha`` for penalized strategies, ``beta`` for scoring ones, sampling
-    ratios and the audio chunk length for selecting ones) and must be left
-    unset everywhere else, so a configuration never silently carries dead
-    hyperparameters.
+    Strategy-specific fields are mandatory exactly where the strategy's row
+    uses them (:attr:`Strategy.knobs`) and must be left unset everywhere
+    else, so a configuration never silently carries dead hyperparameters.
     """
 
     strategy: str
@@ -98,7 +108,8 @@ class TrainConfig:
 
     def __post_init__(self):
         s = self.strategy
-        if s not in STRATEGIES:
+        row = STRATEGIES.get(s)
+        if row is None:
             raise TrainError(f"unknown strategy {s!r}")
         if self.lr <= 0.0:
             raise TrainError("lr must be positive")
@@ -106,15 +117,15 @@ class TrainConfig:
             raise TrainError("batch and epochs must be at least 1")
         if self.memory_capacity < 0:
             raise TrainError("memory_capacity must be non-negative")
-        if s == "finetune" and self.memory_capacity != 0:
-            raise TrainError("finetune keeps no memory; set memory_capacity=0")
-        if s != "finetune" and self.memory_capacity == 0 and s != "er":
-            # er with zero capacity is the documented finetune-degenerate case;
-            # richer strategies with no memory are almost certainly a typo.
+        if row.memory is None and self.memory_capacity != 0:
+            raise TrainError(f"{s} keeps no memory; set memory_capacity=0")
+        if (row.penalty or row.selector) and self.memory_capacity == 0:
+            # plain rehearsal at zero capacity is the documented finetune-
+            # degenerate case; anything richer needs a memory to read.
             raise TrainError(f"{s} needs a rehearsal memory (capacity > 0)")
-        for name, (users, _) in STRATEGY_KNOBS.items():
-            if (s in users) != (getattr(self, name) is not None):
-                verb = "requires" if s in users else "does not use"
+        for name in STRATEGY_KNOBS:
+            if (name in row.knobs) != (getattr(self, name) is not None):
+                verb = "requires" if name in row.knobs else "does not use"
                 raise TrainError(f"strategy {s!r} {verb} {name}")
         if self.alpha is not None and self.alpha < 0.0:
             raise TrainError("alpha must be non-negative")
@@ -125,10 +136,15 @@ class TrainConfig:
                 raise TrainError("sampling ratios must lie in (0, 1]")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise TrainError("chunk_size must be at least 1")
-        if s in SCORING and self.batch < 2:
+        if row.attention and self.batch < 2:
             raise TrainError("matching-module training needs batch >= 2")
         if self.train_seed < 0:
             raise TrainError("train_seed must be non-negative")
+
+    @property
+    def row(self) -> Strategy:
+        """The strategy's row of :data:`STRATEGIES`."""
+        return STRATEGIES[self.strategy]
 
 
 def rng_streams(seed: int) -> dict[str, np.random.Generator]:
@@ -176,16 +192,16 @@ def init_run(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     init stream first so its weights are identical across strategies."""
     streams = rng_streams(tcfg.train_seed)
     state = bb.init_backbone(mcfg, geom, streams["init"])
-    avm_params = am.init_avm(mcfg, streams["init"]) if tcfg.strategy in SCORING else None
+    avm_params = am.init_avm(mcfg, streams["init"]) if tcfg.row.attention else None
     return _run_state(state, avm_params,
                       rm.ReservoirMemory(_memory_capacity(tcfg, geom)), tcfg,
                       streams)
 
 
 def _memory_capacity(tcfg: TrainConfig, geom: SceneGeometry) -> int:
-    """Reservoir entries the strategy keeps; ``stella_plus`` stores only
-    selected patches and scales up to the same patch byte budget."""
-    if tcfg.strategy != "stella_plus":
+    """Reservoir entries the strategy keeps; a memory of selected subsets
+    scales up to the same patch byte budget as one of full grids."""
+    if tcfg.row.memory != SUBSETS:
         return tcfg.memory_capacity
     return rm.plus_capacity(
         tcfg.memory_capacity,
@@ -199,20 +215,21 @@ def _memory_fields(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
                    geom: SceneGeometry) -> dict[str, tuple[int, ...]]:
     """Per-entry shape of every field :func:`_store_current` stores."""
     a, v = geom.audio, geom.video
-    if tcfg.strategy in SELECTING:
+    row = tcfg.row
+    if row.selector:
         kap_a = sel.kappa(a.patches, tcfg.rho_audio)
         kap_v = sel.kappa(v.patches, tcfg.rho_video)
     fields = {"audio_patches": (a.patches, a.patch_dim),
               "video_patches": (v.patches, v.patch_dim)}
-    if tcfg.strategy == "stella_plus":
+    if row.memory == SUBSETS:
         fields = {"audio_patches": (kap_a, a.patch_dim), "audio_indices": (kap_a,),
                   "video_patches": (kap_v, v.patch_dim), "video_indices": (kap_v,)}
-    if tcfg.strategy in PENALIZED:
+    if row.penalty:
         fields.update(feat_audio=(mcfg.embed_dim,), feat_video=(mcfg.embed_dim,))
-    if tcfg.strategy in SCORING:
+    if row.attention:
         query = (mcfg.heads, mcfg.head_dim)
         fields.update(q_audio=query, q_video=query)
-    if tcfg.strategy == "stella":
+    if row.attention and row.reselects:
         fields.update(imp_audio=(a.patches,), imp_video=(v.patches,),
                       corr_audio=(kap_a,), corr_video=(kap_v,))
     return fields
@@ -239,8 +256,8 @@ class _Scoring:
     imp_v: np.ndarray  # (B, N)
     loc_a: sel.LocalizedQueries
     loc_v: sel.LocalizedQueries
-    corr_a: np.ndarray | None  # (B, kap_a), or None when nothing is replayed
-    corr_v: np.ndarray | None
+    corr_a: np.ndarray  # (B, kap_a), zero when nothing is replayed
+    corr_v: np.ndarray
     # unmasked fusion tokens and encoder outputs, reused by the AVM step
     o_a: tt.Tensor
     o_v: tt.Tensor
@@ -262,7 +279,9 @@ def _score_batch(run: RunState, tcfg: TrainConfig, aps: PatchSet,
                                              maps.video_map.data)
         loc_a = sel.gather_localized(maps.q_audio.data, maps.k_audio.data, imp_a, kap_a)
         loc_v = sel.gather_localized(maps.q_video.data, maps.k_video.data, imp_v, kap_v)
-    corr_a = corr_v = None
+    # zero correlation stands for "no memory yet", exactly as selection
+    # treats a missing correlation
+    corr_a, corr_v = np.zeros(loc_a.indices.shape), np.zeros(loc_v.indices.shape)
     if replay is not None:
         # Current row i is paired with replayed row i (the replay draw is
         # already uniform with replacement); an audio patch is compared under
@@ -276,12 +295,14 @@ def _score_batch(run: RunState, tcfg: TrainConfig, aps: PatchSet,
 
 
 def _select_pair(tcfg: TrainConfig, aps: PatchSet, vps: PatchSet,
-                 imp_a: np.ndarray, imp_v: np.ndarray,
-                 corr_a: np.ndarray | None, corr_v: np.ndarray | None,
-                 rng: np.random.Generator) -> tuple[PatchSet, PatchSet]:
-    """Audio then video selection on one (possibly replayed) pair batch,
-    given each modality's importance and correlation (None: nothing to
-    correlate with, so no patch is flagged)."""
+                 scores: tuple | None, rng: np.random.Generator
+                 ) -> tuple[PatchSet, PatchSet]:
+    """Audio then video selection on one (possibly replayed) pair batch under
+    ``scores`` (each modality's importance, then each one's correlation), or
+    without them under uniform importance and no correlation."""
+    imp_a, imp_v, corr_a, corr_v = scores or (
+        np.full(aps.patches.shape[:2], 1.0 / aps.count),
+        np.full(vps.patches.shape[:2], 1.0 / vps.count), None, None)
     sel_a, _ = sel.select_audio(imp_a, corr_a, sel.kappa(aps.count, tcfg.rho_audio),
                                 tcfg.chunk_size, aps.grid, rng)
     sel_v, _ = sel.select_video(imp_v, corr_v, sel.kappa(vps.count, tcfg.rho_video),
@@ -289,17 +310,7 @@ def _select_pair(tcfg: TrainConfig, aps: PatchSet, vps: PatchSet,
     return sel.gather_selected(aps, sel_a), sel.gather_selected(vps, sel_v)
 
 
-def _select_uniformly(tcfg: TrainConfig, aps: PatchSet, vps: PatchSet,
-                      rng: np.random.Generator) -> tuple[PatchSet, PatchSet]:
-    """``random_select`` on a current or replayed batch: uniform importance,
-    no correlation, never attention or memory."""
-    return _select_pair(tcfg, aps, vps,
-                        np.full(aps.patches.shape[:2], 1.0 / aps.count),
-                        np.full(vps.patches.shape[:2], 1.0 / vps.count),
-                        None, None, rng)
-
-
-def _past_patchsets(run: RunState, tcfg: TrainConfig,
+def _past_patchsets(run: RunState, tcfg: TrainConfig, row: Strategy,
                     replay: dict[str, np.ndarray], aps: PatchSet,
                     vps: PatchSet) -> tuple[PatchSet, PatchSet]:
     """Replayed batch in the same patch layout as the current one.  Entries
@@ -308,18 +319,13 @@ def _past_patchsets(run: RunState, tcfg: TrainConfig,
                      replay.get("audio_indices", aps.indices), "audio", aps.grid)
     p_vps = PatchSet(replay["video_patches"],
                      replay.get("video_indices", vps.indices), "video", vps.grid)
-    rng = run.streams["selection"]
-    if tcfg.strategy == "stella":
-        # re-run selection on the stored full grids with the scores that were
-        # frozen at insertion time
-        return _select_pair(tcfg, p_aps, p_vps, replay["imp_audio"],
-                            replay["imp_video"], replay["corr_audio"],
-                            replay["corr_video"], rng)
-    if tcfg.strategy == "random_select":
-        return _select_uniformly(tcfg, p_aps, p_vps, rng)
-    # er and derpp replay full pairs; stella_plus entries already hold
-    # exactly the selected patches
-    return p_aps, p_vps
+    if not row.reselects:  # full pairs, or the very patches selected then
+        return p_aps, p_vps
+    # re-run selection on the stored full grids, attention under the scores
+    # that were frozen at insertion time
+    scores = tuple(replay[k] for k in ("imp_audio", "imp_video", "corr_audio",
+                                       "corr_video")) if row.attention else None
+    return _select_pair(tcfg, p_aps, p_vps, scores, run.streams["selection"])
 
 
 def _concat_sets(cur: PatchSet, past: PatchSet | None) -> PatchSet:
@@ -332,32 +338,26 @@ def _concat_sets(cur: PatchSet, past: PatchSet | None) -> PatchSet:
                     cur.modality, cur.grid)
 
 
-def _store_current(run: RunState, tcfg: TrainConfig,
+def _store_current(run: RunState, row: Strategy,
                    full: tuple[PatchSet, PatchSet],
                    trained: tuple[PatchSet, PatchSet], scoring: _Scoring | None,
                    feat_a: np.ndarray, feat_v: np.ndarray) -> None:
     """Insert the current batch into the reservoir (memory stream), keeping
-    only the fields the strategy's replay reads: the full patch grids, or
-    for ``stella_plus`` the selected patches with their grid ids, the pooled
-    features for the drift penalty, and the queries and selection scores
-    for attention-guided selection.  Zero correlation stands for "no memory
-    yet", exactly as selection treats a missing correlation."""
-    a, v = trained if tcfg.strategy == "stella_plus" else full
+    only the fields the strategy's replay reads: the full patch grids or the
+    selected subsets with their grid ids, the pooled features for the drift
+    penalty, and the queries and selection scores for attention-guided
+    selection."""
+    a, v = trained if row.memory == SUBSETS else full
     batch = {"audio_patches": a.patches, "video_patches": v.patches}
-    if tcfg.strategy == "stella_plus":
+    if row.memory == SUBSETS:
         batch.update(audio_indices=a.indices, video_indices=v.indices)
-    if tcfg.strategy in PENALIZED:
+    if row.penalty:
         batch.update(feat_audio=feat_a, feat_video=feat_v)
-    if tcfg.strategy in SCORING:
+    if row.attention:
         batch.update(q_audio=scoring.loc_a.pooled, q_video=scoring.loc_v.pooled)
-    if tcfg.strategy == "stella":
-        no_corr = scoring.corr_a is None
-        batch.update(
-            imp_audio=scoring.imp_a, imp_video=scoring.imp_v,
-            corr_audio=(np.zeros(scoring.loc_a.indices.shape) if no_corr
-                        else scoring.corr_a),
-            corr_video=(np.zeros(scoring.loc_v.indices.shape) if no_corr
-                        else scoring.corr_v))
+    if row.attention and row.reselects:
+        batch.update(imp_audio=scoring.imp_a, imp_video=scoring.imp_v,
+                     corr_audio=scoring.corr_a, corr_video=scoring.corr_v)
     rm.reservoir_insert(run.mem, batch, run.global_step, run.diagnostic_task,
                         run.streams["memory"])
 
@@ -366,7 +366,7 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
                aps: PatchSet, vps: PatchSet) -> LossRecord:
     """One continual pre-training update on a current batch of paired clips.
 
-    Order of operations (scoring strategies; others skip what they lack):
+    Order of operations (attention selectors; others skip what they lack):
     replay draw -> attention scoring (the one unmasked no-grad backbone pass)
     -> correlation against stored queries -> current selection -> replay
     selection -> mask draws -> each modality cut to its visible tokens ->
@@ -379,24 +379,23 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     meaningful.
     """
     b = aps.patches.shape[0]
+    row = tcfg.row
 
     replay = None
     if len(run.mem) > 0:
         replay = rm.sample_replay(run.mem, b, run.streams["memory"])
 
-    scoring = None
+    scoring = scores = None
     cur_aps, cur_vps = aps, vps
     past_aps = past_vps = None
-    rng = run.streams["selection"]
-    if tcfg.strategy in SCORING:
+    if row.attention:
         scoring = _score_batch(run, tcfg, aps, vps, replay)
-        cur_aps, cur_vps = _select_pair(tcfg, aps, vps, scoring.imp_a,
-                                        scoring.imp_v, scoring.corr_a,
-                                        scoring.corr_v, rng)
-    elif tcfg.strategy == "random_select":
-        cur_aps, cur_vps = _select_uniformly(tcfg, aps, vps, rng)
+        scores = (scoring.imp_a, scoring.imp_v, scoring.corr_a, scoring.corr_v)
+    if row.selector:
+        cur_aps, cur_vps = _select_pair(tcfg, aps, vps, scores,
+                                        run.streams["selection"])
     if replay is not None:
-        past_aps, past_vps = _past_patchsets(run, tcfg, replay, aps, vps)
+        past_aps, past_vps = _past_patchsets(run, tcfg, row, replay, aps, vps)
 
     cat_aps = _concat_sets(cur_aps, past_aps)
     cat_vps = _concat_sets(cur_vps, past_vps)
@@ -426,11 +425,11 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
                                   mcfg.contrastive_weight, alpha_eff)
 
     if tcfg.memory_capacity > 0:
-        _store_current(run, tcfg, (aps, vps), (cur_aps, cur_vps), scoring,
+        _store_current(run, row, (aps, vps), (cur_aps, cur_vps), scoring,
                        c_a.data[:b], c_v.data[:b])
 
     avm_loss = 0.0
-    if tcfg.strategy in SCORING:
+    if row.attention:
         # runs before the backbone backward pass: backbone gradients are
         # still empty, so the isolation assertion inside is exact
         avm_loss = am.avm_train_step(run.avm, run.state, scoring.o_a, scoring.o_v,
@@ -501,21 +500,35 @@ def evaluate_tasks(state: bb.BackboneState, tasks: list[TaskData],
     return [rep.headline() for rep in reports], results[0][1], reports
 
 
+def _reads(error: type[ValueError], what: str):
+    """Decorator: a reader's lookup, type or value errors -> ``error``."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            try:
+                return fn(*args, **kwargs)
+            except (cp.CheckpointError, rm.RehearsalError):
+                raise
+            except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
+                raise error(f"{what} missing or malformed: {exc}") from None
+        return wrapper
+    return decorate
+
+
 def reports_to_json(reports: list[ev.RetrievalReport]) -> str:
     """Serialize per-task retrieval reports for the run directory."""
-    blob = [{"size": r.size,
-             "audio_to_video": {str(k): v for k, v in r.audio_to_video.items()},
-             "video_to_audio": {str(k): v for k, v in r.video_to_audio.items()}}
-            for r in reports]
+    blob = [{"size": r.size, "audio_to_video": r.audio_to_video,
+             "video_to_audio": r.video_to_audio} for r in reports]
     return json.dumps({"tasks": blob}, indent=1)
 
 
+@_reads(DataError, "retrieval report")
 def reports_from_json(text: str) -> list[ev.RetrievalReport]:
-    blob = json.loads(text)["tasks"]
-    return [ev.RetrievalReport(
-        audio_to_video={int(k): float(v) for k, v in r["audio_to_video"].items()},
-        video_to_audio={int(k): float(v) for k, v in r["video_to_audio"].items()},
-        size=int(r["size"])) for r in blob]
+    def recalls(blob) -> dict[int, float]:
+        return {int(k): float(v) for k, v in dict(blob).items()}
+    return [ev.RetrievalReport(recalls(r["audio_to_video"]),
+                               recalls(r["video_to_audio"]), operator.index(r["size"]))
+            for r in json.loads(text)["tasks"]]
 
 
 # --------------------------------------------------------------------------
@@ -534,6 +547,7 @@ def _write_csv(path: Path, rows) -> None:
         csv.writer(fh).writerows(rows)
 
 
+@_reads(DataError, "accuracy matrix")
 def read_acc_csv(path: Path) -> list[list[float]]:
     with open(path, newline="") as fh:
         return [[float(v) for v in row] for row in csv.reader(fh) if row]
@@ -548,19 +562,8 @@ def _rng_state_json(streams: dict[str, np.random.Generator]) -> str:
                        for name, gen in streams.items()})
 
 
-def _reads_checkpoint(fn):
-    """Missing, mis-shaped or malformed checkpoint tensors or random-stream
-    states -> CheckpointError."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (cp.CheckpointError, rm.RehearsalError):
-            raise
-        except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-            raise cp.CheckpointError("checkpoint data missing or malformed: "
-                                     f"{exc}") from None
-    return wrapper
+#: missing, mis-shaped or malformed checkpoint tensors or random-stream states
+_reads_checkpoint = _reads(cp.CheckpointError, "checkpoint data")
 
 
 @_reads_checkpoint
@@ -640,7 +643,7 @@ def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
         raise cp.CheckpointError(f"run/gaps holds {len(gaps)} values, not "
                                  f"{tasks_done}: one per finished task")
     avm = avm_from_arrays(arrays, mcfg)
-    if (avm is not None) != (tcfg.strategy in SCORING):
+    if (avm is not None) != tcfg.row.attention:
         raise cp.CheckpointError("checkpoint matching module does not fit "
                                  f"strategy {tcfg.strategy!r}")
     run = _run_state(backbone_from_arrays(arrays, mcfg, geom), avm,

@@ -466,6 +466,27 @@ def test_misshaped_task_tensor_exits_3_without_partial_run_dir(ws, capsys, key,
     assert "task_01.bin" in err and key in err, err
 
 
+@pytest.mark.parametrize("key,value", [("train/audio_truth", 0.5),
+                                       ("eval/class_ids", 1e300)])
+def test_out_of_range_task_tensor_exits_3_without_partial_run_dir(ws, capsys,
+                                                                  key, value):
+    """Truth masks hold only 0 and 1 and class ids only the task's classes;
+    a task file breaking either is refused before training."""
+    tag = key.replace("/", "_")
+    data, run = ws / f"data_range_{tag}", ws / f"run_range_{tag}"
+    shutil.copytree(ws / "data", data)
+    tensors = ckpt.load(data / "task_01.bin")
+    tensors[key] = np.full_like(tensors[key], value)
+    ckpt.save(data / "task_01.bin", tensors)
+    _rehash(data, "task_01.bin")
+    code = cli.main(["run", "--config", str(ws / "cfg.ini"),
+                     "--data", str(data), "--out", str(run)])
+    assert code == 3
+    assert not run.exists()
+    err = capsys.readouterr().err
+    assert "task_01.bin" in err and key in err, err
+
+
 def test_edited_dataset_config_exits_3(ws, capsys):
     """config.ini is hashed with the task files, so the statement of what
     the data is cannot drift from the data."""
@@ -676,6 +697,36 @@ def test_report_json_output(ws):
 
 def test_report_on_unfinished_directory_exits_3(ws, tmp_path):
     assert cli.main(["report", str(tmp_path)]) == 3
+
+
+def _without_cutoff_5(text):
+    blob = json.loads(text)
+    for task in blob["tasks"]:
+        for direction in ("audio_to_video", "video_to_audio"):
+            del task[direction]["5"]
+    return json.dumps(blob)
+
+
+def _non_integer_size(text):
+    blob = json.loads(text)
+    blob["tasks"][0]["size"] = "twelve"
+    return json.dumps(blob)
+
+
+@pytest.mark.parametrize("name,damage", [
+    ("retrieval.json", lambda text: '{"x": 1}'),
+    ("retrieval.json", lambda text: "[1, 2]"),
+    ("retrieval.json", _without_cutoff_5),
+    ("retrieval.json", _non_integer_size),
+    ("acc_matrix.csv", lambda text: "abc,1\n"),
+], ids=["no_tasks_key", "json_list", "missing_cutoff", "non_integer_size",
+        "non_numeric_accuracy"])
+def test_report_on_malformed_run_dir_exits_3(ws, tmp_path, capsys, name, damage):
+    run = tmp_path / "run"
+    shutil.copytree(ws / "run_stella", run)
+    (run / name).write_text(damage((run / name).read_text()))
+    assert cli.main(["report", str(run)]) == 3
+    assert "data error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["eval", "report_csv", "report_json",

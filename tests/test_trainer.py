@@ -41,15 +41,13 @@ def mcfg():
 
 
 def _cfg(strategy, **kw):
+    row = tr.STRATEGIES[strategy]
     base = dict(batch=4, epochs=1, memory_capacity=6, train_seed=3)
-    if strategy == "finetune":
+    if row.memory is None:
         base["memory_capacity"] = 0
-    if strategy in tr.PENALIZED:
-        base["alpha"] = 0.5
-    if strategy in tr.SCORING:
-        base["beta"] = 0.4
-    if strategy in tr.SELECTING:
-        base.update(rho_audio=0.5, rho_video=0.5, chunk_size=2)
+    base.update({name: tr.STRATEGY_KNOBS[name] for name in row.knobs})
+    if row.selector:
+        base["chunk_size"] = 2
     base.update(kw)
     return tr.TrainConfig(strategy, **base)
 
@@ -220,7 +218,7 @@ def test_stella_plus_memory_and_capacity(tasks, geom, mcfg):
     assert np.all(np.diff(f["video_indices"], axis=1) > 0)
 
 
-@pytest.mark.parametrize("strategy", tr.STRATEGIES[1:])
+@pytest.mark.parametrize("strategy", list(tr.STRATEGIES)[1:])
 def test_only_selected_entries_store_grid_ids(geom, mcfg, strategy):
     fields = tr._memory_fields(mcfg, _cfg(strategy), geom)
     ids = {"audio_indices", "video_indices"}
