@@ -2,7 +2,8 @@
 
 A small set of per-modality query/key/value projections plus a two-layer
 scoring head. Cross-attention runs both ways (video queries attending audio
-keys and vice versa); its logit maps drive patch importance downstream, and
+keys and vice versa); its logit maps, arrays off the tape that raise
+``tt.NumericError`` when non-finite, drive patch importance downstream, and
 the attended values feed a binary real-pair/shuffled-pair classifier.
 
 The module trains against the backbone's fusion outputs computed WITHOUT
@@ -66,22 +67,25 @@ class CrossAttention:
     video_map is the transpose direction.
     """
 
-    audio_map: Tensor  # (B, H, N, M)
-    video_map: Tensor  # (B, H, M, N)
-    q_audio: Tensor  # (B, H, M, d)
-    k_audio: Tensor
-    q_video: Tensor  # (B, H, N, d)
-    k_video: Tensor
+    audio_map: np.ndarray  # (B, H, N, M)
+    video_map: np.ndarray  # (B, H, M, N)
+    q_audio: np.ndarray  # (B, H, M, d)
+    k_audio: np.ndarray
+    q_video: np.ndarray  # (B, H, N, d)
+    k_video: np.ndarray
 
 
 def cross_attention(avm: AvmParams, o_a: Tensor, o_v: Tensor,
-                    beta: float = 1.0) -> CrossAttention:
-    """Raw logit maps for patch selection and attention export; the matching
-    head itself runs the fused :func:`tt.attention`."""
-    q_a, k_a = (_project(avm, o_a, "audio", p) for p in ("wq", "wk"))
-    q_v, k_v = (_project(avm, o_v, "video", p) for p in ("wq", "wk"))
-    audio_map = tt.attention_logits(q_v, k_a, beta)
-    video_map = tt.attention_logits(q_a, k_v, beta)
+                    beta: float) -> CrossAttention:
+    """Raw logit maps for patch selection and attention export, as arrays off
+    the tape (the matching head runs the fused :func:`tt.attention`)."""
+    with tt.no_grad():
+        q_a, k_a = (_project(avm, o_a, "audio", p).data for p in ("wq", "wk"))
+        q_v, k_v = (_project(avm, o_v, "video", p).data for p in ("wq", "wk"))
+    audio_map, _ = tt.scaled_logits(q_v, k_a, beta)
+    video_map, _ = tt.scaled_logits(q_a, k_v, beta)
+    if not (np.isfinite(audio_map).all() and np.isfinite(video_map).all()):
+        raise tt.NumericError("non-finite cross-attention logits")
     return CrossAttention(audio_map, video_map, q_a, k_a, q_v, k_v)
 
 

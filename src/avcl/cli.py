@@ -34,7 +34,9 @@ accuracy rows and the gaps against the finished tasks before training, so
 an older run directory with six-column records exits 3.  Only
 ``stella_plus`` memories store grid ids: a run directory written with
 grid-id columns for another strategy exits 3 on resume ("snapshot fields
-do not match").
+do not match").  ``run`` ends by printing ``A``, with two or more tasks
+``F`` and ``gap decline`` (the mean per-task drop of the modality gap), and
+``memory bytes`` (the stored size of the final rehearsal memory).
 
 The ``--out`` files of ``eval``, ``report`` and ``export-attention`` are
 replaced atomically too, so a failed write leaves no partial output.
@@ -47,10 +49,11 @@ such as a zero patch size or head count or a ``correlation`` outside
 (missing, truncated, modified or unreadable files, including a task file or
 checkpoint with a missing or malformed tensor, task-file truth masks outside
 {0, 1} or class ids outside the task's classes, a run directory whose
-``acc_matrix.csv`` or ``retrieval.json`` is malformed or lacks a configured
-cutoff for ``report``, a checkpoint whose rehearsal-memory snapshot is
-inconsistent or in an older format, and a format-1 dataset, which must be
-regenerated); 4 numeric divergence during training.
+``acc_matrix.csv`` or ``retrieval.json`` is malformed, disagrees on the
+task count or lacks a configured cutoff for ``report``, a checkpoint whose
+rehearsal-memory snapshot is inconsistent or in an older format, and a
+format-1 dataset, which must be regenerated); 4 numeric divergence in
+training or in the attention maps of ``export-attention``.
 A run aborted by a config or data error never leaves a partial run
 directory; an interrupted training run resumes from its last
 completed task.
@@ -184,6 +187,8 @@ def cmd_run(args) -> int:
     print(f"A = {ev.average_accuracy(acc):.6g}")
     if len(acc) > 1:
         print(f"F = {ev.average_forgetting(acc):.6g}")
+        print(f"gap decline = {ev.mean_gap_decline(gaps):.6g}")
+    print(f"memory bytes = {rm.memory_bytes(run.mem)}")
     return 0
 
 
@@ -232,6 +237,8 @@ def _read_run_dir(path: Path):
     cfg = cf.load_config(path / _CONFIG)
     acc = tr.read_acc_csv(path / "acc_matrix.csv")
     reports = tr.reports_from_json((path / "retrieval.json").read_text())
+    if len(reports) != len(acc):
+        raise dt.DataError(f"{path} has {len(reports)} task reports for {len(acc)} tasks")
     metrics = [ev.average_accuracy(acc),
                ev.average_forgetting(acc) if len(acc) > 1 else float("nan")]
     for direction in ("audio_to_video", "video_to_audio"):
@@ -301,10 +308,9 @@ def cmd_export_attention(args) -> int:
     aps = dt.full_patchset(split.audio_patches[:rows], "audio", geom)
     vps = dt.full_patchset(split.video_patches[:rows], "video", geom)
     o_a, o_v, _, _ = am.fusion_tokens(state, aps, vps)
-    with tt.no_grad():
-        maps = am.cross_attention(avm, o_a, o_v, beta=cfg.train.beta)
-    logits = maps.audio_map if args.direction == "audio" else maps.video_map
-    ev.export_attention(logits.data, args.out)
+    maps = am.cross_attention(avm, o_a, o_v, cfg.train.beta)
+    ev.export_attention(maps.audio_map if args.direction == "audio"
+                        else maps.video_map, args.out)
     print(f"wrote {args.direction} attention for {rows} pairs to {args.out}")
     return 0
 

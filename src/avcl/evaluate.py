@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import avcl.tensor as tt
 from avcl import checkpoint as ckpt
 
 
@@ -164,12 +165,10 @@ def selection_quality(selected: np.ndarray, truth: np.ndarray) -> QualityReport:
 def export_attention(maps: np.ndarray, path) -> None:
     """Write head-averaged softmaxed cross-attention as CSV rows keyed by
     (sample, query patch), one column per key patch, full float64 precision."""
-    maps = np.asarray(maps, dtype=np.float64)
+    maps = np.array(maps, dtype=np.float64)  # a copy the softmax overwrites
     if maps.ndim != 4:
         raise EvalError("maps must be (B, H, queries, keys) logits")
-    shifted = maps - maps.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    probs = (e / e.sum(axis=-1, keepdims=True)).mean(axis=1)  # (B, Q, K)
+    probs = tt.softmax_inplace(maps, -1).mean(axis=1)  # (B, Q, K)
     b, q, k = probs.shape
     with ckpt.atomic_open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

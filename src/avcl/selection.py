@@ -3,7 +3,7 @@
 Pure numpy, no autodiff: importance scoring from cross-attention maps,
 importance-sorted query/key gathering, past-vs-current correlation scores,
 probabilistic video patch selection, audio time-chunk selection, and the
-final patch gather.
+final patch gather, on the tape's numpy softmax and sigmoid kernels.
 
 Randomness protocol (relied on by tests and by bit-exact replays), owned by
 ``_select_rows`` for both modalities: every select_* call spawns one child
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+import avcl.tensor as tt
 from avcl.data import PatchSet
 
 
@@ -40,12 +41,6 @@ def kappa(count: int, ratio: float) -> int:
     return max(1, int(np.floor(count * ratio + 0.5)))
 
 
-def _softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
 def importance_scores(audio_map: np.ndarray, video_map: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Per-patch attention probabilities, averaged over heads and queries.
@@ -56,8 +51,17 @@ def importance_scores(audio_map: np.ndarray, video_map: np.ndarray
     """
     if not (np.isfinite(audio_map).all() and np.isfinite(video_map).all()):
         raise SelectionError("attention maps must be finite")
-    return (_softmax(audio_map).mean(axis=(1, 2)),
-            _softmax(video_map).mean(axis=(1, 2)))
+    return (tt.softmax_inplace(audio_map.copy(), -1).mean(axis=(1, 2)),
+            tt.softmax_inplace(video_map.copy(), -1).mean(axis=(1, 2)))
+
+
+def _top_kappa(importance: np.ndarray, kap: int) -> np.ndarray:
+    """Per row, the kappa most important patches in ascending importance,
+    ties by index: the scored patches of both gathering and selection."""
+    n = importance.shape[1]
+    if not 1 <= kap <= n:
+        raise SelectionError(f"kappa {kap} out of range for {n} patches")
+    return np.argsort(importance, axis=1, kind="stable")[:, -kap:]
 
 
 @dataclass
@@ -69,15 +73,12 @@ class LocalizedQueries:
 
 def gather_localized(q: np.ndarray, k: np.ndarray, importance: np.ndarray,
                      kap: int) -> LocalizedQueries:
-    """Sort patches by importance ascending, keep the top-kappa tail, pool
-    the gathered queries with their importance values as weights."""
+    """Gather the :func:`_top_kappa` queries and keys and pool the queries
+    with their importance values as weights."""
     b, h, n, d = q.shape
     if k.shape != q.shape or importance.shape != (b, n):
         raise SelectionError("query/key/importance shapes disagree")
-    if not 1 <= kap <= n:
-        raise SelectionError(f"kappa {kap} out of range for {n} patches")
-    order = np.argsort(importance, axis=1, kind="stable")
-    top = order[:, -kap:]  # ascending importance within the top block
+    top = _top_kappa(importance, kap)
     weights = np.take_along_axis(importance, top, axis=1)  # (B, kappa)
     totals = weights.sum(axis=1)
     if np.any(totals <= 0.0):
@@ -106,13 +107,7 @@ def correlation_scores(keys: np.ndarray, q_now: np.ndarray,
         raise SelectionError("beta must be positive")
     a_now = _scaled_scores(q_now, keys, beta)
     a_past = _scaled_scores(q_past, keys, beta)
-    z = a_past - a_now
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out.mean(axis=1)
+    return tt.stable_sigmoid(a_past - a_now).mean(axis=1)
 
 
 def _draw_without_replacement(rng: np.random.Generator, weights: np.ndarray,
@@ -139,20 +134,17 @@ def _select_rows(importance: np.ndarray, correlation: np.ndarray | None,
                  ) -> tuple[np.ndarray, np.ndarray]:
     """The per-row protocol both selectors share.
 
-    The top-kappa patches by importance (stable ascending order) are the
-    scored ones; ``correlation[:, j]`` belongs to the j-th of them.  Per row
-    and child generator: Bernoulli(correlation) flags on the scored patches
-    from one ``random(kappa)`` call, then ``draw(importance_row, flagged,
-    child)``, which returns at most kappa distinct picks.  A short row is
-    filled deterministically with unpicked patches by ascending correlation
+    ``correlation[:, j]`` belongs to the j-th scored (:func:`_top_kappa`)
+    patch.  Per row and child generator: Bernoulli(correlation) flags on the
+    scored patches from one ``random(kappa)`` call, then ``draw(importance_row,
+    flagged, child)``, which returns at most kappa distinct picks.  A short row
+    is filled deterministically with unpicked patches by ascending correlation
     (least past-correlated first, unscored patches counting as zero),
     index-stable.  Returns (ascending indices (B, kappa), flags (B, n))."""
     b, n = importance.shape
-    if not 1 <= kap <= n:
-        raise SelectionError(f"kappa {kap} out of range for {n} patches")
+    scored = _top_kappa(importance, kap)
     if correlation is not None and correlation.shape != (b, kap):
         raise SelectionError("correlation must be (B, kappa)")
-    scored = np.argsort(importance, axis=1, kind="stable")[:, -kap:]
     selected = np.empty((b, kap), dtype=np.int64)
     flags = np.zeros((b, n), dtype=bool)
     for row, child in enumerate(rng.spawn(b)):

@@ -18,6 +18,9 @@ Design constraints baked in here:
   that output, so it still raises.  Both share their numpy bodies with
   ``attention``, ``layernorm`` and ``gelu`` and reproduce the unfused
   chain's arithmetic.
+* The attention math exists once, as numpy kernels (``scaled_logits``,
+  ``softmax_inplace``, ``stable_sigmoid``) that the ops here and the no-grad
+  scoring pass share; no other module calls ``np.exp``.
 * Leaves created with ``requires_grad=True`` allocate a zero gradient buffer
   up front, so a leaf that ends up disconnected from the loss still reports
   an all-zero gradient instead of erroring.
@@ -166,6 +169,40 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
+
+
+# ---------------------------------------------------------------------------
+# numpy kernels, shared by the ops below and the no-grad scoring pass
+# ---------------------------------------------------------------------------
+
+
+def scaled_logits(q: np.ndarray, k: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(q k^T / (beta sqrt(d)), contiguous k^T) for q: (..., n_q, d) and
+    k: (..., n_k, d); an overflow is left as inf, not warned about."""
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = np.matmul(q, kt)
+        logits *= 1.0 / (beta * np.sqrt(q.shape[-1]))
+    return logits, kt
+
+
+def softmax_inplace(x: np.ndarray, axis: int) -> np.ndarray:
+    """Numerically stable softmax along ``axis`` (max subtraction),
+    overwriting and returning ``x``."""
+    x -= x.max(axis=axis, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=axis, keepdims=True)
+    return x
+
+
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-x), with no exponential of a positive argument."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +407,7 @@ def clip_min(a, lo: float) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    out = stable_sigmoid(a.data)
     return _make(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
@@ -421,10 +453,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     ax = _norm_axes(axis, a.ndim)
     if len(ax) != 1:
         raise ShapeError("softmax takes a single axis")
-    ax = ax[0]
-    shifted = a.data - a.data.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=ax, keepdims=True)
+    out = softmax_inplace(a.data.copy(), ax)
 
     def grad_fn(g):
         dot = (g * out).sum(axis=ax, keepdims=True)
@@ -509,42 +538,17 @@ def linear(x, weight, bias=None) -> Tensor:
     return out
 
 
-def attention_logits(q, k, beta: float = 1.0) -> Tensor:
-    """Scaled dot-product logits: out[..., i, j] = q_i . k_j / (beta*sqrt(d)).
-
-    q: (..., n_q, d), k: (..., n_k, d) -> (..., n_q, n_k). ``beta`` is an
-    extra sharpening temperature on top of the usual 1/sqrt(d) scale.  For
-    callers that read the raw maps (patch selection, attention export);
-    attention itself runs as the fused :func:`attention`.
-    """
-    q, k = as_tensor(q), as_tensor(k)
-    if q.shape[-1] != k.shape[-1]:
-        raise ShapeError("q/k feature dims differ")
-    if beta <= 0:
-        raise NumericError("beta must be positive")
-    d = q.shape[-1]
-    scale = 1.0 / (beta * np.sqrt(d))
-    return mul(matmul(q, swap_last(k)), scale)
-
-
 def _attention_fwd(q, k, v, bias):
-    """(softmax(q k^T / sqrt(d) + bias) v, probabilities, k^T) on arrays.
-
-    The logits buffer becomes the probabilities in place.  A NaN or +inf
-    logit turns its whole row of probabilities into NaN, which reaches the
-    output; a -inf logit is a zero weight, as a masked key's is.  The
-    arithmetic order matches ``attention_logits`` -> ``add`` -> ``softmax``
-    -> ``matmul``.
-    """
-    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    """(softmax(q k^T / sqrt(d) + bias) v, probabilities, k^T) on arrays,
+    in the arithmetic order of the unfused chain; the logits buffer becomes
+    the probabilities in place.  A NaN or +inf logit turns its row into NaN,
+    which reaches the output; a -inf logit is a zero weight, as a masked
+    key's is."""
+    p, kt = scaled_logits(q, k, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        p = np.matmul(q, kt)
-        p *= 1.0 / np.sqrt(q.shape[-1])
         if bias is not None:
             p += bias
-        p -= p.max(axis=-1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=-1, keepdims=True)
+        softmax_inplace(p, -1)
     return np.matmul(p, v), p, kt
 
 
@@ -678,16 +682,11 @@ def prenorm_block(x, weights, bias, heads: int, eps: float) -> Tensor:
     return _make(y, (x, *weights), grad_fn)
 
 
-def weighted_mean_pool(x, axis: int, weights=None) -> Tensor:
-    """Mean over one axis; optional non-negative weights broadcast over x.
-
-    With weights, out = sum(x*w, axis) / sum(w, axis); a zero total weight is
-    an error (raised via the division's finiteness check).
-    """
+def weighted_mean_pool(x, axis: int, weights) -> Tensor:
+    """sum(x*w, axis) / sum(w, axis) for non-negative weights that broadcast
+    over x; a zero total weight is an error."""
     x = as_tensor(x)
     ax = _norm_axes(axis, x.ndim)[0]
-    if weights is None:
-        return mean(x, axis=ax)
     w = as_tensor(weights)
     if w.ndim != x.ndim:
         raise ShapeError("pooling weights must have the rank of x")

@@ -272,13 +272,11 @@ def _score_batch(run: RunState, tcfg: TrainConfig, aps: PatchSet,
     strategy, both read off the matching module's cross-attention."""
     kap_a = sel.kappa(aps.count, tcfg.rho_audio)
     kap_v = sel.kappa(vps.count, tcfg.rho_video)
-    with tt.no_grad():
-        o_a, o_v, enc_a, enc_v = am.fusion_tokens(run.state, aps, vps)
-        maps = am.cross_attention(run.avm, o_a, o_v, beta=tcfg.beta)
-        imp_a, imp_v = sel.importance_scores(maps.audio_map.data,
-                                             maps.video_map.data)
-        loc_a = sel.gather_localized(maps.q_audio.data, maps.k_audio.data, imp_a, kap_a)
-        loc_v = sel.gather_localized(maps.q_video.data, maps.k_video.data, imp_v, kap_v)
+    o_a, o_v, enc_a, enc_v = am.fusion_tokens(run.state, aps, vps)
+    maps = am.cross_attention(run.avm, o_a, o_v, tcfg.beta)
+    imp_a, imp_v = sel.importance_scores(maps.audio_map, maps.video_map)
+    loc_a = sel.gather_localized(maps.q_audio, maps.k_audio, imp_a, kap_a)
+    loc_v = sel.gather_localized(maps.q_video, maps.k_video, imp_v, kap_v)
     # zero correlation stands for "no memory yet", exactly as selection
     # treats a missing correlation
     corr_a, corr_v = np.zeros(loc_a.indices.shape), np.zeros(loc_v.indices.shape)

@@ -1,6 +1,8 @@
 """Matching-head tests: brute-force forward oracles, pairing protocol,
 sharpening behaviour, and the backbone stop-gradient guarantee."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -63,7 +65,20 @@ def test_cross_attention_matches_loop_oracle():
             for i in range(n):
                 for j in range(m):
                     want = q_v[bi, hi, i] @ k_a[bi, hi, j] / (0.4 * np.sqrt(d))
-                    assert abs(ca.audio_map.data[bi, hi, i, j] - want) < 1e-12
+                    assert abs(ca.audio_map[bi, hi, i, j] - want) < 1e-12
+
+
+def test_cross_attention_returns_arrays_and_rejects_non_finite_maps():
+    """The maps, queries and keys are plain arrays; query/key weights large
+    enough to overflow q.k raise NumericError instead of a numpy warning."""
+    state, avm, rng = _setup(5)
+    o_a, o_v = _tokens(rng, 2)
+    ca = av.cross_attention(avm, o_a, o_v, 0.4)
+    assert all(type(getattr(ca, f.name)) is np.ndarray for f in fields(ca))
+    for key in ("audio/wq", "audio/wk", "video/wq", "video/wk"):
+        avm.params[f"avm/{key}"].data = avm.params[f"avm/{key}"].data * 1e170
+    with pytest.raises(tt.NumericError, match="cross-attention"):
+        av.cross_attention(avm, o_a, o_v, 0.4)
 
 
 def test_matching_forward_matches_numpy_oracle():
@@ -103,7 +118,7 @@ def test_lower_beta_sharpens_attention():
     entropies = []
     for beta in (1.0, 0.4, 0.1):
         ca = av.cross_attention(avm, o_a, o_v, beta=beta)
-        p = _softmax_np(ca.audio_map.data)
+        p = _softmax_np(ca.audio_map)
         entropies.append(float(-(p * np.log(p + 1e-300)).sum(axis=-1).mean()))
     assert entropies[0] > entropies[1] > entropies[2]
 
@@ -111,8 +126,8 @@ def test_lower_beta_sharpens_attention():
 def test_beta_only_rescales_logits():
     state, avm, rng = _setup(9)
     o_a, o_v = _tokens(rng, 2)
-    base = av.cross_attention(avm, o_a, o_v, beta=1.0).audio_map.data
-    scaled = av.cross_attention(avm, o_a, o_v, beta=0.25).audio_map.data
+    base = av.cross_attention(avm, o_a, o_v, beta=1.0).audio_map
+    scaled = av.cross_attention(avm, o_a, o_v, beta=0.25).audio_map
     assert np.max(np.abs(scaled - base / 0.25)) < 1e-9
 
 

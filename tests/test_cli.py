@@ -159,6 +159,21 @@ def test_run_is_deterministic_across_directories(ws):
             == (ws / "run_stella" / "task_01.ckpt").read_bytes())
 
 
+def test_run_summary_prints_gap_decline_and_memory_bytes(ws, capsys):
+    """A finished two-task run prints the mean decline of its gaps.csv and
+    the stored size of its final memory, the snapshot in task_01.ckpt."""
+    run, args = _resume_copy(ws, "run_summary")
+    capsys.readouterr()
+    assert cli.main(args) == 0  # every task is done: restore, then summarise
+    lines = capsys.readouterr().out.splitlines()
+    gaps = [float(line.split(",")[1])
+            for line in (run / "gaps.csv").read_text().splitlines()[1:]]
+    assert f"gap decline = {ev.mean_gap_decline(gaps):.6g}" in lines
+    snapshot = {k: v for k, v in ckpt.load(run / "task_01.ckpt").items()
+                if k.startswith("memory/")}
+    assert f"memory bytes = {ckpt.serialized_size(snapshot)}" in lines
+
+
 def test_run_resumes_from_last_completed_task(ws):
     cfg = ws / "cfg.ini"
     run = ws / "run_resume"
@@ -713,14 +728,22 @@ def _non_integer_size(text):
     return json.dumps(blob)
 
 
+def _first_task_report_only(text):
+    blob = json.loads(text)
+    del blob["tasks"][1:]
+    return json.dumps(blob)
+
+
 @pytest.mark.parametrize("name,damage", [
     ("retrieval.json", lambda text: '{"x": 1}'),
     ("retrieval.json", lambda text: "[1, 2]"),
     ("retrieval.json", _without_cutoff_5),
     ("retrieval.json", _non_integer_size),
     ("acc_matrix.csv", lambda text: "abc,1\n"),
+    ("retrieval.json", _first_task_report_only),
+    ("retrieval.json", lambda text: '{"tasks": []}'),
 ], ids=["no_tasks_key", "json_list", "missing_cutoff", "non_integer_size",
-        "non_numeric_accuracy"])
+        "non_numeric_accuracy", "fewer_task_reports", "no_task_reports"])
 def test_report_on_malformed_run_dir_exits_3(ws, tmp_path, capsys, name, damage):
     run = tmp_path / "run"
     shutil.copytree(ws / "run_stella", run)
@@ -822,6 +845,26 @@ def test_export_attention_needs_a_config_that_scores(ws, capsys):
     assert code == 2
     assert not out.exists()
     assert "sets no beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale,code", [(1e170, 4), (1e150, 0)],
+                         ids=["overflowing", "finite"])
+def test_export_attention_on_scaled_query_key_weights(ws, capsys, scale, code):
+    """Matching-head query/key weights scaled until q.k overflows give
+    non-finite maps: exit 4 and no CSV.  Short of that the export runs."""
+    def damage(arrays):
+        for key in ("audio/wq", "audio/wk", "video/wq", "video/wk"):
+            arrays[f"model/avm/{key}"] = arrays[f"model/avm/{key}"] * scale
+
+    run, _ = _damaged_copy(ws, f"run_scaled_{scale:g}", damage)
+    out = run / "maps.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["export-attention", "--config", str(ws / "cfg.ini"),
+                         "--data", str(ws / "data"),
+                         "--ckpt", str(run / "task_01.ckpt"),
+                         "--out", str(out)]) == code
+    assert out.exists() == (code == 0)
+    assert ("numeric divergence" in capsys.readouterr().err) == (code == 4)
 
 
 @pytest.mark.parametrize("rows", ["0", "-1", "-100"])

@@ -120,23 +120,25 @@ def test_attention_logits_unit_vectors():
     # identical unit vectors, d=4, beta=1 -> 1/sqrt(4) = 0.5
     q = np.zeros((1, 1, 1, 4))
     q[..., 0] = 1.0
-    out = tt.attention_logits(Tensor(q), Tensor(q.copy()), beta=1.0)
-    assert np.allclose(out.data, 0.5, atol=1e-15)
+    out, _ = tt.scaled_logits(q, q.copy(), 1.0)
+    assert np.allclose(out, 0.5, atol=1e-15)
     # orthogonal -> 0
     k = np.zeros((1, 1, 1, 4))
     k[..., 1] = 1.0
-    out = tt.attention_logits(Tensor(q), Tensor(k), beta=1.0)
-    assert np.allclose(out.data, 0.0, atol=1e-15)
+    out, kt = tt.scaled_logits(q, k, 1.0)
+    assert np.allclose(out, 0.0, atol=1e-15)
+    # the transposed keys come back contiguous, for the backward pass
+    assert kt.flags.c_contiguous and np.array_equal(kt, k.swapaxes(-1, -2))
 
 
 def test_attention_logits_beta_is_pure_rescale():
     rng = np.random.default_rng(3)
-    q = Tensor(rng.normal(size=(2, 2, 5, 8)))
-    k = Tensor(rng.normal(size=(2, 2, 7, 8)))
-    base = tt.attention_logits(q, k, beta=1.0)
+    q = rng.normal(size=(2, 2, 5, 8))
+    k = rng.normal(size=(2, 2, 7, 8))
+    base, _ = tt.scaled_logits(q, k, 1.0)
     for beta in (0.4, 0.1, 2.5):
-        scaled = tt.attention_logits(q, k, beta=beta)
-        assert np.allclose(scaled.data, base.data / beta, rtol=0, atol=1e-12)
+        scaled, _ = tt.scaled_logits(q, k, beta)
+        assert np.allclose(scaled, base / beta, rtol=0, atol=1e-12)
 
 
 def test_attention_logits_brute_force_oracle():
@@ -145,7 +147,7 @@ def test_attention_logits_brute_force_oracle():
     q = rng.normal(size=(B, H, N, d))
     k = rng.normal(size=(B, H, M, d))
     beta = 0.4
-    out = tt.attention_logits(Tensor(q), Tensor(k), beta=beta).data
+    out, _ = tt.scaled_logits(q, k, beta)
     for b in range(B):
         for h in range(H):
             for i in range(N):
@@ -157,7 +159,7 @@ def test_attention_logits_brute_force_oracle():
 
 def unfused_attention(q, k, v, bias=None):
     """The op chain ``tt.attention`` fuses, as separate tape nodes."""
-    logits = tt.attention_logits(q, k)
+    logits = tt.mul(tt.matmul(q, tt.swap_last(k)), 1.0 / np.sqrt(q.shape[-1]))
     if bias is not None:
         logits = tt.add(logits, bias)
     return tt.matmul(tt.softmax(logits, axis=-1), v)
@@ -294,7 +296,8 @@ def test_block_nonfinite_gradient_raises():
 
 def test_weighted_mean_pool_values():
     x = Tensor(np.array([[2.0, 4.0, 6.0]]))
-    out = tt.weighted_mean_pool(x, axis=1)
+    out = tt.weighted_mean_pool(x, axis=1, weights=Tensor(np.ones((1, 3))))
+    assert np.allclose(out.data, tt.mean(x, axis=1).data)
     assert np.allclose(out.data, [4.0])
     # weighted: [1,2] with weights [1,3] -> 1.75
     x = Tensor(np.array([[1.0, 2.0]]))
@@ -308,7 +311,7 @@ def test_weighted_mean_pool_equal_weights_match_unweighted():
     x = Tensor(rng.normal(size=(3, 6, 4)))
     w = Tensor(np.full((3, 6, 1), 0.7))
     a = tt.weighted_mean_pool(x, axis=1, weights=w)
-    b = tt.weighted_mean_pool(x, axis=1)
+    b = tt.mean(x, axis=1)
     assert np.allclose(a.data, b.data, atol=1e-12)
 
 
@@ -562,7 +565,9 @@ def test_fd_composite_losses():
     q = leaf(rng, 2, 2, 3, 4)
     k = leaf(rng, 2, 2, 5, 4)
     w = Tensor(rng.normal(size=(2, 2, 3, 5)))
-    check_grads(lambda: tt.sum_(tt.mul(tt.attention_logits(q, k, beta=0.4), w)), [q, k])
+    scale = 1.0 / (0.4 * np.sqrt(4))
+    check_grads(lambda: tt.sum_(tt.mul(tt.mul(tt.matmul(q, tt.swap_last(k)), scale), w)),
+                [q, k])
     v = leaf(rng, 2, 2, 5, 3)
     w = Tensor(w.data[..., :3])
     check_grads(lambda: tt.sum_(tt.mul(tt.attention(q, k, v), w)), [q, k, v])
