@@ -278,11 +278,10 @@ def reconstruction_loss(recon_a: Tensor, recon_v: Tensor,
                         m_a: np.ndarray, m_v: np.ndarray) -> Tensor:
     """Sum over modalities of batch-mean masked-element MSE.
 
-    Unmasked positions never contribute; a batch with nothing masked in
-    either modality has no defined target and raises.
+    Unmasked positions never contribute, so a row with nothing masked adds
+    zero, and a batch with nothing masked in either modality has a zero
+    loss with zero gradients.
     """
-    if not m_a.any() and not m_v.any():
-        raise tt.ShapeError("reconstruction loss undefined: nothing is masked")
     return tt.add(_masked_recon_term(recon_a, target_a, m_a),
                   _masked_recon_term(recon_v, target_v, m_v))
 

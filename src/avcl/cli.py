@@ -34,9 +34,11 @@ accuracy rows and the gaps against the finished tasks before training, so
 an older run directory with six-column records exits 3.  Only
 ``stella_plus`` memories store grid ids: a run directory written with
 grid-id columns for another strategy exits 3 on resume ("snapshot fields
-do not match").  ``run`` ends by printing ``A``, with two or more tasks
-``F`` and ``gap decline`` (the mean per-task drop of the modality gap), and
-``memory bytes`` (the stored size of the final rehearsal memory).
+do not match"), and so does one whose memory, with a capacity above zero,
+was saved before its first entry without field columns.  ``run`` ends by
+printing ``A``, with two or more tasks ``F`` and ``gap decline`` (the mean
+per-task drop of the modality gap), and ``memory bytes`` (the stored size
+of the final rehearsal memory).
 
 The ``--out`` files of ``eval``, ``report`` and ``export-attention`` are
 replaced atomically too, so a failed write leaves no partial output.
@@ -44,8 +46,9 @@ replaced atomically too, so a failed write leaves no partial output.
 Exit codes: 0 success; 2 configuration or usage error (including
 out-of-range ``[data]``, ``[model]``, ``[train]`` or ``[eval]`` values,
 such as a zero patch size or head count or a ``correlation`` outside
-[0, 1], a ``[data]`` section that differs from the dataset's
-``config.ini``, and ``--rows`` or ``--eval-workers`` below 1); 3 data error
+[0, 1], a ``[train] batch`` below 2, a ``[data]`` section that differs
+from the dataset's ``config.ini``, and ``--rows`` or ``--eval-workers``
+below 1); 3 data error
 (missing, truncated, modified or unreadable files, including a task file or
 checkpoint with a missing or malformed tensor, task-file truth masks outside
 {0, 1} or class ids outside the task's classes, a run directory whose

@@ -2,10 +2,9 @@
 
 A columnar reservoir of past training pairs: one float64 array per stored
 field, plus insertion steps and source tasks, all grown by doubling up to
-the capacity as entries arrive.  A strategy stores exactly the fields its
-replay reads — patches always, grid ids for selected subsets, pooled
-features for the feature-drift penalty, localized queries and selection
-scores for attention-guided selection — so no field is ever a placeholder.
+the capacity as entries arrive.  The memory is generic over its fields: the
+caller names them, with their per-entry shapes, when it builds the memory,
+and every insert and every restore is checked against that layout.
 Alongside the store: batch-wise reservoir insertion, uniform replay
 sampling, the feature-drift penalty applied to replayed features, and a
 snapshot of a fixed handful of tensors for the checkpoint container.
@@ -13,7 +12,7 @@ snapshot of a fixed handful of tensors for the checkpoint container.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -31,19 +30,22 @@ class ReservoirMemory:
     """Rows ``[0, count)`` of every column hold the stored pairs; each column
     has between ``count`` and ``min(capacity, 2 * count)`` rows, and rows
     past ``count`` are never read.  ``fields`` maps a field name to its
-    column and is created by the first insert.  ``tasks`` is diagnostics
-    only and never read by training logic."""
+    column; ``layout`` (field name -> per-entry shape) gives it one zero-row
+    column per field at construction.  ``tasks`` is diagnostics only and
+    never read by training logic."""
 
     capacity: int
+    layout: InitVar[dict[str, tuple[int, ...]]]
     seen_count: int = 0
     count: int = 0
-    fields: dict[str, np.ndarray] = field(default_factory=dict)
+    fields: dict[str, np.ndarray] = field(init=False)
     steps: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
     tasks: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
 
-    def __post_init__(self):
+    def __post_init__(self, layout):
         if self.capacity < 0:
             raise RehearsalError("capacity must be non-negative")
+        self.fields = {name: np.empty((0, *shape)) for name, shape in layout.items()}
 
     def __len__(self):
         return self.count
@@ -66,22 +68,21 @@ def _grow(mem: ReservoirMemory, filled: int) -> None:
 def reservoir_insert(mem: ReservoirMemory, batch: dict[str, np.ndarray],
                      step: int, task: int, rng: np.random.Generator) -> None:
     """Algorithm-R insertion of every row of ``batch`` (field name ->
-    ``(B, ...)`` array): the t-th streamed row survives with probability
+    ``(B, ...)`` array, exactly the memory's fields at their per-entry
+    shapes): the t-th streamed row survives with probability
     capacity/t.  Zero capacity is a no-op that also skips the random draws,
     so disabled-memory runs consume no generator state."""
     batch = {k: np.asarray(v, dtype=np.float64) for k, v in batch.items()}
     rows = {v.shape[0] if v.ndim else -1 for v in batch.values()}
     if len(rows) != 1 or -1 in rows:
         raise RehearsalError("batch fields need one common row count")
-    if mem.fields and ({k: v.shape[1:] for k, v in mem.fields.items()}
-                       != {k: v.shape[1:] for k, v in batch.items()}):
+    if ({k: v.shape[1:] for k, v in mem.fields.items()}
+            != {k: v.shape[1:] for k, v in batch.items()}):
         raise RehearsalError("batch fields do not match the stored fields")
     b = rows.pop()
     if mem.capacity == 0:
         mem.seen_count += b
         return
-    if not mem.fields:
-        mem.fields = {k: np.empty((0,) + v.shape[1:]) for k, v in batch.items()}
     filled = mem.count
     slot_row: dict[int, int] = {}  # a later row replacing a slot wins
     for row in range(b):
@@ -166,7 +167,8 @@ def snapshot_arrays(mem: ReservoirMemory) -> dict[str, np.ndarray]:
 
 
 def memory_bytes(mem: ReservoirMemory) -> int:
-    """Exact serialized size of the snapshot (empty memory = header only)."""
+    """Exact serialized size of the snapshot (an empty memory's holds only
+    headers)."""
     return cp.serialized_size(snapshot_arrays(mem))
 
 
@@ -174,12 +176,12 @@ def memory_from_arrays(arrays: dict[str, np.ndarray], capacity: int,
                        fields: dict[str, tuple[int, ...]]) -> ReservoirMemory:
     """Inverse of :func:`snapshot_arrays`; ``arrays`` may hold other keys.
     The entry count is the length of ``memory/steps``, at most ``capacity``
-    and the seen count.  The snapshot must hold ``capacity`` and, unless it
-    is empty, exactly the stored ``fields`` (name -> per-entry shape) with
-    one row per entry, all checked before the memory is built.  Field
-    columns are adopted as they are when they own writeable C-contiguous
-    float64 buffers, as the checkpoint reader returns them; views, such as
-    those of :func:`snapshot_arrays`, are copied."""
+    and the seen count.  The snapshot must hold ``capacity`` and exactly the
+    stored ``fields`` (name -> per-entry shape), one row per entry, all
+    checked before the memory is built.  Field columns are adopted as they
+    are when they own writeable C-contiguous float64 buffers, as the
+    checkpoint reader returns them; views, such as those of
+    :func:`snapshot_arrays`, are copied."""
     try:
         stored_capacity = int(arrays["memory/capacity"][0])
         seen = int(arrays["memory/seen"][0])
@@ -193,15 +195,14 @@ def memory_from_arrays(arrays: dict[str, np.ndarray], capacity: int,
     stored = {k[len(_FIELD):]: v for k, v in arrays.items() if k.startswith(_FIELD)}
     if not count <= min(capacity, seen) or seen >= 2 ** 63:
         raise RehearsalError("snapshot entry count inconsistent")
-    if (steps.shape != (count,) or tasks.shape != (count,)
-            or (count and not stored)
-            or any(v.ndim == 0 or len(v) != count for v in stored.values())):
+    if steps.shape != (count,) or tasks.shape != (count,):
         raise RehearsalError("snapshot columns do not match the entry count")
-    if stored and {k: v.shape[1:] for k, v in stored.items()} != fields:
+    if ({k: v.shape for k, v in stored.items()}
+            != {k: (count, *shape) for k, shape in fields.items()}):
         raise RehearsalError("snapshot fields do not match the fields this "
                              f"run stores: {sorted(stored)} vs {sorted(fields)}")
-    return ReservoirMemory(
-        capacity, seen_count=seen, count=count,
-        fields={name: np.require(col, np.float64, "CWO")
-                for name, col in stored.items()},
-        steps=steps.astype(np.int64), tasks=tasks.astype(np.int64))
+    mem = ReservoirMemory(capacity, fields, seen_count=seen, count=count,
+                          steps=steps.astype(np.int64), tasks=tasks.astype(np.int64))
+    mem.fields = {name: np.require(stored[name], np.float64, "CWO")
+                  for name in fields}
+    return mem

@@ -5,7 +5,9 @@ Six strategies share one step pipeline.  Each is one row of
 feature-drift penalty applies, and how patches are selected (uniformly with
 audio kept in whole time chunks, or by importance and past correlation read
 off the matching module's cross-attention).  Everything else derives from
-the row (see :class:`Strategy`).
+the row (see :class:`Strategy`); what a rehearsal entry stores is decided
+once, by :func:`_memory_layout`, and the scoring pass hands its scores on
+under the names entries store them by.
 
 Training never reads task identity: the step API has no task argument, and
 the only task-shaped value (``RunState.diagnostic_task``) is copied verbatim
@@ -113,8 +115,11 @@ class TrainConfig:
             raise TrainError(f"unknown strategy {s!r}")
         if self.lr <= 0.0:
             raise TrainError("lr must be positive")
-        if self.batch < 1 or self.epochs < 1:
-            raise TrainError("batch and epochs must be at least 1")
+        if self.batch < 2:
+            raise TrainError("batch must be at least 2: the contrastive loss "
+                             "needs two pairs")
+        if self.epochs < 1:
+            raise TrainError("epochs must be at least 1")
         if self.memory_capacity < 0:
             raise TrainError("memory_capacity must be non-negative")
         if row.memory is None and self.memory_capacity != 0:
@@ -136,8 +141,6 @@ class TrainConfig:
                 raise TrainError("sampling ratios must lie in (0, 1]")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise TrainError("chunk_size must be at least 1")
-        if row.attention and self.batch < 2:
-            raise TrainError("matching-module training needs batch >= 2")
         if self.train_seed < 0:
             raise TrainError("train_seed must be non-negative")
 
@@ -194,34 +197,33 @@ def init_run(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     state = bb.init_backbone(mcfg, geom, streams["init"])
     avm_params = am.init_avm(mcfg, streams["init"]) if tcfg.row.attention else None
     return _run_state(state, avm_params,
-                      rm.ReservoirMemory(_memory_capacity(tcfg, geom)), tcfg,
+                      rm.ReservoirMemory(*_memory_layout(mcfg, tcfg, geom)), tcfg,
                       streams)
 
 
-def _memory_capacity(tcfg: TrainConfig, geom: SceneGeometry) -> int:
-    """Reservoir entries the strategy keeps; a memory of selected subsets
-    scales up to the same patch byte budget as one of full grids."""
-    if tcfg.row.memory != SUBSETS:
-        return tcfg.memory_capacity
-    return rm.plus_capacity(
-        tcfg.memory_capacity,
-        geom.audio.patches, geom.audio.patch_dim,
-        geom.video.patches, geom.video.patch_dim,
-        sel.kappa(geom.audio.patches, tcfg.rho_audio),
-        sel.kappa(geom.video.patches, tcfg.rho_video))
-
-
-def _memory_fields(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
-                   geom: SceneGeometry) -> dict[str, tuple[int, ...]]:
-    """Per-entry shape of every field :func:`_store_current` stores."""
+def _memory_layout(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
+                   geom: SceneGeometry) -> tuple[int, dict[str, tuple[int, ...]]]:
+    """Entries the reservoir keeps, and the per-entry shape of every field
+    an entry stores: exactly what the strategy's replay reads, so no field
+    is ever a placeholder.  Patches always (full grids, or the selected
+    subsets with their grid ids, whose memory scales up to the same patch
+    byte budget as one of full grids), pooled features for the drift
+    penalty, localized queries for correlation, and the selection scores
+    under which replay re-selects stored full grids.  Fresh and restored
+    memories both take their layout from here."""
+    if tcfg.memory_capacity == 0:
+        return 0, {}
     a, v = geom.audio, geom.video
     row = tcfg.row
     if row.selector:
         kap_a = sel.kappa(a.patches, tcfg.rho_audio)
         kap_v = sel.kappa(v.patches, tcfg.rho_video)
+    capacity = tcfg.memory_capacity
     fields = {"audio_patches": (a.patches, a.patch_dim),
               "video_patches": (v.patches, v.patch_dim)}
     if row.memory == SUBSETS:
+        capacity = rm.plus_capacity(capacity, a.patches, a.patch_dim,
+                                    v.patches, v.patch_dim, kap_a, kap_v)
         fields = {"audio_patches": (kap_a, a.patch_dim), "audio_indices": (kap_a,),
                   "video_patches": (kap_v, v.patch_dim), "video_indices": (kap_v,)}
     if row.penalty:
@@ -232,7 +234,7 @@ def _memory_fields(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     if row.attention and row.reselects:
         fields.update(imp_audio=(a.patches,), imp_video=(v.patches,),
                       corr_audio=(kap_a,), corr_video=(kap_v,))
-    return fields
+    return capacity, fields
 
 
 def _run_state(state: bb.BackboneState, avm: am.AvmParams | None,
@@ -248,28 +250,16 @@ def _run_state(state: bb.BackboneState, avm: am.AvmParams | None,
 # one training step
 
 
-@dataclass
-class _Scoring:
-    """What the attention-scoring pass produces for the current batch."""
-
-    imp_a: np.ndarray  # (B, M)
-    imp_v: np.ndarray  # (B, N)
-    loc_a: sel.LocalizedQueries
-    loc_v: sel.LocalizedQueries
-    corr_a: np.ndarray  # (B, kap_a), zero when nothing is replayed
-    corr_v: np.ndarray
-    # unmasked fusion tokens and encoder outputs, reused by the AVM step
-    o_a: tt.Tensor
-    o_v: tt.Tensor
-    enc_a: tt.Tensor
-    enc_v: tt.Tensor
-
-
 def _score_batch(run: RunState, tcfg: TrainConfig, aps: PatchSet,
                  vps: PatchSet, replay: dict[str, np.ndarray] | None
-                 ) -> _Scoring:
+                 ) -> tuple[dict[str, np.ndarray], tuple[tt.Tensor, ...]]:
     """Importance and correlation for the current batch of a scoring
-    strategy, both read off the matching module's cross-attention."""
+    strategy, both read off the matching module's cross-attention.
+
+    Returns the scores under the names an entry stores them by
+    (``imp_*`` (B, n), ``corr_*`` (B, kappa) and the localized queries
+    ``q_*``), and the unmasked fusion tokens and encoder outputs that the
+    matching-module step reuses."""
     kap_a = sel.kappa(aps.count, tcfg.rho_audio)
     kap_v = sel.kappa(vps.count, tcfg.rho_video)
     o_a, o_v, enc_a, enc_v = am.fusion_tokens(run.state, aps, vps)
@@ -288,23 +278,24 @@ def _score_batch(run: RunState, tcfg: TrainConfig, aps: PatchSet,
                                         replay["q_video"], tcfg.beta)
         corr_v = sel.correlation_scores(loc_v.keys, loc_a.pooled,
                                         replay["q_audio"], tcfg.beta)
-    return _Scoring(imp_a, imp_v, loc_a, loc_v, corr_a, corr_v,
-                    o_a, o_v, enc_a, enc_v)
+    scores = {"imp_audio": imp_a, "imp_video": imp_v, "corr_audio": corr_a,
+              "corr_video": corr_v, "q_audio": loc_a.pooled, "q_video": loc_v.pooled}
+    return scores, (o_a, o_v, enc_a, enc_v)
 
 
 def _select_pair(tcfg: TrainConfig, aps: PatchSet, vps: PatchSet,
-                 scores: tuple | None, rng: np.random.Generator
+                 scores: dict[str, np.ndarray], rng: np.random.Generator
                  ) -> tuple[PatchSet, PatchSet]:
-    """Audio then video selection on one (possibly replayed) pair batch under
-    ``scores`` (each modality's importance, then each one's correlation), or
-    without them under uniform importance and no correlation."""
-    imp_a, imp_v, corr_a, corr_v = scores or (
-        np.full(aps.patches.shape[:2], 1.0 / aps.count),
-        np.full(vps.patches.shape[:2], 1.0 / vps.count), None, None)
-    sel_a, _ = sel.select_audio(imp_a, corr_a, sel.kappa(aps.count, tcfg.rho_audio),
+    """Audio then video selection on one (possibly replayed) pair batch
+    under ``scores``, keyed as entries store them: a missing ``imp_*`` means
+    uniform importance, a missing ``corr_*`` no correlation."""
+    imp_a = scores.get("imp_audio", np.full(aps.patches.shape[:2], 1.0 / aps.count))
+    imp_v = scores.get("imp_video", np.full(vps.patches.shape[:2], 1.0 / vps.count))
+    sel_a, _ = sel.select_audio(imp_a, scores.get("corr_audio"),
+                                sel.kappa(aps.count, tcfg.rho_audio),
                                 tcfg.chunk_size, aps.grid, rng)
-    sel_v, _ = sel.select_video(imp_v, corr_v, sel.kappa(vps.count, tcfg.rho_video),
-                                rng)
+    sel_v, _ = sel.select_video(imp_v, scores.get("corr_video"),
+                                sel.kappa(vps.count, tcfg.rho_video), rng)
     return sel.gather_selected(aps, sel_a), sel.gather_selected(vps, sel_v)
 
 
@@ -319,11 +310,9 @@ def _past_patchsets(run: RunState, tcfg: TrainConfig, row: Strategy,
                      replay.get("video_indices", vps.indices), "video", vps.grid)
     if not row.reselects:  # full pairs, or the very patches selected then
         return p_aps, p_vps
-    # re-run selection on the stored full grids, attention under the scores
-    # that were frozen at insertion time
-    scores = tuple(replay[k] for k in ("imp_audio", "imp_video", "corr_audio",
-                                       "corr_video")) if row.attention else None
-    return _select_pair(tcfg, p_aps, p_vps, scores, run.streams["selection"])
+    # re-run selection on the stored full grids, under the scores fixed at
+    # insertion time where the entries store them
+    return _select_pair(tcfg, p_aps, p_vps, replay, run.streams["selection"])
 
 
 def _concat_sets(cur: PatchSet, past: PatchSet | None) -> PatchSet:
@@ -336,28 +325,20 @@ def _concat_sets(cur: PatchSet, past: PatchSet | None) -> PatchSet:
                     cur.modality, cur.grid)
 
 
-def _store_current(run: RunState, row: Strategy,
-                   full: tuple[PatchSet, PatchSet],
-                   trained: tuple[PatchSet, PatchSet], scoring: _Scoring | None,
+def _store_current(run: RunState, full: tuple[PatchSet, PatchSet],
+                   trained: tuple[PatchSet, PatchSet],
+                   scores: dict[str, np.ndarray],
                    feat_a: np.ndarray, feat_v: np.ndarray) -> None:
-    """Insert the current batch into the reservoir (memory stream), keeping
-    only the fields the strategy's replay reads: the full patch grids or the
-    selected subsets with their grid ids, the pooled features for the drift
-    penalty, and the queries and selection scores for attention-guided
-    selection."""
-    a, v = trained if row.memory == SUBSETS else full
-    batch = {"audio_patches": a.patches, "video_patches": v.patches}
-    if row.memory == SUBSETS:
-        batch.update(audio_indices=a.indices, video_indices=v.indices)
-    if row.penalty:
-        batch.update(feat_audio=feat_a, feat_video=feat_v)
-    if row.attention:
-        batch.update(q_audio=scoring.loc_a.pooled, q_video=scoring.loc_v.pooled)
-    if row.attention and row.reselects:
-        batch.update(imp_audio=scoring.imp_a, imp_video=scoring.imp_v,
-                     corr_audio=scoring.corr_a, corr_video=scoring.corr_v)
-    rm.reservoir_insert(run.mem, batch, run.global_step, run.diagnostic_task,
-                        run.streams["memory"])
+    """Insert the current batch into the reservoir (memory stream): of the
+    values the step has, exactly the fields of the memory's layout (see
+    :func:`_memory_layout`).  A memory that keeps grid ids keeps the patches
+    trained on; any other keeps the full grids."""
+    a, v = trained if "audio_indices" in run.mem.fields else full
+    values = {"audio_patches": a.patches, "audio_indices": a.indices,
+              "video_patches": v.patches, "video_indices": v.indices,
+              "feat_audio": feat_a, "feat_video": feat_v, **scores}
+    rm.reservoir_insert(run.mem, {name: values[name] for name in run.mem.fields},
+                        run.global_step, run.diagnostic_task, run.streams["memory"])
 
 
 def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
@@ -383,12 +364,11 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     if len(run.mem) > 0:
         replay = rm.sample_replay(run.mem, b, run.streams["memory"])
 
-    scoring = scores = None
+    scores: dict[str, np.ndarray] = {}
     cur_aps, cur_vps = aps, vps
     past_aps = past_vps = None
     if row.attention:
-        scoring = _score_batch(run, tcfg, aps, vps, replay)
-        scores = (scoring.imp_a, scoring.imp_v, scoring.corr_a, scoring.corr_v)
+        scores, tokens = _score_batch(run, tcfg, aps, vps, replay)
     if row.selector:
         cur_aps, cur_vps = _select_pair(tcfg, aps, vps, scores,
                                         run.streams["selection"])
@@ -423,15 +403,14 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
                                   mcfg.contrastive_weight, alpha_eff)
 
     if tcfg.memory_capacity > 0:
-        _store_current(run, row, (aps, vps), (cur_aps, cur_vps), scoring,
+        _store_current(run, (aps, vps), (cur_aps, cur_vps), scores,
                        c_a.data[:b], c_v.data[:b])
 
     avm_loss = 0.0
     if row.attention:
         # runs before the backbone backward pass: backbone gradients are
         # still empty, so the isolation assertion inside is exact
-        avm_loss = am.avm_train_step(run.avm, run.state, scoring.o_a, scoring.o_v,
-                                     scoring.enc_a, scoring.enc_v, run.a_opt,
+        avm_loss = am.avm_train_step(run.avm, run.state, *tokens, run.a_opt,
                                      run.streams["avm"])
 
     total.backward()
@@ -645,8 +624,7 @@ def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
         raise cp.CheckpointError("checkpoint matching module does not fit "
                                  f"strategy {tcfg.strategy!r}")
     run = _run_state(backbone_from_arrays(arrays, mcfg, geom), avm,
-                     rm.memory_from_arrays(arrays, _memory_capacity(tcfg, geom),
-                                           _memory_fields(mcfg, tcfg, geom)),
+                     rm.memory_from_arrays(arrays, *_memory_layout(mcfg, tcfg, geom)),
                      tcfg, streams)
     run.records = [LossRecord(i, *[float(v) for v in r])
                    for i, r in enumerate(records)]

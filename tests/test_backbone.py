@@ -418,12 +418,17 @@ def test_reconstruction_ignores_unmasked_positions():
     assert l1 == 0.0
 
 
-def test_reconstruction_all_unmasked_errors():
-    ta = np.zeros((2, 3, 4))
-    tv = np.zeros((2, 3, 4))
-    with pytest.raises(tt.ShapeError):
-        bb.reconstruction_loss(Tensor(ta), Tensor(tv), ta, tv,
-                               np.zeros((2, 3), bool), np.zeros((2, 3), bool))
+def test_reconstruction_all_unmasked_is_zero():
+    """Nothing masked in either modality: no target, so a zero loss that
+    moves no weight."""
+    rng = np.random.default_rng(0)
+    ra = tt.parameter(rng.normal(size=(2, 3, 4)))
+    rv = tt.parameter(rng.normal(size=(2, 3, 4)))
+    loss = bb.reconstruction_loss(ra, rv, np.zeros((2, 3, 4)), np.zeros((2, 3, 4)),
+                                  np.zeros((2, 3), bool), np.zeros((2, 3), bool))
+    assert loss.item() == 0.0
+    loss.backward()
+    assert not ra.grad.any() and not rv.grad.any()
 
 
 def test_contrastive_orthonormal_value():

@@ -406,6 +406,32 @@ def test_unknown_strategy_exits_2_without_partial_run_dir(ws, capsys):
     assert "unknown strategy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("strategy", ["finetune", "er", "derpp"])
+def test_single_pair_batch_exits_2_without_partial_run_dir(ws, capsys, strategy):
+    """The contrastive loss needs two pairs, whatever the strategy."""
+    capacity = 0 if strategy == "finetune" else 6
+    cfg = _variant(ws, f"batch1_{strategy}",
+                   "strategy = stella\nbatch = 4\nepochs = 1\nmemory_capacity = 6",
+                   f"strategy = {strategy}\nbatch = 1\nepochs = 1\n"
+                   f"memory_capacity = {capacity}")
+    run = ws / f"run_batch1_{strategy}"
+    assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
+                     "--out", str(run)]) == 2
+    assert not run.exists()
+    assert "batch must be at least 2" in capsys.readouterr().err
+
+
+def test_run_with_nothing_masked_exits_0(ws):
+    """At mask_prob 0 no batch has a reconstruction target: the term is
+    zero and training goes on."""
+    cfg = _variant(ws, "nomask", "mask_prob = 0.5", "mask_prob = 0.0")
+    run = ws / "run_nomask"
+    assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
+                     "--out", str(run)]) == 0
+    rows = (run / "losses.csv").read_text().strip().splitlines()[1:]
+    assert rows and all(float(r.split(",")[1]) == 0.0 for r in rows)
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("data", "num_tasks", "0"), ("data", "classes_per_task", "0"),
     ("data", "train_pairs", "-1"), ("data", "correlation", "2.0"),

@@ -37,6 +37,14 @@ def _batch(step, rows=1, m=6, n=8, pa=4, pv=5, h=2, d=3, feat=7,
     return batch
 
 
+def _layout(**kw):
+    """Field name -> per-entry shape of what ``_batch(**kw)`` holds."""
+    return {k: v.shape[1:] for k, v in _batch(0, **kw).items()}
+
+
+LAYOUT = _layout()
+
+
 def _insert(mem, step, rng, task=-1, **kw):
     rm.reservoir_insert(mem, _batch(step, **kw), step, task, rng)
 
@@ -50,7 +58,7 @@ def _ids(mem):
 
 
 def test_reservoir_keeps_everything_under_capacity():
-    mem = rm.ReservoirMemory(capacity=10)
+    mem = rm.ReservoirMemory(10, LAYOUT)
     rng = np.random.default_rng(0)
     for step in range(10):
         _insert(mem, step, rng)
@@ -60,7 +68,7 @@ def test_reservoir_keeps_everything_under_capacity():
 
 
 def test_reservoir_never_exceeds_capacity():
-    mem = rm.ReservoirMemory(capacity=5)
+    mem = rm.ReservoirMemory(5, LAYOUT)
     rng = np.random.default_rng(1)
     for step in range(200):
         _insert(mem, step % 7, rng, seed=step)
@@ -80,8 +88,8 @@ def test_columns_grow_geometrically_up_to_capacity():
     before entries exist."""
     rng = np.random.default_rng(20)
     for capacity in (1, 5, 16, 37):
-        mem = rm.ReservoirMemory(capacity=capacity)
-        assert _rows(mem) == {0} and not mem.fields
+        mem = rm.ReservoirMemory(capacity, LAYOUT)
+        assert _rows(mem) == {0} and set(mem.fields) == set(LAYOUT)
         for step in range(40):
             _insert(mem, step, rng, rows=int(rng.integers(0, 7)))
             (rows,) = _rows(mem)
@@ -90,26 +98,26 @@ def test_columns_grow_geometrically_up_to_capacity():
 
 
 def test_huge_capacity_allocates_nothing_up_front():
-    mem = rm.ReservoirMemory(capacity=10 ** 11)
-    assert _rows(mem) == {0} and not mem.fields
+    mem = rm.ReservoirMemory(10 ** 11, LAYOUT)
+    assert _rows(mem) == {0} and set(mem.fields) == set(LAYOUT)
     _insert(mem, 0, np.random.default_rng(21), rows=3)
     assert _rows(mem) == {3} and len(mem) == 3
 
 
 def test_zero_capacity_is_a_noop_that_skips_the_draw():
-    mem = rm.ReservoirMemory(capacity=0)
+    mem = rm.ReservoirMemory(0, LAYOUT)
     rng = np.random.default_rng(2)
     before = rng.bit_generator.state
     for step in range(50):
         _insert(mem, step, rng, rows=2)
-    assert len(mem) == 0 and mem.seen_count == 100 and not mem.fields
+    assert len(mem) == 0 and mem.seen_count == 100 and _rows(mem) == {0}
     assert rng.bit_generator.state == before  # generator untouched
 
 
 def test_batch_insert_matches_row_by_row_insert():
     """A whole batch draws and lands exactly as its rows inserted one at a
     time, including two rows of one batch replacing the same slot."""
-    whole, single = rm.ReservoirMemory(capacity=3), rm.ReservoirMemory(capacity=3)
+    whole, single = rm.ReservoirMemory(3, LAYOUT), rm.ReservoirMemory(3, LAYOUT)
     r1, r2 = np.random.default_rng(16), np.random.default_rng(16)
     for step in range(40):
         batch = _batch(step, rows=4)
@@ -125,7 +133,7 @@ def test_batch_insert_matches_row_by_row_insert():
 
 def test_layout_mismatch_rejected():
     """A batch whose field names or row shapes differ from the stored ones."""
-    mem = rm.ReservoirMemory(capacity=3)
+    mem = rm.ReservoirMemory(3, LAYOUT)
     rng = np.random.default_rng(0)
     _insert(mem, 0, rng)
     with pytest.raises(rm.RehearsalError):  # a row shape differs
@@ -137,8 +145,23 @@ def test_layout_mismatch_rejected():
     assert len(mem) == 1 and mem.seen_count == 1
 
 
+def test_first_batch_is_checked_against_the_layout():
+    """The layout is fixed at construction, so even the first batch, and a
+    batch into a zero-capacity memory, must carry exactly its fields."""
+    for capacity in (3, 0):
+        mem = rm.ReservoirMemory(capacity, LAYOUT)
+        rng = np.random.default_rng(0)
+        with pytest.raises(rm.RehearsalError):  # score fields missing
+            _insert(mem, 0, rng, scored=False)
+        with pytest.raises(rm.RehearsalError):  # a row shape differs
+            _insert(mem, 0, rng, kap_a=2)
+        with pytest.raises(rm.RehearsalError):  # an extra field
+            rm.reservoir_insert(mem, {**_batch(0), "x": np.zeros((1, 2))}, 0, -1, rng)
+        assert len(mem) == 0 and mem.seen_count == 0 and _rows(mem) == {0}
+
+
 def test_entry_misaligned_indices_rejected():
-    mem = rm.ReservoirMemory(capacity=3)
+    mem = rm.ReservoirMemory(3, LAYOUT)
     bad = _batch(1, rows=2)
     bad["audio_indices"] = bad["audio_indices"][:1]
     with pytest.raises(rm.RehearsalError):  # row counts disagree
@@ -154,7 +177,7 @@ def test_second_item_survives_half_the_time_at_capacity_one():
     rng = np.random.default_rng(3)
     trials, kept = 20000, 0
     for _ in range(trials):
-        mem = rm.ReservoirMemory(capacity=1)
+        mem = rm.ReservoirMemory(1, {"id": (1,)})
         rm.reservoir_insert(mem, first, 0, -1, rng)
         rm.reservoir_insert(mem, second, 1, -1, rng)
         kept += mem.steps[0] == 1
@@ -169,7 +192,7 @@ def test_reservoir_inclusion_is_uniform():
     batch["id"] = np.arange(float(stream))[:, None]
     rng = np.random.default_rng(4)
     for _ in range(trials):
-        mem = rm.ReservoirMemory(capacity=capacity)
+        mem = rm.ReservoirMemory(capacity, _layout(scored=False))
         rm.reservoir_insert(mem, batch, 0, -1, rng)
         np.add.at(counts, _ids(mem), 1)
     p = stats.chisquare(counts).pvalue
@@ -181,7 +204,7 @@ def test_reservoir_inclusion_is_uniform():
 
 
 def _filled(capacity, scored=True):
-    mem = rm.ReservoirMemory(capacity=capacity)
+    mem = rm.ReservoirMemory(capacity, _layout(scored=scored))
     rng = np.random.default_rng(5)
     for step in range(capacity):
         _insert(mem, step, rng, scored=scored)
@@ -230,7 +253,7 @@ def test_replay_frequencies_are_uniform():
 
 def test_replay_errors():
     with pytest.raises(rm.RehearsalError):
-        rm.sample_replay(rm.ReservoirMemory(capacity=3), 2, np.random.default_rng(0))
+        rm.sample_replay(rm.ReservoirMemory(3, LAYOUT), 2, np.random.default_rng(0))
     with pytest.raises(rm.RehearsalError):
         rm.sample_replay(_filled(2), 0, np.random.default_rng(0))
 
@@ -277,17 +300,18 @@ def test_penalty_shape_mismatch_rejected():
 
 
 def test_memory_bytes_empty_is_header_only():
-    mem = rm.ReservoirMemory(capacity=4)
+    mem = rm.ReservoirMemory(4, LAYOUT)
     arrays = rm.snapshot_arrays(mem)
     assert set(arrays) == {"memory/capacity", "memory/seen", "memory/steps",
-                           "memory/tasks"}
+                           "memory/tasks", *("memory/field/" + k for k in LAYOUT)}
+    assert all(len(v) == 0 for k, v in arrays.items() if k.startswith("memory/field/"))
     assert rm.memory_bytes(mem) == cp.serialized_size(arrays)
     _insert(mem, 0, np.random.default_rng(11))
     assert rm.memory_bytes(mem) > cp.serialized_size(arrays)
 
 
 def test_snapshot_tensor_count_does_not_depend_on_entry_count():
-    mem = rm.ReservoirMemory(capacity=50)
+    mem = rm.ReservoirMemory(50, LAYOUT)
     rng = np.random.default_rng(18)
     sizes = []
     for step in range(60):
@@ -306,9 +330,9 @@ def test_selected_layout_halves_patch_payload_at_half_ratio():
 
 
 def test_raw_score_and_query_overhead_is_small_at_default_scale():
-    mem = rm.ReservoirMemory(capacity=8)
-    rm.reservoir_insert(mem, _batch(0, rows=8, m=64, n=64, pa=16, pv=64, h=4,
-                                    d=8, feat=32, kap_a=32, kap_v=32), 0, -1,
+    scale = dict(m=64, n=64, pa=16, pv=64, h=4, d=8, feat=32, kap_a=32, kap_v=32)
+    mem = rm.ReservoirMemory(8, _layout(**scale))
+    rm.reservoir_insert(mem, _batch(0, rows=8, **scale), 0, -1,
                         np.random.default_rng(0))
     arrays = rm.snapshot_arrays(mem)
     overhead = {k: v for k, v in arrays.items()
@@ -342,7 +366,7 @@ def test_plus_capacity_matches_byte_budget_within_one_entry():
 
 
 def _churned_memory(scored=True):
-    mem = rm.ReservoirMemory(capacity=3)
+    mem = rm.ReservoirMemory(3, _layout(scored=scored))
     rng = np.random.default_rng(13)
     for step in range(9):
         _insert(mem, step, rng, task=step % 2, scored=scored)
@@ -393,7 +417,7 @@ def test_snapshot_is_in_slot_order_and_deterministic():
 def test_partially_filled_snapshot_roundtrips():
     """A restored partial memory holds exactly its entries, and the next
     insert grows every column as it would have grown the original."""
-    mem = rm.ReservoirMemory(capacity=5)
+    mem = rm.ReservoirMemory(5, LAYOUT)
     _insert(mem, 0, np.random.default_rng(19), rows=2)
     back = _through_container(mem)
     assert len(back) == 2 and _rows(back) == {2}
@@ -436,6 +460,29 @@ def test_inconsistent_snapshot_rejected():
             rm.memory_from_arrays(arrays, 3, _field_shapes(mem))
 
 
+@pytest.mark.parametrize("inserts", [9, 0])  # full, never inserted into
+@pytest.mark.parametrize("damage", ["missing", "extra", "short", "misshaped"])
+def test_snapshot_fields_checked_by_one_comparison(inserts, damage):
+    """Every stored field column, of a full memory or of an empty one, must
+    be the layout's field at ``(count, *shape)``."""
+    mem = rm.ReservoirMemory(3, LAYOUT)
+    rng = np.random.default_rng(13)
+    for step in range(inserts):
+        _insert(mem, step, rng)
+    arrays = rm.snapshot_arrays(mem)
+    key = "memory/field/imp_audio"
+    if damage == "missing":
+        del arrays[key]
+    elif damage == "extra":
+        arrays["memory/field/extra"] = np.zeros((len(mem), 4))
+    elif damage == "short":  # one row short, or a row where none is stored
+        arrays[key] = np.zeros((abs(len(mem) - 1),) + LAYOUT["imp_audio"])
+    else:
+        arrays[key] = np.zeros((len(mem), LAYOUT["imp_audio"][0] + 1))
+    with pytest.raises(rm.RehearsalError, match="snapshot fields do not match"):
+        rm.memory_from_arrays(arrays, 3, LAYOUT)
+
+
 def test_snapshot_resume_is_bit_identical():
     mem = _churned_memory()
     back = _through_container(mem)
@@ -456,7 +503,7 @@ def test_full_snapshot_columns_are_adopted_without_a_copy():
     """A full or partly filled snapshot is restored by keeping the owned,
     writeable columns the checkpoint reader returns; the next insert that
     needs room grows a partial one."""
-    partial = rm.ReservoirMemory(capacity=5)
+    partial = rm.ReservoirMemory(5, LAYOUT)
     _insert(partial, 0, np.random.default_rng(23), rows=3)
     for mem in (_churned_memory(), partial):
         arrays = cp.read_entries(io.BytesIO(_container_bytes(rm.snapshot_arrays(mem))))
@@ -474,7 +521,7 @@ def test_full_snapshot_columns_are_adopted_without_a_copy():
 
 @pytest.mark.parametrize("inserts", [9, 2])  # full, partially filled
 def test_restore_from_snapshot_views_never_aliases_the_source(inserts):
-    mem = rm.ReservoirMemory(capacity=3)
+    mem = rm.ReservoirMemory(3, LAYOUT)
     rng = np.random.default_rng(13)
     for step in range(inserts):
         _insert(mem, step, rng)

@@ -100,8 +100,9 @@ def test_config_rejects_bad_ranges():
         _cfg("stella", rho_video=1.5)
     with pytest.raises(tr.TrainError):
         _cfg("stella", beta=0.0)
-    with pytest.raises(tr.TrainError):
-        _cfg("stella", batch=1)  # matching head needs a negatives partner
+    for strategy in tr.STRATEGIES:  # the contrastive loss needs two pairs
+        with pytest.raises(tr.TrainError):
+            _cfg(strategy, batch=1)
     with pytest.raises(tr.TrainError):
         _cfg("er", epochs=0)
 
@@ -218,9 +219,21 @@ def test_stella_plus_memory_and_capacity(tasks, geom, mcfg):
     assert np.all(np.diff(f["video_indices"], axis=1) > 0)
 
 
+@pytest.mark.parametrize("strategy", list(tr.STRATEGIES))
+def test_fresh_memory_holds_the_layout_with_zero_rows(geom, mcfg, strategy):
+    """A fresh memory lists exactly the layout's fields before any insert;
+    a strategy without a memory has neither entries nor fields."""
+    run = tr.init_run(mcfg, _cfg(strategy), geom)
+    capacity, fields = tr._memory_layout(mcfg, _cfg(strategy), geom)
+    assert run.mem.capacity == capacity
+    assert {k: v.shape for k, v in run.mem.fields.items()} == {
+        k: (0, *shape) for k, shape in fields.items()}
+    assert bool(fields) == (tr.STRATEGIES[strategy].memory is not None)
+
+
 @pytest.mark.parametrize("strategy", list(tr.STRATEGIES)[1:])
 def test_only_selected_entries_store_grid_ids(geom, mcfg, strategy):
-    fields = tr._memory_fields(mcfg, _cfg(strategy), geom)
+    _, fields = tr._memory_layout(mcfg, _cfg(strategy), geom)
     ids = {"audio_indices", "video_indices"}
     assert ids <= set(fields) if strategy == "stella_plus" else not ids & set(fields)
 
@@ -572,9 +585,10 @@ def test_run_directory_artifacts(tasks, geom, mcfg, tmp_path):
         assert (tmp_path / f"task_{t:02d}.ckpt").exists()
         assert (tmp_path / f"task_{t:02d}.rng.json").exists()
     assert not list(tmp_path.glob("memory_*"))  # the memory lives in the ckpt
+    capacity, fields = tr._memory_layout(mcfg, _cfg("stella"), geom)
+    assert capacity == run.mem.capacity
     snap = rm.memory_from_arrays(cp.load(tmp_path / "task_01.ckpt"),
-                                 run.mem.capacity,
-                                 tr._memory_fields(mcfg, _cfg("stella"), geom))
+                                 capacity, fields)
     n = len(run.mem)
     assert len(snap) == n and snap.seen_count == run.mem.seen_count
     for name, col in run.mem.fields.items():
