@@ -29,20 +29,25 @@ class AvmParams(tt.Parameters):
     params: dict[str, Tensor]
 
 
-def init_avm(cfg: bb.BackboneConfig, rng: np.random.Generator) -> AvmParams:
-    # Fan-in scaling: unlike the backbone blocks there is no normalization
-    # anywhere in this head, so a fixed small init would shrink activations
-    # multiplicatively across the three layers and stall training.
+def param_table(cfg: bb.BackboneConfig) -> tt.ParamTable:
+    """Every matching-head parameter, in the order :func:`init_avm` draws
+    them and checkpoints store them.
+
+    Fan-in scaling: unlike the backbone blocks there is no normalization
+    anywhere in this head, so a fixed small init would shrink activations
+    multiplicatively across the three layers and stall training."""
     d = cfg.embed_dim
-    p: dict[str, Tensor] = {}
-    for mod in ("audio", "video"):
-        for proj in ("wq", "wk", "wv"):
-            p[f"avm/{mod}/{proj}"] = tt.parameter((d, d), rng, scale=d ** -0.5)
-    p["avm/head/w1"] = tt.parameter((2 * d, d), rng, scale=(2 * d) ** -0.5)
-    p["avm/head/b1"] = tt.parameter(np.zeros(d))
-    p["avm/head/w2"] = tt.parameter((d, 1), rng, scale=d ** -0.5)
-    p["avm/head/b2"] = tt.parameter(np.zeros(1))
-    return AvmParams(cfg.heads, p)
+    t = {f"avm/{mod}/{proj}": ((d, d), d ** -0.5)
+         for mod in ("audio", "video") for proj in ("wq", "wk", "wv")}
+    t.update({"avm/head/w1": ((2 * d, d), (2 * d) ** -0.5),
+              "avm/head/b1": ((d,), tt.ZEROS),
+              "avm/head/w2": ((d, 1), d ** -0.5),
+              "avm/head/b2": ((1,), tt.ZEROS)})
+    return t
+
+
+def init_avm(cfg: bb.BackboneConfig, rng: np.random.Generator) -> AvmParams:
+    return AvmParams(cfg.heads, tt.init_parameters(param_table(cfg), rng))
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:

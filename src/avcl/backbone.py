@@ -89,50 +89,56 @@ class BackboneState(tt.Parameters):
 # ---------------------------------------------------------------------------
 
 
-def _init_block(params, prefix, dim, hidden, rng):
-    params[f"{prefix}/ln1/gain"] = tt.parameter(np.ones(dim))
-    params[f"{prefix}/ln1/bias"] = tt.parameter(np.zeros(dim))
-    for name in ("wq", "wk", "wv", "wo"):
-        params[f"{prefix}/attn/{name}"] = tt.parameter((dim, dim), rng)
-        params[f"{prefix}/attn/b{name[1]}"] = tt.parameter(np.zeros(dim))
-    params[f"{prefix}/ln2/gain"] = tt.parameter(np.ones(dim))
-    params[f"{prefix}/ln2/bias"] = tt.parameter(np.zeros(dim))
-    params[f"{prefix}/mlp/w1"] = tt.parameter((dim, hidden), rng)
-    params[f"{prefix}/mlp/b1"] = tt.parameter(np.zeros(hidden))
-    params[f"{prefix}/mlp/w2"] = tt.parameter((hidden, dim), rng)
-    params[f"{prefix}/mlp/b2"] = tt.parameter(np.zeros(dim))
+_W = 0.02  # std of every backbone weight draw
+
+
+def _block_table(prefix: str, dim: int, hidden: int) -> tt.ParamTable:
+    """One pre-norm block's parameters, in draw order."""
+    ones, zeros = ((dim,), tt.ONES), ((dim,), tt.ZEROS)
+    t = {"ln1/gain": ones, "ln1/bias": zeros}
+    for w in ("wq", "wk", "wv", "wo"):
+        t[f"attn/{w}"] = ((dim, dim), _W)
+        t[f"attn/b{w[1]}"] = zeros
+    t.update({"ln2/gain": ones, "ln2/bias": zeros,
+              "mlp/w1": ((dim, hidden), _W), "mlp/b1": ((hidden,), tt.ZEROS),
+              "mlp/w2": ((hidden, dim), _W), "mlp/b2": zeros})
+    return {f"{prefix}/{name}": rule for name, rule in t.items()}
+
+
+def param_table(cfg: BackboneConfig, geom: SceneGeometry) -> tt.ParamTable:
+    """Every backbone parameter, in the order :func:`init_backbone` draws
+    them and checkpoints store them."""
+    d = cfg.embed_dim
+    hidden = cfg.mlp_ratio * d
+    a, v = geom.audio, geom.video
+    t = {"audio_embed/weight": ((a.patch_dim, d), _W),
+         "audio_embed/bias": ((d,), tt.ZEROS),
+         "video_embed/weight": ((v.patch_dim, d), _W),
+         "video_embed/bias": ((d,), tt.ZEROS),
+         "audio_pos": ((a.patches, d), _W),
+         "video_pos": ((v.patches, d), _W),
+         "audio_mask_token": ((d,), _W),
+         "video_mask_token": ((d,), _W)}
+    for i in range(cfg.encoder_layers):
+        t.update(_block_table(f"enc_audio/{i}", d, hidden))
+        t.update(_block_table(f"enc_video/{i}", d, hidden))
+    for i in range(cfg.fusion_layers):
+        t.update(_block_table(f"fusion/{i}", d, hidden))
+    for i in range(cfg.decoder_layers):
+        t.update(_block_table(f"decoder/{i}", d, hidden))
+    for tag in ("audio", "video"):
+        t[f"ln_{tag}/gain"] = ((d,), tt.ONES)
+        t[f"ln_{tag}/bias"] = ((d,), tt.ZEROS)
+    t.update({"decoder_head_audio/weight": ((d, a.patch_dim), _W),
+              "decoder_head_audio/bias": ((a.patch_dim,), tt.ZEROS),
+              "decoder_head_video/weight": ((d, v.patch_dim), _W),
+              "decoder_head_video/bias": ((v.patch_dim,), tt.ZEROS)})
+    return t
 
 
 def init_backbone(cfg: BackboneConfig, geom: SceneGeometry,
                   rng: np.random.Generator) -> BackboneState:
-    d = cfg.embed_dim
-    hidden = cfg.mlp_ratio * d
-    a, v = geom.audio, geom.video
-    p: dict[str, Tensor] = {}
-    p["audio_embed/weight"] = tt.parameter((a.patch_dim, d), rng)
-    p["audio_embed/bias"] = tt.parameter(np.zeros(d))
-    p["video_embed/weight"] = tt.parameter((v.patch_dim, d), rng)
-    p["video_embed/bias"] = tt.parameter(np.zeros(d))
-    p["audio_pos"] = tt.parameter((a.patches, d), rng)
-    p["video_pos"] = tt.parameter((v.patches, d), rng)
-    p["audio_mask_token"] = tt.parameter((d,), rng)
-    p["video_mask_token"] = tt.parameter((d,), rng)
-    for i in range(cfg.encoder_layers):
-        _init_block(p, f"enc_audio/{i}", d, hidden, rng)
-        _init_block(p, f"enc_video/{i}", d, hidden, rng)
-    for i in range(cfg.fusion_layers):
-        _init_block(p, f"fusion/{i}", d, hidden, rng)
-    for i in range(cfg.decoder_layers):
-        _init_block(p, f"decoder/{i}", d, hidden, rng)
-    p["ln_audio/gain"] = tt.parameter(np.ones(d))
-    p["ln_audio/bias"] = tt.parameter(np.zeros(d))
-    p["ln_video/gain"] = tt.parameter(np.ones(d))
-    p["ln_video/bias"] = tt.parameter(np.zeros(d))
-    p["decoder_head_audio/weight"] = tt.parameter((d, a.patch_dim), rng)
-    p["decoder_head_audio/bias"] = tt.parameter(np.zeros(a.patch_dim))
-    p["decoder_head_video/weight"] = tt.parameter((d, v.patch_dim), rng)
-    p["decoder_head_video/bias"] = tt.parameter(np.zeros(v.patch_dim))
-    return BackboneState(cfg, geom, p)
+    return BackboneState(cfg, geom, tt.init_parameters(param_table(cfg, geom), rng))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,10 @@ Entry layout (all integers little-endian unsigned 64-bit):
 The payload is the tensor's C-order raw little-endian float64 bytes, so a
 write/read round-trip is bit-exact. A file is just the concatenation of its
 entries; readers consume until EOF. Names must be unique within a file.
+
+The reader returns one owned, writeable, C-contiguous array per entry, and
+a restore adopts them as they are: model parameters, optimizer moments and
+memory columns are these arrays, never copies into a model built first.
 """
 
 from __future__ import annotations
@@ -48,30 +52,34 @@ def read_entries(fh) -> dict[str, np.ndarray]:
     """Read entries from a seekable handle until EOF. Every length, rank and
     extent is checked against the bytes left before anything is read, so a
     hostile header fails with :class:`CheckpointError` instead of an
-    unbounded allocation. Duplicate names are an error."""
-    start = fh.tell()
+    unbounded allocation. Duplicate names are an error. The handle's
+    position is asked once: the offset is then counted from the bytes each
+    read returns, and a short read is a truncation."""
+    pos = fh.tell()
     end = fh.seek(0, io.SEEK_END)
-    fh.seek(start)
+    fh.seek(pos)
 
     def take(n: int, what: str) -> bytes:
-        if n > end - fh.tell():
+        nonlocal pos
+        if n > end - pos or len(raw := fh.read(n)) != n:
             raise CheckpointError(f"truncated {what}")
-        return fh.read(n)
+        pos += n
+        return raw
 
     out: dict[str, np.ndarray] = {}
-    while fh.tell() < end:
+    while pos < end:
         (name_len,) = _U64.unpack(take(8, "entry header"))
+        raw = take(name_len + 8, "entry name and rank")
         try:
-            name = take(name_len, "entry name").decode("utf-8")
+            name = raw[:name_len].decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointError("entry name is not utf-8") from None
-        (rank,) = _U64.unpack(take(8, "rank"))
-        ext_b = take(8 * rank, "extents")
-        shape = tuple(_U64.unpack_from(ext_b, 8 * i)[0] for i in range(rank))
+        (rank,) = _U64.unpack_from(raw, name_len)
+        shape = struct.unpack(f"<{rank}Q", take(8 * rank, "extents"))
         count = 0 if 0 in shape else 1
         for ext in shape:
             count *= ext
-            if 8 * count > end - fh.tell():
+            if 8 * count > end - pos:
                 raise CheckpointError("truncated payload")
         if name in out:
             raise CheckpointError(f"duplicate tensor name {name!r}")
@@ -82,6 +90,7 @@ def read_entries(fh) -> dict[str, np.ndarray]:
         # the payload lands in the array's own buffer: no bytes copy
         if fh.readinto(arr) != arr.nbytes:
             raise CheckpointError("truncated payload")
+        pos += arr.nbytes
         if not _F64LE.isnative:
             arr.byteswap(inplace=True)
         out[name] = arr

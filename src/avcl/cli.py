@@ -54,9 +54,13 @@ checkpoint with a missing or malformed tensor, task-file truth masks outside
 {0, 1} or class ids outside the task's classes, a run directory whose
 ``acc_matrix.csv`` or ``retrieval.json`` is malformed, disagrees on the
 task count or lacks a configured cutoff for ``report``, a checkpoint whose
-rehearsal-memory snapshot is inconsistent or in an older format, and a
-format-1 dataset, which must be regenerated); 4 numeric divergence in
-training or in the attention maps of ``export-attention``.
+rehearsal-memory snapshot is inconsistent or in an older format, a
+checkpoint whose ``model/`` tensors are not exactly those ``[model]`` and
+``[data]`` give (a missing, extra or mis-shaped one, as with a checkpoint
+of another configuration), a checkpoint with a non-finite weight or
+optimizer moment, and a format-1 dataset, which must be regenerated); 4
+numeric divergence in training or in the attention maps of
+``export-attention``.
 A run aborted by a config or data error never leaves a partial run
 directory; an interrupted training run resumes from its last
 completed task.
@@ -200,16 +204,19 @@ def cmd_run(args) -> int:
 
 
 def _load_model(args, cfg):
+    """Tasks, backbone and matching module (None if the checkpoint has
+    none) of ``--data`` and ``--ckpt``, the model checked against
+    ``[model]`` before any task file is read."""
     arrays = ckpt.load(args.ckpt)
-    tasks = load_tasks(args.data, cfg.data)
     state = tr.backbone_from_arrays(arrays, cfg.model, cfg.data.geometry)
-    return arrays, tasks, state
+    avm = tr.avm_from_arrays(arrays, cfg.model)
+    return load_tasks(args.data, cfg.data), state, avm
 
 
 def cmd_eval(args) -> int:
     _check_at_least_one(args.eval_workers, "--eval-workers")
     cfg = cf.load_config(args.config)
-    _, tasks, state = _load_model(args, cfg)
+    tasks, state, _ = _load_model(args, cfg)
     row, gap, reports = tr.evaluate_tasks(state, tasks, len(tasks) - 1,
                                           cfg.data.geometry, cfg.eval.ks,
                                           workers=args.eval_workers)
@@ -293,8 +300,7 @@ def cmd_report(args) -> int:
 
 def cmd_export_attention(args) -> int:
     cfg = cf.load_config(args.config)
-    arrays, tasks, state = _load_model(args, cfg)
-    avm = tr.avm_from_arrays(arrays, cfg.model)
+    tasks, state, avm = _load_model(args, cfg)
     if avm is None:
         raise cf.ConfigError("checkpoint holds no matching module; attention "
                              "export needs a scoring strategy (stella/stella_plus)")

@@ -7,24 +7,38 @@ import numpy as np
 from avcl.tensor import Tensor
 
 
-class Adam:
-    """Adam with bias correction.  Only the moments are checkpointed; the
-    trainer restores ``step_count`` from its loss records, one per step."""
+def zero_moments(params: dict[str, Tensor]
+                 ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    """A fresh run's first and second moments: zeros shaped like ``params``."""
+    return tuple({k: np.zeros(p.shape) for k, p in params.items()} for _ in "mv")
 
-    def __init__(self, params: dict[str, Tensor], lr: float = 1e-4,
+
+class Adam:
+    """Adam with bias correction over ``params`` and their first and second
+    moments ``m`` and ``v``, taken at construction as they are: zeros
+    (:func:`zero_moments`) for a fresh run, a checkpoint's arrays for a
+    restored one.  ``step`` replaces the moment arrays rather than writing
+    into them.  Only the moments are checkpointed; the trainer restores
+    ``step_count`` from its loss records, one per step."""
+
+    def __init__(self, params: dict[str, Tensor], m: dict[str, np.ndarray],
+                 v: dict[str, np.ndarray], lr: float = 1e-4,
                  beta1: float = 0.95, beta2: float = 0.999, eps: float = 1e-8):
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ValueError("betas must lie in [0, 1)")
         if lr <= 0.0 or eps <= 0.0:
             raise ValueError("lr and eps must be positive")
+        for k, p in params.items():
+            if m[k].shape != p.shape or v[k].shape != p.shape:
+                raise ValueError(f"shape mismatch for {k!r}")
         self.params = dict(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.step_count = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in self.params.items()}
+        self.m = {k: m[k] for k in self.params}
+        self.v = {k: v[k] for k in self.params}
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -45,11 +59,3 @@ class Adam:
     def named_arrays(self, prefix: str) -> dict[str, np.ndarray]:
         return {f"{prefix}/{kind}/{k}": moments[k] for k in self.params
                 for kind, moments in (("m", self.m), ("v", self.v))}
-
-    def load_arrays(self, prefix: str, arrays: dict[str, np.ndarray]) -> None:
-        for k, p in self.params.items():
-            m, v = arrays[f"{prefix}/m/{k}"], arrays[f"{prefix}/v/{k}"]
-            if m.shape != p.shape or v.shape != p.shape:
-                raise ValueError(f"shape mismatch for {k!r}")
-            self.m[k] = np.ascontiguousarray(m, dtype=np.float64)
-            self.v[k] = np.ascontiguousarray(v, dtype=np.float64)

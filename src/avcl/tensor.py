@@ -81,7 +81,7 @@ class Tensor:
         self._grad_fn = _grad_fn
         # Leaves get an eager zero grad buffer; intermediates stay lazy.
         if self.requires_grad and not _parents:
-            self.grad = np.zeros_like(arr)
+            self.grad = np.zeros(arr.shape)  # cheaper than zeros_like
         else:
             self.grad = None
 
@@ -126,30 +126,40 @@ def constant(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
-def parameter(x, rng: np.random.Generator | None = None, scale: float = 0.02) -> Tensor:
-    """A trainable leaf. If ``x`` is a shape tuple, init N(0, scale) from rng."""
-    if isinstance(x, tuple):
-        if rng is None:
-            raise ValueError("shape init requires an rng")
-        x = rng.normal(0.0, scale, size=x)
+def parameter(x) -> Tensor:
+    """A trainable leaf over ``x`` (not copied when it is already a
+    C-contiguous float64 array)."""
     return Tensor(x, requires_grad=True)
 
 
+#: constant initial values in a parameter table; any other init rule is the
+#: std of an N(0, std) draw
+ZEROS, ONES = "zeros", "ones"
+#: name -> (shape, init rule), in draw order, which is also checkpoint order
+ParamTable = dict[str, tuple[tuple[int, ...], float | str]]
+
+
 class Parameters:
-    """Export and checked load of the named trainable tensors ``params``."""
+    """Named trainable tensors ``params``, laid out by a :data:`ParamTable`."""
 
     params: dict[str, Tensor]
 
     def named_arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data for k, v in self.params.items()}
 
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        for k, p in self.params.items():
-            if k not in arrays:
-                raise KeyError(f"missing parameter {k!r}")
-            if arrays[k].shape != p.shape:
-                raise ValueError(f"shape mismatch for {k!r}")
-            p.data = np.ascontiguousarray(arrays[k], dtype=np.float64)
+
+def init_parameters(table: ParamTable, rng: np.random.Generator
+                    ) -> dict[str, Tensor]:
+    """Fresh parameters of ``table``, each normal draw taken from ``rng`` in
+    table order."""
+    def value(shape, init):
+        if init == ZEROS:
+            return np.zeros(shape)
+        if init == ONES:
+            return np.ones(shape)
+        return rng.normal(0.0, init, size=shape)
+
+    return {name: parameter(value(*rule)) for name, rule in table.items()}
 
 
 def _make(data, parents, grad_fn) -> Tensor:

@@ -191,14 +191,15 @@ class RunState:
 
 def init_run(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
              geom: SceneGeometry) -> RunState:
-    """Fresh model, optimizers and memory.  The backbone always consumes the
-    init stream first so its weights are identical across strategies."""
+    """Fresh model, optimizers (zero moments) and memory.  The backbone
+    always consumes the init stream first so its weights are identical
+    across strategies."""
     streams = rng_streams(tcfg.train_seed)
     state = bb.init_backbone(mcfg, geom, streams["init"])
     avm_params = am.init_avm(mcfg, streams["init"]) if tcfg.row.attention else None
     return _run_state(state, avm_params,
                       rm.ReservoirMemory(*_memory_layout(mcfg, tcfg, geom)), tcfg,
-                      streams)
+                      streams, [], lambda prefix, params: op.zero_moments(params))
 
 
 def _memory_layout(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
@@ -237,13 +238,25 @@ def _memory_layout(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     return capacity, fields
 
 
+#: checkpoint prefixes of the backbone's and the matching module's moments
+_B_OPT, _A_OPT = "opt/backbone", "opt/avm"
+
+
 def _run_state(state: bb.BackboneState, avm: am.AvmParams | None,
                mem: rm.ReservoirMemory, tcfg: TrainConfig,
-               streams: dict[str, np.random.Generator]) -> RunState:
-    """Run state with fresh optimizers over the given parameters."""
-    a_opt = None if avm is None else op.Adam(avm.params, lr=tcfg.lr)
-    return RunState(state, avm, mem, op.Adam(state.params, lr=tcfg.lr), a_opt,
-                    streams)
+               streams: dict[str, np.random.Generator], records: list[LossRecord],
+               moments) -> RunState:
+    """Run state after the steps ``records`` holds, one per step, whose
+    optimizers take the moments ``moments(prefix, params) -> (m, v)`` gives
+    for the parameters their checkpoint ``prefix`` names."""
+    def adam(prefix: str, params: dict[str, tt.Tensor]) -> op.Adam:
+        opt = op.Adam(params, *moments(prefix, params), lr=tcfg.lr)
+        opt.step_count = len(records)
+        return opt
+
+    return RunState(state, avm, mem, adam(_B_OPT, state.params),
+                    None if avm is None else adam(_A_OPT, avm.params), streams,
+                    records)
 
 
 # --------------------------------------------------------------------------
@@ -546,11 +559,12 @@ _reads_checkpoint = _reads(cp.CheckpointError, "checkpoint data")
 @_reads_checkpoint
 def _streams_from_json(text: str, seed: int) -> dict[str, np.random.Generator]:
     """Inverse of :func:`_rng_state_json` for a run seeded with ``seed``.
-    The spawn count is a constructor argument, so it costs no replay."""
+    The spawn count is a constructor argument, so it costs no replay, and
+    only the restored generators are built."""
     blob = json.loads(text)
     streams = {}
-    for name, gen in rng_streams(seed).items():
-        ss = gen.bit_generator.seed_seq
+    children = np.random.SeedSequence(seed).spawn(len(STREAM_NAMES))
+    for name, ss in zip(STREAM_NAMES, children):
         ss = np.random.SeedSequence(
             ss.entropy, spawn_key=ss.spawn_key,
             n_children_spawned=int(blob[name]["n_children_spawned"]))
@@ -562,10 +576,10 @@ def _streams_from_json(text: str, seed: int) -> dict[str, np.random.Generator]:
 def _checkpoint_arrays(run: RunState, acc: list[list[float]],
                        gaps: list[float]) -> dict[str, np.ndarray]:
     out = {f"model/{k}": v for k, v in run.state.named_arrays().items()}
-    out.update(run.b_opt.named_arrays("opt/backbone"))
+    out.update(run.b_opt.named_arrays(_B_OPT))
     if run.avm is not None:
         out.update({f"model/{k}": v for k, v in run.avm.named_arrays().items()})
-        out.update(run.a_opt.named_arrays("opt/avm"))
+        out.update(run.a_opt.named_arrays(_A_OPT))
     out.update(rm.snapshot_arrays(run.mem))
     out["run/records"] = np.reshape([r.row() for r in run.records], (-1, 5))
     for t, row in enumerate(acc):
@@ -574,28 +588,65 @@ def _checkpoint_arrays(run: RunState, acc: list[list[float]],
     return out
 
 
-@_reads_checkpoint
+def _model_tensors(arrays: dict[str, np.ndarray], avm: bool
+                   ) -> dict[str, np.ndarray]:
+    """The checkpoint's ``model/`` tensors of the matching module (those
+    under ``model/avm/``) or of the backbone (all others), named without
+    ``model/``."""
+    return {k[len("model/"):]: v for k, v in arrays.items()
+            if k.startswith("model/") and k.startswith("model/avm/") == avm}
+
+
+def _parameters(found: dict[str, np.ndarray], table: tt.ParamTable
+                ) -> dict[str, tt.Tensor]:
+    """Trainable leaves over the tensors ``found``, adopted as the reader
+    returned them, once they are exactly ``table``'s tensors, each of its
+    shape and finite; else :class:`checkpoint.CheckpointError`."""
+    if found.keys() != table.keys():
+        raise cp.CheckpointError(
+            "model tensors do not match the configured model: missing "
+            f"{sorted(table.keys() - found.keys())}, unexpected "
+            f"{sorted(found.keys() - table.keys())}")
+    params = {}
+    for name, (shape, _) in table.items():
+        if found[name].shape != shape:
+            raise cp.CheckpointError(f"shape mismatch for model tensor {name!r}: "
+                                     f"{found[name].shape}, not {shape}")
+        try:
+            params[name] = tt.parameter(found[name])
+        except tt.NumericError:
+            raise cp.CheckpointError(f"non-finite value in model tensor {name!r}") from None
+    return params
+
+
 def backbone_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig,
                          geom: SceneGeometry) -> bb.BackboneState:
-    """Rebuild a backbone from the ``model/`` keys of a checkpoint."""
-    state = bb.init_backbone(mcfg, geom, np.random.default_rng(0))
-    state.load_arrays({k[len("model/"):]: v for k, v in arrays.items()
-                       if k.startswith("model/") and not
-                       k.startswith("model/avm/")})
-    return state
+    """The backbone of a checkpoint's ``model/`` tensors outside
+    ``model/avm/``, built against :func:`backbone.param_table`; no generator
+    is involved."""
+    return bb.BackboneState(mcfg, geom, _parameters(_model_tensors(arrays, avm=False),
+                                                    bb.param_table(mcfg, geom)))
 
 
-@_reads_checkpoint
 def avm_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig
                     ) -> am.AvmParams | None:
-    """Rebuild the matching module from a checkpoint, or None if it has none."""
-    sub = {k[len("model/"):]: v for k, v in arrays.items()
-           if k.startswith("model/avm/")}
-    if not sub:
+    """The matching module of a checkpoint's ``model/avm/`` tensors, built
+    against :func:`avm.param_table`, or None if it has none."""
+    found = _model_tensors(arrays, avm=True)
+    if not found:
         return None
-    avm = am.init_avm(mcfg, np.random.default_rng(0))
-    avm.load_arrays(sub)
-    return avm
+    return am.AvmParams(mcfg.heads, _parameters(found, am.param_table(mcfg)))
+
+
+def _moments(arrays: dict[str, np.ndarray], prefix: str,
+             params: dict[str, tt.Tensor]) -> tuple[dict, dict]:
+    """The first and second moments stored under ``prefix`` for ``params``,
+    adopted as the reader returned them, once all of them are finite (one
+    check over both); :class:`optim.Adam` checks their shapes."""
+    m, v = ({k: arrays[f"{prefix}/{kind}/{k}"] for k in params} for kind in ("m", "v"))
+    if not np.isfinite(np.concatenate([*m.values(), *v.values()], axis=None)).all():
+        raise cp.CheckpointError(f"non-finite optimizer moment under {prefix}/")
+    return m, v
 
 
 @_reads_checkpoint
@@ -606,8 +657,12 @@ def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
     ``tasks_done`` tasks of ``steps`` steps in all, once ``run/records``
     holds five losses per step, the accuracy rows pass
     :func:`evaluate.check_acc_matrix` and ``run/gaps`` one value per task.
-    The records give both optimizers' step counts; ``run/step`` and
-    ``run/tasks_done`` of older checkpoints are not read."""
+    The model, optimizer moments and memory columns are the reader's arrays
+    themselves, checked against the layout the configuration gives (and
+    the model and moments for finite values), so no placeholder is built to
+    be overwritten and no random number is drawn.  The records give both
+    optimizers' step counts; ``run/step`` and ``run/tasks_done`` of older
+    checkpoints are not read."""
     records = arrays["run/records"]
     if records.shape != (steps, 5):
         raise cp.CheckpointError(f"run/records has shape {records.shape}, not "
@@ -625,14 +680,9 @@ def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
                                  f"strategy {tcfg.strategy!r}")
     run = _run_state(backbone_from_arrays(arrays, mcfg, geom), avm,
                      rm.memory_from_arrays(arrays, *_memory_layout(mcfg, tcfg, geom)),
-                     tcfg, streams)
-    run.records = [LossRecord(i, *[float(v) for v in r])
-                   for i, r in enumerate(records)]
-    run.b_opt.load_arrays("opt/backbone", arrays)
-    run.b_opt.step_count = run.global_step
-    if avm is not None:
-        run.a_opt.load_arrays("opt/avm", arrays)
-        run.a_opt.step_count = run.global_step
+                     tcfg, streams,
+                     [LossRecord(i, *[float(v) for v in r]) for i, r in enumerate(records)],
+                     functools.partial(_moments, arrays))
     return run, acc, gaps
 
 

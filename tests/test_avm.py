@@ -10,7 +10,9 @@ import avcl.avm as av
 import avcl.backbone as bb
 import avcl.data as dd
 import avcl.tensor as tt
-from avcl.optim import Adam
+from avcl import checkpoint as cp
+from avcl import trainer as tr
+from avcl.optim import Adam, zero_moments
 from avcl.tensor import Tensor
 
 GEOM = dd.SceneGeometry(
@@ -26,6 +28,10 @@ def _setup(seed=0):
     state = bb.init_backbone(CFG, GEOM, rng)
     avm = av.init_avm(CFG, rng)
     return state, avm, rng
+
+
+def _fresh_adam(params, lr):
+    return Adam(params, *zero_moments(params), lr=lr)
 
 
 def _tokens(rng, batch):
@@ -216,7 +222,7 @@ def test_avm_step_fuses_only_the_negative_rows(monkeypatch, batch):
         return fuse(state, enc_a, enc_v, m_a, m_v)
 
     monkeypatch.setattr(bb, "forward_fused", counting)
-    av.avm_train_step(avm, state, *tokens, Adam(avm.params, lr=1e-3), rng)
+    av.avm_train_step(avm, state, *tokens, _fresh_adam(avm.params, 1e-3), rng)
     assert rows == [(batch // 2, batch // 2)]
 
 
@@ -241,7 +247,7 @@ def test_train_step_never_touches_backbone():
     aps, vps = _batch(rng)
     before = {k: v.copy() for k, v in state.named_arrays().items()}
     avm_before = {k: t.data.copy() for k, t in avm.params.items()}
-    opt = Adam(avm.params, lr=1e-3)
+    opt = _fresh_adam(avm.params, 1e-3)
     loss = av.avm_train_step(avm, state, *av.fusion_tokens(state, aps, vps),
                              opt, rng)
     assert np.isfinite(loss)
@@ -262,7 +268,7 @@ def test_training_learns_to_separate_pairs():
     # real from shuffled pairs. Distribution-level accuracy is exercised by
     # the acceptance suite, which prepares the backbone first.
     state, avm, rng = _setup(13)
-    opt = Adam(avm.params, lr=3e-3)
+    opt = _fresh_adam(avm.params, 3e-3)
     pool = [av.fusion_tokens(state, *_batch(rng, batch=8)) for _ in range(4)]
     losses = []
     for step in range(400):
@@ -288,7 +294,7 @@ def test_step_is_deterministic():
     outs = []
     for _ in range(2):
         state, avm, rng = _setup(21)
-        opt = Adam(avm.params, lr=1e-3)
+        opt = _fresh_adam(avm.params, 1e-3)
         tokens = av.fusion_tokens(state, *_batch(np.random.default_rng(2), batch=4))
         step_rng = np.random.default_rng(77)
         loss = av.avm_train_step(avm, state, *tokens, opt, step_rng)
@@ -298,33 +304,40 @@ def test_step_is_deterministic():
         assert np.array_equal(outs[0][1][k], outs[1][1][k])
 
 
-def test_load_arrays_checks_shapes():
+def test_avm_from_arrays_checks_shapes():
+    """The matching module of a checkpoint is its ``model/avm/`` tensors
+    themselves; a mis-shaped or missing one is a checkpoint error."""
     _, avm, _ = _setup()
-    arrays = {k: p.data.copy() for k, p in avm.params.items()}
-    fresh = av.init_avm(CFG, np.random.default_rng(1))
-    fresh.load_arrays(arrays)
-    for k, p in avm.params.items():
-        assert np.array_equal(fresh.params[k].data, p.data)
-    arrays["avm/head/w1"] = arrays["avm/head/w1"][:-1]
-    with pytest.raises(ValueError, match="shape mismatch"):
-        fresh.load_arrays(arrays)
-    del arrays["avm/head/w1"]
-    with pytest.raises(KeyError):
-        fresh.load_arrays(arrays)
+    arrays = {f"model/{k}": p.data.copy() for k, p in avm.params.items()}
+    back = tr.avm_from_arrays(arrays, CFG)
+    assert list(back.params) == list(av.param_table(CFG))
+    for k, p in back.params.items():
+        assert p.data is arrays[f"model/{k}"] and p.requires_grad
+        assert np.array_equal(p.data, avm.params[k].data)
+    arrays["model/avm/head/w1"] = arrays["model/avm/head/w1"][:-1]
+    with pytest.raises(cp.CheckpointError, match="shape mismatch"):
+        tr.avm_from_arrays(arrays, CFG)
+    del arrays["model/avm/head/w1"]
+    with pytest.raises(cp.CheckpointError, match="missing.*avm/head/w1"):
+        tr.avm_from_arrays(arrays, CFG)
 
 
-def test_adam_load_arrays_checks_shapes():
+def test_adam_takes_its_moments_at_construction():
     _, avm, _ = _setup()
-    opt = Adam(avm.params, lr=1e-3)
+    opt = _fresh_adam(avm.params, 1e-3)
     for p in avm.params.values():
         p.grad = np.ones_like(p.data)
     opt.step()
     arrays = opt.named_arrays("opt/avm")
     assert not any(k.endswith("/step") for k in arrays)  # moments only
-    fresh = Adam(avm.params, lr=1e-3)
-    fresh.load_arrays("opt/avm", arrays)
+    m = {k: arrays[f"opt/avm/m/{k}"] for k in avm.params}
+    v = {k: arrays[f"opt/avm/v/{k}"] for k in avm.params}
+    fresh = Adam(avm.params, m, v, lr=1e-3)
     assert fresh.step_count == 0  # the trainer sets it from its loss records
+    assert all(fresh.m[k] is m[k] and fresh.v[k] is v[k] for k in avm.params)
     assert all(np.array_equal(fresh.m[k], opt.m[k]) for k in opt.m)
-    arrays["opt/avm/v/avm/head/b1"] = np.zeros(3)
     with pytest.raises(ValueError, match="shape mismatch"):
-        fresh.load_arrays("opt/avm", arrays)
+        Adam(avm.params, m, {**v, "avm/head/b1": np.zeros(3)}, lr=1e-3)
+    del v["avm/head/b1"]
+    with pytest.raises(KeyError):
+        Adam(avm.params, m, v, lr=1e-3)

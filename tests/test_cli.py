@@ -267,6 +267,74 @@ def test_bad_model_tensor_exits_3(ws, capsys, shape):
     assert err.count("data error") == 3 and "audio_pos" in err
 
 
+@pytest.mark.parametrize("change", ["extra", "missing", "deeper", "avm_extra"])
+def test_checkpoint_of_another_model_exits_3(ws, capsys, change):
+    """``--config`` and ``--ckpt`` come separately, so the checkpoint's
+    model keys must be exactly the configured model's: a stray key, a
+    missing one, or the layers of a deeper encoder are a data error for
+    eval, export and resume alike, not a silent evaluation of some other
+    model."""
+    def damage(arrays):
+        if change == "extra":
+            arrays["model/bogus"] = np.zeros(3)
+        elif change == "missing":
+            del arrays["model/fusion/0/mlp/b2"]
+        elif change == "deeper":
+            for key in [k for k in arrays if k.startswith("model/enc_audio/0/")]:
+                arrays[key.replace("/0/", "/1/")] = arrays[key]
+        else:
+            arrays["model/avm/bogus"] = np.zeros(3)
+
+    run, args = _damaged_copy(ws, f"run_model_{change}", damage)
+    given = ["--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
+             "--ckpt", str(run / "task_01.ckpt")]
+    assert cli.main(["eval"] + given + ["--out", str(run / "eval.json")]) == 3
+    assert cli.main(["export-attention"] + given
+                    + ["--out", str(run / "maps.csv")]) == 3
+    assert cli.main(args) == 3  # resume
+    err = capsys.readouterr().err
+    assert err.count("model tensors do not match the configured model") == 3
+    named = {"extra": "'bogus'", "missing": "'fusion/0/mlp/b2'",
+             "deeper": "'enc_audio/1/attn/bk'", "avm_extra": "'avm/bogus'"}
+    assert named[change] in err
+    assert not (run / "eval.json").exists() and not (run / "maps.csv").exists()
+
+
+@pytest.mark.parametrize("key", ["model/fusion/0/mlp/w1", "model/avm/head/b1"])
+def test_non_finite_model_tensor_exits_3(ws, capsys, key):
+    """A NaN weight is a malformed checkpoint tensor (exit 3) for every
+    command that reads the model, before any evaluation runs into it."""
+    def damage(arrays):
+        arrays[key][0] = np.nan
+
+    run, args = _damaged_copy(ws, f"run_nan_{key.replace('/', '_')}", damage)
+    given = ["--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
+             "--ckpt", str(run / "task_01.ckpt")]
+    assert cli.main(["eval"] + given) == 3
+    assert cli.main(["export-attention"] + given
+                    + ["--out", str(run / "maps.csv")]) == 3
+    assert cli.main(args) == 3  # resume
+    err = capsys.readouterr().err
+    assert err.count(f"non-finite value in model tensor {key[len('model/'):]!r}") == 3
+
+
+@pytest.mark.parametrize("key", ["opt/backbone/v/audio_pos", "opt/avm/m/avm/head/w2"])
+def test_non_finite_optimizer_moment_exits_3_before_training(ws, capsys,
+                                                            monkeypatch, key):
+    run, args = _first_task_copy(ws, f"run_nan_{key.replace('/', '_')}")
+    arrays = ckpt.load(run / "task_00.ckpt")
+    arrays[key][-1] = np.inf
+    ckpt.save(run / "task_00.ckpt", arrays)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained on a non-finite moment")
+
+    monkeypatch.setattr(tr, "train_step", no_training)
+    assert cli.main(args) == 3
+    assert "non-finite optimizer moment" in capsys.readouterr().err
+    assert not (run / "task_01.ckpt").exists()
+
+
 def test_matching_head_of_another_width_exits_3(ws, capsys):
     """The matching head is always ``embed_dim`` wide, so a checkpoint whose
     head (with its optimizer moments) is narrower is rejected by resume and

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import functools
 import inspect
 import json
@@ -557,6 +558,86 @@ def test_restore_rejects_bad_optimizer_state(tasks, geom, mcfg, tmp_path):
     cp.save(ckpt, arrays)
     with pytest.raises(ValueError, match="shape mismatch"):
         tr.run_sequence(tasks, geom, mcfg, cfg, tmp_path)
+
+
+def _stella_checkpoint(tasks, geom, mcfg, tmp_path):
+    """Arrays, streams and configuration of a one-task stella run."""
+    cfg = _cfg("stella")
+    tr.run_sequence(tasks[:1], geom, mcfg, cfg, tmp_path)
+    streams = tr._streams_from_json((tmp_path / "task_00.rng.json").read_text(),
+                                    cfg.train_seed)
+    return cp.load(tmp_path / "task_00.ckpt"), streams, cfg
+
+
+def test_restore_draws_no_random_number(tasks, geom, mcfg, tmp_path, monkeypatch):
+    """Restoring builds the run from the checkpoint alone: no generator is
+    made, no parameter is initialised and the run's streams are untouched."""
+    arrays, streams, cfg = _stella_checkpoint(tasks, geom, mcfg, tmp_path)
+    before = tr._rng_state_json(streams)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("restore drew random numbers")
+
+    for owner, name in ((np.random, "default_rng"), (np.random, "Generator"),
+                        (bb, "init_backbone"), (am, "init_avm")):
+        monkeypatch.setattr(owner, name, no_draws)
+    tr.backbone_from_arrays(arrays, mcfg, geom)
+    assert tr.avm_from_arrays(arrays, mcfg) is not None
+    steps = tasks[0].train.audio_patches.shape[0] // cfg.batch
+    tr._restore_run(arrays, 1, steps, streams, mcfg, cfg, geom)
+    assert tr._rng_state_json(streams) == before
+
+
+def test_restored_parameters_and_moments_are_the_readers_arrays(
+        tasks, geom, mcfg, tmp_path):
+    arrays, streams, cfg = _stella_checkpoint(tasks, geom, mcfg, tmp_path)
+    steps = tasks[0].train.audio_patches.shape[0] // cfg.batch
+    run, _, _ = tr._restore_run(arrays, 1, steps, streams, mcfg, cfg, geom)
+    for params, opt, prefix in ((run.state.params, run.b_opt, "opt/backbone"),
+                                (run.avm.params, run.a_opt, "opt/avm")):
+        for k, p in params.items():
+            assert p.data is arrays[f"model/{k}"] and p.requires_grad, k
+            assert opt.m[k] is arrays[f"{prefix}/m/{k}"], k
+            assert opt.v[k] is arrays[f"{prefix}/v/{k}"], k
+        assert opt.step_count == steps
+    assert list(run.state.params) == list(bb.param_table(mcfg, geom))
+    assert list(run.avm.params) == list(am.param_table(mcfg))
+
+
+def test_model_tensors_must_be_exactly_the_configured_models(tasks, geom, mcfg,
+                                                             tmp_path):
+    """The backbone takes the ``model/`` tensors outside ``model/avm/`` and
+    the matching module those under it; each set must be exactly its
+    parameter table, shape for shape, with finite values."""
+    arrays, _, _ = _stella_checkpoint(tasks, geom, mcfg, tmp_path)
+    deeper = bb.init_backbone(dataclasses.replace(mcfg, encoder_layers=2), geom,
+                              np.random.default_rng(0))
+    assert len(deeper.params) > len(tr.backbone_from_arrays(arrays, mcfg, geom).params)
+    deeper_arrays = {f"model/{k}": v for k, v in deeper.named_arrays().items()}
+    with pytest.raises(cp.CheckpointError, match="unexpected.*enc_audio/1/"):
+        tr.backbone_from_arrays(deeper_arrays, mcfg, geom)
+    cases = [("model/bogus", np.zeros(2), "unexpected \\['bogus'\\]"),
+             ("model/audio_pos", None, "missing \\['audio_pos'\\]"),
+             ("model/audio_pos", np.zeros((3, 16)), "shape mismatch.*'audio_pos'"),
+             ("model/ln_video/gain", np.full(16, np.inf), "non-finite.*'ln_video/gain'"),
+             ("model/avm/bogus", np.zeros(2), "unexpected \\['avm/bogus'\\]"),
+             ("model/avm/head/w1", None, "missing \\['avm/head/w1'\\]"),
+             ("model/avm/head/b2", np.full(1, np.nan), "non-finite.*'avm/head/b2'")]
+    for key, value, message in cases:
+        bad = dict(arrays)
+        if value is None:
+            del bad[key]
+        else:
+            bad[key] = value
+        if key.startswith("model/avm/"):
+            tr.backbone_from_arrays(bad, mcfg, geom)  # its own keys are intact
+            with pytest.raises(cp.CheckpointError, match=message):
+                tr.avm_from_arrays(bad, mcfg)
+        else:
+            with pytest.raises(cp.CheckpointError, match=message):
+                tr.backbone_from_arrays(bad, mcfg, geom)
+    assert tr.avm_from_arrays({k: v for k, v in arrays.items()
+                               if not k.startswith("model/avm/")}, mcfg) is None
 
 
 def test_empty_task_list_is_rejected(geom, mcfg):
