@@ -5,21 +5,23 @@ importance-sorted query/key gathering, past-vs-current correlation scores,
 probabilistic video patch selection, audio time-chunk selection, and the
 final patch gather, on the tape's numpy softmax and sigmoid kernels.
 
-Randomness protocol (relied on by tests and by bit-exact replays), owned by
-``_select_rows`` for both modalities: every select_* call spawns one child
-generator per batch row via ``rng.spawn(B)`` and consumes, per row, first
-the Bernoulli exclusion draws (a single ``random(kappa)`` call — drawn even
-when correlation is absent so that a run with no memory consumes the same
-stream as one with correlation forced to zero), then the modality's own
-weighted draws-without-replacement one ``random()`` at a time: patches by
-importance for video, the time-chunk schedule for audio. Degenerate video
-rows that select "everything with positive mass" skip the weighted draws
-entirely.
+Randomness protocol (relied on by tests and by bit-exact replays), the same
+for both modalities: every select_* call spawns one child generator per
+batch row via ``rng.spawn(B)`` and takes each child's uniforms in a single
+``random(kappa + draws)`` call.  The first kappa are the Bernoulli exclusion
+draws (taken even when correlation is absent, so that a run with no memory
+consumes the same stream as one with correlation forced to zero); the rest
+feed the modality's weighted draws-without-replacement, one uniform per
+pick: kappa patch draws by importance for video, one draw per time chunk
+for audio.  One call yields the same values as ``random(kappa)`` followed by
+scalar ``random()`` calls.  A degenerate row, whose positive mass runs out
+before its draws do, leaves uniforms it never uses; the children are
+discarded, so the parent stream's state and spawn count do not change.
+The draws run for all rows at once.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,56 +112,64 @@ def correlation_scores(keys: np.ndarray, q_now: np.ndarray,
     return tt.stable_sigmoid(a_past - a_now).mean(axis=1)
 
 
-def _draw_without_replacement(rng: np.random.Generator, weights: np.ndarray,
-                              count: int) -> list[int]:
-    """Sequential multinomial-without-replacement by cumulative inversion."""
-    w = weights.astype(np.float64).copy()
-    out: list[int] = []
-    for _ in range(count):
-        cum = np.cumsum(w)
-        total = cum[-1]  # sequential total so r < cum[-1] always holds
-        if total <= 0.0:
-            break
-        r = rng.random() * total
-        idx = int(np.searchsorted(cum, r, side="right"))
-        out.append(idx)
-        w[idx] = 0.0
-    return out
+def _uniforms(rng: np.random.Generator, b: int, count: int) -> np.ndarray:
+    """(B, count): row i holds the first ``count`` uniforms of the i-th of
+    ``B`` children spawned from ``rng``, taken in one call per child."""
+    return np.array([child.random(count) for child in rng.spawn(b)]).reshape(b, count)
 
 
-def _select_rows(importance: np.ndarray, correlation: np.ndarray | None,
-                 kap: int, rng: np.random.Generator,
-                 draw: Callable[[np.ndarray, np.ndarray, np.random.Generator],
-                                Sequence[int]]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """The per-row protocol both selectors share.
+def _draw_without_replacement(weights: np.ndarray, uniforms: np.ndarray
+                              ) -> np.ndarray:
+    """Sequential multinomial-without-replacement by cumulative inversion,
+    all rows at once: draw t of row i inverts ``uniforms[i, t]`` on the
+    row's running cumulative sum.  Returns the picks (B, draws) in draw
+    order; once a row's mass is gone, its remaining picks are n, one past
+    its last entry."""
+    b, n = weights.shape
+    w = np.zeros((b, n + 1))  # column n: the sink that spent rows pick
+    w[:, :n] = weights
+    rows = np.arange(b)
+    picks = np.empty(uniforms.shape, dtype=np.int64)
+    for t, u in enumerate(uniforms.T):
+        cum = np.cumsum(w, axis=1)
+        r = u * cum[:, -1]  # sequential total, so r < total always holds
+        # the count of entries <= r is searchsorted(cum, r, side="right");
+        # a spent row (total 0, so r 0) counts all n
+        picks[:, t] = idx = (cum[:, :n] <= r[:, None]).sum(axis=1)
+        w[rows, idx] = 0.0
+    return picks
 
-    ``correlation[:, j]`` belongs to the j-th scored (:func:`_top_kappa`)
-    patch.  Per row and child generator: Bernoulli(correlation) flags on the
-    scored patches from one ``random(kappa)`` call, then ``draw(importance_row,
-    flagged, child)``, which returns at most kappa distinct picks.  A short row
-    is filled deterministically with unpicked patches by ascending correlation
-    (least past-correlated first, unscored patches counting as zero),
-    index-stable.  Returns (ascending indices (B, kappa), flags (B, n))."""
+
+def _flag(importance: np.ndarray, correlation: np.ndarray | None, kap: int,
+          uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The scored (:func:`_top_kappa`) patches (B, kappa) and the Bernoulli
+    flags (B, n): ``correlation[:, j]`` belongs to the j-th scored patch,
+    which is flagged when ``uniforms[:, j]`` falls below it."""
     b, n = importance.shape
     scored = _top_kappa(importance, kap)
     if correlation is not None and correlation.shape != (b, kap):
         raise SelectionError("correlation must be (B, kappa)")
-    selected = np.empty((b, kap), dtype=np.int64)
     flags = np.zeros((b, n), dtype=bool)
-    for row, child in enumerate(rng.spawn(b)):
-        draws = child.random(kap)
+    if correlation is not None:
+        np.put_along_axis(flags, scored, uniforms[:, :kap] < correlation, axis=1)
+    return scored, flags
+
+
+def _complete(picked: np.ndarray, scored: np.ndarray,
+              correlation: np.ndarray | None, kap: int) -> np.ndarray:
+    """Ascending indices (B, kappa) of the pick mask (B, n), which holds at
+    most kappa picks per row.  A short row is filled deterministically with
+    unpicked patches by ascending correlation (least past-correlated first,
+    unscored patches counting as zero), index-stable."""
+    n = picked.shape[1]
+    for row in np.flatnonzero(np.count_nonzero(picked, axis=1) < kap):
         c_full = np.zeros(n)
         if correlation is not None:
-            flags[row, scored[row][draws < correlation[row]]] = True
             c_full[scored[row]] = correlation[row]
-        picks = np.asarray(draw(importance[row], flags[row], child), dtype=np.int64)
-        if len(picks) < kap:
-            cand = np.setdiff1d(np.arange(n), picks)
-            fill = cand[np.lexsort((cand, c_full[cand]))][:kap - len(picks)]
-            picks = np.concatenate([picks, fill])
-        selected[row] = np.sort(picks)
-    return selected, flags
+        cand = np.flatnonzero(~picked[row])
+        need = kap - (n - len(cand))
+        picked[row, cand[np.lexsort((cand, c_full[cand]))][:need]] = True
+    return np.nonzero(picked)[1].reshape(-1, kap)
 
 
 def select_video(importance: np.ndarray, correlation: np.ndarray | None,
@@ -169,17 +179,17 @@ def select_video(importance: np.ndarray, correlation: np.ndarray | None,
     with Bernoulli(correlation)-flagged patches zeroed out.
 
     correlation=None means "no memory yet": no patch is ever flagged, but
-    the Bernoulli stream is still consumed so runs with and without stored
+    the Bernoulli uniforms are still drawn so runs with and without stored
     correlation stay stream-aligned. Returns (ascending indices (B, kappa),
     full-length exclusion flags (B, n))."""
-    def draw(imp_row, flagged, child):
-        weights = np.where(flagged, 0.0, imp_row)
-        positive = weights > 0.0
-        if positive.sum() < kap:
-            return np.flatnonzero(positive)
-        return _draw_without_replacement(child, weights, kap)
-
-    return _select_rows(importance, correlation, kap, rng, draw)
+    b, n = importance.shape
+    uniforms = _uniforms(rng, b, 2 * kap)  # kappa Bernoulli, then kappa draws
+    scored, flags = _flag(importance, correlation, kap, uniforms)
+    picks = _draw_without_replacement(np.where(flags, 0.0, importance),
+                                      uniforms[:, kap:])
+    picked = np.zeros((b, n + 1), dtype=bool)  # column n: no pick
+    np.put_along_axis(picked, picks, True, axis=1)
+    return _complete(picked[:, :n], scored, correlation, kap), flags
 
 
 def select_audio(importance: np.ndarray, correlation: np.ndarray | None,
@@ -195,42 +205,42 @@ def select_audio(importance: np.ndarray, correlation: np.ndarray | None,
     the final chunk's tail to land exactly on kappa. Rows that run out of
     unflagged chunk patches fall back to ascending-correlation fill.
     Returns (ascending indices (B, kappa), full-length flags (B, M))."""
+    b, m = importance.shape
     num_time, num_freq = grid
-    if num_time * num_freq != importance.shape[1]:
+    if num_time * num_freq != m:
         raise SelectionError("grid does not match importance width")
     if chunk_size < 1 or chunk_size > num_time:
         raise SelectionError("chunk_size must lie in [1, num_time]")
     num_chunks = num_time // chunk_size
     span = chunk_size * num_freq
-
-    def draw(imp_row, flagged, child):
-        time_mass = imp_row.reshape(num_time, num_freq).sum(axis=1)
-        chunk_mass = time_mass[:num_chunks * chunk_size]
-        chunk_mass = chunk_mass.reshape(num_chunks, chunk_size).mean(axis=1)
-        chunk_order = _draw_without_replacement(child, chunk_mass, num_chunks)
-        # zero-mass chunks (possible on generic inputs) keep a deterministic
-        # ascending-index order at the end of the schedule
-        chunk_order += sorted(set(range(num_chunks)) - set(chunk_order))
-        picks: list[int] = []
-        for c in chunk_order:
-            kept = np.flatnonzero(~flagged[c * span:(c + 1) * span]) + c * span
-            picks.extend(kept[:kap - len(picks)])
-            if len(picks) == kap:
-                break
-        return picks
-
-    return _select_rows(importance, correlation, kap, rng, draw)
+    uniforms = _uniforms(rng, b, kap + num_chunks)
+    scored, flags = _flag(importance, correlation, kap, uniforms)
+    time_mass = importance.reshape(b, num_time, num_freq).sum(axis=2)
+    chunk_mass = time_mass[:, :num_chunks * chunk_size]
+    chunk_mass = chunk_mass.reshape(b, num_chunks, chunk_size).mean(axis=2)
+    picks = _draw_without_replacement(chunk_mass, uniforms[:, kap:])
+    # the schedule: drawn chunks in draw order, then the zero-mass chunks
+    # (possible on generic inputs) in ascending order
+    rank = np.tile(np.arange(num_chunks + 1) + num_chunks, (b, 1))
+    np.put_along_axis(rank, picks, np.arange(num_chunks), axis=1)
+    order = np.argsort(rank[:, :num_chunks], axis=1)
+    patches = (order[:, :, None] * span + np.arange(span)).reshape(b, -1)
+    kept = ~np.take_along_axis(flags, patches, axis=1)
+    picked = np.zeros((b, m), dtype=bool)
+    np.put_along_axis(picked, patches, kept & (np.cumsum(kept, axis=1) <= kap), axis=1)
+    return _complete(picked, scored, correlation, kap), flags
 
 
 def gather_selected(ps: PatchSet, selected: np.ndarray) -> PatchSet:
     """Row-wise patch gather; indices metadata keeps the original grid ids."""
-    b, kap = selected.shape
+    b = selected.shape[0]
     if ps.patches.shape[0] != b:
         raise SelectionError("batch size mismatch")
     n = ps.patches.shape[1]
     if np.any(selected < 0) or np.any(selected >= n):
         raise SelectionError("selected index out of range")
-    if any(len(np.unique(selected[i])) != kap for i in range(b)):
+    ordered = np.sort(selected, axis=1)
+    if np.any(ordered[:, 1:] == ordered[:, :-1]):
         raise SelectionError("selected indices must be distinct per row")
     patches = np.take_along_axis(ps.patches, selected[:, :, None], axis=1)
     indices = np.take_along_axis(ps.indices, selected, axis=1)

@@ -9,7 +9,8 @@ Design constraints baked in here:
 
 * float64 everywhere — every recorded op's output is validated to be
   finite; overflow/NaN raises :class:`NumericError` rather than
-  propagating silently, and ``backward`` checks every gradient.
+  propagating silently.  In ``backward``, each leaf's gradient is checked
+  once, before any is written.
 * Two fused nodes do the work of a whole op chain each, with a backward
   rule written out by hand: ``attention`` (softmax(q k^T/sqrt(d) + bias) v)
   and ``prenorm_block`` (a whole pre-norm transformer block).  Each checks
@@ -735,7 +736,9 @@ def bce(p, y, eps: float = 1e-12) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Reverse-mode sweep from a scalar loss.
 
-    Gradients accumulate into every reachable leaf's ``.grad``; intermediate
+    Gradients accumulate into every reachable leaf's ``.grad`` once the
+    sweep has ended and every leaf's gradient is finite; otherwise
+    :class:`NumericError` is raised and no ``.grad`` changes.  Intermediate
     gradients live only for the duration of the sweep. Leaves that require
     grad but are not reachable keep their zero buffers.
     """
@@ -763,21 +766,25 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
+    # No edge is checked: a NaN or inf travels on through later rules, with
+    # numpy's warnings off, into the gradient of some leaf, and each leaf's
+    # gradient is checked once, before any is written.  A value that a rule
+    # drops never reaches a leaf, so Adam never sees it either.
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
-        g = grads.pop(id(node))
-        if node._grad_fn is None:
-            # leaf: accumulate persistently
-            node.grad += g
-            continue
-        parent_grads = node._grad_fn(g)
-        for p, pg in zip(node._parents, parent_grads):
-            if not p.requires_grad:
+    leaves: list[tuple[Tensor, np.ndarray]] = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for node in reversed(topo):
+            g = grads.pop(id(node))
+            if node._grad_fn is None:
+                leaves.append((node, g))
                 continue
-            if pg.size and not (np.isfinite(pg.min()) and np.isfinite(pg.max())):
-                raise NumericError("non-finite gradient")
-            key = id(p)
-            if key in grads:
-                grads[key] = grads[key] + pg
-            else:
-                grads[key] = pg
+            for p, pg in zip(node._parents, node._grad_fn(g)):
+                if not p.requires_grad:
+                    continue
+                key = id(p)
+                grads[key] = grads[key] + pg if key in grads else pg
+    for _, g in leaves:
+        if g.size and not (np.isfinite(g.min()) and np.isfinite(g.max())):
+            raise NumericError("non-finite gradient")
+    for leaf, g in leaves:
+        leaf.grad += g  # accumulate persistently

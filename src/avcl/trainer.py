@@ -638,11 +638,25 @@ def avm_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig
     return am.AvmParams(mcfg.heads, _parameters(found, am.param_table(mcfg)))
 
 
+def _expect_keys(arrays: dict[str, np.ndarray], prefix: str,
+                 expected: set[str]) -> None:
+    """:class:`checkpoint.CheckpointError` naming the keys unless those of
+    the ``prefix/`` section are exactly ``expected``."""
+    found = {k for k in arrays if k.startswith(prefix + "/")}
+    if found != expected:
+        raise cp.CheckpointError(
+            f"optimizer moments under {prefix}/ do not match the parameters: "
+            f"missing {sorted(expected - found)}, unexpected {sorted(found - expected)}")
+
+
 def _moments(arrays: dict[str, np.ndarray], prefix: str,
              params: dict[str, tt.Tensor]) -> tuple[dict, dict]:
     """The first and second moments stored under ``prefix`` for ``params``,
-    adopted as the reader returned them, once all of them are finite (one
+    adopted as the reader returned them, once the ``prefix/`` section holds
+    exactly the m and v of those parameters and all of them are finite (one
     check over both); :class:`optim.Adam` checks their shapes."""
+    _expect_keys(arrays, prefix, {f"{prefix}/{kind}/{k}"
+                                  for kind in ("m", "v") for k in params})
     m, v = ({k: arrays[f"{prefix}/{kind}/{k}"] for k in params} for kind in ("m", "v"))
     if not np.isfinite(np.concatenate([*m.values(), *v.values()], axis=None)).all():
         raise cp.CheckpointError(f"non-finite optimizer moment under {prefix}/")
@@ -678,6 +692,8 @@ def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
     if (avm is not None) != tcfg.row.attention:
         raise cp.CheckpointError("checkpoint matching module does not fit "
                                  f"strategy {tcfg.strategy!r}")
+    if avm is None:
+        _expect_keys(arrays, _A_OPT, set())
     run = _run_state(backbone_from_arrays(arrays, mcfg, geom), avm,
                      rm.memory_from_arrays(arrays, *_memory_layout(mcfg, tcfg, geom)),
                      tcfg, streams,

@@ -300,6 +300,39 @@ def test_checkpoint_of_another_model_exits_3(ws, capsys, change):
     assert not (run / "eval.json").exists() and not (run / "maps.csv").exists()
 
 
+@pytest.mark.parametrize("strategy", ["stella", "derpp"])
+def test_stray_optimizer_moment_exits_3(ws, capsys, monkeypatch, strategy):
+    """Each ``opt/<module>/`` section holds exactly the m and v of that
+    module's parameters, so a stray backbone moment, or any ``opt/avm/``
+    key in a checkpoint without a matching module, is a data error that
+    resume names before training, like a stray ``model/`` key."""
+    if strategy == "stella":
+        run, args = _first_task_copy(ws, "run_stray_moment")
+        key = "opt/backbone/m/bogus"
+    else:
+        cfg = _variant(ws, "derpp", "strategy = stella", "strategy = derpp")
+        run = ws / "run_derpp_stray_moment"
+        args = ["run", "--config", str(cfg), "--data", str(ws / "data"),
+                "--out", str(run)]
+        assert cli.main(args) == 0
+        for path in ("task_01.ckpt", "task_01.rng.json"):
+            (run / path).unlink()
+        key = "opt/avm/m/avm/head/w1"
+    arrays = ckpt.load(run / "task_00.ckpt")
+    arrays[key] = np.zeros(3)
+    ckpt.save(run / "task_00.ckpt", arrays)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained from a checkpoint with a stray moment")
+
+    monkeypatch.setattr(tr, "train_step", no_training)
+    capsys.readouterr()
+    assert cli.main(args) == 3
+    err = capsys.readouterr().err
+    assert "do not match the parameters" in err and repr(key) in err
+    assert not (run / "task_01.ckpt").exists()
+
+
 @pytest.mark.parametrize("key", ["model/fusion/0/mlp/w1", "model/avm/head/b1"])
 def test_non_finite_model_tensor_exits_3(ws, capsys, key):
     """A NaN weight is a malformed checkpoint tensor (exit 3) for every

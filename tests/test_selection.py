@@ -439,6 +439,58 @@ def test_audio_rejects_bad_chunk_and_grid():
         sel.select_audio(imp, None, 4, 2, (5, 2), np.random.default_rng(0))
 
 
+def test_both_selectors_match_their_oracles_across_a_seeded_sweep():
+    """Row-batched selection against the per-row oracles, index for index
+    and flag for flag: batches of 1 to 16 rows, every budget from 1 to n,
+    importance with exact zeros (so some rows run out of positive mass and
+    take the fill), absent, all-zero and random correlation, and chunk sizes
+    that need not divide the time grid, with zero-mass chunks among them."""
+    seen = {"fill": 0, "truncated": 0, "zero_chunk": 0}
+    for case in range(200):
+        rng = np.random.default_rng(7000 + case)
+        b = int(rng.integers(1, 17))
+        n = int(rng.integers(1, 33))
+        num_time = int(rng.integers(1, 9))
+        num_freq = int(rng.integers(1, 5))
+        m = num_time * num_freq
+        chunk = int(rng.integers(1, num_time + 1))
+        kap_v = int(rng.integers(1, n + 1))
+        kap_a = int(rng.integers(1, m + 1))
+        imp_v = _softmax_rows(rng, b, n)
+        imp_v[rng.random((b, n)) < rng.uniform(0.0, 0.8)] = 0.0
+        imp_a = _softmax_rows(rng, b, m)
+        silent = rng.random((b, num_time)) < rng.uniform(0.0, 0.6)
+        imp_a.reshape(b, num_time, num_freq)[silent] = 0.0
+
+        def corr(kap):
+            return [None, np.zeros((b, kap)), rng.random((b, kap))][case % 3]
+
+        corr_v, corr_a = corr(kap_v), corr(kap_a)
+        seed = 8000 + case
+        got, flags = sel.select_video(imp_v, corr_v, kap_v, np.random.default_rng(seed))
+        children = np.random.default_rng(seed).spawn(b)
+        for row in range(b):
+            c_row = None if corr_v is None else corr_v[row]
+            want, flagged = _oracle_video_row(imp_v[row], c_row, kap_v, children[row])
+            assert list(got[row]) == want, f"video case {case} row {row}"
+            assert set(np.flatnonzero(flags[row])) == flagged
+            seen["fill"] += int(np.count_nonzero(imp_v[row] * ~flags[row]) < kap_v)
+        got, flags = sel.select_audio(imp_a, corr_a, kap_a, chunk,
+                                      (num_time, num_freq), np.random.default_rng(seed))
+        children = np.random.default_rng(seed).spawn(b)
+        for row in range(b):
+            c_row = None if corr_a is None else corr_a[row]
+            want, flagged = _oracle_audio_row(imp_a[row], c_row, kap_a, chunk,
+                                              (num_time, num_freq), children[row])
+            assert list(got[row]) == want, f"audio case {case} row {row}"
+            assert set(np.flatnonzero(flags[row])) == flagged
+        num_chunks = num_time // chunk
+        seen["truncated"] += int(num_time % chunk != 0)
+        chunk_silent = silent[:, :num_chunks * chunk].reshape(b, num_chunks, chunk)
+        seen["zero_chunk"] += int(chunk_silent.all(axis=2).any())
+    assert min(seen.values()) >= 20, seen  # every regime is actually swept
+
+
 # ---------------------------------------------------------------------------
 # gather
 

@@ -294,6 +294,39 @@ def test_block_nonfinite_gradient_raises():
     assert not x.grad.any() and not any(w.grad.any() for w in ws)
 
 
+def _poison(x, value):
+    """A node over ``x`` whose backward rule hands ``value`` to ``x``."""
+    return tt._make(x.data.copy(), (x,), lambda g: (np.full_like(g, value),))
+
+
+def test_non_finite_gradient_writes_no_leaf():
+    """A NaN reaching two leaves at different sweep positions raises, and
+    neither they nor a leaf whose finite gradient the sweep reached first
+    has its ``.grad`` changed."""
+    rng = np.random.default_rng(49)
+    a, b, c = leaf(rng, 3), leaf(rng, 3), leaf(rng, 3)
+    deep = tt.add(a, tt.gelu(tt.mul(b, Tensor(np.full(3, 3.0)))))
+    loss = tt.add(tt.sum_(tt.mul(c, Tensor(np.full(3, 2.0)))),
+                  tt.sum_(_poison(deep, np.nan)))
+    with pytest.raises(tt.NumericError, match="gradient"):
+        tt.backward(loss)
+    assert not a.grad.any() and not b.grad.any() and not c.grad.any()
+    # the same graph without the NaN writes all three
+    tt.backward(tt.add(tt.sum_(tt.mul(c, Tensor(np.full(3, 2.0)))), tt.sum_(deep)))
+    assert np.array_equal(c.grad, np.full(3, 2.0)) and np.array_equal(a.grad, np.ones(3))
+    assert b.grad.all()
+
+
+def test_inf_gradient_times_zero_raises_without_warning():
+    """An inf gradient that a later rule multiplies by zero becomes NaN on
+    its way to the leaf: a NumericError, not a RuntimeWarning."""
+    a = Tensor(np.ones(4), requires_grad=True)
+    hidden = tt.mul(a, Tensor(np.zeros(4)))
+    with pytest.raises(tt.NumericError, match="gradient"):
+        tt.backward(tt.sum_(_poison(hidden, np.inf)))
+    assert not a.grad.any()
+
+
 def test_weighted_mean_pool_values():
     x = Tensor(np.array([[2.0, 4.0, 6.0]]))
     out = tt.weighted_mean_pool(x, axis=1, weights=Tensor(np.ones((1, 3))))
