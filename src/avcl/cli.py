@@ -57,8 +57,10 @@ task count or lacks a configured cutoff for ``report``, a checkpoint whose
 rehearsal-memory snapshot is inconsistent or in an older format, a
 checkpoint whose ``model/`` tensors are not exactly those ``[model]`` and
 ``[data]`` give (a missing, extra or mis-shaped one, as with a checkpoint
-of another configuration), a checkpoint with a non-finite weight or
-optimizer moment, and a format-1 dataset, which must be regenerated); 4
+of another configuration), a checkpoint with a non-finite weight,
+optimizer moment or rehearsal-memory value, a checkpoint whose memory
+stores a grid id that is not an integer patch index of its grid, and a
+format-1 dataset, which must be regenerated); 4
 numeric divergence in training or in the attention maps of
 ``export-attention``.
 A run aborted by a config or data error never leaves a partial run

@@ -172,7 +172,7 @@ def parse_config(text: str) -> RunConfig:
     if max(cfg.eval.ks) > cfg.data.eval_pairs:
         raise ConfigError(f"[eval] ks: largest cutoff {max(cfg.eval.ks)} "
                           f"exceeds eval_pairs {cfg.data.eval_pairs}")
-    chunk, num_time = cfg.train.chunk_size, cfg.data.geometry.audio.num_time
+    chunk, num_time = cfg.train.chunk_size, cfg.data.geometry.audio.grid[0]
     if chunk is not None and chunk > num_time:
         raise ConfigError(f"[train] chunk_size {chunk} exceeds the audio "
                           f"grid's {num_time} time patches")

@@ -9,18 +9,22 @@ actual spatio-temporal correspondence, not just class statistics. With
 probability 1 - correlation the audio signature instead comes from an
 independently drawn decoy class at an independent position.
 
-Everything downstream consumes patch grids; ground-truth patch masks mark
-which patches intersect the planted regions.
+Each signature is added through one slice, and the same slice paints a
+boolean cell mask beside the values.  Each geometry states its patch blocks
+once; one :func:`patchify` cuts values and cell masks alike into patches,
+and a patch's ground truth is that any of its cells is painted.
 
 A :class:`DataConfig` is the one description of a task sequence: the
 geometry, the pair counts and each task's classes all derive from it.  A
 task file therefore holds only tensors, the five :class:`SampleSet` arrays
 of each split in one checkpoint container, and is read back against the
-config that generated it.
+config that generated it.  One field -> (shape, dtype) layout allocates a
+split, and a split read back is checked and cast against it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -43,8 +47,30 @@ class DataError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+class _Blocks:
+    """A patch grid stated once by ``blocks``, one (count, size) pair per
+    axis: the axis holds ``count`` blocks of ``size`` cells, and a patch is
+    one block of every axis.  Everything else derives from the blocks."""
+
+    @property
+    def shape(self) -> tuple[int, ...]:  # cells per axis
+        return tuple(n * s for n, s in self.blocks)
+
+    @property
+    def grid(self) -> tuple[int, ...]:  # blocks per axis
+        return tuple(n for n, _ in self.blocks)
+
+    @property
+    def patches(self) -> int:
+        return math.prod(self.grid)
+
+    @property
+    def patch_dim(self) -> int:
+        return math.prod(s for _, s in self.blocks)
+
+
 @dataclass(frozen=True)
-class AudioGeometry:
+class AudioGeometry(_Blocks):
     time_bins: int = 64
     freq_bins: int = 16
     patch: int = 4
@@ -56,24 +82,13 @@ class AudioGeometry:
             raise DataError("audio patch size must divide both grid extents")
 
     @property
-    def num_time(self) -> int:
-        return self.time_bins // self.patch
-
-    @property
-    def num_freq(self) -> int:
-        return self.freq_bins // self.patch
-
-    @property
-    def patches(self) -> int:
-        return self.num_time * self.num_freq
-
-    @property
-    def patch_dim(self) -> int:
-        return self.patch * self.patch
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        p = self.patch
+        return (self.time_bins // p, p), (self.freq_bins // p, p)
 
 
 @dataclass(frozen=True)
-class VideoGeometry:
+class VideoGeometry(_Blocks):
     frames: int = 4
     height: int = 32
     width: int = 32
@@ -86,20 +101,9 @@ class VideoGeometry:
             raise DataError("video patch size must divide height and width")
 
     @property
-    def rows(self) -> int:
-        return self.height // self.patch
-
-    @property
-    def cols(self) -> int:
-        return self.width // self.patch
-
-    @property
-    def patches(self) -> int:
-        return self.frames * self.rows * self.cols
-
-    @property
-    def patch_dim(self) -> int:
-        return self.patch * self.patch
+    def blocks(self) -> tuple[tuple[int, int], ...]:
+        p = self.patch
+        return (self.frames, 1), (self.height // p, p), (self.width // p, p)
 
 
 @dataclass(frozen=True)
@@ -134,19 +138,6 @@ class SyntheticClass:
     video_pattern: np.ndarray  # (span_frames, box_h, box_w)
 
 
-@dataclass(frozen=True)
-class AudioSpectrogram:
-    values: np.ndarray  # (time_bins, freq_bins)
-    source_band: tuple[int, int]  # [start, stop) time interval of the signature
-
-
-@dataclass(frozen=True)
-class VideoClip:
-    values: np.ndarray  # (frames, height, width)
-    source_region: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
-    # ((frame0, frame1), (row0, row1), (col0, col1)), all half-open
-
-
 def signature_shapes(geom: SceneGeometry) -> tuple[tuple[int, int], tuple[int, int, int]]:
     a, v = geom.audio, geom.video
     band_w = max(a.patch, round(_AUDIO_BAND_FRACTION * a.time_bins))
@@ -174,11 +165,25 @@ def _relative_band_start(frame0: int, span: int, geom: SceneGeometry, band_w: in
     return int(round(u * (a.time_bins - band_w)))
 
 
+def _plant(values: np.ndarray, region: tuple[slice, ...],
+           signature: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``values`` with ``signature`` added over ``region``, and the boolean
+    cell mask painted through the same slice."""
+    values[region] += signature
+    cells = np.zeros(values.shape, dtype=bool)
+    cells[region] = True
+    return values, cells
+
+
 def generate_pair(cls: SyntheticClass, rng: np.random.Generator, geom: SceneGeometry,
                   decoys: tuple[SyntheticClass, ...] = (),
                   noise_std: float = 1.0, amplitude: float = 3.0,
-                  ) -> tuple[AudioSpectrogram, VideoClip, bool]:
-    """One audio-video pair; returns (audio, video, matched).
+                  ) -> tuple[tuple[np.ndarray, np.ndarray],
+                             tuple[np.ndarray, np.ndarray], bool]:
+    """One audio-video pair: ``((audio, audio_cells), (video, video_cells),
+    matched)``.  Values have the cell shape of their geometry; each boolean
+    cell mask is painted through the slice its signature was added through,
+    so it marks exactly the planted cells.
 
     Draw order is fixed so a per-sample seed reproduces the pair bit-exactly:
     video placement, video noise, co-occurrence coin, decoy pick + independent
@@ -190,8 +195,9 @@ def generate_pair(cls: SyntheticClass, rng: np.random.Generator, geom: SceneGeom
     frame0 = int(rng.integers(0, v.frames - span + 1))
     r0 = int(rng.integers(0, v.height - box_h + 1))
     c0 = int(rng.integers(0, v.width - box_w + 1))
-    video_vals = rng.normal(0.0, noise_std, size=(v.frames, v.height, v.width))
-    video_vals[frame0:frame0 + span, r0:r0 + box_h, c0:c0 + box_w] += amplitude * cls.video_pattern
+    video = _plant(rng.normal(0.0, noise_std, size=v.shape),
+                   np.s_[frame0:frame0 + span, r0:r0 + box_h, c0:c0 + box_w],
+                   amplitude * cls.video_pattern)
 
     matched = bool(rng.random() < cls.correlation)
     if matched or not decoys:
@@ -200,11 +206,9 @@ def generate_pair(cls: SyntheticClass, rng: np.random.Generator, geom: SceneGeom
         audio_cls = decoys[int(rng.integers(0, len(decoys)))]
         band_frame = int(rng.integers(0, v.frames - span + 1))
     band_start = _relative_band_start(band_frame, span, geom, band_w)
-    audio_vals = rng.normal(0.0, noise_std, size=(a.time_bins, a.freq_bins))
-    audio_vals[band_start:band_start + band_w, :] += amplitude * audio_cls.audio_pattern
-
-    audio = AudioSpectrogram(audio_vals, (band_start, band_start + band_w))
-    video = VideoClip(video_vals, ((frame0, frame0 + span), (r0, r0 + box_h), (c0, c0 + box_w)))
+    audio = _plant(rng.normal(0.0, noise_std, size=a.shape),
+                   np.s_[band_start:band_start + band_w],
+                   amplitude * audio_cls.audio_pattern)
     return audio, video, matched
 
 
@@ -226,7 +230,7 @@ class PatchSet:
     patches: np.ndarray  # (B, n, patch_dim)
     indices: np.ndarray  # (B, n) int64 flat grid indices
     modality: str  # "audio" | "video"
-    grid: tuple[int, ...]  # audio: (num_time, num_freq); video: (frames, rows, cols)
+    grid: tuple[int, ...]  # the geometry's grid: blocks per axis
 
     def __post_init__(self):
         self.patches = np.asarray(self.patches, dtype=np.float64)
@@ -241,74 +245,37 @@ class PatchSet:
 
     @property
     def total_patches(self) -> int:
-        n = 1
-        for g in self.grid:
-            n *= g
-        return n
+        return math.prod(self.grid)
 
     @property
     def count(self) -> int:
         return self.patches.shape[1]
 
 
-def patchify_audio(values: np.ndarray, geom: AudioGeometry) -> np.ndarray:
-    """(..., time, freq) -> (..., M, p*p), time-major flat patch order."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape[-2:] != (geom.time_bins, geom.freq_bins):
-        raise DataError("audio grid does not match geometry")
-    lead = arr.shape[:-2]
-    p = geom.patch
-    x = arr.reshape(lead + (geom.num_time, p, geom.num_freq, p))
-    x = np.moveaxis(x, -3, -2)  # (..., num_time, num_freq, p, p)
-    return np.ascontiguousarray(x.reshape(lead + (geom.patches, p * p)))
-
-
-def patchify_video(values: np.ndarray, geom: VideoGeometry) -> np.ndarray:
-    """(..., frames, h, w) -> (..., N, p*p), frame-major flat patch order."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.shape[-3:] != (geom.frames, geom.height, geom.width):
-        raise DataError("video grid does not match geometry")
-    lead = arr.shape[:-3]
-    p = geom.patch
-    x = arr.reshape(lead + (geom.frames, geom.rows, p, geom.cols, p))
-    x = np.moveaxis(x, -3, -2)  # (..., frames, rows, cols, p, p)
-    return np.ascontiguousarray(x.reshape(lead + (geom.patches, p * p)))
-
-
-def audio_truth_mask(band: tuple[int, int], geom: AudioGeometry) -> np.ndarray:
-    """Boolean (M,) mask of patches intersecting the signature time band."""
-    start, stop = band
-    mask = np.zeros(geom.patches, dtype=bool)
-    for ti in range(geom.num_time):
-        lo, hi = ti * geom.patch, (ti + 1) * geom.patch
-        if lo < stop and start < hi:
-            mask[ti * geom.num_freq:(ti + 1) * geom.num_freq] = True
-    return mask
-
-
-def video_truth_mask(region, geom: VideoGeometry) -> np.ndarray:
-    """Boolean (N,) mask of patches intersecting the planted box."""
-    (f0, f1), (r0, r1), (c0, c1) = region
-    mask = np.zeros(geom.patches, dtype=bool)
-    for fr in range(f0, f1):
-        for pr in range(geom.rows):
-            if not (pr * geom.patch < r1 and r0 < (pr + 1) * geom.patch):
-                continue
-            for pc in range(geom.cols):
-                if pc * geom.patch < c1 and c0 < (pc + 1) * geom.patch:
-                    mask[(fr * geom.rows + pr) * geom.cols + pc] = True
-    return mask
+def patchify(values: np.ndarray, geom: AudioGeometry | VideoGeometry) -> np.ndarray:
+    """(..., *geom.shape) -> (..., geom.patches, geom.patch_dim), keeping the
+    dtype: patches in row-major grid order (audio time-major, video
+    frame-major), each patch's cells row-major."""
+    arr = np.asarray(values)
+    k = len(geom.blocks)
+    if arr.shape[-k:] != geom.shape:
+        raise DataError(f"cell grid {arr.shape[-k:]} does not match geometry {geom.shape}")
+    lead = arr.shape[:-k]
+    x = arr.reshape(lead + sum(geom.blocks, ()))  # (..., n0, s0, n1, s1, ...)
+    n = len(lead)
+    counts, sizes = range(n, n + 2 * k, 2), range(n + 1, n + 2 * k, 2)
+    x = x.transpose((*range(n), *counts, *sizes))  # (..., n0, n1, ..., s0, s1, ...)
+    return np.ascontiguousarray(x.reshape(lead + (geom.patches, geom.patch_dim)))
 
 
 def full_patchset(patches: np.ndarray, modality: str, geom: SceneGeometry) -> PatchSet:
     """Wrap a (B, n_full, patch_dim) array as an unselected PatchSet."""
-    g = geom.audio if modality == "audio" else geom.video
-    grid = (g.num_time, g.num_freq) if modality == "audio" else (g.frames, g.rows, g.cols)
+    g = getattr(geom, modality)
     b, n = patches.shape[:2]
     if n != g.patches:
         raise DataError("patch count does not match geometry")
     idx = np.broadcast_to(np.arange(n, dtype=np.int64), (b, n)).copy()
-    return PatchSet(patches, idx, modality, grid)
+    return PatchSet(patches, idx, modality, g.grid)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +330,8 @@ class DataConfig:
 
 @dataclass
 class SampleSet:
-    """Patchified pairs plus ground truth for one split of one task."""
+    """Patchified pairs plus ground truth for one split of one task; the
+    fields are laid out by :func:`_split_layout`."""
 
     audio_patches: np.ndarray  # (n, M, p_a^2)
     video_patches: np.ndarray  # (n, N, p_v^2)
@@ -382,6 +350,16 @@ class TaskData:
     eval: SampleSet
 
 
+def _split_layout(geom: SceneGeometry, n: int) -> dict[str, tuple[tuple[int, ...], type]]:
+    """:class:`SampleSet` field -> (shape, dtype), for a split of ``n`` pairs."""
+    a, v = geom.audio, geom.video
+    return {"audio_patches": ((n, a.patches, a.patch_dim), np.float64),
+            "video_patches": ((n, v.patches, v.patch_dim), np.float64),
+            "audio_truth": ((n, a.patches), np.bool_),
+            "video_truth": ((n, v.patches), np.bool_),
+            "class_ids": ((n,), np.int64)}
+
+
 def build_task_specs(cfg: DataConfig) -> list[TaskSpec]:
     c = cfg.classes_per_task
     return [TaskSpec(k, tuple(range(k * c, (k + 1) * c))) for k in range(cfg.num_tasks)]
@@ -389,27 +367,27 @@ def build_task_specs(cfg: DataConfig) -> list[TaskSpec]:
 
 def _build_split(cfg: DataConfig, spec: TaskSpec, classes: dict[int, SyntheticClass],
                  n: int, split_tag: int) -> SampleSet:
+    """``n`` pairs, each from its own seed, patchified as they are drawn;
+    the truth masks are cut from the split's painted cells at once."""
     geom = cfg.geometry
     a, v = geom.audio, geom.video
-    audio_p = np.empty((n, a.patches, a.patch_dim))
-    video_p = np.empty((n, v.patches, v.patch_dim))
-    audio_t = np.zeros((n, a.patches), dtype=bool)
-    video_t = np.zeros((n, v.patches), dtype=bool)
-    ids = np.empty(n, dtype=np.int64)
+    out = {name: np.empty(shape, dtype)
+           for name, (shape, dtype) in _split_layout(geom, n).items()}
+    audio_cells, video_cells = np.empty((n, *a.shape), bool), np.empty((n, *v.shape), bool)
     task_classes = [classes[c] for c in spec.class_ids]
     for i in range(n):
         cls = task_classes[i % len(task_classes)]
         decoys = tuple(c for c in task_classes if c.class_id != cls.class_id)
         rng = np.random.default_rng(np.random.SeedSequence(
             [cfg.seed, _SAMPLE_STREAM_TAG, spec.task_id, split_tag, i]))
-        audio, video, _ = generate_pair(cls, rng, geom, decoys,
-                                        cfg.noise_std, cfg.amplitude)
-        audio_p[i] = patchify_audio(audio.values, a)
-        video_p[i] = patchify_video(video.values, v)
-        audio_t[i] = audio_truth_mask(audio.source_band, a)
-        video_t[i] = video_truth_mask(video.source_region, v)
-        ids[i] = cls.class_id
-    return SampleSet(audio_p, video_p, audio_t, video_t, ids)
+        (audio, audio_cells[i]), (video, video_cells[i]), _ = generate_pair(
+            cls, rng, geom, decoys, cfg.noise_std, cfg.amplitude)
+        out["audio_patches"][i] = patchify(audio, a)
+        out["video_patches"][i] = patchify(video, v)
+        out["class_ids"][i] = cls.class_id
+    out["audio_truth"][:] = patchify(audio_cells, a).any(-1)
+    out["video_truth"][:] = patchify(video_cells, v).any(-1)
+    return SampleSet(**out)
 
 
 def build_sequence(cfg: DataConfig) -> list[TaskData]:
@@ -432,15 +410,6 @@ def build_sequence(cfg: DataConfig) -> list[TaskData]:
 # ---------------------------------------------------------------------------
 
 
-def _split_shapes(geom: SceneGeometry, n: int) -> dict[str, tuple[int, ...]]:
-    """:class:`SampleSet` field -> shape, for a split of ``n`` pairs."""
-    a, v = geom.audio, geom.video
-    return {"audio_patches": (n, a.patches, a.patch_dim),
-            "video_patches": (n, v.patches, v.patch_dim),
-            "audio_truth": (n, a.patches), "video_truth": (n, v.patches),
-            "class_ids": (n,)}
-
-
 def write_task_file(path, task: TaskData) -> None:
     """Save the ten split tensors of ``task``, ``{train,eval}/<field>`` for
     each :class:`SampleSet` field, as one checkpoint container.
@@ -459,8 +428,9 @@ def read_task_file(path, cfg: DataConfig, spec: TaskSpec) -> TaskData:
 
     Every one of the ten tensors must be present with the shape ``cfg``
     gives it, truth masks must hold only 0 and 1 and class ids only those of
-    ``spec``.  Unreadable bytes or a missing, mis-shaped or out-of-range
-    tensor raise :class:`DataError` naming the file and the tensor.
+    ``spec``; each is then cast to its field's dtype.  Unreadable bytes or a
+    missing, mis-shaped or out-of-range tensor raise :class:`DataError`
+    naming the file and the tensor.
     """
     try:
         tensors = ckpt.load(path)
@@ -469,8 +439,8 @@ def read_task_file(path, cfg: DataConfig, spec: TaskSpec) -> TaskData:
     allowed = {"audio_truth": (0, 1), "video_truth": (0, 1), "class_ids": spec.class_ids}
 
     def split(name: str, n: int) -> SampleSet:
-        arrays = []
-        for attr, shape in _split_shapes(cfg.geometry, n).items():
+        arrays = {}
+        for attr, (shape, dtype) in _split_layout(cfg.geometry, n).items():
             key = f"{name}/{attr}"
             if key not in tensors:
                 raise DataError(f"{path}: missing tensor {key!r}")
@@ -480,9 +450,8 @@ def read_task_file(path, cfg: DataConfig, spec: TaskSpec) -> TaskData:
             if attr in allowed and not np.isin(tensors[key], allowed[attr]).all():
                 raise DataError(f"{path}: tensor {key!r} holds a value not among "
                                 f"{allowed[attr]}")
-            arrays.append(tensors[key])
-        ap, vp, at, vt, ids = arrays
-        return SampleSet(ap, vp, at.astype(bool), vt.astype(bool), ids.astype(np.int64))
+            arrays[attr] = tensors[key].astype(dtype, copy=False)
+        return SampleSet(**arrays)
 
     return TaskData(spec, split("train", cfg.train_pairs),
                     split("eval", cfg.eval_pairs))

@@ -126,8 +126,8 @@ def der_penalty(feat_audio: Tensor, feat_video: Tensor,
     the current features."""
     if feat_audio.shape != stored_audio.shape or feat_video.shape != stored_video.shape:
         raise RehearsalError("replayed feature shapes do not match stored")
-    return tt.add(tt.mse(feat_audio, tt.constant(stored_audio)),
-                  tt.mse(feat_video, tt.constant(stored_video)))
+    return tt.add(tt.mse(feat_audio, Tensor(stored_audio)),
+                  tt.mse(feat_video, Tensor(stored_video)))
 
 
 def plus_capacity(raw_capacity: int, audio_patches: int, audio_dim: int,
@@ -177,10 +177,10 @@ def memory_from_arrays(arrays: dict[str, np.ndarray], capacity: int,
     """Inverse of :func:`snapshot_arrays`; ``arrays`` may hold other keys.
     The entry count is the length of ``memory/steps``, at most ``capacity``
     and the seen count.  The snapshot must hold ``capacity`` and exactly the
-    stored ``fields`` (name -> per-entry shape), one row per entry, all
-    checked before the memory is built.  Field columns are adopted as they
-    are when they own writeable C-contiguous float64 buffers, as the
-    checkpoint reader returns them; views, such as those of
+    stored ``fields`` (name -> per-entry shape), one row of finite values
+    per entry, all checked before the memory is built.  Field columns are
+    adopted as they are when they own writeable C-contiguous float64
+    buffers, as the checkpoint reader returns them; views, such as those of
     :func:`snapshot_arrays`, are copied."""
     try:
         stored_capacity = int(arrays["memory/capacity"][0])
@@ -201,6 +201,9 @@ def memory_from_arrays(arrays: dict[str, np.ndarray], capacity: int,
             != {k: (count, *shape) for k, shape in fields.items()}):
         raise RehearsalError("snapshot fields do not match the fields this "
                              f"run stores: {sorted(stored)} vs {sorted(fields)}")
+    for name in fields:
+        if not np.isfinite(stored[name]).all():
+            raise RehearsalError(f"snapshot field {name!r} holds a non-finite value")
     mem = ReservoirMemory(capacity, fields, seen_count=seen, count=count,
                           steps=steps.astype(np.int64), tasks=tasks.astype(np.int64))
     mem.fields = {name: np.require(stored[name], np.float64, "CWO")

@@ -122,11 +122,6 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def constant(x) -> Tensor:
-    """A non-differentiable tensor (alias for readability at call sites)."""
-    return Tensor(np.asarray(x, dtype=np.float64))
-
-
 def parameter(x) -> Tensor:
     """A trainable leaf over ``x`` (not copied when it is already a
     C-contiguous float64 array)."""

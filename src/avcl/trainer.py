@@ -473,21 +473,20 @@ def evaluate_tasks(state: bb.BackboneState, tasks: list[TaskData],
     """Retrieval headline on every task seen so far plus the modality gap on
     the first task's evaluation pairs; also returns the per-task reports.
 
-    ``workers`` > 1 evaluates tasks on a thread pool; each task's numbers are
-    computed independently, so the results are identical to the serial path.
+    ``workers`` > 1 computes the tasks' features on a thread pool; each
+    task's are computed independently, so the results are identical to the
+    serial path.
     """
-    def one(t: int) -> tuple[ev.RetrievalReport, float]:
-        f_a, f_v = eval_features(state, tasks[t].eval, geom)
-        report = ev.zero_shot_retrieval(f_a, f_v, ks)
-        return report, ev.modality_gap(f_a, f_v) if t == 0 else 0.0
+    def features(t: int) -> tuple[np.ndarray, np.ndarray]:
+        return eval_features(state, tasks[t].eval, geom)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(upto + 1)))
+            feats = list(pool.map(features, range(upto + 1)))
     else:
-        results = [one(t) for t in range(upto + 1)]
-    reports = [rep for rep, _ in results]
-    return [rep.headline() for rep in reports], results[0][1], reports
+        feats = [features(t) for t in range(upto + 1)]
+    reports = [ev.zero_shot_retrieval(f_a, f_v, ks) for f_a, f_v in feats]
+    return [rep.headline() for rep in reports], ev.modality_gap(*feats[0]), reports
 
 
 def _reads(error: type[ValueError], what: str):
@@ -672,11 +671,11 @@ def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
     holds five losses per step, the accuracy rows pass
     :func:`evaluate.check_acc_matrix` and ``run/gaps`` one value per task.
     The model, optimizer moments and memory columns are the reader's arrays
-    themselves, checked against the layout the configuration gives (and
-    the model and moments for finite values), so no placeholder is built to
-    be overwritten and no random number is drawn.  The records give both
-    optimizers' step counts; ``run/step`` and ``run/tasks_done`` of older
-    checkpoints are not read."""
+    themselves, checked against the layout the configuration gives and for
+    finite values (stored grid ids also for integers on the grid), so no
+    placeholder is built to be overwritten and no random number is drawn.
+    The records give both optimizers' step counts; ``run/step`` and
+    ``run/tasks_done`` of older checkpoints are not read."""
     records = arrays["run/records"]
     if records.shape != (steps, 5):
         raise cp.CheckpointError(f"run/records has shape {records.shape}, not "
@@ -694,9 +693,12 @@ def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
                                  f"strategy {tcfg.strategy!r}")
     if avm is None:
         _expect_keys(arrays, _A_OPT, set())
-    run = _run_state(backbone_from_arrays(arrays, mcfg, geom), avm,
-                     rm.memory_from_arrays(arrays, *_memory_layout(mcfg, tcfg, geom)),
-                     tcfg, streams,
+    mem = rm.memory_from_arrays(arrays, *_memory_layout(mcfg, tcfg, geom))
+    for name, g in (("audio_indices", geom.audio), ("video_indices", geom.video)):
+        if name in mem.fields and not np.isin(mem.fields[name], np.arange(g.patches)).all():
+            raise rm.RehearsalError(f"snapshot field {name!r} holds a value that "
+                                    f"is no grid id of the {g.patches} patches")
+    run = _run_state(backbone_from_arrays(arrays, mcfg, geom), avm, mem, tcfg, streams,
                      [LossRecord(i, *[float(v) for v in r]) for i, r in enumerate(records)],
                      functools.partial(_moments, arrays))
     return run, acc, gaps

@@ -179,9 +179,9 @@ def _batch(rng, batch=6, correlation=1.0, num_classes=4):
     for i in range(batch):
         cls = classes[i % num_classes]
         decoys = tuple(c for c in classes if c is not cls)
-        a, v, _ = dd.generate_pair(cls, rng, GEOM, decoys=decoys)
-        audio[i] = dd.patchify_audio(a.values[None], GEOM.audio)[0]
-        video[i] = dd.patchify_video(v.values[None], GEOM.video)[0]
+        (a, _), (v, _), _ = dd.generate_pair(cls, rng, GEOM, decoys=decoys)
+        audio[i] = dd.patchify(a, GEOM.audio)
+        video[i] = dd.patchify(v, GEOM.video)
     aps = dd.full_patchset(audio, "audio", GEOM)
     vps = dd.full_patchset(video, "video", GEOM)
     return aps, vps

@@ -135,6 +135,25 @@ def test_task_file_keys_are_pinned(ws):
                                           "task_01.bin"]
 
 
+#: SHA-256 of each task file ``generate-data`` writes for ``CFG``
+TASK_FILE_SHA256 = {
+    "task_00.bin": "40595b0e871f2116f23272bd020a1a7d493225b665ac64b7bca08180b000c744",
+    "task_01.bin": "5dda28b0df6fca077ec207bb3319adecb8e669bb6bdc094a59fa5b49d0cffd85",
+}
+
+
+def test_task_file_bytes_are_pinned(ws):
+    """The generator's output is pinned byte for byte.  A dataset written
+    before a change to it would still pass its manifest's hashes, so such a
+    change must come with a new manifest ``format``."""
+    data = ws / "data"
+    got = {name: hashlib.sha256((data / name).read_bytes()).hexdigest()
+           for name in TASK_FILE_SHA256}
+    assert got == TASK_FILE_SHA256, (
+        "generate-data wrote other task files: a generator change must bump the "
+        "manifest `format` (so older datasets exit 3) and re-pin these hashes")
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -475,6 +494,52 @@ def test_hostile_memory_capacity_exits_3_before_allocating(ws, capsys):
     _, args = _damaged_copy(ws, "run_huge_memory", damage)
     assert cli.main(args) == 3
     assert "capacity" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def ws_plus(ws):
+    """A ``stella_plus`` run on the workspace's dataset, whose memory stores
+    the selected patches' grid ids; returns its config and run directory."""
+    cfg = _variant(ws, "stella_plus", "strategy = stella\n", "strategy = stella_plus\n")
+    run = ws / "run_stella_plus"
+    assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
+                     "--out", str(run)]) == 0
+    return cfg, run
+
+
+@pytest.mark.parametrize("strategy,field,damage", [
+    ("stella", "q_audio", "inf"), ("stella", "audio_patches", "nan"),
+    ("stella_plus", "audio_indices", "off_grid"),
+    ("stella_plus", "video_indices", "fraction")])
+def test_bad_memory_value_exits_3_before_training(ws, ws_plus, capsys, monkeypatch,
+                                                  strategy, field, damage):
+    """A memory value no step could have stored is a data error at restore:
+    a non-finite value in any column, or a stored grid id that is not an
+    integer patch index of its grid."""
+    cfg, source = ws_plus if strategy == "stella_plus" else (ws / "cfg.ini",
+                                                             ws / "run_stella")
+    run = ws / f"run_memory_{field}_{damage}"
+    shutil.copytree(source, run)
+    for path in ("task_01.ckpt", "task_01.rng.json"):
+        (run / path).unlink()
+    arrays = ckpt.load(run / "task_00.ckpt")
+    col = arrays[f"memory/field/{field}"]
+    if damage == "inf":
+        col.flat[0] = np.inf
+    elif damage == "nan":
+        col.flat[-1] = np.nan
+    else:
+        col += 1000 if damage == "off_grid" else 0.5
+    ckpt.save(run / "task_00.ckpt", arrays)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained on a damaged memory")
+
+    monkeypatch.setattr(tr, "train_step", no_training)
+    assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
+                     "--out", str(run)]) == 3
+    assert f"snapshot field {field!r}" in capsys.readouterr().err
+    assert not (run / "task_01.ckpt").exists()
 
 
 @pytest.mark.parametrize("field", ["oversize", "extra"])

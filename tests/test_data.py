@@ -20,11 +20,23 @@ def _small_cfg(**kw):
 # ---------------------------------------------------------------------------
 
 
+def _box(cells):
+    """Bounding box of the painted cells: one half-open (lo, hi) per axis."""
+    box = []
+    for axis in range(cells.ndim):
+        others = tuple(a for a in range(cells.ndim) if a != axis)
+        hit = np.flatnonzero(cells.any(axis=others))
+        box.append((int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
+
+
 def test_default_patch_counts():
     assert GEOM.audio.patches == 64
     assert GEOM.video.patches == 64
     assert GEOM.audio.patch_dim == 16
     assert GEOM.video.patch_dim == 64
+    assert GEOM.audio.grid == (16, 4) and GEOM.audio.shape == (64, 16)
+    assert GEOM.video.grid == (4, 4, 4) and GEOM.video.shape == (4, 32, 32)
 
 
 def test_patch_count_formula_property():
@@ -52,13 +64,13 @@ def test_indivisible_patch_rejected():
 def test_correlated_pair_contains_both_signatures():
     cls = dd.make_class(0, 123, GEOM, correlation=1.0)
     rng = np.random.default_rng(9)
-    audio, video, matched = dd.generate_pair(cls, rng, GEOM)
+    (audio, audio_cells), (video, video_cells), matched = dd.generate_pair(cls, rng, GEOM)
     assert matched
-    (f0, f1), (r0, r1), (c0, c1) = video.source_region
-    t0, t1 = audio.source_band
+    assert audio.shape == audio_cells.shape == GEOM.audio.shape
+    assert video.shape == video_cells.shape == GEOM.video.shape
     # planted regions visibly hotter than the noise floor
-    assert np.abs(video.values[f0:f1, r0:r1, c0:c1]).mean() > 2.0
-    assert np.abs(audio.values[t0:t1, :]).mean() > 2.0
+    assert np.abs(video[video_cells]).mean() > 2.0
+    assert np.abs(audio[audio_cells]).mean() > 2.0
 
 
 def test_planted_region_energy_over_1000_pairs():
@@ -68,11 +80,9 @@ def test_planted_region_energy_over_1000_pairs():
     rng = np.random.default_rng(1234)
     a_tot = a_cnt = v_tot = v_cnt = 0.0
     for _ in range(1000):
-        audio, video, _ = dd.generate_pair(cls, rng, GEOM)
-        t0, t1 = audio.source_band
-        (f0, f1), (r0, r1), (c0, c1) = video.source_region
-        band = np.abs(audio.values[t0:t1, :])
-        box = np.abs(video.values[f0:f1, r0:r1, c0:c1])
+        (audio, audio_cells), (video, video_cells), _ = dd.generate_pair(cls, rng, GEOM)
+        band = np.abs(audio[audio_cells])
+        box = np.abs(video[video_cells])
         a_tot += band.sum()
         a_cnt += band.size
         v_tot += box.sum()
@@ -89,10 +99,9 @@ def test_correlation_zero_decouples_audio_class():
     rng = np.random.default_rng(7)
     n_matched = 0
     for _ in range(50):
-        audio, _, matched = dd.generate_pair(cls, rng, geom, decoys=(decoy,))
+        (audio, audio_cells), _, matched = dd.generate_pair(cls, rng, geom, decoys=(decoy,))
         n_matched += matched
-        t0, t1 = audio.source_band
-        signature = audio.values[t0:t1, :]
+        signature = audio[audio_cells].reshape(decoy.audio_pattern.shape)
         # the planted band correlates with the decoy's pattern, not ours
         corr_decoy = float(np.sum(signature * decoy.audio_pattern))
         corr_own = float(np.sum(signature * cls.audio_pattern))
@@ -114,12 +123,10 @@ def test_matched_pair_shares_temporal_placement():
     cls = dd.make_class(2, 9, GEOM, correlation=1.0)
     rng = np.random.default_rng(3)
     for _ in range(20):
-        audio, video, _ = dd.generate_pair(cls, rng, GEOM)
-        (f0, f1), _, _ = video.source_region
-        band_w = audio.source_band[1] - audio.source_band[0]
-        span = f1 - f0
-        expect = dd._relative_band_start(f0, span, GEOM, band_w)
-        assert audio.source_band[0] == expect
+        (_, audio_cells), (_, video_cells), _ = dd.generate_pair(cls, rng, GEOM)
+        (t0, t1), _ = _box(audio_cells)
+        (f0, f1), _, _ = _box(video_cells)
+        assert t0 == dd._relative_band_start(f0, f1 - f0, GEOM, t1 - t0)
 
 
 def test_class_signatures_deterministic_and_distinct():
@@ -148,12 +155,12 @@ def test_patchify_audio_against_loop_oracle():
     rng = np.random.default_rng(5)
     g = GEOM.audio
     grid = rng.normal(size=(g.time_bins, g.freq_bins))
-    patches = dd.patchify_audio(grid, g)
+    patches = dd.patchify(grid, g)
     assert patches.shape == (g.patches, g.patch_dim)
-    p = g.patch
-    for ti in range(g.num_time):
-        for fi in range(g.num_freq):
-            flat = ti * g.num_freq + fi
+    p, num_freq = g.patch, g.freq_bins // g.patch
+    for ti in range(g.time_bins // p):
+        for fi in range(num_freq):
+            flat = ti * num_freq + fi
             want = grid[ti * p:(ti + 1) * p, fi * p:(fi + 1) * p].reshape(-1)
             assert np.array_equal(patches[flat], want)
 
@@ -162,35 +169,82 @@ def test_patchify_video_against_loop_oracle():
     rng = np.random.default_rng(6)
     g = GEOM.video
     clip = rng.normal(size=(g.frames, g.height, g.width))
-    patches = dd.patchify_video(clip, g)
+    patches = dd.patchify(clip, g)
     p = g.patch
+    rows, cols = g.height // p, g.width // p
     for fr in range(g.frames):
-        for r in range(g.rows):
-            for c in range(g.cols):
-                flat = (fr * g.rows + r) * g.cols + c
+        for r in range(rows):
+            for c in range(cols):
+                flat = (fr * rows + r) * cols + c
                 want = clip[fr, r * p:(r + 1) * p, c * p:(c + 1) * p].reshape(-1)
                 assert np.array_equal(patches[flat], want)
 
 
+def test_patchify_keeps_leading_axes_and_dtype():
+    rng = np.random.default_rng(7)
+    g = GEOM.video
+    clips = rng.normal(size=(3, 2) + g.shape)
+    patches = dd.patchify(clips, g)
+    assert patches.shape == (3, 2, g.patches, g.patch_dim)
+    assert np.array_equal(patches[2, 1], dd.patchify(clips[2, 1], g))
+    cells = clips > 0
+    assert dd.patchify(cells, g).dtype == bool
+    with pytest.raises(dd.DataError):
+        dd.patchify(clips[..., :-1], g)
+    with pytest.raises(dd.DataError):
+        dd.patchify(np.zeros(g.shape[1:]), g)
+
+
+def _audio_truth_loops(band, g):
+    """Reference: the patches whose time interval meets the band."""
+    (start, stop), _ = band
+    num_time, num_freq = g.time_bins // g.patch, g.freq_bins // g.patch
+    mask = np.zeros(num_time * num_freq, dtype=bool)
+    for ti in range(num_time):
+        lo, hi = ti * g.patch, (ti + 1) * g.patch
+        if lo < stop and start < hi:
+            mask[ti * num_freq:(ti + 1) * num_freq] = True
+    return mask
+
+
+def _video_truth_loops(region, g):
+    """Reference: the patches whose frame, row and column intervals all meet
+    the box."""
+    (f0, f1), (r0, r1), (c0, c1) = region
+    rows, cols = g.height // g.patch, g.width // g.patch
+    mask = np.zeros(g.frames * rows * cols, dtype=bool)
+    for fr in range(f0, f1):
+        for pr in range(rows):
+            if not (pr * g.patch < r1 and r0 < (pr + 1) * g.patch):
+                continue
+            for pc in range(cols):
+                if pc * g.patch < c1 and c0 < (pc + 1) * g.patch:
+                    mask[(fr * rows + pr) * cols + pc] = True
+    return mask
+
+
 def test_truth_masks_match_geometric_oracle():
-    g = GEOM
-    cls = dd.make_class(1, 55, g)
-    rng = np.random.default_rng(8)
-    for _ in range(10):
-        audio, video, _ = dd.generate_pair(cls, rng, g)
-        am = dd.audio_truth_mask(audio.source_band, g.audio)
-        vm = dd.video_truth_mask(video.source_region, g.video)
-        # oracle: a patch is truth iff any of its cells lies inside the region
-        t0, t1 = audio.source_band
-        cell_mask = np.zeros((g.audio.time_bins, g.audio.freq_bins), dtype=bool)
-        cell_mask[t0:t1, :] = True
-        per_patch = dd.patchify_audio(cell_mask.astype(float), g.audio).any(axis=-1)
-        assert np.array_equal(am, per_patch)
-        (f0, f1), (r0, r1), (c0, c1) = video.source_region
-        vmask = np.zeros((g.video.frames, g.video.height, g.video.width), dtype=bool)
-        vmask[f0:f1, r0:r1, c0:c1] = True
-        per_patch_v = dd.patchify_video(vmask.astype(float), g.video).any(axis=-1)
-        assert np.array_equal(vm, per_patch_v)
+    """The painted cells are one full box of the signature's shape, and the
+    truth masks the splits store, ``patchify(cells).any(-1)``, are exactly
+    the patches that box intersects, on grid-aligned and unaligned boxes."""
+    for geom in (GEOM,
+                 dd.SceneGeometry(dd.AudioGeometry(32, 8, 4), dd.VideoGeometry(2, 16, 16, 8)),
+                 dd.SceneGeometry(dd.AudioGeometry(24, 6, 2), dd.VideoGeometry(3, 24, 40, 4))):
+        cls = dd.make_class(1, 55, geom, correlation=0.5)
+        decoys = (dd.make_class(2, 55, geom),)
+        (band_w, fbins), video_shape = dd.signature_shapes(geom)
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            (_, audio_cells), (_, video_cells), _ = dd.generate_pair(cls, rng, geom, decoys)
+            band, region = _box(audio_cells), _box(video_cells)
+            assert tuple(hi - lo for lo, hi in band) == (band_w, fbins)
+            assert tuple(hi - lo for lo, hi in region) == video_shape
+            assert audio_cells.sum() == band_w * fbins
+            assert video_cells.sum() == np.prod(video_shape)
+            assert np.array_equal(dd.patchify(audio_cells, geom.audio).any(-1),
+                                  _audio_truth_loops(band, geom.audio))
+            assert np.array_equal(dd.patchify(video_cells, geom.video).any(-1),
+                                  _video_truth_loops(region, geom.video))
 
 
 def test_patchset_validation_and_indices():

@@ -26,7 +26,7 @@ def _entry_field_names() -> set[str]:
         tcfg = tr.TrainConfig(strategy, memory_capacity=4 * (row.memory is not None),
                               **{k: tr.STRATEGY_KNOBS[k] for k in row.knobs})
         names |= set(tr._memory_layout(BackboneConfig(), tcfg, geom)[1])
-    return names - set(dt._split_shapes(geom, 1))
+    return names - set(dt._split_layout(geom, 1))
 
 
 def test_guard_knows_every_stored_score_and_query():

@@ -450,6 +450,9 @@ def test_inconsistent_snapshot_rejected():
         {k: v for k, v in good.items() if k != "memory/field/feat_audio"},
         {**good, "memory/field/extra": np.zeros((len(mem), 4))},
         {**good, "memory/field/imp_audio": np.zeros((len(mem), 1000))},
+        # every stored value is finite
+        {**good, "memory/field/feat_audio": np.full_like(good["memory/field/feat_audio"], np.nan)},
+        {**good, "memory/field/q_video": np.full_like(good["memory/field/q_video"], -np.inf)},
         # the per-entry layout of earlier versions is not read
         {"memory/capacity": np.array([3.0]), "memory/seen": np.array([9.0]),
          "memory/layout": np.array([0.0]), "memory/count": np.array([1.0]),

@@ -11,7 +11,7 @@ import pytest
 
 import avcl.selection as sel
 from avcl.data import (AudioGeometry, SceneGeometry, VideoGeometry,
-                       full_patchset, generate_pair, make_class, patchify_audio)
+                       full_patchset, generate_pair, make_class, patchify)
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +499,8 @@ def test_gather_selected_matches_loop_and_remaps_indices():
     geom = SceneGeometry(audio=AudioGeometry(time_bins=32, freq_bins=8, patch=4),
                          video=VideoGeometry(frames=2, height=16, width=16, patch=8))
     cls = make_class(0, 7, geom)
-    audio, _, _ = generate_pair(cls, np.random.default_rng(60), geom)
-    patches = patchify_audio(np.stack([audio.values, audio.values * 0.5]), geom.audio)
+    (audio, _), _, _ = generate_pair(cls, np.random.default_rng(60), geom)
+    patches = patchify(np.stack([audio, audio * 0.5]), geom.audio)
     aps = full_patchset(patches, "audio", geom)
     selected = np.array([[0, 3, 5], [7, 1, 2]])
     with pytest.raises(sel.SelectionError):

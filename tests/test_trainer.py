@@ -296,7 +296,8 @@ def test_selection_inputs_of_a_replaying_step(tasks, geom, mcfg, monkeypatch,
     assert [args["kap"] for _, args, _ in selects] == [kap_a, kap_v] * 2
     for _, args, _ in selects[::2]:
         assert args["chunk_size"] == 2
-        assert args["grid"] == (geom.audio.num_time, geom.audio.num_freq)
+        a = geom.audio
+        assert args["grid"] == (a.time_bins // a.patch, a.freq_bins // a.patch)
     replay = next(out for name, _, out in scores if name == "sample_replay")
     if strategy == "stella":
         assert [name for name, _, _ in scores] == [
