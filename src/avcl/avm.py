@@ -180,9 +180,9 @@ def avm_train_step(avm: AvmParams, state: bb.BackboneState, o_a: Tensor,
     yhat = matching_forward(avm, s_a, s_v)
     loss = tt.bce(yhat, Tensor(labels))
     loss.backward()
-    for name, p in state.params.items():
-        if p.grad is not None and np.any(p.grad != 0.0):
-            raise AssertionError(f"matching loss leaked into backbone param {name}")
+    if np.concatenate([p.grad for p in state.params.values()], axis=None).any():
+        name = next(k for k, p in state.params.items() if p.grad.any())
+        raise AssertionError(f"matching loss leaked into backbone param {name}")
     opt.step()
     opt.zero_grad()
     return loss.item()

@@ -11,6 +11,9 @@ entries; readers consume until EOF. Names must be unique within a file.
 The reader returns one owned, writeable, C-contiguous array per entry, and
 a restore adopts them as they are: model parameters, optimizer moments and
 memory columns are these arrays, never copies into a model built first.
+The optimizer moments are one flat entry per module and kind
+(``opt/<module>/m``, ``opt/<module>/v``), which the optimizer then updates
+in place.
 """
 
 from __future__ import annotations

@@ -23,7 +23,8 @@ and only then parse the task files, each tensor against the shape that
 
 A run directory holds ``config.ini`` (the resolved configuration), and after
 every completed task ``task_XX.ckpt`` (model, optimizer moments, rehearsal
-memory, loss records, accuracy rows and gaps in one container) with
+memory, loss records, accuracy rows and gaps in one container; the moments
+are one flat ``opt/<module>/m`` and ``opt/<module>/v`` per module) with
 ``task_XX.rng.json`` (per random stream, the state and spawn count;
 ``train_seed`` rebuilds the rest) beside it; ``losses.csv``,
 ``acc_matrix.csv``, ``gaps.csv`` and ``retrieval.json`` are rewritten as
@@ -59,8 +60,12 @@ checkpoint whose ``model/`` tensors are not exactly those ``[model]`` and
 ``[data]`` give (a missing, extra or mis-shaped one, as with a checkpoint
 of another configuration), a checkpoint with a non-finite weight,
 optimizer moment or rehearsal-memory value, a checkpoint whose memory
-stores a grid id that is not an integer patch index of its grid, and a
-format-1 dataset, which must be regenerated); 4
+stores a grid id that is not an integer patch index of its grid or one
+grid id twice in an entry, or an insertion step or source task that is not
+an integer, a checkpoint whose optimizer moments are stored per parameter
+(it predates the flat layout of one ``m`` and one ``v`` per module, and the
+run must be started again), and a format-1 dataset, which must be
+regenerated); 4
 numeric divergence in training or in the attention maps of
 ``export-attention``.
 A run aborted by a config or data error never leaves a partial run

@@ -178,7 +178,9 @@ def memory_from_arrays(arrays: dict[str, np.ndarray], capacity: int,
     The entry count is the length of ``memory/steps``, at most ``capacity``
     and the seen count.  The snapshot must hold ``capacity`` and exactly the
     stored ``fields`` (name -> per-entry shape), one row of finite values
-    per entry, all checked before the memory is built.  Field columns are
+    per entry, and insertion steps and source tasks that are integers (a
+    step at least 0, a task at least -1, the task of a run that never set
+    one), all checked before the memory is built.  Field columns are
     adopted as they are when they own writeable C-contiguous float64
     buffers, as the checkpoint reader returns them; views, such as those of
     :func:`snapshot_arrays`, are copied."""
@@ -197,6 +199,11 @@ def memory_from_arrays(arrays: dict[str, np.ndarray], capacity: int,
         raise RehearsalError("snapshot entry count inconsistent")
     if steps.shape != (count,) or tasks.shape != (count,):
         raise RehearsalError("snapshot columns do not match the entry count")
+    for name, col, low in (("steps", steps, 0), ("tasks", tasks, -1)):
+        # a NaN fails every comparison, so the cast below never warns
+        if not ((col >= low) & (col < 2.0 ** 63) & (col == np.floor(col))).all():
+            raise RehearsalError(f"snapshot memory/{name} holds a value that is "
+                                 f"no integer of at least {low}")
     if ({k: v.shape for k, v in stored.items()}
             != {k: (count, *shape) for k, shape in fields.items()}):
         raise RehearsalError("snapshot fields do not match the fields this "

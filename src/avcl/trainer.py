@@ -640,24 +640,32 @@ def avm_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig
 def _expect_keys(arrays: dict[str, np.ndarray], prefix: str,
                  expected: set[str]) -> None:
     """:class:`checkpoint.CheckpointError` naming the keys unless those of
-    the ``prefix/`` section are exactly ``expected``."""
+    the ``prefix/`` section are exactly ``expected``; one that predates the
+    flat moment layout (a ``prefix/m/<name>`` or ``prefix/v/<name>`` key)
+    is named as such."""
     found = {k for k in arrays if k.startswith(prefix + "/")}
-    if found != expected:
+    if found == expected:
+        return
+    old = sorted(k for k in found if k.startswith((prefix + "/m/", prefix + "/v/")))
+    if old:
         raise cp.CheckpointError(
-            f"optimizer moments under {prefix}/ do not match the parameters: "
-            f"missing {sorted(expected - found)}, unexpected {sorted(found - expected)}")
+            f"optimizer moments under {prefix}/ are stored per parameter "
+            f"({old[0]!r}, ...): the checkpoint predates the flat moment "
+            "layout (one m and one v per module); start the run again")
+    raise cp.CheckpointError(
+        f"optimizer moments under {prefix}/ do not match the parameters: "
+        f"missing {sorted(expected - found)}, unexpected {sorted(found - expected)}")
 
 
 def _moments(arrays: dict[str, np.ndarray], prefix: str,
-             params: dict[str, tt.Tensor]) -> tuple[dict, dict]:
-    """The first and second moments stored under ``prefix`` for ``params``,
-    adopted as the reader returned them, once the ``prefix/`` section holds
-    exactly the m and v of those parameters and all of them are finite (one
-    check over both); :class:`optim.Adam` checks their shapes."""
-    _expect_keys(arrays, prefix, {f"{prefix}/{kind}/{k}"
-                                  for kind in ("m", "v") for k in params})
-    m, v = ({k: arrays[f"{prefix}/{kind}/{k}"] for k in params} for kind in ("m", "v"))
-    if not np.isfinite(np.concatenate([*m.values(), *v.values()], axis=None)).all():
+             params: dict[str, tt.Tensor]) -> tuple[np.ndarray, np.ndarray]:
+    """The flat first and second moments stored under ``prefix``, adopted as
+    the reader returned them, once the ``prefix/`` section holds exactly
+    ``m`` and ``v`` and both are finite; :class:`optim.Adam` checks that
+    each holds one value per value of ``params``."""
+    _expect_keys(arrays, prefix, {f"{prefix}/m", f"{prefix}/v"})
+    m, v = arrays[f"{prefix}/m"], arrays[f"{prefix}/v"]
+    if not (np.isfinite(m).all() and np.isfinite(v).all()):
         raise cp.CheckpointError(f"non-finite optimizer moment under {prefix}/")
     return m, v
 
@@ -672,8 +680,9 @@ def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
     :func:`evaluate.check_acc_matrix` and ``run/gaps`` one value per task.
     The model, optimizer moments and memory columns are the reader's arrays
     themselves, checked against the layout the configuration gives and for
-    finite values (stored grid ids also for integers on the grid), so no
-    placeholder is built to be overwritten and no random number is drawn.
+    finite values (stored grid ids also for integers on the grid, distinct
+    within each entry), so no placeholder is built to be overwritten and no
+    random number is drawn.
     The records give both optimizers' step counts; ``run/step`` and
     ``run/tasks_done`` of older checkpoints are not read."""
     records = arrays["run/records"]
@@ -695,9 +704,16 @@ def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
         _expect_keys(arrays, _A_OPT, set())
     mem = rm.memory_from_arrays(arrays, *_memory_layout(mcfg, tcfg, geom))
     for name, g in (("audio_indices", geom.audio), ("video_indices", geom.video)):
-        if name in mem.fields and not np.isin(mem.fields[name], np.arange(g.patches)).all():
+        if name not in mem.fields:
+            continue
+        ids = mem.fields[name]
+        if not np.isin(ids, np.arange(g.patches)).all():
             raise rm.RehearsalError(f"snapshot field {name!r} holds a value that "
                                     f"is no grid id of the {g.patches} patches")
+        ordered = np.sort(ids, axis=1)
+        if np.any(ordered[:, 1:] == ordered[:, :-1]):
+            raise rm.RehearsalError(f"snapshot field {name!r} repeats a grid id "
+                                    "within an entry")
     run = _run_state(backbone_from_arrays(arrays, mcfg, geom), avm, mem, tcfg, streams,
                      [LossRecord(i, *[float(v) for v in r]) for i, r in enumerate(records)],
                      functools.partial(_moments, arrays))

@@ -329,15 +329,37 @@ def test_adam_takes_its_moments_at_construction():
         p.grad = np.ones_like(p.data)
     opt.step()
     arrays = opt.named_arrays("opt/avm")
-    assert not any(k.endswith("/step") for k in arrays)  # moments only
-    m = {k: arrays[f"opt/avm/m/{k}"] for k in avm.params}
-    v = {k: arrays[f"opt/avm/v/{k}"] for k in avm.params}
+    assert sorted(arrays) == ["opt/avm/m", "opt/avm/v"]  # moments only
+    total = sum(p.size for p in avm.params.values())
+    m, v = arrays["opt/avm/m"], arrays["opt/avm/v"]
+    assert m.shape == v.shape == (total,)
     fresh = Adam(avm.params, m, v, lr=1e-3)
     assert fresh.step_count == 0  # the trainer sets it from its loss records
-    assert all(fresh.m[k] is m[k] and fresh.v[k] is v[k] for k in avm.params)
-    assert all(np.array_equal(fresh.m[k], opt.m[k]) for k in opt.m)
+    assert fresh.m is m and fresh.v is v
+    assert np.array_equal(fresh.m, opt.m) and np.array_equal(fresh.v, opt.v)
     with pytest.raises(ValueError, match="shape mismatch"):
-        Adam(avm.params, m, {**v, "avm/head/b1": np.zeros(3)}, lr=1e-3)
-    del v["avm/head/b1"]
-    with pytest.raises(KeyError):
-        Adam(avm.params, m, v, lr=1e-3)
+        Adam(avm.params, m, np.zeros(total + 3), lr=1e-3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Adam(avm.params, m[:-1], v, lr=1e-3)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        Adam(avm.params, m, v[None], lr=1e-3)
+
+
+def test_backbone_isolation_names_the_first_leaking_parameter():
+    """The isolation check is one test over all backbone gradients; a
+    nonzero one fails the step before the head moves, naming the first
+    backbone parameter that holds it."""
+    state, avm, rng = _setup(6)
+    aps, vps = _batch(rng)
+    tokens = av.fusion_tokens(state, aps, vps)
+    names = list(state.params)
+    first, later = names[len(names) // 2], names[-1]
+    state.params[later].grad.flat[0] = 1.0
+    state.params[first].grad.flat[-1] = -1e-300
+    avm_before = {k: t.data.copy() for k, t in avm.params.items()}
+    opt = _fresh_adam(avm.params, 1e-3)
+    with pytest.raises(AssertionError) as exc:
+        av.avm_train_step(avm, state, *tokens, opt, rng)
+    assert str(exc.value) == f"matching loss leaked into backbone param {first}"
+    assert opt.step_count == 0
+    assert all(np.array_equal(avm.params[k].data, avm_before[k]) for k in avm_before)

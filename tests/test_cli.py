@@ -5,6 +5,7 @@ import hashlib
 import json
 import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -321,13 +322,13 @@ def test_checkpoint_of_another_model_exits_3(ws, capsys, change):
 
 @pytest.mark.parametrize("strategy", ["stella", "derpp"])
 def test_stray_optimizer_moment_exits_3(ws, capsys, monkeypatch, strategy):
-    """Each ``opt/<module>/`` section holds exactly the m and v of that
-    module's parameters, so a stray backbone moment, or any ``opt/avm/``
-    key in a checkpoint without a matching module, is a data error that
-    resume names before training, like a stray ``model/`` key."""
+    """Each ``opt/<module>/`` section holds exactly that module's flat ``m``
+    and ``v``, so a stray backbone key, or any ``opt/avm/`` key in a
+    checkpoint without a matching module, is a data error that resume names
+    before training, like a stray ``model/`` key."""
     if strategy == "stella":
         run, args = _first_task_copy(ws, "run_stray_moment")
-        key = "opt/backbone/m/bogus"
+        key = "opt/backbone/bogus"
     else:
         cfg = _variant(ws, "derpp", "strategy = stella", "strategy = derpp")
         run = ws / "run_derpp_stray_moment"
@@ -336,7 +337,7 @@ def test_stray_optimizer_moment_exits_3(ws, capsys, monkeypatch, strategy):
         assert cli.main(args) == 0
         for path in ("task_01.ckpt", "task_01.rng.json"):
             (run / path).unlink()
-        key = "opt/avm/m/avm/head/w1"
+        key = "opt/avm/m"
     arrays = ckpt.load(run / "task_00.ckpt")
     arrays[key] = np.zeros(3)
     ckpt.save(run / "task_00.ckpt", arrays)
@@ -370,12 +371,26 @@ def test_non_finite_model_tensor_exits_3(ws, capsys, key):
     assert err.count(f"non-finite value in model tensor {key[len('model/'):]!r}") == 3
 
 
+def _moment_slices(arrays, module):
+    """Parameter name -> its slice of the module's flat moments: the
+    ``model/`` tensors of the module, in the order the checkpoint holds
+    them, which is its parameter table's."""
+    names = [k[len("model/"):] for k in arrays if k.startswith("model/")
+             and k.startswith("model/avm/") == (module == "avm")]
+    bounds = np.cumsum([0] + [arrays[f"model/{k}"].size for k in names])
+    return {k: slice(lo, hi) for k, lo, hi in zip(names, bounds[:-1], bounds[1:])}
+
+
 @pytest.mark.parametrize("key", ["opt/backbone/v/audio_pos", "opt/avm/m/avm/head/w2"])
 def test_non_finite_optimizer_moment_exits_3_before_training(ws, capsys,
                                                             monkeypatch, key):
+    """An inf in the moment ``key`` names (module, kind, parameter), at the
+    parameter's last value in the module's flat moments."""
+    _, module, kind, name = key.split("/", 3)
     run, args = _first_task_copy(ws, f"run_nan_{key.replace('/', '_')}")
     arrays = ckpt.load(run / "task_00.ckpt")
-    arrays[key][-1] = np.inf
+    last = _moment_slices(arrays, module)[name].stop - 1
+    arrays[f"opt/{module}/{kind}"][last] = np.inf
     ckpt.save(run / "task_00.ckpt", arrays)
 
     def no_training(*args, **kwargs):
@@ -384,6 +399,33 @@ def test_non_finite_optimizer_moment_exits_3_before_training(ws, capsys,
     monkeypatch.setattr(tr, "train_step", no_training)
     assert cli.main(args) == 3
     assert "non-finite optimizer moment" in capsys.readouterr().err
+    assert not (run / "task_01.ckpt").exists()
+
+
+def test_per_parameter_moment_checkpoint_exits_3_before_training(ws, capsys,
+                                                                monkeypatch):
+    """A checkpoint written before the flat moment layout stores one moment
+    per parameter and kind (``opt/<module>/m/<name>``); resume names it as
+    such, exit 3, instead of training from it."""
+    run, args = _first_task_copy(ws, "run_per_parameter_moments")
+    arrays = ckpt.load(run / "task_00.ckpt")
+    for module in ("backbone", "avm"):
+        for name, part in _moment_slices(arrays, module).items():
+            shape = arrays[f"model/{name}"].shape
+            for kind in "mv":
+                flat = arrays[f"opt/{module}/{kind}"]
+                arrays[f"opt/{module}/{kind}/{name}"] = flat[part].reshape(shape)
+        del arrays[f"opt/{module}/m"], arrays[f"opt/{module}/v"]
+    ckpt.save(run / "task_00.ckpt", arrays)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained from a per-parameter moment checkpoint")
+
+    monkeypatch.setattr(tr, "train_step", no_training)
+    capsys.readouterr()
+    assert cli.main(args) == 3
+    err = capsys.readouterr().err
+    assert "predates the flat moment layout" in err and "start the run again" in err
     assert not (run / "task_01.ckpt").exists()
 
 
@@ -510,12 +552,15 @@ def ws_plus(ws):
 @pytest.mark.parametrize("strategy,field,damage", [
     ("stella", "q_audio", "inf"), ("stella", "audio_patches", "nan"),
     ("stella_plus", "audio_indices", "off_grid"),
-    ("stella_plus", "video_indices", "fraction")])
+    ("stella_plus", "video_indices", "fraction"),
+    ("stella_plus", "audio_indices", "repeated"),
+    ("stella_plus", "video_indices", "repeated")])
 def test_bad_memory_value_exits_3_before_training(ws, ws_plus, capsys, monkeypatch,
                                                   strategy, field, damage):
     """A memory value no step could have stored is a data error at restore:
-    a non-finite value in any column, or a stored grid id that is not an
-    integer patch index of its grid."""
+    a non-finite value in any column, a stored grid id that is not an
+    integer patch index of its grid, or an entry that stores one grid id
+    twice."""
     cfg, source = ws_plus if strategy == "stella_plus" else (ws / "cfg.ini",
                                                              ws / "run_stella")
     run = ws / f"run_memory_{field}_{damage}"
@@ -528,6 +573,8 @@ def test_bad_memory_value_exits_3_before_training(ws, ws_plus, capsys, monkeypat
         col.flat[0] = np.inf
     elif damage == "nan":
         col.flat[-1] = np.nan
+    elif damage == "repeated":
+        col[:, 1] = col[:, 0]
     else:
         col += 1000 if damage == "off_grid" else 0.5
     ckpt.save(run / "task_00.ckpt", arrays)
@@ -539,6 +586,29 @@ def test_bad_memory_value_exits_3_before_training(ws, ws_plus, capsys, monkeypat
     assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
                      "--out", str(run)]) == 3
     assert f"snapshot field {field!r}" in capsys.readouterr().err
+    assert not (run / "task_01.ckpt").exists()
+
+
+@pytest.mark.parametrize("column,value", [("steps", np.nan), ("tasks", 0.5)])
+def test_bad_memory_bookkeeping_exits_3_before_training(ws, capsys, monkeypatch,
+                                                        column, value):
+    """Insertion steps and source tasks are integers (a task may be -1);
+    any other value is a data error at restore, without a numpy cast
+    warning."""
+    run, args = _first_task_copy(ws, f"run_memory_{column}_{value}")
+    arrays = ckpt.load(run / "task_00.ckpt")
+    arrays[f"memory/{column}"][-1] = value
+    ckpt.save(run / "task_00.ckpt", arrays)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained on damaged memory bookkeeping")
+
+    monkeypatch.setattr(tr, "train_step", no_training)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(args) == 3
+    assert f"snapshot memory/{column} holds a value" in capsys.readouterr().err
     assert not (run / "task_01.ckpt").exists()
 
 

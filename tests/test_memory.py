@@ -445,6 +445,16 @@ def test_inconsistent_snapshot_rejected():
         {**good, "memory/seen": np.array([2.0])},  # fewer seen than stored
         {**good, "memory/seen": np.array([1e30])},  # beyond the int64 draws
         {**good, "memory/tasks": np.zeros(2)},
+        # insertion steps (at least 0) and source tasks (at least -1, unset)
+        # are integers an int64 holds: checked before the cast, which would
+        # warn on a NaN and truncate a fraction
+        {**good, "memory/steps": good["memory/steps"] + [0.0, np.nan, 0.0]},
+        {**good, "memory/steps": good["memory/steps"] + [0.0, 0.5, 0.0]},
+        {**good, "memory/steps": np.full(3, np.inf)},
+        {**good, "memory/steps": np.full(3, 2.0 ** 63)},
+        {**good, "memory/steps": np.full(3, -1.0)},
+        {**good, "memory/tasks": good["memory/tasks"] + [0.0, 0.5, 0.0]},
+        {**good, "memory/tasks": np.full(3, -2.0)},
         {**good, "memory/field/feat_audio": good["memory/field/feat_audio"][:2]},
         # every field is the run's own, at its own per-entry shape
         {k: v for k, v in good.items() if k != "memory/field/feat_audio"},

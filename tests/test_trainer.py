@@ -6,7 +6,6 @@ import dataclasses
 import functools
 import inspect
 import json
-import re
 import sys
 
 import numpy as np
@@ -555,7 +554,7 @@ def test_restore_rejects_bad_optimizer_state(tasks, geom, mcfg, tmp_path):
     tr.run_sequence(tasks[:1], geom, mcfg, cfg, tmp_path)
     ckpt = tmp_path / "task_00.ckpt"
     arrays = cp.load(ckpt)
-    arrays["opt/avm/m/avm/head/b1"] = np.zeros(1)
+    arrays["opt/avm/m"] = arrays["opt/avm/m"][:-1]
     cp.save(ckpt, arrays)
     with pytest.raises(ValueError, match="shape mismatch"):
         tr.run_sequence(tasks, geom, mcfg, cfg, tmp_path)
@@ -598,8 +597,8 @@ def test_restored_parameters_and_moments_are_the_readers_arrays(
                                 (run.avm.params, run.a_opt, "opt/avm")):
         for k, p in params.items():
             assert p.data is arrays[f"model/{k}"] and p.requires_grad, k
-            assert opt.m[k] is arrays[f"{prefix}/m/{k}"], k
-            assert opt.v[k] is arrays[f"{prefix}/v/{k}"], k
+        assert opt.m is arrays[f"{prefix}/m"] and opt.v is arrays[f"{prefix}/v"]
+        assert opt.m.shape == (sum(p.size for p in params.values()),)
         assert opt.step_count == steps
     assert list(run.state.params) == list(bb.param_table(mcfg, geom))
     assert list(run.avm.params) == list(am.param_table(mcfg))
@@ -723,14 +722,20 @@ _STORED = {
 
 @pytest.mark.parametrize("strategy", tr.STRATEGIES)
 def test_checkpoint_keys_are_pinned(tasks, geom, mcfg, tmp_path, strategy):
-    """Every checkpoint key outside the model and the optimizer moments is
-    pinned, so a key that only repeats another one (a step count, an entry
-    count) cannot come back unnoticed."""
+    """Every checkpoint key outside the model is pinned, so a key that only
+    repeats another one (a step count, an entry count) cannot come back
+    unnoticed.  The optimizer moments are one flat ``m`` and one flat ``v``
+    per module, one value per parameter value."""
     run, _, _ = tr.run_sequence(tasks[:1], geom, mcfg, _cfg(strategy), tmp_path)
     arrays = cp.load(tmp_path / "task_00.ckpt")
-    moments = re.compile(r"opt/(backbone|avm)/[mv]/.+")
-    rest = {k for k in arrays
-            if not k.startswith("model/") and not moments.fullmatch(k)}
+    modules = {"backbone": run.state} | ({"avm": run.avm} if run.avm else {})
+    moments = {f"opt/{name}/{kind}" for name in modules for kind in "mv"}
+    assert {k for k in arrays if k.startswith("opt/")} == moments
+    for name, module in modules.items():
+        total = sum(p.size for p in module.params.values())
+        for kind in "mv":
+            assert arrays[f"opt/{name}/{kind}"].shape == (total,)
+    rest = {k for k in arrays if not k.startswith(("model/", "opt/"))}
     assert rest == ({"memory/capacity", "memory/seen", "memory/steps",
                      "memory/tasks", "run/records", "run/acc/00", "run/gaps"}
                     | {f"memory/field/{name}" for name in _STORED[strategy]})
