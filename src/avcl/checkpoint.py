@@ -11,9 +11,9 @@ entries; readers consume until EOF. Names must be unique within a file.
 The reader returns one owned, writeable, C-contiguous array per entry, and
 a restore adopts them as they are: model parameters, optimizer moments and
 memory columns are these arrays, never copies into a model built first.
-The optimizer moments are one flat entry per module and kind
-(``opt/<module>/m``, ``opt/<module>/v``), which the optimizer then updates
-in place.
+Every read is checked by one rule, :func:`check_layout`: exactly the names
+a declared name -> shape layout gives, each at its shape, with finite
+values.  What a file holds is declared where it is read.
 """
 
 from __future__ import annotations
@@ -98,6 +98,27 @@ def read_entries(fh) -> dict[str, np.ndarray]:
             arr.byteswap(inplace=True)
         out[name] = arr
     return out
+
+
+def check_layout(tensors: dict[str, np.ndarray],
+                 layout: dict[str, tuple[int, ...]]) -> None:
+    """:class:`CheckpointError` unless ``tensors`` holds exactly the names of
+    ``layout`` (name -> shape), each at its shape and with finite values.
+    The error lists the missing and unexpected names, or names the first
+    tensor, in layout order, of another shape or with a non-finite value."""
+    if tensors.keys() != layout.keys():
+        raise CheckpointError(
+            "tensors do not match the layout: missing "
+            f"{sorted(layout.keys() - tensors.keys())}, unexpected "
+            f"{sorted(tensors.keys() - layout.keys())}")
+    for name, shape in layout.items():
+        arr = tensors[name]
+        if arr.shape != shape:
+            raise CheckpointError(f"shape mismatch for tensor {name!r}: "
+                                  f"{arr.shape}, not {shape}")
+        # count_nonzero has no Python-level wrapper, unlike .all()
+        if np.count_nonzero(np.isfinite(arr)) != arr.size:
+            raise CheckpointError(f"non-finite value in tensor {name!r}")
 
 
 def serialized_size(tensors: dict[str, np.ndarray]) -> int:

@@ -18,25 +18,17 @@ file).  Each file is replaced atomically and the manifest is written last; a
 dataset is read only through it, so an interrupted ``generate-data`` leaves
 nothing that loads as data.  ``run``, ``eval`` and ``export-attention`` check
 the format, then the hashes, then that their ``[data]`` equals the dataset's,
-and only then parse the task files, each tensor against the shape that
-``[data]`` gives it.
+and only then parse the task files.
 
 A run directory holds ``config.ini`` (the resolved configuration), and after
 every completed task ``task_XX.ckpt`` (model, optimizer moments, rehearsal
-memory, loss records, accuracy rows and gaps in one container; the moments
-are one flat ``opt/<module>/m`` and ``opt/<module>/v`` per module) with
-``task_XX.rng.json`` (per random stream, the state and spawn count;
-``train_seed`` rebuilds the rest) beside it; ``losses.csv``,
-``acc_matrix.csv``, ``gaps.csv`` and ``retrieval.json`` are rewritten as
-tasks complete.  Each file is replaced atomically and ``task_XX.rng.json``
-is written last, so a task without it is redone on resume.  The step count
-is the number of loss records (five losses per step); resume checks it, the
-accuracy rows and the gaps against the finished tasks before training, so
-an older run directory with six-column records exits 3.  Only
-``stella_plus`` memories store grid ids: a run directory written with
-grid-id columns for another strategy exits 3 on resume ("snapshot fields
-do not match"), and so does one whose memory, with a capacity above zero,
-was saved before its first entry without field columns.  ``run`` ends by
+memory, loss records, accuracy rows and gaps in one container; see
+``trainer._checkpoint_layout``) with ``task_XX.rng.json`` (per random
+stream, the state and spawn count; ``train_seed`` rebuilds the rest) beside
+it; ``losses.csv``, ``acc_matrix.csv``, ``gaps.csv`` and ``retrieval.json``
+are rewritten as tasks complete.  Each file is replaced atomically and
+``task_XX.rng.json`` is written last, so a task without it is redone on
+resume.  The step count is the number of loss records.  ``run`` ends by
 printing ``A``, with two or more tasks ``F`` and ``gap decline`` (the mean
 per-task drop of the modality gap), and ``memory bytes`` (the stored size
 of the final rehearsal memory).
@@ -44,30 +36,36 @@ of the final rehearsal memory).
 The ``--out`` files of ``eval``, ``report`` and ``export-attention`` are
 replaced atomically too, so a failed write leaves no partial output.
 
-Exit codes: 0 success; 2 configuration or usage error (including
-out-of-range ``[data]``, ``[model]``, ``[train]`` or ``[eval]`` values,
-such as a zero patch size or head count or a ``correlation`` outside
-[0, 1], a ``[train] batch`` below 2, a ``[data]`` section that differs
-from the dataset's ``config.ini``, and ``--rows`` or ``--eval-workers``
-below 1); 3 data error
-(missing, truncated, modified or unreadable files, including a task file or
-checkpoint with a missing or malformed tensor, task-file truth masks outside
-{0, 1} or class ids outside the task's classes, a run directory whose
-``acc_matrix.csv`` or ``retrieval.json`` is malformed, disagrees on the
-task count or lacks a configured cutoff for ``report``, a checkpoint whose
-rehearsal-memory snapshot is inconsistent or in an older format, a
-checkpoint whose ``model/`` tensors are not exactly those ``[model]`` and
-``[data]`` give (a missing, extra or mis-shaped one, as with a checkpoint
-of another configuration), a checkpoint with a non-finite weight,
-optimizer moment or rehearsal-memory value, a checkpoint whose memory
-stores a grid id that is not an integer patch index of its grid or one
-grid id twice in an entry, or an insertion step or source task that is not
-an integer, a checkpoint whose optimizer moments are stored per parameter
-(it predates the flat layout of one ``m`` and one ``v`` per module, and the
-run must be started again), and a format-1 dataset, which must be
-regenerated); 4
-numeric divergence in training or in the attention maps of
-``export-attention``.
+Exit codes:
+
+- 0 success;
+- 2 configuration or usage error: an out-of-range ``[data]``, ``[model]``,
+  ``[train]`` or ``[eval]`` value (such as a zero patch size or head count,
+  a ``correlation`` outside [0, 1] or a ``[train] batch`` below 2), a
+  ``[data]`` section that differs from the dataset's ``config.ini``, and
+  ``--rows`` or ``--eval-workers`` below 1;
+- 3 data error:
+
+  - a missing, truncated, modified or unreadable file, or a format-1
+    dataset, which must be regenerated;
+  - the one layout rule, ``checkpoint.check_layout``, on every tensor
+    container read (task files, and checkpoints for resume, ``eval`` and
+    ``export-attention``): exactly the tensors the configuration lays out,
+    each at its shape, all finite.  A checkpoint of another model or
+    strategy breaks it, and so does one older than the flat moment layout,
+    which must be started again.  A non-finite task-file value is a data
+    error (3), not a numeric divergence (4);
+  - the semantic checks: task-file truth masks in {0, 1} and class ids of
+    the task; accuracy values in [0, 100]; a rehearsal memory of the
+    configured capacity, with no more entries than it and the seen count,
+    integer insertion steps and source tasks, and in each entry distinct
+    grid ids of its grid; a well-formed random-stream file; and for
+    ``report`` an ``acc_matrix.csv`` and ``retrieval.json`` that are well
+    formed, agree on the task count and hold every configured cutoff;
+
+- 4 numeric divergence in training or in the attention maps of
+  ``export-attention``.
+
 A run aborted by a config or data error never leaves a partial run
 directory; an interrupted training run resumes from its last
 completed task.

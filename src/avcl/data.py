@@ -426,32 +426,31 @@ def write_task_file(path, task: TaskData) -> None:
 def read_task_file(path, cfg: DataConfig, spec: TaskSpec) -> TaskData:
     """Load the task ``spec`` from a file written by :func:`write_task_file`.
 
-    Every one of the ten tensors must be present with the shape ``cfg``
-    gives it, truth masks must hold only 0 and 1 and class ids only those of
-    ``spec``; each is then cast to its field's dtype.  Unreadable bytes or a
-    missing, mis-shaped or out-of-range tensor raise :class:`DataError`
+    The file must hold exactly the ten tensors, each at the shape ``cfg``
+    gives it and finite (:func:`checkpoint.check_layout`); truth masks must
+    hold only 0 and 1 and class ids only those of ``spec``.  Each is then
+    cast to its field's dtype.  Anything else raises :class:`DataError`
     naming the file and the tensor.
     """
+    layouts = {"train": _split_layout(cfg.geometry, cfg.train_pairs),
+               "eval": _split_layout(cfg.geometry, cfg.eval_pairs)}
     try:
         tensors = ckpt.load(path)
+        ckpt.check_layout(tensors, {f"{name}/{attr}": shape
+                                    for name, layout in layouts.items()
+                                    for attr, (shape, _) in layout.items()})
     except ckpt.CheckpointError as e:
         raise DataError(f"{path}: {e}") from e
     allowed = {"audio_truth": (0, 1), "video_truth": (0, 1), "class_ids": spec.class_ids}
 
-    def split(name: str, n: int) -> SampleSet:
+    def split(name: str) -> SampleSet:
         arrays = {}
-        for attr, (shape, dtype) in _split_layout(cfg.geometry, n).items():
+        for attr, (_, dtype) in layouts[name].items():
             key = f"{name}/{attr}"
-            if key not in tensors:
-                raise DataError(f"{path}: missing tensor {key!r}")
-            if tensors[key].shape != shape:
-                raise DataError(f"{path}: tensor {key!r} has shape "
-                                f"{tensors[key].shape}, expected {shape}")
             if attr in allowed and not np.isin(tensors[key], allowed[attr]).all():
                 raise DataError(f"{path}: tensor {key!r} holds a value not among "
                                 f"{allowed[attr]}")
             arrays[attr] = tensors[key].astype(dtype, copy=False)
         return SampleSet(**arrays)
 
-    return TaskData(spec, split("train", cfg.train_pairs),
-                    split("eval", cfg.eval_pairs))
+    return TaskData(spec, split("train"), split("eval"))

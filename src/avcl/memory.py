@@ -174,45 +174,41 @@ def memory_bytes(mem: ReservoirMemory) -> int:
 
 def memory_from_arrays(arrays: dict[str, np.ndarray], capacity: int,
                        fields: dict[str, tuple[int, ...]]) -> ReservoirMemory:
-    """Inverse of :func:`snapshot_arrays`; ``arrays`` may hold other keys.
-    The entry count is the length of ``memory/steps``, at most ``capacity``
-    and the seen count.  The snapshot must hold ``capacity`` and exactly the
-    stored ``fields`` (name -> per-entry shape), one row of finite values
-    per entry, and insertion steps and source tasks that are integers (a
-    step at least 0, a task at least -1, the task of a run that never set
-    one), all checked before the memory is built.  Field columns are
+    """Inverse of :func:`snapshot_arrays`, reading only the ``memory/`` keys
+    of ``arrays``.  They must be exactly a snapshot of the stored ``fields``
+    (name -> per-entry shape), one entry per ``memory/steps`` value, all
+    finite (:func:`checkpoint.check_layout`); then the stored capacity must
+    be ``capacity``, the entry count at most it and the seen count, and the
+    insertion steps and source tasks integers (a step at least 0, a task at
+    least -1, the task of a run that never set one).  Field columns are
     adopted as they are when they own writeable C-contiguous float64
     buffers, as the checkpoint reader returns them; views, such as those of
     :func:`snapshot_arrays`, are copied."""
+    section = {k: v for k, v in arrays.items() if k.startswith("memory/")}
+    # sizes the layout; the check names a missing or misshaped memory/steps
+    count = np.size(section.get("memory/steps", ()))
     try:
-        stored_capacity = int(arrays["memory/capacity"][0])
-        seen = int(arrays["memory/seen"][0])
-        steps, tasks = arrays["memory/steps"], arrays["memory/tasks"]
-        count = len(steps)
-    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
-        raise RehearsalError(f"snapshot bookkeeping unreadable: {exc}") from None
+        cp.check_layout(section, {
+            "memory/capacity": (1,), "memory/seen": (1,), "memory/steps": (count,),
+            "memory/tasks": (count,),
+            **{_FIELD + name: (count, *shape) for name, shape in fields.items()}})
+    except cp.CheckpointError as exc:
+        raise RehearsalError(f"snapshot: {exc}") from None
+    stored_capacity = int(section["memory/capacity"][0])
+    seen = int(section["memory/seen"][0])
     if stored_capacity != capacity:
         raise RehearsalError(f"snapshot capacity {stored_capacity} does not "
                              f"match the configured {capacity}")
-    stored = {k[len(_FIELD):]: v for k, v in arrays.items() if k.startswith(_FIELD)}
     if not count <= min(capacity, seen) or seen >= 2 ** 63:
         raise RehearsalError("snapshot entry count inconsistent")
-    if steps.shape != (count,) or tasks.shape != (count,):
-        raise RehearsalError("snapshot columns do not match the entry count")
-    for name, col, low in (("steps", steps, 0), ("tasks", tasks, -1)):
-        # a NaN fails every comparison, so the cast below never warns
+    for name, low in (("memory/steps", 0), ("memory/tasks", -1)):
+        col = section[name]
         if not ((col >= low) & (col < 2.0 ** 63) & (col == np.floor(col))).all():
-            raise RehearsalError(f"snapshot memory/{name} holds a value that is "
+            raise RehearsalError(f"snapshot tensor {name!r} holds a value that is "
                                  f"no integer of at least {low}")
-    if ({k: v.shape for k, v in stored.items()}
-            != {k: (count, *shape) for k, shape in fields.items()}):
-        raise RehearsalError("snapshot fields do not match the fields this "
-                             f"run stores: {sorted(stored)} vs {sorted(fields)}")
-    for name in fields:
-        if not np.isfinite(stored[name]).all():
-            raise RehearsalError(f"snapshot field {name!r} holds a non-finite value")
     mem = ReservoirMemory(capacity, fields, seen_count=seen, count=count,
-                          steps=steps.astype(np.int64), tasks=tasks.astype(np.int64))
-    mem.fields = {name: np.require(stored[name], np.float64, "CWO")
+                          steps=section["memory/steps"].astype(np.int64),
+                          tasks=section["memory/tasks"].astype(np.int64))
+    mem.fields = {name: np.require(section[_FIELD + name], np.float64, "CWO")
                   for name in fields}
     return mem

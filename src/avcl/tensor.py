@@ -30,6 +30,7 @@ Design constraints baked in here:
 
 from __future__ import annotations
 
+import math
 import threading
 
 import numpy as np
@@ -73,8 +74,10 @@ class Tensor:
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         # min/max propagate nan and expose inf without allocating a bool
-        # array the size of the data (this check runs on every node).
-        if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        # array the size of the data (this check runs on every node); bare
+        # ufunc reductions skip ndarray.min's Python-level wrapper.
+        if arr.size and not (math.isfinite(np.minimum.reduce(arr, axis=None))
+                             and math.isfinite(np.maximum.reduce(arr, axis=None))):
             raise NumericError("non-finite value in tensor")
         self.data = arr
         self.requires_grad = bool(requires_grad)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import operator
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -496,8 +497,6 @@ def _reads(error: type[ValueError], what: str):
         def wrapper(*args, **kwargs):
             try:
                 return fn(*args, **kwargs)
-            except (cp.CheckpointError, rm.RehearsalError):
-                raise
             except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
                 raise error(f"{what} missing or malformed: {exc}") from None
         return wrapper
@@ -551,11 +550,7 @@ def _rng_state_json(streams: dict[str, np.random.Generator]) -> str:
                        for name, gen in streams.items()})
 
 
-#: missing, mis-shaped or malformed checkpoint tensors or random-stream states
-_reads_checkpoint = _reads(cp.CheckpointError, "checkpoint data")
-
-
-@_reads_checkpoint
+@_reads(cp.CheckpointError, "random-stream state")
 def _streams_from_json(text: str, seed: int) -> dict[str, np.random.Generator]:
     """Inverse of :func:`_rng_state_json` for a run seeded with ``seed``.
     The spawn count is a constructor argument, so it costs no replay, and
@@ -587,35 +582,53 @@ def _checkpoint_arrays(run: RunState, acc: list[list[float]],
     return out
 
 
-def _model_tensors(arrays: dict[str, np.ndarray], avm: bool
-                   ) -> dict[str, np.ndarray]:
-    """The checkpoint's ``model/`` tensors of the matching module (those
-    under ``model/avm/``) or of the backbone (all others), named without
-    ``model/``."""
-    return {k[len("model/"):]: v for k, v in arrays.items()
-            if k.startswith("model/") and k.startswith("model/avm/") == avm}
+def _param_tables(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
+                  geom: SceneGeometry) -> dict[str, tt.ParamTable]:
+    """The parameter table of each module the strategy trains, by the
+    checkpoint prefix of its moments."""
+    tables = {_B_OPT: bb.param_table(mcfg, geom)}
+    if tcfg.row.attention:
+        tables[_A_OPT] = am.param_table(mcfg)
+    return tables
 
 
-def _parameters(found: dict[str, np.ndarray], table: tt.ParamTable
-                ) -> dict[str, tt.Tensor]:
-    """Trainable leaves over the tensors ``found``, adopted as the reader
-    returned them, once they are exactly ``table``'s tensors, each of its
-    shape and finite; else :class:`checkpoint.CheckpointError`."""
-    if found.keys() != table.keys():
-        raise cp.CheckpointError(
-            "model tensors do not match the configured model: missing "
-            f"{sorted(table.keys() - found.keys())}, unexpected "
-            f"{sorted(found.keys() - table.keys())}")
-    params = {}
-    for name, (shape, _) in table.items():
-        if found[name].shape != shape:
-            raise cp.CheckpointError(f"shape mismatch for model tensor {name!r}: "
-                                     f"{found[name].shape}, not {shape}")
-        try:
-            params[name] = tt.parameter(found[name])
-        except tt.NumericError:
-            raise cp.CheckpointError(f"non-finite value in model tensor {name!r}") from None
-    return params
+def _checkpoint_layout(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
+                       geom: SceneGeometry, tasks_done: int, steps: int
+                       ) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor that a run checkpoint written after
+    ``tasks_done`` tasks of ``steps`` steps in all holds outside
+    ``memory/`` (the rehearsal memory, see :func:`memory.snapshot_arrays`):
+
+    - ``model/<name>`` for each parameter of the backbone's parameter table
+      and, for a scoring strategy, of the matching module's (whose names
+      start ``avm/``);
+    - ``opt/backbone/m`` and ``opt/backbone/v``, and with the matching
+      module ``opt/avm/m`` and ``opt/avm/v``: the module's flat first and
+      second Adam moments, one value per parameter value in table order;
+    - ``run/records``, five losses per step; ``run/acc/XX``, row ``XX`` of
+      the lower-triangular accuracy matrix; ``run/gaps``, one modality gap
+      per task.
+    """
+    layout = {}
+    for prefix, table in _param_tables(mcfg, tcfg, geom).items():
+        layout.update({f"model/{k}": shape for k, (shape, _) in table.items()})
+        layout[f"{prefix}/m"] = layout[f"{prefix}/v"] = (
+            sum(math.prod(shape) for shape, _ in table.values()),)
+    layout["run/records"] = (steps, 5)
+    layout.update({f"run/acc/{t:02d}": (t + 1,) for t in range(tasks_done)})
+    layout["run/gaps"] = (tasks_done,)
+    return layout
+
+
+def _model_parameters(arrays: dict[str, np.ndarray], table: tt.ParamTable,
+                      avm: bool) -> dict[str, tt.Tensor]:
+    """Trainable leaves over a checkpoint's ``model/`` tensors under
+    ``model/avm/`` (``avm``) or outside it, adopted as the reader returned
+    them once they are exactly ``table``'s (:func:`checkpoint.check_layout`)."""
+    section = {k: v for k, v in arrays.items()
+               if k.startswith("model/") and k.startswith("model/avm/") == avm}
+    cp.check_layout(section, {f"model/{k}": shape for k, (shape, _) in table.items()})
+    return {k: tt.parameter(section[f"model/{k}"]) for k in table}
 
 
 def backbone_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig,
@@ -623,101 +636,66 @@ def backbone_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig,
     """The backbone of a checkpoint's ``model/`` tensors outside
     ``model/avm/``, built against :func:`backbone.param_table`; no generator
     is involved."""
-    return bb.BackboneState(mcfg, geom, _parameters(_model_tensors(arrays, avm=False),
-                                                    bb.param_table(mcfg, geom)))
+    return bb.BackboneState(mcfg, geom, _model_parameters(
+        arrays, bb.param_table(mcfg, geom), avm=False))
 
 
 def avm_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig
                     ) -> am.AvmParams | None:
     """The matching module of a checkpoint's ``model/avm/`` tensors, built
     against :func:`avm.param_table`, or None if it has none."""
-    found = _model_tensors(arrays, avm=True)
-    if not found:
+    if not any(k.startswith("model/avm/") for k in arrays):
         return None
-    return am.AvmParams(mcfg.heads, _parameters(found, am.param_table(mcfg)))
+    return am.AvmParams(mcfg.heads, _model_parameters(arrays, am.param_table(mcfg),
+                                                      avm=True))
 
 
-def _expect_keys(arrays: dict[str, np.ndarray], prefix: str,
-                 expected: set[str]) -> None:
-    """:class:`checkpoint.CheckpointError` naming the keys unless those of
-    the ``prefix/`` section are exactly ``expected``; one that predates the
-    flat moment layout (a ``prefix/m/<name>`` or ``prefix/v/<name>`` key)
-    is named as such."""
-    found = {k for k in arrays if k.startswith(prefix + "/")}
-    if found == expected:
-        return
-    old = sorted(k for k in found if k.startswith((prefix + "/m/", prefix + "/v/")))
-    if old:
-        raise cp.CheckpointError(
-            f"optimizer moments under {prefix}/ are stored per parameter "
-            f"({old[0]!r}, ...): the checkpoint predates the flat moment "
-            "layout (one m and one v per module); start the run again")
-    raise cp.CheckpointError(
-        f"optimizer moments under {prefix}/ do not match the parameters: "
-        f"missing {sorted(expected - found)}, unexpected {sorted(found - expected)}")
-
-
-def _moments(arrays: dict[str, np.ndarray], prefix: str,
-             params: dict[str, tt.Tensor]) -> tuple[np.ndarray, np.ndarray]:
-    """The flat first and second moments stored under ``prefix``, adopted as
-    the reader returned them, once the ``prefix/`` section holds exactly
-    ``m`` and ``v`` and both are finite; :class:`optim.Adam` checks that
-    each holds one value per value of ``params``."""
-    _expect_keys(arrays, prefix, {f"{prefix}/m", f"{prefix}/v"})
-    m, v = arrays[f"{prefix}/m"], arrays[f"{prefix}/v"]
-    if not (np.isfinite(m).all() and np.isfinite(v).all()):
-        raise cp.CheckpointError(f"non-finite optimizer moment under {prefix}/")
-    return m, v
-
-
-@_reads_checkpoint
 def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
                  streams, mcfg, tcfg, geom
                  ) -> tuple[RunState, list[list[float]], list[float]]:
     """Run state, accuracy rows and gaps of the checkpoint written after
-    ``tasks_done`` tasks of ``steps`` steps in all, once ``run/records``
-    holds five losses per step, the accuracy rows pass
-    :func:`evaluate.check_acc_matrix` and ``run/gaps`` one value per task.
-    The model, optimizer moments and memory columns are the reader's arrays
-    themselves, checked against the layout the configuration gives and for
-    finite values (stored grid ids also for integers on the grid, distinct
-    within each entry), so no placeholder is built to be overwritten and no
-    random number is drawn.
-    The records give both optimizers' step counts; ``run/step`` and
-    ``run/tasks_done`` of older checkpoints are not read."""
-    records = arrays["run/records"]
-    if records.shape != (steps, 5):
-        raise cp.CheckpointError(f"run/records has shape {records.shape}, not "
-                                 f"({steps}, 5): five losses per step taken")
-    acc = [[float(v) for v in arrays[f"run/acc/{t:02d}"]]
-           for t in range(tasks_done)]
+    ``tasks_done`` tasks of ``steps`` steps in all.  Its tensors outside
+    ``memory/`` must be exactly :func:`_checkpoint_layout`'s and its memory
+    a snapshot of :func:`_memory_layout`'s, both finite
+    (:func:`checkpoint.check_layout`); accuracies must lie in [0, 100] and
+    stored grid ids be patch indices of their grid, distinct within each
+    entry.  The model, optimizer moments and memory columns are the
+    reader's arrays themselves, so no placeholder is built to be
+    overwritten and no random number is drawn.  The records give both
+    optimizers' step counts."""
+    run_part = {k: v for k, v in arrays.items() if not k.startswith("memory/")}
+    try:
+        cp.check_layout(run_part, _checkpoint_layout(mcfg, tcfg, geom, tasks_done, steps))
+    except cp.CheckpointError:
+        if not any(re.match(r"opt/[^/]+/[mv]/", k) for k in run_part):
+            raise
+        raise cp.CheckpointError(
+            "optimizer moments are stored per parameter: the checkpoint predates "
+            "the flat moment layout (one m and one v per module); start the run "
+            "again") from None
+    acc = [run_part[f"run/acc/{t:02d}"].tolist() for t in range(tasks_done)]
     ev.check_acc_matrix(acc)
-    gaps = [float(v) for v in arrays["run/gaps"]]
-    if len(gaps) != tasks_done:
-        raise cp.CheckpointError(f"run/gaps holds {len(gaps)} values, not "
-                                 f"{tasks_done}: one per finished task")
-    avm = avm_from_arrays(arrays, mcfg)
-    if (avm is not None) != tcfg.row.attention:
-        raise cp.CheckpointError("checkpoint matching module does not fit "
-                                 f"strategy {tcfg.strategy!r}")
-    if avm is None:
-        _expect_keys(arrays, _A_OPT, set())
     mem = rm.memory_from_arrays(arrays, *_memory_layout(mcfg, tcfg, geom))
     for name, g in (("audio_indices", geom.audio), ("video_indices", geom.video)):
         if name not in mem.fields:
             continue
         ids = mem.fields[name]
         if not np.isin(ids, np.arange(g.patches)).all():
-            raise rm.RehearsalError(f"snapshot field {name!r} holds a value that "
-                                    f"is no grid id of the {g.patches} patches")
+            raise rm.RehearsalError(f"snapshot tensor 'memory/field/{name}' holds a "
+                                    f"value that is no grid id of the {g.patches} "
+                                    "patches")
         ordered = np.sort(ids, axis=1)
         if np.any(ordered[:, 1:] == ordered[:, :-1]):
-            raise rm.RehearsalError(f"snapshot field {name!r} repeats a grid id "
-                                    "within an entry")
-    run = _run_state(backbone_from_arrays(arrays, mcfg, geom), avm, mem, tcfg, streams,
-                     [LossRecord(i, *[float(v) for v in r]) for i, r in enumerate(records)],
-                     functools.partial(_moments, arrays))
-    return run, acc, gaps
+            raise rm.RehearsalError(f"snapshot tensor 'memory/field/{name}' repeats "
+                                    "a grid id within an entry")
+    params = {prefix: {k: tt.parameter(run_part[f"model/{k}"]) for k in table}
+              for prefix, table in _param_tables(mcfg, tcfg, geom).items()}
+    avm = am.AvmParams(mcfg.heads, params[_A_OPT]) if _A_OPT in params else None
+    records = [LossRecord(i, *r) for i, r in enumerate(run_part["run/records"].tolist())]
+    run = _run_state(bb.BackboneState(mcfg, geom, params[_B_OPT]), avm, mem, tcfg,
+                     streams, records,
+                     lambda prefix, _: (run_part[f"{prefix}/m"], run_part[f"{prefix}/v"]))
+    return run, acc, run_part["run/gaps"].tolist()
 
 
 def _latest_task_checkpoint(run_dir: Path) -> tuple[int, Path] | None:

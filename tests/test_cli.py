@@ -313,22 +313,29 @@ def test_checkpoint_of_another_model_exits_3(ws, capsys, change):
                     + ["--out", str(run / "maps.csv")]) == 3
     assert cli.main(args) == 3  # resume
     err = capsys.readouterr().err
-    assert err.count("model tensors do not match the configured model") == 3
-    named = {"extra": "'bogus'", "missing": "'fusion/0/mlp/b2'",
-             "deeper": "'enc_audio/1/attn/bk'", "avm_extra": "'avm/bogus'"}
+    assert err.count("tensors do not match the layout") == 3
+    named = {"extra": "'model/bogus'", "missing": "'model/fusion/0/mlp/b2'",
+             "deeper": "'model/enc_audio/1/attn/bk'", "avm_extra": "'model/avm/bogus'"}
     assert named[change] in err
     assert not (run / "eval.json").exists() and not (run / "maps.csv").exists()
 
 
-@pytest.mark.parametrize("strategy", ["stella", "derpp"])
-def test_stray_optimizer_moment_exits_3(ws, capsys, monkeypatch, strategy):
-    """Each ``opt/<module>/`` section holds exactly that module's flat ``m``
-    and ``v``, so a stray backbone key, or any ``opt/avm/`` key in a
-    checkpoint without a matching module, is a data error that resume names
-    before training, like a stray ``model/`` key."""
+@pytest.mark.parametrize("strategy,key", [
+    pytest.param("stella", "opt/backbone/bogus", id="stella"),
+    pytest.param("derpp", "opt/avm/m", id="derpp"),
+    ("stella", "junk"), ("stella", "run/acc/07"), ("stella", "memory/bogus"),
+    ("stella", "opt/avm2/m"), ("stella", "run/step"), ("stella", "run/tasks_done")])
+def test_stray_optimizer_moment_exits_3(ws, capsys, monkeypatch, strategy, key):
+    """A checkpoint holds exactly the tensors its configuration lays out,
+    so a stray key anywhere is a data error that resume names before
+    training: in an ``opt/<module>/`` section beside the module's flat
+    ``m`` and ``v``, any ``opt/avm/`` key without a matching module, a
+    module no strategy has, an accuracy row past the finished tasks, a
+    memory tensor no snapshot holds, a key outside every section, and the
+    ``run/step`` and ``run/tasks_done`` of checkpoints older than the flat
+    moment layout."""
     if strategy == "stella":
-        run, args = _first_task_copy(ws, "run_stray_moment")
-        key = "opt/backbone/bogus"
+        run, args = _first_task_copy(ws, f"run_stray_{key.replace('/', '_')}")
     else:
         cfg = _variant(ws, "derpp", "strategy = stella", "strategy = derpp")
         run = ws / "run_derpp_stray_moment"
@@ -337,19 +344,19 @@ def test_stray_optimizer_moment_exits_3(ws, capsys, monkeypatch, strategy):
         assert cli.main(args) == 0
         for path in ("task_01.ckpt", "task_01.rng.json"):
             (run / path).unlink()
-        key = "opt/avm/m"
     arrays = ckpt.load(run / "task_00.ckpt")
-    arrays[key] = np.zeros(3)
+    arrays[key] = {"run/step": np.array(float(len(arrays["run/records"]))),
+                   "run/tasks_done": np.array(1.0)}.get(key, np.zeros(3))
     ckpt.save(run / "task_00.ckpt", arrays)
 
     def no_training(*args, **kwargs):
-        raise AssertionError("trained from a checkpoint with a stray moment")
+        raise AssertionError("trained from a checkpoint with a stray key")
 
     monkeypatch.setattr(tr, "train_step", no_training)
     capsys.readouterr()
     assert cli.main(args) == 3
     err = capsys.readouterr().err
-    assert "do not match the parameters" in err and repr(key) in err
+    assert "do not match the layout" in err and repr(key) in err
     assert not (run / "task_01.ckpt").exists()
 
 
@@ -368,7 +375,7 @@ def test_non_finite_model_tensor_exits_3(ws, capsys, key):
                     + ["--out", str(run / "maps.csv")]) == 3
     assert cli.main(args) == 3  # resume
     err = capsys.readouterr().err
-    assert err.count(f"non-finite value in model tensor {key[len('model/'):]!r}") == 3
+    assert err.count(f"non-finite value in tensor {key!r}") == 3
 
 
 def _moment_slices(arrays, module):
@@ -398,7 +405,7 @@ def test_non_finite_optimizer_moment_exits_3_before_training(ws, capsys,
 
     monkeypatch.setattr(tr, "train_step", no_training)
     assert cli.main(args) == 3
-    assert "non-finite optimizer moment" in capsys.readouterr().err
+    assert f"non-finite value in tensor 'opt/{module}/{kind}'" in capsys.readouterr().err
     assert not (run / "task_01.ckpt").exists()
 
 
@@ -477,25 +484,13 @@ def test_bad_run_records_exits_3(ws, capsys, records):
     assert "data error" in capsys.readouterr().err
 
 
-def test_checkpoint_with_old_progress_keys_resumes(ws):
-    """Checkpoints that still store ``run/step`` and ``run/tasks_done`` load
-    as before; the keys are not read."""
-    full = (ws / "run_stella" / "task_01.ckpt").read_bytes()
-    run, args = _first_task_copy(ws, "run_old_keys")
-    arrays = ckpt.load(run / "task_00.ckpt")
-    arrays["run/step"] = np.array(float(len(arrays["run/records"])))
-    arrays["run/tasks_done"] = np.array(1.0)
-    ckpt.save(run / "task_00.ckpt", arrays)
-    assert cli.main(args) == 0
-    assert (run / "task_01.ckpt").read_bytes() == full
-
-
 @pytest.mark.parametrize("history", ["acc_width", "acc_range", "gaps_long",
-                                     "gaps_empty"])
+                                     "gaps_empty", "records_nan", "gaps_nan"])
 def test_bad_run_history_exits_3_before_training(ws, capsys, monkeypatch,
                                                  history):
-    """Accuracy rows and gaps that do not fit the finished tasks are a data
-    error at restore, before the next task trains or writes anything."""
+    """Accuracy rows, gaps and loss records that do not fit the finished
+    tasks, or hold a non-finite value, are a data error at restore, before
+    the next task trains or writes anything."""
     run, args = _first_task_copy(ws, f"run_bad_{history}")
     arrays = ckpt.load(run / "task_00.ckpt")
     if history == "acc_width":
@@ -504,8 +499,12 @@ def test_bad_run_history_exits_3_before_training(ws, capsys, monkeypatch,
         arrays["run/acc/00"] = np.array([150.0])
     elif history == "gaps_long":
         arrays["run/gaps"] = np.concatenate([arrays["run/gaps"], [0.1, 0.2]])
-    else:
+    elif history == "gaps_empty":
         arrays["run/gaps"] = np.zeros(0)
+    elif history == "records_nan":
+        arrays["run/records"][0, 0] = np.nan
+    else:
+        arrays["run/gaps"][0] = np.nan
     ckpt.save(run / "task_00.ckpt", arrays)
 
     def no_training(*args, **kwargs):
@@ -585,7 +584,8 @@ def test_bad_memory_value_exits_3_before_training(ws, ws_plus, capsys, monkeypat
     monkeypatch.setattr(tr, "train_step", no_training)
     assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
                      "--out", str(run)]) == 3
-    assert f"snapshot field {field!r}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "snapshot" in err and f"'memory/field/{field}'" in err
     assert not (run / "task_01.ckpt").exists()
 
 
@@ -608,7 +608,8 @@ def test_bad_memory_bookkeeping_exits_3_before_training(ws, capsys, monkeypatch,
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(args) == 3
-    assert f"snapshot memory/{column} holds a value" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "snapshot" in err and f"'memory/{column}'" in err
     assert not (run / "task_01.ckpt").exists()
 
 
@@ -630,7 +631,9 @@ def test_hostile_memory_field_exits_3_before_allocating(ws, capsys, monkeypatch,
     _, args = _damaged_copy(ws, f"run_{field}_field", damage)
     monkeypatch.setattr(rm, "ReservoirMemory", allocate)
     assert cli.main(args) == 3
-    assert "snapshot fields" in capsys.readouterr().err
+    named = {"oversize": "memory/field/imp_audio", "extra": "memory/field/extra"}
+    err = capsys.readouterr().err
+    assert "snapshot" in err and repr(named[field]) in err
 
 
 def test_unknown_strategy_exits_2_without_partial_run_dir(ws, capsys):
@@ -721,15 +724,21 @@ def _rehash(data, name):
 
 @pytest.mark.parametrize("key,shape", [("train/audio_truth", (16, 3)),
                                        ("eval/class_ids", (5,)),
-                                       ("train/video_truth", None)])
+                                       ("train/video_truth", None),
+                                       ("train/extra", "stray")])
 def test_misshaped_task_tensor_exits_3_without_partial_run_dir(ws, capsys, key,
                                                                shape):
+    """A task file holds exactly the ten split tensors at the shapes the
+    config gives: a misshaped, missing or stray one is refused before
+    training."""
     tag = key.replace("/", "_")
     data, run = ws / f"data_bad_{tag}", ws / f"run_bad_{tag}"
     shutil.copytree(ws / "data", data)
     tensors = ckpt.load(data / "task_01.bin")
     if shape is None:
         del tensors[key]
+    elif shape == "stray":
+        tensors[key] = np.zeros(3)
     else:
         tensors[key] = tensors[key][..., :shape[-1]]
         assert tensors[key].shape == shape
@@ -744,11 +753,14 @@ def test_misshaped_task_tensor_exits_3_without_partial_run_dir(ws, capsys, key,
 
 
 @pytest.mark.parametrize("key,value", [("train/audio_truth", 0.5),
-                                       ("eval/class_ids", 1e300)])
+                                       ("eval/class_ids", 1e300),
+                                       ("train/audio_patches", np.nan),
+                                       ("eval/video_patches", np.inf)])
 def test_out_of_range_task_tensor_exits_3_without_partial_run_dir(ws, capsys,
                                                                   key, value):
-    """Truth masks hold only 0 and 1 and class ids only the task's classes;
-    a task file breaking either is refused before training."""
+    """Truth masks hold only 0 and 1, class ids only the task's classes and
+    patches only finite values; a task file breaking any of them is refused
+    before training."""
     tag = key.replace("/", "_")
     data, run = ws / f"data_range_{tag}", ws / f"run_range_{tag}"
     shutil.copytree(ws / "data", data)

@@ -616,13 +616,13 @@ def test_model_tensors_must_be_exactly_the_configured_models(tasks, geom, mcfg,
     deeper_arrays = {f"model/{k}": v for k, v in deeper.named_arrays().items()}
     with pytest.raises(cp.CheckpointError, match="unexpected.*enc_audio/1/"):
         tr.backbone_from_arrays(deeper_arrays, mcfg, geom)
-    cases = [("model/bogus", np.zeros(2), "unexpected \\['bogus'\\]"),
-             ("model/audio_pos", None, "missing \\['audio_pos'\\]"),
-             ("model/audio_pos", np.zeros((3, 16)), "shape mismatch.*'audio_pos'"),
-             ("model/ln_video/gain", np.full(16, np.inf), "non-finite.*'ln_video/gain'"),
-             ("model/avm/bogus", np.zeros(2), "unexpected \\['avm/bogus'\\]"),
-             ("model/avm/head/w1", None, "missing \\['avm/head/w1'\\]"),
-             ("model/avm/head/b2", np.full(1, np.nan), "non-finite.*'avm/head/b2'")]
+    cases = [("model/bogus", np.zeros(2), "unexpected \\['model/bogus'\\]"),
+             ("model/audio_pos", None, "missing \\['model/audio_pos'\\]"),
+             ("model/audio_pos", np.zeros((3, 16)), "shape mismatch.*'model/audio_pos'"),
+             ("model/ln_video/gain", np.full(16, np.inf), "non-finite.*'model/ln_video/gain'"),
+             ("model/avm/bogus", np.zeros(2), "unexpected \\['model/avm/bogus'\\]"),
+             ("model/avm/head/w1", None, "missing \\['model/avm/head/w1'\\]"),
+             ("model/avm/head/b2", np.full(1, np.nan), "non-finite.*'model/avm/head/b2'")]
     for key, value, message in cases:
         bad = dict(arrays)
         if value is None:
@@ -682,6 +682,27 @@ def test_run_directory_artifacts(tasks, geom, mcfg, tmp_path):
     assert blob["selection"]["n_children_spawned"] > 0
     assert not any(k in cp.load(tmp_path / "task_01.ckpt")
                    for k in ("run/step", "run/tasks_done"))
+
+
+@pytest.mark.parametrize("strategy", tr.STRATEGIES)
+def test_checkpoint_layout_declares_what_a_save_writes(tasks, geom, mcfg, tmp_path,
+                                                       monkeypatch, strategy):
+    """After every task, the tensors a checkpoint holds outside ``memory/``
+    have exactly the names and shapes that restore checks them against."""
+    cfg = _cfg(strategy)
+    checkpoint_arrays, written = tr._checkpoint_arrays, []
+
+    def record(run, acc, gaps):
+        out = checkpoint_arrays(run, acc, gaps)
+        written.append((len(acc), run.global_step, {
+            k: v.shape for k, v in out.items() if not k.startswith("memory/")}))
+        return out
+
+    monkeypatch.setattr(tr, "_checkpoint_arrays", record)
+    tr.run_sequence(tasks, geom, mcfg, cfg, tmp_path)
+    assert [done for done, _, _ in written] == [1, 2]
+    for done, steps, shapes in written:
+        assert shapes == tr._checkpoint_layout(mcfg, cfg, geom, done, steps)
 
 
 @pytest.mark.parametrize("strategy", tr.STRATEGIES)
