@@ -26,6 +26,7 @@ from avcl.tensor import Tensor
 @dataclass
 class AvmParams(tt.Parameters):
     heads: int
+    flat: Tensor
     params: dict[str, Tensor]
 
 
@@ -47,7 +48,7 @@ def param_table(cfg: bb.BackboneConfig) -> tt.ParamTable:
 
 
 def init_avm(cfg: bb.BackboneConfig, rng: np.random.Generator) -> AvmParams:
-    return AvmParams(cfg.heads, tt.init_parameters(param_table(cfg), rng))
+    return AvmParams(cfg.heads, *tt.init_parameters(param_table(cfg), rng))
 
 
 def _split_heads(x: Tensor, heads: int) -> Tensor:
@@ -173,14 +174,15 @@ def avm_train_step(avm: AvmParams, state: bb.BackboneState, o_a: Tensor,
 
     Takes the batch's unmasked fusion tokens and encoder outputs from
     :func:`fusion_tokens` and returns the scalar loss. Backbone gradients
-    are asserted to be exactly zero after the backward pass — the matching
-    objective must never train the backbone.
+    are asserted to be exactly zero after the backward pass, by one test of
+    the backbone's flat gradient — the matching objective must never train
+    the backbone.
     """
     labels, s_a, s_v = _shuffled_tokens(state, o_a, o_v, enc_a, enc_v, rng)
     yhat = matching_forward(avm, s_a, s_v)
     loss = tt.bce(yhat, Tensor(labels))
     loss.backward()
-    if np.concatenate([p.grad for p in state.params.values()], axis=None).any():
+    if state.flat.grad.any():
         name = next(k for k, p in state.params.items() if p.grad.any())
         raise AssertionError(f"matching loss leaked into backbone param {name}")
     opt.step()

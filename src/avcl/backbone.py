@@ -34,7 +34,7 @@ evaluation) pass ``None`` masks and never compact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,7 +81,8 @@ class BackboneConfig:
 class BackboneState(tt.Parameters):
     cfg: BackboneConfig
     geom: SceneGeometry
-    params: dict[str, Tensor] = field(default_factory=dict)
+    flat: Tensor
+    params: dict[str, Tensor]
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +139,7 @@ def param_table(cfg: BackboneConfig, geom: SceneGeometry) -> tt.ParamTable:
 
 def init_backbone(cfg: BackboneConfig, geom: SceneGeometry,
                   rng: np.random.Generator) -> BackboneState:
-    return BackboneState(cfg, geom, tt.init_parameters(param_table(cfg, geom), rng))
+    return BackboneState(cfg, geom, *tt.init_parameters(param_table(cfg, geom), rng))
 
 
 # ---------------------------------------------------------------------------

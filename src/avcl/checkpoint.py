@@ -9,7 +9,8 @@ write/read round-trip is bit-exact. A file is just the concatenation of its
 entries; readers consume until EOF. Names must be unique within a file.
 
 The reader returns one owned, writeable, C-contiguous array per entry, and
-a restore adopts them as they are: model parameters, optimizer moments and
+a restore adopts them as they are: each module's flat parameter values
+(whose named parameters are views of it), its optimizer moments and the
 memory columns are these arrays, never copies into a model built first.
 Every read is checked by one rule, :func:`check_layout`: exactly the names
 a declared name -> shape layout gives, each at its shape, with finite

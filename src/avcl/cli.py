@@ -21,9 +21,10 @@ the format, then the hashes, then that their ``[data]`` equals the dataset's,
 and only then parse the task files.
 
 A run directory holds ``config.ini`` (the resolved configuration), and after
-every completed task ``task_XX.ckpt`` (model, optimizer moments, rehearsal
-memory, loss records, accuracy rows and gaps in one container; see
-``trainer._checkpoint_layout``) with ``task_XX.rng.json`` (per random
+every completed task ``task_XX.ckpt`` (one flat tensor of parameter values
+and the optimizer moments per module, rehearsal memory, loss records,
+accuracy rows and gaps in one container; see ``trainer._checkpoint_layout``)
+with ``task_XX.rng.json`` (per random
 stream, the state and spawn count; ``train_seed`` rebuilds the rest) beside
 it; ``losses.csv``, ``acc_matrix.csv``, ``gaps.csv`` and ``retrieval.json``
 are rewritten as tasks complete.  Each file is replaced atomically and
@@ -52,13 +53,16 @@ Exit codes:
     container read (task files, and checkpoints for resume, ``eval`` and
     ``export-attention``): exactly the tensors the configuration lays out,
     each at its shape, all finite.  A checkpoint of another model or
-    strategy breaks it, and so does one older than the flat moment layout,
-    which must be started again.  A non-finite task-file value is a data
-    error (3), not a numeric divergence (4);
+    strategy breaks it: a module's values are named after its parameters'
+    names and shapes, so even a model of as many values in another
+    arrangement does.  So does one older than the flat parameter layout
+    (one tensor per parameter) or the flat moment layout, which is named
+    as such and must be started again.  A non-finite task-file value is a
+    data error (3), not a numeric divergence (4);
   - the semantic checks: task-file truth masks in {0, 1} and class ids of
     the task; accuracy values in [0, 100]; a rehearsal memory of the
-    configured capacity, with no more entries than it and the seen count,
-    integer insertion steps and source tasks, and in each entry distinct
+    configured capacity, holding exactly the smaller of it and the seen
+    count of entries, integer insertion steps and source tasks, and in each entry distinct
     grid ids of its grid; a well-formed random-stream file; and for
     ``report`` an ``acc_matrix.csv`` and ``retrieval.json`` that are well
     formed, agree on the task count and hold every configured cutoff;

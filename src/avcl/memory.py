@@ -178,9 +178,10 @@ def memory_from_arrays(arrays: dict[str, np.ndarray], capacity: int,
     of ``arrays``.  They must be exactly a snapshot of the stored ``fields``
     (name -> per-entry shape), one entry per ``memory/steps`` value, all
     finite (:func:`checkpoint.check_layout`); then the stored capacity must
-    be ``capacity``, the entry count at most it and the seen count, and the
-    insertion steps and source tasks integers (a step at least 0, a task at
-    least -1, the task of a run that never set one).  Field columns are
+    be ``capacity``, the entry count exactly the smaller of it and the seen
+    count (what every reservoir holds), and the insertion steps and source
+    tasks integers (a step at least 0, a task at least -1, the task of a run
+    that never set one).  Field columns are
     adopted as they are when they own writeable C-contiguous float64
     buffers, as the checkpoint reader returns them; views, such as those of
     :func:`snapshot_arrays`, are copied."""
@@ -199,8 +200,10 @@ def memory_from_arrays(arrays: dict[str, np.ndarray], capacity: int,
     if stored_capacity != capacity:
         raise RehearsalError(f"snapshot capacity {stored_capacity} does not "
                              f"match the configured {capacity}")
-    if not count <= min(capacity, seen) or seen >= 2 ** 63:
-        raise RehearsalError("snapshot entry count inconsistent")
+    if count != min(capacity, seen) or seen >= 2 ** 63:
+        raise RehearsalError(f"snapshot entry count {count} inconsistent: a "
+                             f"reservoir of capacity {capacity} that saw {seen} "
+                             "pairs holds the smaller of the two")
     for name, low in (("memory/steps", 0), ("memory/tasks", -1)):
         col = section[name]
         if not ((col >= low) & (col < 2.0 ** 63) & (col == np.floor(col))).all():

@@ -24,12 +24,16 @@ Design constraints baked in here:
   scoring pass share; no other module calls ``np.exp``.
 * Leaves created with ``requires_grad=True`` allocate a zero gradient buffer
   up front, so a leaf that ends up disconnected from the loss still reports
-  an all-zero gradient instead of erroring.
+  an all-zero gradient instead of erroring.  A module's named parameters
+  are views of one flat leaf (``flat_parameters``): their values and
+  gradient buffers are slices of its two buffers, and ``backward`` adds
+  into them in place.
 * Repeated ``backward`` calls accumulate into ``.grad`` until cleared.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import threading
 
@@ -134,31 +138,77 @@ def parameter(x) -> Tensor:
 #: constant initial values in a parameter table; any other init rule is the
 #: std of an N(0, std) draw
 ZEROS, ONES = "zeros", "ones"
-#: name -> (shape, init rule), in draw order, which is also checkpoint order
+#: name -> (shape, init rule), in draw order, which is also the order of the
+#: module's flat values
 ParamTable = dict[str, tuple[tuple[int, ...], float | str]]
 
 
-class Parameters:
-    """Named trainable tensors ``params``, laid out by a :data:`ParamTable`."""
+def table_size(table: ParamTable) -> int:
+    """Number of values the parameters of ``table`` hold."""
+    return sum(math.prod(shape) for shape, _ in table.values())
 
+
+def layout_digest(shapes) -> str:
+    """First 16 hex digits of the SHA-256 of ``(name, shape)`` pairs, one
+    line ``name extent extent ...`` each, in order: a short name for a
+    parameter layout, which differs between layouts that hold as many
+    values in another arrangement."""
+    text = "".join(f"{name} {' '.join(map(str, shape))}\n" for name, shape in shapes)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class Parameters:
+    """A module's trainable values, laid out by a :data:`ParamTable`:
+    ``flat`` is one leaf over all of them in table order, and ``params``
+    names one leaf per table entry whose ``.data`` and ``.grad`` are views
+    of ``flat``'s (:func:`flat_parameters`).  ``backward`` and ``Adam``
+    write both in place, so the two never disagree."""
+
+    flat: Tensor
     params: dict[str, Tensor]
 
     def named_arrays(self) -> dict[str, np.ndarray]:
         return {k: v.data for k, v in self.params.items()}
 
 
-def init_parameters(table: ParamTable, rng: np.random.Generator
-                    ) -> dict[str, Tensor]:
-    """Fresh parameters of ``table``, each normal draw taken from ``rng`` in
-    table order."""
-    def value(shape, init):
-        if init == ZEROS:
-            return np.zeros(shape)
-        if init == ONES:
-            return np.ones(shape)
-        return rng.normal(0.0, init, size=shape)
+def flat_parameters(table: ParamTable, values: np.ndarray
+                    ) -> tuple[Tensor, dict[str, Tensor]]:
+    """The module leaf over ``values``, one float64 value per value of
+    ``table`` in table order (adopted, not copied, as :func:`parameter`
+    does), and one named leaf per table entry whose data and gradient are
+    views of the module leaf's.  The module leaf's construction is the one
+    finiteness check and allocates the one zero gradient buffer; the named
+    leaves are built without either."""
+    flat = parameter(values)
+    size = table_size(table)
+    if flat.shape != (size,):
+        raise ShapeError(f"flat parameters of shape {flat.shape}, not ({size},)")
+    data, grad = flat.data, flat.grad
+    params = {}
+    lo = 0
+    for name, (shape, _) in table.items():
+        hi = lo + math.prod(shape)
+        leaf = params[name] = Tensor.__new__(Tensor)
+        leaf.data = data[lo:hi].reshape(shape)
+        leaf.grad = grad[lo:hi].reshape(shape)
+        leaf.requires_grad = True
+        leaf._parents = ()
+        leaf._grad_fn = None
+        lo = hi
+    return flat, params
 
-    return {name: parameter(value(*rule)) for name, rule in table.items()}
+
+def init_parameters(table: ParamTable, rng: np.random.Generator
+                    ) -> tuple[Tensor, dict[str, Tensor]]:
+    """Fresh parameters of ``table`` (:func:`flat_parameters`), each normal
+    draw taken from ``rng`` in table order."""
+    flat, params = flat_parameters(table, np.zeros(table_size(table)))
+    for name, (shape, init) in table.items():
+        if init == ONES:
+            params[name].data[...] = 1.0
+        elif init != ZEROS:
+            params[name].data[...] = rng.normal(0.0, init, size=shape)
+    return flat, params
 
 
 def _make(data, parents, grad_fn) -> Tensor:

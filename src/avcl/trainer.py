@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import functools
 import json
-import math
 import operator
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -200,7 +199,7 @@ def init_run(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     avm_params = am.init_avm(mcfg, streams["init"]) if tcfg.row.attention else None
     return _run_state(state, avm_params,
                       rm.ReservoirMemory(*_memory_layout(mcfg, tcfg, geom)), tcfg,
-                      streams, [], lambda prefix, params: op.zero_moments(params))
+                      streams, [], lambda module, flat: op.zero_moments(flat))
 
 
 def _memory_layout(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
@@ -239,24 +238,20 @@ def _memory_layout(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     return capacity, fields
 
 
-#: checkpoint prefixes of the backbone's and the matching module's moments
-_B_OPT, _A_OPT = "opt/backbone", "opt/avm"
-
-
 def _run_state(state: bb.BackboneState, avm: am.AvmParams | None,
                mem: rm.ReservoirMemory, tcfg: TrainConfig,
                streams: dict[str, np.random.Generator], records: list[LossRecord],
                moments) -> RunState:
     """Run state after the steps ``records`` holds, one per step, whose
-    optimizers take the moments ``moments(prefix, params) -> (m, v)`` gives
-    for the parameters their checkpoint ``prefix`` names."""
-    def adam(prefix: str, params: dict[str, tt.Tensor]) -> op.Adam:
-        opt = op.Adam(params, *moments(prefix, params), lr=tcfg.lr)
+    optimizers take the moments ``moments(module, flat) -> (m, v)`` gives
+    for the module (``"backbone"`` or ``"avm"``) and its flat leaf."""
+    def adam(module: str, flat: tt.Tensor) -> op.Adam:
+        opt = op.Adam(flat, *moments(module, flat), lr=tcfg.lr)
         opt.step_count = len(records)
         return opt
 
-    return RunState(state, avm, mem, adam(_B_OPT, state.params),
-                    None if avm is None else adam(_A_OPT, avm.params), streams,
+    return RunState(state, avm, mem, adam("backbone", state.flat),
+                    None if avm is None else adam("avm", avm.flat), streams,
                     records)
 
 
@@ -553,27 +548,43 @@ def _rng_state_json(streams: dict[str, np.random.Generator]) -> str:
 @_reads(cp.CheckpointError, "random-stream state")
 def _streams_from_json(text: str, seed: int) -> dict[str, np.random.Generator]:
     """Inverse of :func:`_rng_state_json` for a run seeded with ``seed``.
-    The spawn count is a constructor argument, so it costs no replay, and
-    only the restored generators are built."""
+    Stream ``i`` is child ``i`` of ``SeedSequence(seed)`` (as
+    :func:`rng_streams` spawns it), built directly with its spawn key; the
+    spawn count is a constructor argument, so it costs no replay, and only
+    the restored generators are built."""
     blob = json.loads(text)
     streams = {}
-    children = np.random.SeedSequence(seed).spawn(len(STREAM_NAMES))
-    for name, ss in zip(STREAM_NAMES, children):
+    for i, name in enumerate(STREAM_NAMES):
         ss = np.random.SeedSequence(
-            ss.entropy, spawn_key=ss.spawn_key,
+            seed, spawn_key=(i,),
             n_children_spawned=int(blob[name]["n_children_spawned"]))
         streams[name] = np.random.Generator(np.random.PCG64(ss))
         streams[name].bit_generator.state = blob[name]["state"]
     return streams
 
 
+def _model_key(module: str, shapes) -> str:
+    """Checkpoint name of a module's flat parameter values,
+    ``model/<module>@<digest>``, where the digest
+    (:func:`tensor.layout_digest`) is that of its parameters' ``(name,
+    shape)`` pairs in table order: the values of another layout never take
+    the name, not even when they are as many."""
+    return f"model/{module}@{tt.layout_digest(shapes)}"
+
+
+def _table_key(module: str, table: tt.ParamTable) -> str:
+    return _model_key(module, ((k, shape) for k, (shape, _) in table.items()))
+
+
 def _checkpoint_arrays(run: RunState, acc: list[list[float]],
                        gaps: list[float]) -> dict[str, np.ndarray]:
-    out = {f"model/{k}": v for k, v in run.state.named_arrays().items()}
-    out.update(run.b_opt.named_arrays(_B_OPT))
-    if run.avm is not None:
-        out.update({f"model/{k}": v for k, v in run.avm.named_arrays().items()})
-        out.update(run.a_opt.named_arrays(_A_OPT))
+    out = {}
+    for module, part, opt in (("backbone", run.state, run.b_opt),
+                              ("avm", run.avm, run.a_opt)):
+        if part is not None:
+            shapes = ((k, p.shape) for k, p in part.params.items())
+            out[_model_key(module, shapes)] = part.flat.data
+            out.update(opt.named_arrays(f"opt/{module}"))
     out.update(rm.snapshot_arrays(run.mem))
     out["run/records"] = np.reshape([r.row() for r in run.records], (-1, 5))
     for t, row in enumerate(acc):
@@ -582,72 +593,99 @@ def _checkpoint_arrays(run: RunState, acc: list[list[float]],
     return out
 
 
-def _param_tables(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
-                  geom: SceneGeometry) -> dict[str, tt.ParamTable]:
-    """The parameter table of each module the strategy trains, by the
-    checkpoint prefix of its moments."""
-    tables = {_B_OPT: bb.param_table(mcfg, geom)}
+def _param_tables(mcfg: bb.BackboneConfig, tcfg: TrainConfig, geom: SceneGeometry
+                  ) -> dict[str, tuple[str, tt.ParamTable]]:
+    """The parameter table of each module the strategy trains, with the
+    checkpoint name of the module's flat values (:func:`_model_key`), by
+    module name: ``"backbone"`` and, for a scoring strategy, ``"avm"``."""
+    tables = {"backbone": bb.param_table(mcfg, geom)}
     if tcfg.row.attention:
-        tables[_A_OPT] = am.param_table(mcfg)
-    return tables
+        tables["avm"] = am.param_table(mcfg)
+    return {module: (_table_key(module, table), table)
+            for module, table in tables.items()}
 
 
-def _checkpoint_layout(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
-                       geom: SceneGeometry, tasks_done: int, steps: int
-                       ) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every tensor that a run checkpoint written after
-    ``tasks_done`` tasks of ``steps`` steps in all holds outside
-    ``memory/`` (the rehearsal memory, see :func:`memory.snapshot_arrays`):
+def _checkpoint_layout(tables: dict[str, tuple[str, tt.ParamTable]],
+                       tasks_done: int, steps: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every tensor that a run checkpoint of the modules
+    ``tables`` (:func:`_param_tables`), written after ``tasks_done`` tasks
+    of ``steps`` steps in all, holds outside ``memory/`` (the rehearsal
+    memory, see :func:`memory.snapshot_arrays`):
 
-    - ``model/<name>`` for each parameter of the backbone's parameter table
-      and, for a scoring strategy, of the matching module's (whose names
-      start ``avm/``);
-    - ``opt/backbone/m`` and ``opt/backbone/v``, and with the matching
-      module ``opt/avm/m`` and ``opt/avm/v``: the module's flat first and
-      second Adam moments, one value per parameter value in table order;
+    - for each module, ``model/<module>@<digest>`` (:func:`_model_key`), its
+      parameter values one after another in table order, and
+      ``opt/<module>/m`` and ``opt/<module>/v``, its flat first and second
+      Adam moments, all three with one value per parameter value;
     - ``run/records``, five losses per step; ``run/acc/XX``, row ``XX`` of
       the lower-triangular accuracy matrix; ``run/gaps``, one modality gap
       per task.
     """
     layout = {}
-    for prefix, table in _param_tables(mcfg, tcfg, geom).items():
-        layout.update({f"model/{k}": shape for k, (shape, _) in table.items()})
-        layout[f"{prefix}/m"] = layout[f"{prefix}/v"] = (
-            sum(math.prod(shape) for shape, _ in table.values()),)
+    for module, (key, table) in tables.items():
+        layout[key] = layout[f"opt/{module}/m"] = layout[f"opt/{module}/v"] = (
+            tt.table_size(table),)
     layout["run/records"] = (steps, 5)
     layout.update({f"run/acc/{t:02d}": (t + 1,) for t in range(tasks_done)})
     layout["run/gaps"] = (tasks_done,)
     return layout
 
 
-def _model_parameters(arrays: dict[str, np.ndarray], table: tt.ParamTable,
-                      avm: bool) -> dict[str, tt.Tensor]:
-    """Trainable leaves over a checkpoint's ``model/`` tensors under
-    ``model/avm/`` (``avm``) or outside it, adopted as the reader returned
-    them once they are exactly ``table``'s (:func:`checkpoint.check_layout`)."""
+def _older_layout(tensors: dict[str, np.ndarray],
+                  exc: cp.CheckpointError) -> cp.CheckpointError:
+    """The error for checkpoint ``tensors`` that failed their layout check
+    with ``exc``: if they store the model or the optimizer moments one
+    tensor per parameter, as checkpoints before the flat layouts did, an
+    error that says so and that the run must be started again; else
+    ``exc``."""
+    model = [k for k in tensors if k.startswith("model/")]
+    if model and not any("@" in k for k in model):
+        return cp.CheckpointError(
+            "parameters are stored one tensor each: the checkpoint predates the "
+            "flat parameter layout (one model tensor per module); start the run "
+            "again")
+    if any(re.match(r"opt/[^/]+/[mv]/", k) for k in tensors):
+        return cp.CheckpointError(
+            "optimizer moments are stored per parameter: the checkpoint predates "
+            "the flat moment layout (one m and one v per module); start the run "
+            "again")
+    return exc
+
+
+def _model_parameters(arrays: dict[str, np.ndarray], module: str,
+                      table: tt.ParamTable) -> tuple[tt.Tensor, dict[str, tt.Tensor]]:
+    """The parameters (:func:`tensor.flat_parameters`) of a checkpoint's
+    ``model/`` tensors of ``module``: those named ``model/avm@...`` for the
+    matching module, every other one for the backbone.  They must be
+    exactly the module's flat values under ``table``
+    (:func:`checkpoint.check_layout`), which are then adopted as the reader
+    returned them."""
     section = {k: v for k, v in arrays.items()
-               if k.startswith("model/") and k.startswith("model/avm/") == avm}
-    cp.check_layout(section, {f"model/{k}": shape for k, (shape, _) in table.items()})
-    return {k: tt.parameter(section[f"model/{k}"]) for k in table}
+               if k.startswith("model/") and k.startswith("model/avm@") == (module == "avm")}
+    key = _table_key(module, table)
+    try:
+        cp.check_layout(section, {key: (tt.table_size(table),)})
+    except cp.CheckpointError as exc:
+        raise _older_layout(section, exc) from None
+    return tt.flat_parameters(table, section[key])
 
 
 def backbone_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig,
                          geom: SceneGeometry) -> bb.BackboneState:
-    """The backbone of a checkpoint's ``model/`` tensors outside
-    ``model/avm/``, built against :func:`backbone.param_table`; no generator
-    is involved."""
-    return bb.BackboneState(mcfg, geom, _model_parameters(
-        arrays, bb.param_table(mcfg, geom), avm=False))
+    """The backbone of a checkpoint's ``model/`` tensors outside the
+    matching module's, built against :func:`backbone.param_table`; no
+    generator is involved."""
+    return bb.BackboneState(mcfg, geom, *_model_parameters(
+        arrays, "backbone", bb.param_table(mcfg, geom)))
 
 
 def avm_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig
                     ) -> am.AvmParams | None:
-    """The matching module of a checkpoint's ``model/avm/`` tensors, built
+    """The matching module of a checkpoint's ``model/avm@...`` tensor, built
     against :func:`avm.param_table`, or None if it has none."""
-    if not any(k.startswith("model/avm/") for k in arrays):
+    if not any(k.startswith("model/avm@") for k in arrays):
         return None
-    return am.AvmParams(mcfg.heads, _model_parameters(arrays, am.param_table(mcfg),
-                                                      avm=True))
+    return am.AvmParams(mcfg.heads, *_model_parameters(arrays, "avm",
+                                                       am.param_table(mcfg)))
 
 
 def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
@@ -657,22 +695,19 @@ def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
     ``tasks_done`` tasks of ``steps`` steps in all.  Its tensors outside
     ``memory/`` must be exactly :func:`_checkpoint_layout`'s and its memory
     a snapshot of :func:`_memory_layout`'s, both finite
-    (:func:`checkpoint.check_layout`); accuracies must lie in [0, 100] and
-    stored grid ids be patch indices of their grid, distinct within each
-    entry.  The model, optimizer moments and memory columns are the
-    reader's arrays themselves, so no placeholder is built to be
-    overwritten and no random number is drawn.  The records give both
-    optimizers' step counts."""
+    (:func:`checkpoint.check_layout`); a checkpoint of the older
+    per-parameter layouts is named as such (:func:`_older_layout`).
+    Accuracies must lie in [0, 100] and stored grid ids be patch indices of
+    their grid, distinct within each entry.  Each module's flat values, the
+    optimizer moments and the memory columns are the reader's arrays
+    themselves, so no placeholder is built to be overwritten and no random
+    number is drawn.  The records give both optimizers' step counts."""
+    tables = _param_tables(mcfg, tcfg, geom)
     run_part = {k: v for k, v in arrays.items() if not k.startswith("memory/")}
     try:
-        cp.check_layout(run_part, _checkpoint_layout(mcfg, tcfg, geom, tasks_done, steps))
-    except cp.CheckpointError:
-        if not any(re.match(r"opt/[^/]+/[mv]/", k) for k in run_part):
-            raise
-        raise cp.CheckpointError(
-            "optimizer moments are stored per parameter: the checkpoint predates "
-            "the flat moment layout (one m and one v per module); start the run "
-            "again") from None
+        cp.check_layout(run_part, _checkpoint_layout(tables, tasks_done, steps))
+    except cp.CheckpointError as exc:
+        raise _older_layout(run_part, exc) from None
     acc = [run_part[f"run/acc/{t:02d}"].tolist() for t in range(tasks_done)]
     ev.check_acc_matrix(acc)
     mem = rm.memory_from_arrays(arrays, *_memory_layout(mcfg, tcfg, geom))
@@ -688,13 +723,14 @@ def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
         if np.any(ordered[:, 1:] == ordered[:, :-1]):
             raise rm.RehearsalError(f"snapshot tensor 'memory/field/{name}' repeats "
                                     "a grid id within an entry")
-    params = {prefix: {k: tt.parameter(run_part[f"model/{k}"]) for k in table}
-              for prefix, table in _param_tables(mcfg, tcfg, geom).items()}
-    avm = am.AvmParams(mcfg.heads, params[_A_OPT]) if _A_OPT in params else None
+    modules = {module: tt.flat_parameters(table, run_part[key])
+               for module, (key, table) in tables.items()}
+    avm = am.AvmParams(mcfg.heads, *modules["avm"]) if "avm" in modules else None
     records = [LossRecord(i, *r) for i, r in enumerate(run_part["run/records"].tolist())]
-    run = _run_state(bb.BackboneState(mcfg, geom, params[_B_OPT]), avm, mem, tcfg,
-                     streams, records,
-                     lambda prefix, _: (run_part[f"{prefix}/m"], run_part[f"{prefix}/v"]))
+    run = _run_state(bb.BackboneState(mcfg, geom, *modules["backbone"]), avm, mem,
+                     tcfg, streams, records,
+                     lambda module, _: (run_part[f"opt/{module}/m"],
+                                        run_part[f"opt/{module}/v"]))
     return run, acc, run_part["run/gaps"].tolist()
 
 

@@ -30,8 +30,8 @@ def _setup(seed=0):
     return state, avm, rng
 
 
-def _fresh_adam(params, lr):
-    return Adam(params, *zero_moments(params), lr=lr)
+def _fresh_adam(part, lr):
+    return Adam(part.flat, *zero_moments(part.flat), lr=lr)
 
 
 def _tokens(rng, batch):
@@ -222,7 +222,7 @@ def test_avm_step_fuses_only_the_negative_rows(monkeypatch, batch):
         return fuse(state, enc_a, enc_v, m_a, m_v)
 
     monkeypatch.setattr(bb, "forward_fused", counting)
-    av.avm_train_step(avm, state, *tokens, _fresh_adam(avm.params, 1e-3), rng)
+    av.avm_train_step(avm, state, *tokens, _fresh_adam(avm, 1e-3), rng)
     assert rows == [(batch // 2, batch // 2)]
 
 
@@ -247,7 +247,7 @@ def test_train_step_never_touches_backbone():
     aps, vps = _batch(rng)
     before = {k: v.copy() for k, v in state.named_arrays().items()}
     avm_before = {k: t.data.copy() for k, t in avm.params.items()}
-    opt = _fresh_adam(avm.params, 1e-3)
+    opt = _fresh_adam(avm, 1e-3)
     loss = av.avm_train_step(avm, state, *av.fusion_tokens(state, aps, vps),
                              opt, rng)
     assert np.isfinite(loss)
@@ -268,7 +268,7 @@ def test_training_learns_to_separate_pairs():
     # real from shuffled pairs. Distribution-level accuracy is exercised by
     # the acceptance suite, which prepares the backbone first.
     state, avm, rng = _setup(13)
-    opt = _fresh_adam(avm.params, 3e-3)
+    opt = _fresh_adam(avm, 3e-3)
     pool = [av.fusion_tokens(state, *_batch(rng, batch=8)) for _ in range(4)]
     losses = []
     for step in range(400):
@@ -294,7 +294,7 @@ def test_step_is_deterministic():
     outs = []
     for _ in range(2):
         state, avm, rng = _setup(21)
-        opt = _fresh_adam(avm.params, 1e-3)
+        opt = _fresh_adam(avm, 1e-3)
         tokens = av.fusion_tokens(state, *_batch(np.random.default_rng(2), batch=4))
         step_rng = np.random.default_rng(77)
         loss = av.avm_train_step(avm, state, *tokens, opt, step_rng)
@@ -305,44 +305,48 @@ def test_step_is_deterministic():
 
 
 def test_avm_from_arrays_checks_shapes():
-    """The matching module of a checkpoint is its ``model/avm/`` tensors
-    themselves; a mis-shaped or missing one is a checkpoint error."""
+    """The matching module of a checkpoint is its flat ``model/avm@...``
+    tensor itself, each parameter a view of it; a mis-shaped or missing
+    one is a checkpoint error."""
     _, avm, _ = _setup()
-    arrays = {f"model/{k}": p.data.copy() for k, p in avm.params.items()}
+    key = tr._table_key("avm", av.param_table(CFG))
+    arrays = {key: avm.flat.data.copy()}
     back = tr.avm_from_arrays(arrays, CFG)
+    assert back.flat.data is arrays[key] and back.flat.requires_grad
     assert list(back.params) == list(av.param_table(CFG))
     for k, p in back.params.items():
-        assert p.data is arrays[f"model/{k}"] and p.requires_grad
+        assert np.shares_memory(p.data, arrays[key]) and p.requires_grad
+        assert np.shares_memory(p.grad, back.flat.grad)
         assert np.array_equal(p.data, avm.params[k].data)
-    arrays["model/avm/head/w1"] = arrays["model/avm/head/w1"][:-1]
+    arrays[key] = arrays[key][:-1]
     with pytest.raises(cp.CheckpointError, match="shape mismatch"):
         tr.avm_from_arrays(arrays, CFG)
-    del arrays["model/avm/head/w1"]
-    with pytest.raises(cp.CheckpointError, match="missing.*avm/head/w1"):
+    arrays["model/avm@0123456789abcdef"] = arrays.pop(key)
+    with pytest.raises(cp.CheckpointError, match=f"missing.*{key}"):
         tr.avm_from_arrays(arrays, CFG)
 
 
 def test_adam_takes_its_moments_at_construction():
     _, avm, _ = _setup()
-    opt = _fresh_adam(avm.params, 1e-3)
+    opt = _fresh_adam(avm, 1e-3)
     for p in avm.params.values():
-        p.grad = np.ones_like(p.data)
+        p.grad[...] = 1.0
     opt.step()
     arrays = opt.named_arrays("opt/avm")
     assert sorted(arrays) == ["opt/avm/m", "opt/avm/v"]  # moments only
     total = sum(p.size for p in avm.params.values())
     m, v = arrays["opt/avm/m"], arrays["opt/avm/v"]
     assert m.shape == v.shape == (total,)
-    fresh = Adam(avm.params, m, v, lr=1e-3)
+    fresh = Adam(avm.flat, m, v, lr=1e-3)
     assert fresh.step_count == 0  # the trainer sets it from its loss records
     assert fresh.m is m and fresh.v is v
     assert np.array_equal(fresh.m, opt.m) and np.array_equal(fresh.v, opt.v)
     with pytest.raises(ValueError, match="shape mismatch"):
-        Adam(avm.params, m, np.zeros(total + 3), lr=1e-3)
+        Adam(avm.flat, m, np.zeros(total + 3), lr=1e-3)
     with pytest.raises(ValueError, match="shape mismatch"):
-        Adam(avm.params, m[:-1], v, lr=1e-3)
+        Adam(avm.flat, m[:-1], v, lr=1e-3)
     with pytest.raises(ValueError, match="shape mismatch"):
-        Adam(avm.params, m, v[None], lr=1e-3)
+        Adam(avm.flat, m, v[None], lr=1e-3)
 
 
 def test_backbone_isolation_names_the_first_leaking_parameter():
@@ -357,7 +361,7 @@ def test_backbone_isolation_names_the_first_leaking_parameter():
     state.params[later].grad.flat[0] = 1.0
     state.params[first].grad.flat[-1] = -1e-300
     avm_before = {k: t.data.copy() for k, t in avm.params.items()}
-    opt = _fresh_adam(avm.params, 1e-3)
+    opt = _fresh_adam(avm, 1e-3)
     with pytest.raises(AssertionError) as exc:
         av.avm_train_step(avm, state, *tokens, opt, rng)
     assert str(exc.value) == f"matching loss leaked into backbone param {first}"

@@ -1,8 +1,10 @@
 """Command-line workflow: dataset round trip, runs, reports, exit codes."""
 
 import contextlib
+import dataclasses
 import hashlib
 import json
+import math
 import re
 import shutil
 import warnings
@@ -16,6 +18,7 @@ from avcl import config as cf
 from avcl import data as dt
 from avcl import evaluate as ev
 from avcl import memory as rm
+from avcl import tensor as tt
 from avcl import trainer as tr
 
 CFG = """\
@@ -268,13 +271,31 @@ def _damaged_copy(ws, name, damage):
     return run, args
 
 
+def _tables(ws, **layers):
+    """Module name -> (checkpoint key of its flat values, parameter table)
+    of the workspace's configuration, its backbone layer counts replaced
+    by ``layers``."""
+    cfg = cf.load_config(ws / "cfg.ini")
+    return tr._param_tables(dataclasses.replace(cfg.model, **layers), cfg.train,
+                            cfg.data.geometry)
+
+
+def _param_slices(table):
+    """Parameter name -> its slice of the module's flat values (and flat
+    moments), in table order."""
+    bounds = np.cumsum([0] + [math.prod(shape) for shape, _ in table.values()])
+    return {k: slice(lo, hi) for k, lo, hi in zip(table, bounds[:-1], bounds[1:])}
+
+
 @pytest.mark.parametrize("shape", ["missing", "reshaped"])
 def test_bad_model_tensor_exits_3(ws, capsys, shape):
+    key, _ = _tables(ws)["backbone"]
+
     def damage(arrays):
         if shape == "missing":
-            del arrays["model/audio_pos"]
+            del arrays[key]
         else:
-            arrays["model/audio_pos"] = arrays["model/audio_pos"][:-1]
+            arrays[key] = arrays[key][:-1]
 
     run, args = _damaged_copy(ws, f"run_bad_model_{shape}", damage)
     given = ["--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
@@ -284,24 +305,34 @@ def test_bad_model_tensor_exits_3(ws, capsys, shape):
                     + ["--out", str(run / "maps.csv")]) == 3
     assert cli.main(args) == 3  # resume
     err = capsys.readouterr().err
-    assert err.count("data error") == 3 and "audio_pos" in err
+    assert err.count("data error") == 3 and repr(key) in err
 
 
-@pytest.mark.parametrize("change", ["extra", "missing", "deeper", "avm_extra"])
+@pytest.mark.parametrize("change", ["extra", "missing", "deeper", "avm_extra",
+                                    "arranged"])
 def test_checkpoint_of_another_model_exits_3(ws, capsys, change):
     """``--config`` and ``--ckpt`` come separately, so the checkpoint's
     model keys must be exactly the configured model's: a stray key, a
-    missing one, or the layers of a deeper encoder are a data error for
-    eval, export and resume alike, not a silent evaluation of some other
-    model."""
+    missing one, the values of a deeper backbone, or those of a backbone
+    with as many values in another arrangement of its layers (encoder,
+    fusion and decoder layers 0/2/2 against the configured 1/1/1) are a
+    data error for eval, export and resume alike, not a silent evaluation
+    of some other model."""
+    key, _ = _tables(ws)["backbone"]
+    other = {"deeper": dict(encoder_layers=2),
+             "arranged": dict(encoder_layers=0, fusion_layers=2, decoder_layers=2)}
+    other_key, other_table = _tables(ws, **other.get(change, {}))["backbone"]
+
     def damage(arrays):
         if change == "extra":
             arrays["model/bogus"] = np.zeros(3)
         elif change == "missing":
-            del arrays["model/fusion/0/mlp/b2"]
-        elif change == "deeper":
-            for key in [k for k in arrays if k.startswith("model/enc_audio/0/")]:
-                arrays[key.replace("/0/", "/1/")] = arrays[key]
+            del arrays[key]
+        elif change in other:
+            values = arrays.pop(key)
+            if change == "arranged":
+                assert values.size == tt.table_size(other_table)
+            arrays[other_key] = np.resize(values, tt.table_size(other_table))
         else:
             arrays["model/avm/bogus"] = np.zeros(3)
 
@@ -314,10 +345,41 @@ def test_checkpoint_of_another_model_exits_3(ws, capsys, change):
     assert cli.main(args) == 3  # resume
     err = capsys.readouterr().err
     assert err.count("tensors do not match the layout") == 3
-    named = {"extra": "'model/bogus'", "missing": "'model/fusion/0/mlp/b2'",
-             "deeper": "'model/enc_audio/1/attn/bk'", "avm_extra": "'model/avm/bogus'"}
+    named = {"extra": "'model/bogus'", "missing": repr(key),
+             "deeper": repr(other_key), "avm_extra": "'model/avm/bogus'",
+             "arranged": repr(other_key)}
     assert named[change] in err
     assert not (run / "eval.json").exists() and not (run / "maps.csv").exists()
+
+
+def test_per_parameter_model_checkpoint_exits_3(ws, capsys, monkeypatch):
+    """A checkpoint written before the flat parameter layout stores one
+    ``model/<name>`` tensor per parameter (its moments already flat); eval,
+    export and resume name it as such, exit 3, instead of reading it."""
+    run, args = _first_task_copy(ws, "run_per_parameter_model")
+    arrays = ckpt.load(run / "task_00.ckpt")
+    for key, table in _tables(ws).values():
+        flat = arrays.pop(key)
+        for name, part in _param_slices(table).items():
+            arrays[f"model/{name}"] = flat[part].reshape(table[name][0])
+    ckpt.save(run / "task_00.ckpt", arrays)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained from a per-parameter model checkpoint")
+
+    monkeypatch.setattr(tr, "train_step", no_training)
+    given = ["--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
+             "--ckpt", str(run / "task_00.ckpt")]
+    capsys.readouterr()
+    assert cli.main(["eval"] + given + ["--out", str(run / "eval.json")]) == 3
+    assert cli.main(["export-attention"] + given
+                    + ["--out", str(run / "maps.csv")]) == 3
+    assert cli.main(args) == 3  # resume
+    err = capsys.readouterr().err
+    assert err.count("predates the flat parameter layout") == 3
+    assert err.count("start the run again") == 3
+    assert not (run / "eval.json").exists() and not (run / "maps.csv").exists()
+    assert not (run / "task_01.ckpt").exists()
 
 
 @pytest.mark.parametrize("strategy,key", [
@@ -364,8 +426,11 @@ def test_stray_optimizer_moment_exits_3(ws, capsys, monkeypatch, strategy, key):
 def test_non_finite_model_tensor_exits_3(ws, capsys, key):
     """A NaN weight is a malformed checkpoint tensor (exit 3) for every
     command that reads the model, before any evaluation runs into it."""
+    name = key[len("model/"):]
+    flat_key, table = _tables(ws)["avm" if name.startswith("avm/") else "backbone"]
+
     def damage(arrays):
-        arrays[key][0] = np.nan
+        arrays[flat_key][_param_slices(table)[name].start] = np.nan
 
     run, args = _damaged_copy(ws, f"run_nan_{key.replace('/', '_')}", damage)
     given = ["--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
@@ -375,17 +440,7 @@ def test_non_finite_model_tensor_exits_3(ws, capsys, key):
                     + ["--out", str(run / "maps.csv")]) == 3
     assert cli.main(args) == 3  # resume
     err = capsys.readouterr().err
-    assert err.count(f"non-finite value in tensor {key!r}") == 3
-
-
-def _moment_slices(arrays, module):
-    """Parameter name -> its slice of the module's flat moments: the
-    ``model/`` tensors of the module, in the order the checkpoint holds
-    them, which is its parameter table's."""
-    names = [k[len("model/"):] for k in arrays if k.startswith("model/")
-             and k.startswith("model/avm/") == (module == "avm")]
-    bounds = np.cumsum([0] + [arrays[f"model/{k}"].size for k in names])
-    return {k: slice(lo, hi) for k, lo, hi in zip(names, bounds[:-1], bounds[1:])}
+    assert err.count(f"non-finite value in tensor {flat_key!r}") == 3
 
 
 @pytest.mark.parametrize("key", ["opt/backbone/v/audio_pos", "opt/avm/m/avm/head/w2"])
@@ -396,7 +451,7 @@ def test_non_finite_optimizer_moment_exits_3_before_training(ws, capsys,
     _, module, kind, name = key.split("/", 3)
     run, args = _first_task_copy(ws, f"run_nan_{key.replace('/', '_')}")
     arrays = ckpt.load(run / "task_00.ckpt")
-    last = _moment_slices(arrays, module)[name].stop - 1
+    last = _param_slices(_tables(ws)[module][1])[name].stop - 1
     arrays[f"opt/{module}/{kind}"][last] = np.inf
     ckpt.save(run / "task_00.ckpt", arrays)
 
@@ -416,9 +471,9 @@ def test_per_parameter_moment_checkpoint_exits_3_before_training(ws, capsys,
     such, exit 3, instead of training from it."""
     run, args = _first_task_copy(ws, "run_per_parameter_moments")
     arrays = ckpt.load(run / "task_00.ckpt")
-    for module in ("backbone", "avm"):
-        for name, part in _moment_slices(arrays, module).items():
-            shape = arrays[f"model/{name}"].shape
+    for module, (_, table) in _tables(ws).items():
+        for name, part in _param_slices(table).items():
+            shape = table[name][0]
             for kind in "mv":
                 flat = arrays[f"opt/{module}/{kind}"]
                 arrays[f"opt/{module}/{kind}/{name}"] = flat[part].reshape(shape)
@@ -442,11 +497,19 @@ def test_matching_head_of_another_width_exits_3(ws, capsys):
     by export instead of running another architecture."""
     run, args = _first_task_copy(ws, "run_narrow_head")
     arrays = ckpt.load(run / "task_00.ckpt")
-    for key in list(arrays):
-        if key.endswith("avm/head/w1"):
-            arrays[key] = arrays[key][:, :8]
-        elif key.endswith(("avm/head/b1", "avm/head/w2")):
-            arrays[key] = arrays[key][:8]
+    key, table = _tables(ws)["avm"]
+    cuts = {"avm/head/w1": np.s_[:, :8], "avm/head/b1": np.s_[:8],
+            "avm/head/w2": np.s_[:8]}
+
+    def narrow(flat):
+        return {name: flat[part].reshape(table[name][0])[cuts.get(name, ...)]
+                for name, part in _param_slices(table).items()}
+
+    parts = narrow(arrays.pop(key))
+    narrow_key = tr._model_key("avm", ((k, p.shape) for k, p in parts.items()))
+    for name, flat in [(narrow_key, parts)] + [
+            (f"opt/avm/{kind}", narrow(arrays[f"opt/avm/{kind}"])) for kind in "mv"]:
+        arrays[name] = np.concatenate(list(flat.values()), axis=None)
     ckpt.save(run / "task_00.ckpt", arrays)
     out = run / "maps.csv"
     assert cli.main(["export-attention", "--config", str(ws / "cfg.ini"),
@@ -455,7 +518,7 @@ def test_matching_head_of_another_width_exits_3(ws, capsys):
                      "--out", str(out)]) == 3
     assert cli.main(args) == 3  # resume
     err = capsys.readouterr().err
-    assert err.count("data error") == 2 and "avm/head/w1" in err
+    assert err.count("data error") == 2 and f"missing [{key!r}]" in err
     assert not out.exists() and not (run / "task_01.ckpt").exists()
 
 
@@ -613,27 +676,42 @@ def test_bad_memory_bookkeeping_exits_3_before_training(ws, capsys, monkeypatch,
     assert not (run / "task_01.ckpt").exists()
 
 
-@pytest.mark.parametrize("field", ["oversize", "extra"])
+@pytest.mark.parametrize("field", ["oversize", "extra", "cut"])
 def test_hostile_memory_field_exits_3_before_allocating(ws, capsys, monkeypatch,
                                                         field):
-    """A stored field the run does not store, or at another per-entry shape,
-    is rejected before the memory's capacity-sized columns exist."""
-    def damage(arrays):
-        count = len(arrays["memory/steps"])
-        if field == "oversize":
-            arrays["memory/field/imp_audio"] = np.zeros((count, 100_000))
-        else:
-            arrays["memory/field/extra"] = np.zeros((count, 4))
+    """A stored field the run does not store, or at another per-entry
+    shape, or a snapshot of fewer entries than every reservoir holds (the
+    smaller of its capacity and the pairs it saw: here 6 cut to 4) is
+    rejected before the memory's columns exist and before any step."""
+    run, args = _first_task_copy(ws, f"run_{field}_field")
+    arrays = ckpt.load(run / "task_00.ckpt")
+    count = len(arrays["memory/steps"])
+    assert count == arrays["memory/capacity"][0] == 6 < arrays["memory/seen"][0]
+    if field == "oversize":
+        arrays["memory/field/imp_audio"] = np.zeros((count, 100_000))
+    elif field == "extra":
+        arrays["memory/field/extra"] = np.zeros((count, 4))
+    else:
+        for key in arrays:
+            if key.startswith("memory/") and key not in ("memory/capacity",
+                                                         "memory/seen"):
+                arrays[key] = arrays[key][:4]
+    ckpt.save(run / "task_00.ckpt", arrays)
 
     def allocate(*args, **kwargs):
         raise AssertionError("memory allocated before its fields were checked")
 
-    _, args = _damaged_copy(ws, f"run_{field}_field", damage)
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained on a hostile memory")
+
     monkeypatch.setattr(rm, "ReservoirMemory", allocate)
+    monkeypatch.setattr(tr, "train_step", no_training)
     assert cli.main(args) == 3
-    named = {"oversize": "memory/field/imp_audio", "extra": "memory/field/extra"}
+    named = {"oversize": repr("memory/field/imp_audio"),
+             "extra": repr("memory/field/extra"), "cut": "entry count 4 inconsistent"}
     err = capsys.readouterr().err
-    assert "snapshot" in err and repr(named[field]) in err
+    assert "snapshot" in err and named[field] in err
+    assert not (run / "task_01.ckpt").exists()
 
 
 def test_unknown_strategy_exits_2_without_partial_run_dir(ws, capsys):
@@ -1126,9 +1204,11 @@ def test_export_attention_needs_a_config_that_scores(ws, capsys):
 def test_export_attention_on_scaled_query_key_weights(ws, capsys, scale, code):
     """Matching-head query/key weights scaled until q.k overflows give
     non-finite maps: exit 4 and no CSV.  Short of that the export runs."""
+    flat_key, table = _tables(ws)["avm"]
+
     def damage(arrays):
         for key in ("audio/wq", "audio/wk", "video/wq", "video/wk"):
-            arrays[f"model/avm/{key}"] = arrays[f"model/avm/{key}"] * scale
+            arrays[flat_key][_param_slices(table)[f"avm/{key}"]] *= scale
 
     run, _ = _damaged_copy(ws, f"run_scaled_{scale:g}", damage)
     out = run / "maps.csv"

@@ -32,19 +32,20 @@ def _reference_step(data, grads, m, v, t, lr, beta1=0.95, beta2=0.999, eps=1e-8)
 
 def _module(name, rng):
     if name == "backbone":
-        return bb.init_backbone(CFG, GEOM, rng).params, bb.param_table(CFG, GEOM)
-    return av.init_avm(CFG, rng).params, av.param_table(CFG)
+        return bb.init_backbone(CFG, GEOM, rng), bb.param_table(CFG, GEOM)
+    return av.init_avm(CFG, rng), av.param_table(CFG)
 
 
 @pytest.mark.parametrize("module", ["backbone", "avm"])
 @pytest.mark.parametrize("warm", [False, True])
 def test_fused_step_matches_the_per_parameter_loop(module, warm):
     rng = np.random.default_rng(11)
-    params, table = _module(module, rng)
+    part, table = _module(module, rng)
+    params = part.params
     assert list(params) == list(table)
     lr = 1e-3
     data = {k: p.data.copy() for k, p in params.items()}
-    m, v = zero_moments(params)
+    m, v = zero_moments(part.flat)
     ref_m = {k: np.zeros(p.shape) for k, p in params.items()}
     ref_v = {k: np.zeros(p.shape) for k, p in params.items()}
     if warm:  # a restored run's moments
@@ -53,7 +54,7 @@ def test_fused_step_matches_the_per_parameter_loop(module, warm):
             ref_v[k] = rng.normal(0.0, 1e-2, p.shape) ** 2
         m = np.concatenate([ref_m[k] for k in table], axis=None)
         v = np.concatenate([ref_v[k] for k in table], axis=None)
-    opt = Adam(params, m, v, lr=lr)
+    opt = Adam(part.flat, m, v, lr=lr)
     opt.step_count = 7 * warm
     for t in range(opt.step_count + 1, opt.step_count + 7):
         grads = {k: rng.normal(0.0, rng.choice([1e-6, 1.0, 1e3]), p.shape)
@@ -65,6 +66,9 @@ def test_fused_step_matches_the_per_parameter_loop(module, warm):
         _reference_step(data, grads, ref_m, ref_v, t, lr)
         for k, p in params.items():
             assert np.array_equal(p.data, data[k]), (t, k)
+            # updated in place: still views of the module's flat buffers
+            assert np.shares_memory(p.data, part.flat.data), (t, k)
+            assert np.shares_memory(p.grad, part.flat.grad), (t, k)
     arrays = opt.named_arrays(f"opt/{module}")
     assert list(arrays) == [f"opt/{module}/m", f"opt/{module}/v"]
     total = sum(int(np.prod(shape)) for shape, _ in table.values())
@@ -75,7 +79,17 @@ def test_fused_step_matches_the_per_parameter_loop(module, warm):
 
 
 def test_zero_moments_are_two_flat_arrays():
-    params = {"a": tt.parameter(np.ones((2, 3))), "b": tt.parameter(np.ones(4))}
-    m, v = zero_moments(params)
+    m, v = zero_moments(tt.parameter(np.ones(10)))
     assert m.shape == v.shape == (10,) and m is not v
     assert not m.any() and not v.any()
+
+
+def test_zero_grad_clears_every_named_gradient():
+    part, _ = _module("backbone", np.random.default_rng(3))
+    opt = Adam(part.flat, *zero_moments(part.flat))
+    for p in part.params.values():
+        p.grad[...] = 1.0
+    assert part.flat.grad.all()
+    opt.zero_grad()
+    assert not part.flat.grad.any()
+    assert not any(p.grad.any() for p in part.params.values())

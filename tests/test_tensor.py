@@ -468,6 +468,56 @@ def test_disconnected_leaf_has_zero_grad():
     assert np.array_equal(y.grad, np.zeros(2))
 
 
+_TABLE = {"w": ((3, 2), 0.5), "b": ((2,), tt.ZEROS), "g": ((2,), tt.ONES),
+          "v": ((4,), 2.0)}
+
+
+def test_init_parameters_draw_in_table_order_into_one_flat_leaf():
+    flat, params = tt.init_parameters(_TABLE, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    want = {"w": rng.normal(0.0, 0.5, size=(3, 2)), "b": np.zeros(2),
+            "g": np.ones(2), "v": rng.normal(0.0, 2.0, size=(4,))}
+    assert flat.shape == (tt.table_size(_TABLE),) == (14,) and flat.requires_grad
+    assert list(params) == list(_TABLE)
+    assert np.array_equal(flat.data, np.concatenate(list(want.values()), axis=None))
+    for k, p in params.items():
+        assert np.array_equal(p.data, want[k]) and p.requires_grad
+        assert np.shares_memory(p.data, flat.data) and np.shares_memory(p.grad, flat.grad)
+
+
+def test_named_gradients_accumulate_into_the_flat_buffer():
+    flat, params = tt.flat_parameters(_TABLE, np.arange(14.0))
+    loss = tt.add(tt.sum_(tt.mul(params["w"], 3.0)), tt.sum_(params["v"]))
+    loss.backward()
+    loss.backward()
+    assert np.array_equal(flat.grad, [6.0] * 6 + [0.0] * 4 + [2.0] * 4)
+    flat.zero_grad()
+    assert not params["w"].grad.any() and not params["v"].grad.any()
+
+
+def test_flat_parameters_adopt_the_values_and_check_them_once():
+    values = np.arange(14.0)
+    flat, params = tt.flat_parameters(_TABLE, values)
+    assert flat.data is values
+    assert np.array_equal(params["g"].data, [8.0, 9.0])
+    with pytest.raises(tt.ShapeError):
+        tt.flat_parameters(_TABLE, np.zeros(13))
+    values[-1] = np.inf
+    with pytest.raises(tt.NumericError):
+        tt.flat_parameters(_TABLE, values)
+
+
+def test_layout_digest_names_the_arrangement():
+    pairs = [(k, shape) for k, (shape, _) in _TABLE.items()]
+    digest = tt.layout_digest(pairs)
+    assert len(digest) == 16 and int(digest, 16) >= 0
+    assert tt.layout_digest(iter(pairs)) == digest
+    # as many values, another arrangement: another name
+    assert tt.layout_digest(pairs[::-1]) != digest
+    assert tt.layout_digest([("w", (2, 3))] + pairs[1:]) != digest
+    assert tt.layout_digest([("w2", (3, 2))] + pairs[1:]) != digest
+
+
 def test_shared_node_gradient_fans_in():
     x = Tensor([3.0], requires_grad=True)
     y = tt.mul(x, x)

@@ -590,54 +590,85 @@ def test_restore_draws_no_random_number(tasks, geom, mcfg, tmp_path, monkeypatch
 
 def test_restored_parameters_and_moments_are_the_readers_arrays(
         tasks, geom, mcfg, tmp_path):
+    """Each module's flat values are the reader's ``model/<module>@...``
+    array, each parameter a view of it at its table offset, and the
+    optimizer steps that very leaf."""
     arrays, streams, cfg = _stella_checkpoint(tasks, geom, mcfg, tmp_path)
     steps = tasks[0].train.audio_patches.shape[0] // cfg.batch
     run, _, _ = tr._restore_run(arrays, 1, steps, streams, mcfg, cfg, geom)
-    for params, opt, prefix in ((run.state.params, run.b_opt, "opt/backbone"),
-                                (run.avm.params, run.a_opt, "opt/avm")):
-        for k, p in params.items():
-            assert p.data is arrays[f"model/{k}"] and p.requires_grad, k
-        assert opt.m is arrays[f"{prefix}/m"] and opt.v is arrays[f"{prefix}/v"]
-        assert opt.m.shape == (sum(p.size for p in params.values()),)
+    for part, opt, module, table in (
+            (run.state, run.b_opt, "backbone", bb.param_table(mcfg, geom)),
+            (run.avm, run.a_opt, "avm", am.param_table(mcfg))):
+        flat = arrays[tr._table_key(module, table)]
+        assert part.flat.data is flat and part.flat.requires_grad
+        assert list(part.params) == list(table)
+        lo = 0
+        for k, p in part.params.items():
+            hi = lo + p.size
+            assert p.data.base is flat and p.requires_grad, k
+            assert np.shares_memory(p.data, flat[lo:hi]), k
+            assert np.array_equal(p.data, flat[lo:hi].reshape(p.shape)), k
+            assert np.shares_memory(p.grad, part.flat.grad[lo:hi]), k
+            lo = hi
+        assert lo == flat.size
+        assert opt.param is part.flat
+        assert opt.m is arrays[f"opt/{module}/m"] and opt.v is arrays[f"opt/{module}/v"]
+        assert opt.m.shape == flat.shape
         assert opt.step_count == steps
-    assert list(run.state.params) == list(bb.param_table(mcfg, geom))
-    assert list(run.avm.params) == list(am.param_table(mcfg))
 
 
 def test_model_tensors_must_be_exactly_the_configured_models(tasks, geom, mcfg,
                                                              tmp_path):
-    """The backbone takes the ``model/`` tensors outside ``model/avm/`` and
-    the matching module those under it; each set must be exactly its
-    parameter table, shape for shape, with finite values."""
+    """The backbone takes the ``model/`` tensors other than
+    ``model/avm@...`` and the matching module that one; each must be
+    exactly the module's flat values under its parameter table's name, at
+    its size, with finite values.  A model of another arrangement is
+    another name, even at the same value count."""
     arrays, _, _ = _stella_checkpoint(tasks, geom, mcfg, tmp_path)
+    b_key = tr._table_key("backbone", bb.param_table(mcfg, geom))
+    a_key = tr._table_key("avm", am.param_table(mcfg))
+    assert {k for k in arrays if k.startswith("model/")} == {b_key, a_key}
     deeper = bb.init_backbone(dataclasses.replace(mcfg, encoder_layers=2), geom,
                               np.random.default_rng(0))
-    assert len(deeper.params) > len(tr.backbone_from_arrays(arrays, mcfg, geom).params)
-    deeper_arrays = {f"model/{k}": v for k, v in deeper.named_arrays().items()}
-    with pytest.raises(cp.CheckpointError, match="unexpected.*enc_audio/1/"):
-        tr.backbone_from_arrays(deeper_arrays, mcfg, geom)
+    assert deeper.flat.size > tr.backbone_from_arrays(arrays, mcfg, geom).flat.size
+    deeper_key = tr._table_key("backbone", bb.param_table(deeper.cfg, geom))
+    with pytest.raises(cp.CheckpointError, match=f"unexpected.*{deeper_key}"):
+        tr.backbone_from_arrays({deeper_key: deeper.flat.data}, mcfg, geom)
+    # encoder, fusion and decoder layers 1/1/1 against 0/2/2: as many blocks
+    arranged = dataclasses.replace(mcfg, encoder_layers=0, fusion_layers=2,
+                                   decoder_layers=2)
+    arranged_table = bb.param_table(arranged, geom)
+    assert tt.table_size(arranged_table) == arrays[b_key].size
+    arranged_key = tr._table_key("backbone", arranged_table)
+    assert arranged_key != b_key
+    with pytest.raises(cp.CheckpointError,
+                       match=f"missing \\['{b_key}'\\], unexpected \\['{arranged_key}'\\]"):
+        tr.backbone_from_arrays({arranged_key: arrays[b_key]}, mcfg, geom)
+    nan_at = np.zeros(arrays[a_key].size)
+    nan_at[-1] = np.nan
     cases = [("model/bogus", np.zeros(2), "unexpected \\['model/bogus'\\]"),
-             ("model/audio_pos", None, "missing \\['model/audio_pos'\\]"),
-             ("model/audio_pos", np.zeros((3, 16)), "shape mismatch.*'model/audio_pos'"),
-             ("model/ln_video/gain", np.full(16, np.inf), "non-finite.*'model/ln_video/gain'"),
-             ("model/avm/bogus", np.zeros(2), "unexpected \\['model/avm/bogus'\\]"),
-             ("model/avm/head/w1", None, "missing \\['model/avm/head/w1'\\]"),
-             ("model/avm/head/b2", np.full(1, np.nan), "non-finite.*'model/avm/head/b2'")]
+             (b_key, None, f"missing \\['{b_key}'\\]"),
+             (b_key, np.zeros(3), f"shape mismatch.*'{b_key}'"),
+             (b_key, np.full(arrays[b_key].size, np.inf), f"non-finite.*'{b_key}'"),
+             ("model/avm@bogus", np.zeros(2), "unexpected \\['model/avm@bogus'\\]"),
+             (a_key, None, None),
+             (a_key, nan_at, f"non-finite.*'{a_key}'")]
     for key, value, message in cases:
         bad = dict(arrays)
         if value is None:
             del bad[key]
         else:
             bad[key] = value
-        if key.startswith("model/avm/"):
-            tr.backbone_from_arrays(bad, mcfg, geom)  # its own keys are intact
+        if key.startswith("model/avm@"):
+            tr.backbone_from_arrays(bad, mcfg, geom)  # its own key is intact
+            if message is None:  # no matching module at all
+                assert tr.avm_from_arrays(bad, mcfg) is None
+                continue
             with pytest.raises(cp.CheckpointError, match=message):
                 tr.avm_from_arrays(bad, mcfg)
         else:
             with pytest.raises(cp.CheckpointError, match=message):
                 tr.backbone_from_arrays(bad, mcfg, geom)
-    assert tr.avm_from_arrays({k: v for k, v in arrays.items()
-                               if not k.startswith("model/avm/")}, mcfg) is None
 
 
 def test_empty_task_list_is_rejected(geom, mcfg):
@@ -702,7 +733,21 @@ def test_checkpoint_layout_declares_what_a_save_writes(tasks, geom, mcfg, tmp_pa
     tr.run_sequence(tasks, geom, mcfg, cfg, tmp_path)
     assert [done for done, _, _ in written] == [1, 2]
     for done, steps, shapes in written:
-        assert shapes == tr._checkpoint_layout(mcfg, cfg, geom, done, steps)
+        assert shapes == tr._checkpoint_layout(tr._param_tables(mcfg, cfg, geom),
+                                               done, steps)
+
+
+def _assert_flat_views(run):
+    """Every parameter's value and gradient are views of its module's flat
+    buffers, which the optimizer steps; a rebinding would leave the
+    checkpoint's flat tensor behind the model."""
+    for part, opt in ((run.state, run.b_opt), (run.avm, run.a_opt)):
+        if part is None:
+            continue
+        assert opt.param is part.flat
+        for k, p in part.params.items():
+            assert np.shares_memory(p.data, part.flat.data), k
+            assert np.shares_memory(p.grad, part.flat.grad), k
 
 
 @pytest.mark.parametrize("strategy", tr.STRATEGIES)
@@ -715,6 +760,8 @@ def test_resume_reproduces_uninterrupted_run(tasks, geom, mcfg, tmp_path,
     tr.run_sequence(tasks[:1], geom, mcfg, cfg, part_dir)
     run_res, acc_res, gaps_res = tr.run_sequence(tasks, geom, mcfg, cfg,
                                                  part_dir)
+    _assert_flat_views(run_full)  # after a run's steps
+    _assert_flat_views(run_res)  # after a restore and the steps that follow
     assert np.array_equal(_records(run_full), _records(run_res))
     assert acc_full == acc_res and gaps_full == gaps_res
     for k, v in run_full.state.named_arrays().items():
@@ -745,15 +792,22 @@ _STORED = {
 def test_checkpoint_keys_are_pinned(tasks, geom, mcfg, tmp_path, strategy):
     """Every checkpoint key outside the model is pinned, so a key that only
     repeats another one (a step count, an entry count) cannot come back
-    unnoticed.  The optimizer moments are one flat ``m`` and one flat ``v``
-    per module, one value per parameter value."""
+    unnoticed.  The model is one flat tensor per module, named after its
+    parameter table, and the optimizer moments are one flat ``m`` and one
+    flat ``v`` per module, one value per parameter value."""
     run, _, _ = tr.run_sequence(tasks[:1], geom, mcfg, _cfg(strategy), tmp_path)
     arrays = cp.load(tmp_path / "task_00.ckpt")
     modules = {"backbone": run.state} | ({"avm": run.avm} if run.avm else {})
+    tables = {"backbone": bb.param_table(mcfg, geom), "avm": am.param_table(mcfg)}
     moments = {f"opt/{name}/{kind}" for name in modules for kind in "mv"}
     assert {k for k in arrays if k.startswith("opt/")} == moments
+    assert ({k for k in arrays if k.startswith("model/")}
+            == {tr._table_key(name, tables[name]) for name in modules})
     for name, module in modules.items():
         total = sum(p.size for p in module.params.values())
+        assert np.array_equal(arrays[tr._table_key(name, tables[name])],
+                              np.concatenate([p.data for p in module.params.values()],
+                                             axis=None))
         for kind in "mv":
             assert arrays[f"opt/{name}/{kind}"].shape == (total,)
     rest = {k for k in arrays if not k.startswith(("model/", "opt/"))}
