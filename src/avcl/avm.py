@@ -173,10 +173,12 @@ def avm_train_step(avm: AvmParams, state: bb.BackboneState, o_a: Tensor,
     """One matching update: shuffle negatives, BCE, step only the AVM.
 
     Takes the batch's unmasked fusion tokens and encoder outputs from
-    :func:`fusion_tokens` and returns the scalar loss. Backbone gradients
-    are asserted to be exactly zero after the backward pass, by one test of
-    the backbone's flat gradient — the matching objective must never train
-    the backbone.
+    :func:`fusion_tokens` and returns the scalar loss; the step's tape is
+    freed on return.  The trainer runs it right after the scoring pass,
+    before the backbone's masked forward pass, while the backbone
+    gradients are still zero.  They are asserted to be exactly zero after
+    the backward pass, by one test of the backbone's flat gradient — the
+    matching objective must never train the backbone.
     """
     labels, s_a, s_v = _shuffled_tokens(state, o_a, o_v, enc_a, enc_v, rng)
     yhat = matching_forward(avm, s_a, s_v)

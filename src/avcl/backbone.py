@@ -19,6 +19,11 @@ Every transformer block (encoders, joint fusion, contrastive fusion,
 decoder) is one call of ``tt.prenorm_block``: a single tape node when
 gradients are recorded, plain numpy under ``no_grad``.
 
+Losses: the reconstruction term is one ``tt.masked_mse`` node per
+modality, which keeps only the residual and the mask for its backward pass,
+not the squared errors; the contrastive loss and the objective's weighted
+sum are small primitive chains over (B, B) and scalar values.
+
 Masking semantics: a masked training batch enters the encoders as its
 visible tokens only (``visible_tokens``): each row's visible patches come
 first, and the batch is cut to its largest visible count.  Rows with fewer
@@ -268,29 +273,18 @@ def decode(state: BackboneState, o_a: Tensor, o_v: Tensor, aps: PatchSet,
 # ---------------------------------------------------------------------------
 
 
-def _masked_recon_term(recon: Tensor, target: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Per-sample mean squared error over masked patch elements, batch-meaned."""
-    b, n, pd = recon.shape
-    diff = tt.sub(recon, Tensor(target))
-    se = tt.mul(diff, diff)
-    m = Tensor(mask.astype(np.float64)[:, :, None])
-    per_sample = tt.sum_(tt.mul(se, m), axis=(1, 2))  # (B,)
-    counts = mask.sum(axis=1).astype(np.float64)
-    denom = np.maximum(counts, 1.0) * pd  # zero-mask rows contribute 0 anyway
-    return tt.mean(tt.div(per_sample, Tensor(denom)))
-
-
 def reconstruction_loss(recon_a: Tensor, recon_v: Tensor,
                         target_a: np.ndarray, target_v: np.ndarray,
                         m_a: np.ndarray, m_v: np.ndarray) -> Tensor:
-    """Sum over modalities of batch-mean masked-element MSE.
+    """Sum over modalities of batch-mean masked-element MSE
+    (:func:`tensor.masked_mse`, one tape node per modality).
 
     Unmasked positions never contribute, so a row with nothing masked adds
     zero, and a batch with nothing masked in either modality has a zero
     loss with zero gradients.
     """
-    return tt.add(_masked_recon_term(recon_a, target_a, m_a),
-                  _masked_recon_term(recon_v, target_v, m_v))
+    return tt.add(tt.masked_mse(recon_a, target_a, m_a),
+                  tt.masked_mse(recon_v, target_v, m_v))
 
 
 def contrastive_features(state: BackboneState, enc_a: Tensor, enc_v: Tensor,

@@ -11,14 +11,15 @@ Design constraints baked in here:
   finite; overflow/NaN raises :class:`NumericError` rather than
   propagating silently.  In ``backward``, each leaf's gradient is checked
   once, before any is written.
-* Two fused nodes do the work of a whole op chain each, with a backward
-  rule written out by hand: ``attention`` (softmax(q k^T/sqrt(d) + bias) v)
-  and ``prenorm_block`` (a whole pre-norm transformer block).  Each checks
-  only its output; a NaN or inf in any intermediate (logits,
-  probabilities, normalized activations, the MLP's hidden units) reaches
-  that output, so it still raises.  Both share their numpy bodies with
-  ``attention``, ``layernorm`` and ``gelu`` and reproduce the unfused
-  chain's arithmetic.
+* Three fused nodes do the work of a whole op chain each, with a backward
+  rule written out by hand: ``attention`` (softmax(q k^T/sqrt(d) + bias) v),
+  ``prenorm_block`` (a whole pre-norm transformer block) and
+  ``masked_mse`` (the masked reconstruction error).  Each checks only its
+  output; a NaN or inf in any intermediate (logits, probabilities,
+  normalized activations, the MLP's hidden units, squared errors) reaches
+  that output, so it still raises.  Each reproduces the unfused chain's
+  arithmetic; the first two share their numpy bodies with ``attention``,
+  ``layernorm`` and ``gelu``.
 * The attention math exists once, as numpy kernels (``scaled_logits``,
   ``softmax_inplace``, ``stable_sigmoid``) that the ops here and the no-grad
   scoring pass share; no other module calls ``np.exp``.
@@ -739,6 +740,41 @@ def prenorm_block(x, weights, bias, heads: int, eps: float) -> Tensor:
                 gg2, gc2, gw1, gb1, gw2, gb2)
 
     return _make(y, (x, *weights), grad_fn)
+
+
+def masked_mse(pred, target: np.ndarray, mask: np.ndarray) -> Tensor:
+    """Masked-element mean squared error as one recorded node.
+
+    ``pred`` and the constant ``target`` are (B, n, e) and ``mask`` is a
+    (B, n) boolean array.  Each row's squared error over the elements of its
+    masked positions is divided by max(its masked count, 1) * e, and the
+    rows are averaged, so a row with nothing masked adds zero.  The node
+    keeps only the residual ``pred - target`` and the float mask for its
+    backward rule, which, like the forward pass, repeats the arithmetic of
+    the primitive chain sub, mul, mul, sum_, div, mean step for step: value
+    and gradient match that chain bit for bit.  Only the output is
+    finite-checked; a NaN or inf in ``pred`` or ``target`` reaches it, since
+    a zero mask weight times NaN or inf is NaN.
+    """
+    pred = as_tensor(pred)
+    if pred.ndim != 3 or target.shape != pred.shape or mask.shape != pred.shape[:2]:
+        raise ShapeError("masked_mse takes (B, n, e) operands and a (B, n) mask")
+    b, _, e = pred.shape
+    weight = mask.astype(np.float64)
+    denom = np.maximum(mask.sum(axis=1).astype(np.float64), 1.0) * e
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = pred.data - target
+        se = diff * diff
+        se *= weight[:, :, None]
+        out = (se.sum(axis=(1, 2)) / denom).sum(axis=0) * (1.0 / b)
+
+    def grad_fn(g):
+        row = g * (1.0 / b) / denom  # mean, then the division's share
+        gd = (row[:, None] * weight)[:, :, None] * diff
+        gd += gd  # both operands of diff * diff
+        return (gd,)
+
+    return _make(out, (pred,), grad_fn)
 
 
 def weighted_mean_pool(x, axis: int, weights) -> Tensor:

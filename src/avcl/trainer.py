@@ -7,7 +7,10 @@ audio kept in whole time chunks, or by importance and past correlation read
 off the matching module's cross-attention).  Everything else derives from
 the row (see :class:`Strategy`); what a rehearsal entry stores is decided
 once, by :func:`_memory_layout`, and the scoring pass hands its scores on
-under the names entries store them by.
+under the names entries store them by.  A scoring strategy's step scores
+its batch and updates the matching module first (:func:`_score_and_match`),
+so that module's tape and the unmasked fusion tokens are freed before the
+backbone records its masked forward pass: one tape is alive at a time.
 
 Training never reads task identity: the step API has no task argument, and
 the only task-shaped value (``RunState.diagnostic_task``) is copied verbatim
@@ -267,8 +270,9 @@ def _score_batch(run: RunState, tcfg: TrainConfig, aps: PatchSet,
 
     Returns the scores under the names an entry stores them by
     (``imp_*`` (B, n), ``corr_*`` (B, kappa) and the localized queries
-    ``q_*``), and the unmasked fusion tokens and encoder outputs that the
-    matching-module step reuses."""
+    ``q_*``), and the unmasked fusion tokens and encoder outputs, which
+    :func:`_score_and_match` hands to the matching-module step and then
+    drops."""
     kap_a = sel.kappa(aps.count, tcfg.rho_audio)
     kap_v = sel.kappa(vps.count, tcfg.rho_video)
     o_a, o_v, enc_a, enc_v = am.fusion_tokens(run.state, aps, vps)
@@ -290,6 +294,23 @@ def _score_batch(run: RunState, tcfg: TrainConfig, aps: PatchSet,
     scores = {"imp_audio": imp_a, "imp_video": imp_v, "corr_audio": corr_a,
               "corr_video": corr_v, "q_audio": loc_a.pooled, "q_video": loc_v.pooled}
     return scores, (o_a, o_v, enc_a, enc_v)
+
+
+def _score_and_match(run: RunState, tcfg: TrainConfig, aps: PatchSet,
+                     vps: PatchSet, replay: dict[str, np.ndarray] | None
+                     ) -> tuple[dict[str, np.ndarray], float]:
+    """The scores of :func:`_score_batch` and the loss of the
+    matching-module update on its tokens.
+
+    Only these leave: the unmasked fusion tokens, encoder outputs and the
+    update's tape die on return, before the backbone's masked forward pass
+    records its own tape.  The update writes only the matching module's
+    parameters, its Adam moments and the ``avm`` stream, none of which the
+    rest of the step reads, and runs while the backbone gradients are
+    still zero, so its gradient-isolation assertion is exact."""
+    scores, tokens = _score_batch(run, tcfg, aps, vps, replay)
+    return scores, am.avm_train_step(run.avm, run.state, *tokens, run.a_opt,
+                                     run.streams["avm"])
 
 
 def _select_pair(tcfg: TrainConfig, aps: PatchSet, vps: PatchSet,
@@ -356,15 +377,16 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
 
     Order of operations (attention selectors; others skip what they lack):
     replay draw -> attention scoring (the one unmasked no-grad backbone pass)
-    -> correlation against stored queries -> current selection -> replay
-    selection -> mask draws -> each modality cut to its visible tokens ->
-    encode, joint fusion and contrastive pass on the visible tokens, decode
-    at full length, losses -> memory insertion -> matching-module update on
-    the scoring pass's outputs -> backbone update.  Memory
-    insertion precedes both updates, so stored features reflect the weights
-    that produced the losses; the matching-module update precedes the
-    backbone backward pass, which keeps its gradient-isolation assertion
-    meaningful.
+    -> correlation against stored queries -> matching-module update on the
+    scoring pass's outputs -> current selection -> replay selection -> mask
+    draws -> each modality cut to its visible tokens -> encode, joint fusion
+    and contrastive pass on the visible tokens, decode at full length,
+    losses -> memory insertion -> backbone update.  The matching-module
+    update finishes, and its tape is freed, before the backbone's masked
+    forward pass starts, so the two tapes are never alive together; it
+    precedes the backbone backward pass, which keeps its gradient-isolation
+    assertion exact.  Memory insertion precedes the backbone update, so
+    stored features reflect the weights that produced the losses.
     """
     b = aps.patches.shape[0]
     row = tcfg.row
@@ -374,10 +396,11 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
         replay = rm.sample_replay(run.mem, b, run.streams["memory"])
 
     scores: dict[str, np.ndarray] = {}
+    avm_loss = 0.0
     cur_aps, cur_vps = aps, vps
     past_aps = past_vps = None
     if row.attention:
-        scores, tokens = _score_batch(run, tcfg, aps, vps, replay)
+        scores, avm_loss = _score_and_match(run, tcfg, aps, vps, replay)
     if row.selector:
         cur_aps, cur_vps = _select_pair(tcfg, aps, vps, scores,
                                         run.streams["selection"])
@@ -414,13 +437,6 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     if tcfg.memory_capacity > 0:
         _store_current(run, (aps, vps), (cur_aps, cur_vps), scores,
                        c_a.data[:b], c_v.data[:b])
-
-    avm_loss = 0.0
-    if row.attention:
-        # runs before the backbone backward pass: backbone gradients are
-        # still empty, so the isolation assertion inside is exact
-        avm_loss = am.avm_train_step(run.avm, run.state, *tokens, run.a_opt,
-                                     run.streams["avm"])
 
     total.backward()
     run.b_opt.step()

@@ -294,6 +294,59 @@ def test_block_nonfinite_gradient_raises():
     assert not x.grad.any() and not any(w.grad.any() for w in ws)
 
 
+def unfused_masked_mse(pred, target, mask):
+    """The op chain ``tt.masked_mse`` fuses, as separate tape nodes."""
+    diff = tt.sub(pred, Tensor(target))
+    se = tt.mul(diff, diff)
+    m = Tensor(mask.astype(np.float64)[:, :, None])
+    per_row = tt.sum_(tt.mul(se, m), axis=(1, 2))
+    denom = np.maximum(mask.sum(axis=1).astype(np.float64), 1.0) * pred.shape[2]
+    return tt.mean(tt.div(per_row, Tensor(denom)))
+
+
+@pytest.mark.parametrize("b", [2, 3, 5, 6, 7])
+def test_masked_mse_matches_the_unfused_chain_bit_for_bit(b):
+    """Value and gradient, byte for byte, on ``b`` rows of random length and
+    width, the first with nothing masked and the last fully masked, under
+    random upstream gradients.  A batch that is no power of two makes the
+    mean's 1/b inexact, so a reordered division shows."""
+    rng = np.random.default_rng(60 + b)
+    shape = b, n, _ = (b, *(int(v) for v in rng.integers(1, 9, size=2)))
+    pred, target = rng.normal(size=shape), rng.normal(size=shape)
+    mask = rng.random((b, n)) < rng.random()
+    mask[0], mask[-1] = False, True
+    for upstream in rng.normal(size=8):
+        got = []
+        for op in (tt.masked_mse, unfused_masked_mse):
+            p = Tensor(pred.copy(), requires_grad=True)
+            out = op(p, target, mask)
+            tt.backward(tt.mul(out, float(upstream)))
+            got.append((out.data.tobytes(), p.grad.tobytes()))
+        assert got[0] == got[1]
+    fused = tt.masked_mse(p, target, mask)
+    assert fused._parents == (p,) and fused.shape == ()
+    p.zero_grad()
+    tt.backward(fused)
+    assert not p.grad[0].any() and p.grad[-1].all()
+
+
+def test_masked_mse_nonfinite_and_shape_errors():
+    rng = np.random.default_rng(66)
+    p, target = leaf(rng, 2, 3, 4), rng.normal(size=(2, 3, 4))
+    mask = np.array([[True, False, True], [False, False, True]])
+    # at an unmasked position: a zero mask weight times NaN is NaN
+    p.data[1, 0, 2] = np.nan
+    with pytest.raises(tt.NumericError):
+        tt.masked_mse(p, target, mask)
+    p.data[1, 0, 2] = 1e200  # its square overflows to inf, with no numpy warning
+    with pytest.raises(tt.NumericError):
+        tt.masked_mse(p, target, mask)
+    with pytest.raises(tt.ShapeError):
+        tt.masked_mse(p, target[:, :2], mask[:, :2])
+    with pytest.raises(tt.ShapeError):
+        tt.masked_mse(p, target, mask[:, :2])
+
+
 def _poison(x, value):
     """A node over ``x`` whose backward rule hands ``value`` to ``x``."""
     return tt._make(x.data.copy(), (x,), lambda g: (np.full_like(g, value),))

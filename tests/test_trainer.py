@@ -1,12 +1,13 @@
 """Continual trainer: strategy wiring, degeneracies, artifacts, resume."""
 
 import contextlib
-import copy
 import dataclasses
 import functools
+import gc
 import inspect
 import json
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -390,6 +391,61 @@ def test_one_backbone_pass_per_distinct_input(tasks, geom, mcfg, monkeypatch):
     assert calls == {"encode_modality": 4}  # two batches of 12 pairs
 
 
+def test_matching_step_ends_before_the_backbone_records(tasks, geom, mcfg,
+                                                       monkeypatch):
+    """One tape at a time: when ``encode`` receives the masked batch of a
+    replaying stella step, the matching-module update has returned, and the
+    scoring pass's fusion tokens and the matching head's output are freed,
+    by reference counting alone (the cycle collector is off)."""
+    cfg = _cfg("stella")
+    run = tr.init_run(mcfg, cfg, geom)
+    train = tasks[0].train
+    batches = [(dt.full_patchset(train.audio_patches[lo:lo + 4], "audio", geom),
+                dt.full_patchset(train.video_patches[lo:lo + 4], "video", geom))
+               for lo in (0, 4)]
+    tr.train_step(run, mcfg, cfg, *batches[0])
+    refs, events = {}, []
+    fusion_tokens, matching_forward = am.fusion_tokens, am.matching_forward
+    avm_train_step, encode = am.avm_train_step, bb.encode
+
+    def tokens(*args):
+        out = fusion_tokens(*args)
+        refs["o_a"], refs["o_v"] = (weakref.ref(t.data) for t in out[:2])
+        return out
+
+    def forward(*args):
+        out = matching_forward(*args)
+        refs["match"] = weakref.ref(out.data)
+        return out
+
+    def step(*args):
+        loss = avm_train_step(*args)
+        events.append("avm_train_step")
+        return loss
+
+    def masked_encode(state, aps, vps, m_a, m_v):
+        if m_a is not None:
+            events.append(("masked encode",
+                           [name for name, ref in refs.items() if ref() is not None]))
+        return encode(state, aps, vps, m_a, m_v)
+
+    for module, name, fn in ((am, "fusion_tokens", tokens),
+                             (am, "matching_forward", forward),
+                             (am, "avm_train_step", step),
+                             (bb, "encode", masked_encode)):
+        monkeypatch.setattr(module, name, fn)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        rec = tr.train_step(run, mcfg, cfg, *batches[1])
+    finally:
+        if enabled:
+            gc.enable()
+    assert rec.penalty > 0.0  # the step replayed
+    assert set(refs) == {"o_a", "o_v", "match"}
+    assert events == ["avm_train_step", ("masked encode", [])]  # none alive
+
+
 def test_softmax_runs_only_in_the_contrastive_loss(tasks, geom, mcfg, monkeypatch):
     """Attention runs as one fused node, so a replaying derpp step calls
     ``tt.softmax`` only for the two directions of the contrastive loss."""
@@ -451,7 +507,16 @@ def test_visible_token_step_matches_key_masked_full_length(tasks, geom, mcfg,
         monkeypatch.setattr(r.b_opt, "step", record_then_step)
         return tr.train_step(r, mcfg, cfg, aps, vps), grads
 
-    ref = copy.deepcopy(run)
+    # a second run from the same checkpoint arrays (copied, so the two runs
+    # share no buffer); restore reads a checkpoint written after a task, so
+    # it gets one accuracy row and one gap, which no step reads
+    arrays = {k: v.copy() for k, v in tr._checkpoint_arrays(run, [[0.0]], [0.0]).items()}
+    streams = tr._streams_from_json(tr._rng_state_json(run.streams), cfg.train_seed)
+    ref, _, _ = tr._restore_run(arrays, 1, run.global_step, streams, mcfg, cfg, geom)
+    for r in (run, ref):
+        _assert_flat_views(r)
+    assert not np.shares_memory(ref.state.flat.data, run.state.flat.data)
+    assert not np.shares_memory(ref.b_opt.m, run.b_opt.m)
     with monkeypatch.context() as m:
         m.setattr(bb, "visible_tokens", _full_length)
         want_rec, want_grads = one_step(ref)
@@ -492,8 +557,9 @@ def test_each_block_is_one_tape_node(tasks, geom, mcfg, monkeypatch):
     """The tape budget of a replaying derpp step: the backward sweep reaches
     exactly one node per block call (7 on this geometry: two encoders, the
     joint fusion, the decoder per modality and the contrastive fusion per
-    modality), and no layernorm, attention or gelu node except the two
-    ``ln_audio``/``ln_video`` layernorms before pooling."""
+    modality), no layernorm, attention or gelu node except the two
+    ``ln_audio``/``ln_video`` layernorms before pooling, and one
+    reconstruction node per modality."""
     run, cfg, (aps, vps) = _warm_derpp_run(tasks, geom, mcfg)
     made_by = {}
     make, backward = tt._make, tt.backward
@@ -534,6 +600,7 @@ def test_each_block_is_one_tape_node(tasks, geom, mcfg, monkeypatch):
     assert len(block_calls) == ops["prenorm_block"] == 7
     assert ops.get("layernorm") == 2
     assert "attention" not in ops and "gelu" not in ops
+    assert ops["masked_mse"] == 2
 
 
 def test_threaded_evaluation_leaves_grad_mode_on(tasks, geom, mcfg):
