@@ -34,7 +34,13 @@ printing ``A``, with two or more tasks ``F`` and ``gap decline`` (the mean
 per-task drop of the modality gap), and ``memory bytes`` (the stored size
 of the final rehearsal memory).
 
-The ``--out`` files of ``eval``, ``report`` and ``export-attention`` are
+``eval`` and ``export-attention`` read a checkpoint as resume does, with
+one reader: every tensor (model, optimizer moments, rehearsal memory, loss
+records, accuracy rows and gaps) is checked against the whole
+configuration, so ``[model]`` and the ``[train]`` ``strategy``, ``epochs``,
+``batch`` and memory knobs must be the run's.  The checkpoint's gaps count
+the tasks it finished, at least one and at most ``[data] num_tasks``.  The
+``--out`` files of ``eval``, ``report`` and ``export-attention`` are
 replaced atomically too, so a failed write leaves no partial output.
 
 Exit codes:
@@ -43,8 +49,9 @@ Exit codes:
 - 2 configuration or usage error: an out-of-range ``[data]``, ``[model]``,
   ``[train]`` or ``[eval]`` value (such as a zero patch size or head count,
   a ``correlation`` outside [0, 1] or a ``[train] batch`` below 2), a
-  ``[data]`` section that differs from the dataset's ``config.ini``, and
-  ``--rows`` or ``--eval-workers`` below 1;
+  ``[data]`` section that differs from the dataset's ``config.ini``,
+  ``export-attention`` under a strategy that does not score (checked
+  before anything is read), and ``--rows`` or ``--eval-workers`` below 1;
 - 3 data error:
 
   - a missing, truncated, modified or unreadable file, or a format-1
@@ -52,8 +59,10 @@ Exit codes:
   - the one layout rule, ``checkpoint.check_layout``, on every tensor
     container read (task files, and checkpoints for resume, ``eval`` and
     ``export-attention``): exactly the tensors the configuration lays out,
-    each at its shape, all finite.  A checkpoint of another model or
-    strategy breaks it: a module's values are named after its parameters'
+    each at its shape, all finite.  A checkpoint past the dataset's tasks
+    (by its file name for resume, by its gaps otherwise) is refused before
+    any layout is built.  A checkpoint of another model or strategy
+    breaks the rule: a module's values are named after its parameters'
     names and shapes, so even a model of as many values in another
     arrangement does.  So does one older than the flat parameter layout
     (one tensor per parameter) or the flat moment layout, which is named
@@ -213,13 +222,22 @@ def cmd_run(args) -> int:
 
 
 def _load_model(args, cfg):
-    """Tasks, backbone and matching module (None if the checkpoint has
-    none) of ``--data`` and ``--ckpt``, the model checked against
-    ``[model]`` before any task file is read."""
+    """Tasks, backbone and matching module (None unless the strategy
+    scores) of ``--data`` and ``--ckpt``.  The checkpoint is read as resume
+    reads it (:func:`trainer._restore_run`), against the whole
+    configuration and before any task file: its gaps give the tasks it
+    finished, the configuration the steps they took."""
     arrays = ckpt.load(args.ckpt)
-    state = tr.backbone_from_arrays(arrays, cfg.model, cfg.data.geometry)
-    avm = tr.avm_from_arrays(arrays, cfg.model)
-    return load_tasks(args.data, cfg.data), state, avm
+    # one gap per finished task; a missing run/gaps counts none
+    tasks_done = np.size(arrays.get("run/gaps", ()))
+    if not 1 <= tasks_done <= cfg.data.num_tasks:
+        raise ckpt.CheckpointError(
+            f"checkpoint tensor 'run/gaps' holds {tasks_done} gaps: a run of "
+            f"{cfg.data.num_tasks} tasks finishes 1 to {cfg.data.num_tasks}")
+    steps = tr._steps_through(cfg.train, [cfg.data.train_pairs] * tasks_done)
+    fields, _, _ = tr._restore_run(arrays, tasks_done, steps, cfg.model,
+                                   cfg.train, cfg.data.geometry)
+    return load_tasks(args.data, cfg.data), fields["state"], fields["avm"]
 
 
 def cmd_eval(args) -> int:
@@ -309,14 +327,11 @@ def cmd_report(args) -> int:
 
 def cmd_export_attention(args) -> int:
     cfg = cf.load_config(args.config)
+    if not cfg.train.row.attention:
+        raise cf.ConfigError(f"strategy {cfg.train.strategy!r} sets no beta and "
+                             "trains no matching module; attention export needs "
+                             "a scoring strategy (stella/stella_plus)")
     tasks, state, avm = _load_model(args, cfg)
-    if avm is None:
-        raise cf.ConfigError("checkpoint holds no matching module; attention "
-                             "export needs a scoring strategy (stella/stella_plus)")
-    if cfg.train.beta is None:
-        raise cf.ConfigError(f"strategy {cfg.train.strategy!r} sets no beta; "
-                             "attention export needs a scoring strategy "
-                             "(stella/stella_plus)")
     if not 0 <= args.task < len(tasks):
         raise cf.ConfigError(f"--task must lie in [0, {len(tasks) - 1}]")
     _check_at_least_one(args.rows, "--rows")

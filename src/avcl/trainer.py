@@ -200,9 +200,9 @@ def init_run(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     streams = rng_streams(tcfg.train_seed)
     state = bb.init_backbone(mcfg, geom, streams["init"])
     avm_params = am.init_avm(mcfg, streams["init"]) if tcfg.row.attention else None
-    return _run_state(state, avm_params,
-                      rm.ReservoirMemory(*_memory_layout(mcfg, tcfg, geom)), tcfg,
-                      streams, [], lambda module, flat: op.zero_moments(flat))
+    return RunState(streams=streams, **_run_fields(
+        state, avm_params, rm.ReservoirMemory(*_memory_layout(mcfg, tcfg, geom)),
+        tcfg, [], lambda module, flat: op.zero_moments(flat)))
 
 
 def _memory_layout(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
@@ -241,21 +241,22 @@ def _memory_layout(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     return capacity, fields
 
 
-def _run_state(state: bb.BackboneState, avm: am.AvmParams | None,
-               mem: rm.ReservoirMemory, tcfg: TrainConfig,
-               streams: dict[str, np.random.Generator], records: list[LossRecord],
-               moments) -> RunState:
-    """Run state after the steps ``records`` holds, one per step, whose
-    optimizers take the moments ``moments(module, flat) -> (m, v)`` gives
-    for the module (``"backbone"`` or ``"avm"``) and its flat leaf."""
+def _run_fields(state: bb.BackboneState, avm: am.AvmParams | None,
+                mem: rm.ReservoirMemory, tcfg: TrainConfig,
+                records: list[LossRecord], moments) -> dict:
+    """The fields of a :class:`RunState` other than its random streams,
+    after the steps ``records`` holds, one per step, whose optimizers take
+    the moments ``moments(module, flat) -> (m, v)`` gives for the module
+    (``"backbone"`` or ``"avm"``) and its flat leaf."""
     def adam(module: str, flat: tt.Tensor) -> op.Adam:
         opt = op.Adam(flat, *moments(module, flat), lr=tcfg.lr)
         opt.step_count = len(records)
         return opt
 
-    return RunState(state, avm, mem, adam("backbone", state.flat),
-                    None if avm is None else adam("avm", avm.flat), streams,
-                    records)
+    return {"state": state, "avm": avm, "mem": mem,
+            "b_opt": adam("backbone", state.flat),
+            "a_opt": None if avm is None else adam("avm", avm.flat),
+            "records": records}
 
 
 # --------------------------------------------------------------------------
@@ -667,50 +668,15 @@ def _older_layout(tensors: dict[str, np.ndarray],
     return exc
 
 
-def _model_parameters(arrays: dict[str, np.ndarray], module: str,
-                      table: tt.ParamTable) -> tuple[tt.Tensor, dict[str, tt.Tensor]]:
-    """The parameters (:func:`tensor.flat_parameters`) of a checkpoint's
-    ``model/`` tensors of ``module``: those named ``model/avm@...`` for the
-    matching module, every other one for the backbone.  They must be
-    exactly the module's flat values under ``table``
-    (:func:`checkpoint.check_layout`), which are then adopted as the reader
-    returned them."""
-    section = {k: v for k, v in arrays.items()
-               if k.startswith("model/") and k.startswith("model/avm@") == (module == "avm")}
-    key = _table_key(module, table)
-    try:
-        cp.check_layout(section, {key: (tt.table_size(table),)})
-    except cp.CheckpointError as exc:
-        raise _older_layout(section, exc) from None
-    return tt.flat_parameters(table, section[key])
-
-
-def backbone_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig,
-                         geom: SceneGeometry) -> bb.BackboneState:
-    """The backbone of a checkpoint's ``model/`` tensors outside the
-    matching module's, built against :func:`backbone.param_table`; no
-    generator is involved."""
-    return bb.BackboneState(mcfg, geom, *_model_parameters(
-        arrays, "backbone", bb.param_table(mcfg, geom)))
-
-
-def avm_from_arrays(arrays: dict[str, np.ndarray], mcfg: bb.BackboneConfig
-                    ) -> am.AvmParams | None:
-    """The matching module of a checkpoint's ``model/avm@...`` tensor, built
-    against :func:`avm.param_table`, or None if it has none."""
-    if not any(k.startswith("model/avm@") for k in arrays):
-        return None
-    return am.AvmParams(mcfg.heads, *_model_parameters(arrays, "avm",
-                                                       am.param_table(mcfg)))
-
-
 def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
-                 streams, mcfg, tcfg, geom
-                 ) -> tuple[RunState, list[list[float]], list[float]]:
-    """Run state, accuracy rows and gaps of the checkpoint written after
-    ``tasks_done`` tasks of ``steps`` steps in all.  Its tensors outside
-    ``memory/`` must be exactly :func:`_checkpoint_layout`'s and its memory
-    a snapshot of :func:`_memory_layout`'s, both finite
+                 mcfg, tcfg, geom) -> tuple[dict, list[list[float]], list[float]]:
+    """The run-state fields other than the random streams
+    (:func:`_run_fields`), accuracy rows and gaps of the checkpoint written
+    after ``tasks_done`` tasks of ``steps`` steps in all: the one reader of
+    a run checkpoint.  Resume attaches the streams it reads from
+    ``task_XX.rng.json``; ``eval`` and ``export-attention`` build none.  Its
+    tensors outside ``memory/`` must be exactly :func:`_checkpoint_layout`'s
+    and its memory a snapshot of :func:`_memory_layout`'s, both finite
     (:func:`checkpoint.check_layout`); a checkpoint of the older
     per-parameter layouts is named as such (:func:`_older_layout`).
     Accuracies must lie in [0, 100] and stored grid ids be patch indices of
@@ -743,11 +709,17 @@ def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
                for module, (key, table) in tables.items()}
     avm = am.AvmParams(mcfg.heads, *modules["avm"]) if "avm" in modules else None
     records = [LossRecord(i, *r) for i, r in enumerate(run_part["run/records"].tolist())]
-    run = _run_state(bb.BackboneState(mcfg, geom, *modules["backbone"]), avm, mem,
-                     tcfg, streams, records,
-                     lambda module, _: (run_part[f"opt/{module}/m"],
-                                        run_part[f"opt/{module}/v"]))
-    return run, acc, run_part["run/gaps"].tolist()
+    fields = _run_fields(bb.BackboneState(mcfg, geom, *modules["backbone"]), avm,
+                         mem, tcfg, records,
+                         lambda module, _: (run_part[f"opt/{module}/m"],
+                                            run_part[f"opt/{module}/v"]))
+    return fields, acc, run_part["run/gaps"].tolist()
+
+
+def _steps_through(tcfg: TrainConfig, train_sizes) -> int:
+    """Steps a run takes through tasks of ``train_sizes`` training pairs
+    each: the training loop steps on whole batches only."""
+    return sum(tcfg.epochs * (n // tcfg.batch) for n in train_sizes)
 
 
 def _latest_task_checkpoint(run_dir: Path) -> tuple[int, Path] | None:
@@ -806,13 +778,16 @@ def run_sequence(tasks: list[TaskData], geom: SceneGeometry,
         found = _latest_task_checkpoint(run_dir)
         if found is not None:
             start_task, ckpt = found
+            if start_task > len(tasks):
+                raise cp.CheckpointError(f"{ckpt.name} is past the {len(tasks)} "
+                                         "tasks of the dataset")
             streams = _streams_from_json(
                 ckpt.with_suffix(".rng.json").read_text(), tcfg.train_seed)
-            # the loop below trains on whole batches only
-            steps = sum(tcfg.epochs * (len(task.train) // tcfg.batch)
-                        for task in tasks[:start_task])
-            run, acc, gaps = _restore_run(cp.load(ckpt), start_task, steps,
-                                          streams, mcfg, tcfg, geom)
+            fields, acc, gaps = _restore_run(
+                cp.load(ckpt), start_task,
+                _steps_through(tcfg, [len(task.train) for task in tasks[:start_task]]),
+                mcfg, tcfg, geom)
+            run = RunState(streams=streams, **fields)
     if run is None:
         run = init_run(mcfg, tcfg, geom)
 

@@ -304,26 +304,32 @@ def test_step_is_deterministic():
         assert np.array_equal(outs[0][1][k], outs[1][1][k])
 
 
-def test_avm_from_arrays_checks_shapes():
-    """The matching module of a checkpoint is its flat ``model/avm@...``
-    tensor itself, each parameter a view of it; a mis-shaped or missing
-    one is a checkpoint error."""
-    _, avm, _ = _setup()
+def test_restored_avm_checks_shapes():
+    """The matching module the checkpoint reader restores is the flat
+    ``model/avm@...`` tensor itself, each parameter a view of it; a
+    mis-shaped or missing one is a checkpoint error."""
+    tcfg = tr.TrainConfig("stella", memory_capacity=4, **{
+        name: tr.STRATEGY_KNOBS[name] for name in tr.STRATEGIES["stella"].knobs})
+    run = tr.init_run(CFG, tcfg, GEOM)
     key = tr._table_key("avm", av.param_table(CFG))
-    arrays = {key: avm.flat.data.copy()}
-    back = tr.avm_from_arrays(arrays, CFG)
+    arrays = {k: v.copy() for k, v in tr._checkpoint_arrays(run, [[0.0]], [0.0]).items()}
+
+    def restore():
+        return tr._restore_run(arrays, 1, 0, CFG, tcfg, GEOM)[0]["avm"]
+
+    back = restore()
     assert back.flat.data is arrays[key] and back.flat.requires_grad
     assert list(back.params) == list(av.param_table(CFG))
     for k, p in back.params.items():
         assert np.shares_memory(p.data, arrays[key]) and p.requires_grad
         assert np.shares_memory(p.grad, back.flat.grad)
-        assert np.array_equal(p.data, avm.params[k].data)
+        assert np.array_equal(p.data, run.avm.params[k].data)
     arrays[key] = arrays[key][:-1]
     with pytest.raises(cp.CheckpointError, match="shape mismatch"):
-        tr.avm_from_arrays(arrays, CFG)
+        restore()
     arrays["model/avm@0123456789abcdef"] = arrays.pop(key)
     with pytest.raises(cp.CheckpointError, match=f"missing.*{key}"):
-        tr.avm_from_arrays(arrays, CFG)
+        restore()
 
 
 def test_adam_takes_its_moments_at_construction():

@@ -8,6 +8,7 @@ import math
 import re
 import shutil
 import warnings
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -216,15 +217,6 @@ def _resume_copy(ws, name):
                  "--data", str(ws / "data"), "--out", str(run)]
 
 
-def test_inconsistent_memory_snapshot_exits_3(ws, capsys):
-    run, args = _resume_copy(ws, "run_bad_memory")
-    arrays = ckpt.load(run / "task_01.ckpt")
-    arrays["memory/steps"] = arrays["memory/steps"][:-1]
-    ckpt.save(run / "task_01.ckpt", arrays)
-    assert cli.main(args) == 3
-    assert "snapshot" in capsys.readouterr().err
-
-
 def test_truncated_rng_state_exits_3(ws, capsys):
     run, args = _resume_copy(ws, "run_bad_rng")
     text = (run / "task_01.rng.json").read_text()
@@ -252,333 +244,6 @@ def test_malformed_rng_state_exits_3(ws, capsys, damage):
     assert "data error" in capsys.readouterr().err
 
 
-def _first_task_copy(ws, name):
-    """Copy of the stella run cut back to its first task, so a resume
-    trains the second task from ``task_00.ckpt``."""
-    run, args = _resume_copy(ws, name)
-    for path in ("task_01.ckpt", "task_01.rng.json"):
-        (run / path).unlink()
-    return run, args
-
-
-def _damaged_copy(ws, name, damage):
-    """Resumable copy of the stella run whose last checkpoint ``damage``
-    edits in place; returns the run directory and its ``run`` arguments."""
-    run, args = _resume_copy(ws, name)
-    arrays = ckpt.load(run / "task_01.ckpt")
-    damage(arrays)
-    ckpt.save(run / "task_01.ckpt", arrays)
-    return run, args
-
-
-def _tables(ws, **layers):
-    """Module name -> (checkpoint key of its flat values, parameter table)
-    of the workspace's configuration, its backbone layer counts replaced
-    by ``layers``."""
-    cfg = cf.load_config(ws / "cfg.ini")
-    return tr._param_tables(dataclasses.replace(cfg.model, **layers), cfg.train,
-                            cfg.data.geometry)
-
-
-def _param_slices(table):
-    """Parameter name -> its slice of the module's flat values (and flat
-    moments), in table order."""
-    bounds = np.cumsum([0] + [math.prod(shape) for shape, _ in table.values()])
-    return {k: slice(lo, hi) for k, lo, hi in zip(table, bounds[:-1], bounds[1:])}
-
-
-@pytest.mark.parametrize("shape", ["missing", "reshaped"])
-def test_bad_model_tensor_exits_3(ws, capsys, shape):
-    key, _ = _tables(ws)["backbone"]
-
-    def damage(arrays):
-        if shape == "missing":
-            del arrays[key]
-        else:
-            arrays[key] = arrays[key][:-1]
-
-    run, args = _damaged_copy(ws, f"run_bad_model_{shape}", damage)
-    given = ["--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
-             "--ckpt", str(run / "task_01.ckpt")]
-    assert cli.main(["eval"] + given) == 3
-    assert cli.main(["export-attention"] + given
-                    + ["--out", str(run / "maps.csv")]) == 3
-    assert cli.main(args) == 3  # resume
-    err = capsys.readouterr().err
-    assert err.count("data error") == 3 and repr(key) in err
-
-
-@pytest.mark.parametrize("change", ["extra", "missing", "deeper", "avm_extra",
-                                    "arranged"])
-def test_checkpoint_of_another_model_exits_3(ws, capsys, change):
-    """``--config`` and ``--ckpt`` come separately, so the checkpoint's
-    model keys must be exactly the configured model's: a stray key, a
-    missing one, the values of a deeper backbone, or those of a backbone
-    with as many values in another arrangement of its layers (encoder,
-    fusion and decoder layers 0/2/2 against the configured 1/1/1) are a
-    data error for eval, export and resume alike, not a silent evaluation
-    of some other model."""
-    key, _ = _tables(ws)["backbone"]
-    other = {"deeper": dict(encoder_layers=2),
-             "arranged": dict(encoder_layers=0, fusion_layers=2, decoder_layers=2)}
-    other_key, other_table = _tables(ws, **other.get(change, {}))["backbone"]
-
-    def damage(arrays):
-        if change == "extra":
-            arrays["model/bogus"] = np.zeros(3)
-        elif change == "missing":
-            del arrays[key]
-        elif change in other:
-            values = arrays.pop(key)
-            if change == "arranged":
-                assert values.size == tt.table_size(other_table)
-            arrays[other_key] = np.resize(values, tt.table_size(other_table))
-        else:
-            arrays["model/avm/bogus"] = np.zeros(3)
-
-    run, args = _damaged_copy(ws, f"run_model_{change}", damage)
-    given = ["--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
-             "--ckpt", str(run / "task_01.ckpt")]
-    assert cli.main(["eval"] + given + ["--out", str(run / "eval.json")]) == 3
-    assert cli.main(["export-attention"] + given
-                    + ["--out", str(run / "maps.csv")]) == 3
-    assert cli.main(args) == 3  # resume
-    err = capsys.readouterr().err
-    assert err.count("tensors do not match the layout") == 3
-    named = {"extra": "'model/bogus'", "missing": repr(key),
-             "deeper": repr(other_key), "avm_extra": "'model/avm/bogus'",
-             "arranged": repr(other_key)}
-    assert named[change] in err
-    assert not (run / "eval.json").exists() and not (run / "maps.csv").exists()
-
-
-def test_per_parameter_model_checkpoint_exits_3(ws, capsys, monkeypatch):
-    """A checkpoint written before the flat parameter layout stores one
-    ``model/<name>`` tensor per parameter (its moments already flat); eval,
-    export and resume name it as such, exit 3, instead of reading it."""
-    run, args = _first_task_copy(ws, "run_per_parameter_model")
-    arrays = ckpt.load(run / "task_00.ckpt")
-    for key, table in _tables(ws).values():
-        flat = arrays.pop(key)
-        for name, part in _param_slices(table).items():
-            arrays[f"model/{name}"] = flat[part].reshape(table[name][0])
-    ckpt.save(run / "task_00.ckpt", arrays)
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained from a per-parameter model checkpoint")
-
-    monkeypatch.setattr(tr, "train_step", no_training)
-    given = ["--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
-             "--ckpt", str(run / "task_00.ckpt")]
-    capsys.readouterr()
-    assert cli.main(["eval"] + given + ["--out", str(run / "eval.json")]) == 3
-    assert cli.main(["export-attention"] + given
-                    + ["--out", str(run / "maps.csv")]) == 3
-    assert cli.main(args) == 3  # resume
-    err = capsys.readouterr().err
-    assert err.count("predates the flat parameter layout") == 3
-    assert err.count("start the run again") == 3
-    assert not (run / "eval.json").exists() and not (run / "maps.csv").exists()
-    assert not (run / "task_01.ckpt").exists()
-
-
-@pytest.mark.parametrize("strategy,key", [
-    pytest.param("stella", "opt/backbone/bogus", id="stella"),
-    pytest.param("derpp", "opt/avm/m", id="derpp"),
-    ("stella", "junk"), ("stella", "run/acc/07"), ("stella", "memory/bogus"),
-    ("stella", "opt/avm2/m"), ("stella", "run/step"), ("stella", "run/tasks_done")])
-def test_stray_optimizer_moment_exits_3(ws, capsys, monkeypatch, strategy, key):
-    """A checkpoint holds exactly the tensors its configuration lays out,
-    so a stray key anywhere is a data error that resume names before
-    training: in an ``opt/<module>/`` section beside the module's flat
-    ``m`` and ``v``, any ``opt/avm/`` key without a matching module, a
-    module no strategy has, an accuracy row past the finished tasks, a
-    memory tensor no snapshot holds, a key outside every section, and the
-    ``run/step`` and ``run/tasks_done`` of checkpoints older than the flat
-    moment layout."""
-    if strategy == "stella":
-        run, args = _first_task_copy(ws, f"run_stray_{key.replace('/', '_')}")
-    else:
-        cfg = _variant(ws, "derpp", "strategy = stella", "strategy = derpp")
-        run = ws / "run_derpp_stray_moment"
-        args = ["run", "--config", str(cfg), "--data", str(ws / "data"),
-                "--out", str(run)]
-        assert cli.main(args) == 0
-        for path in ("task_01.ckpt", "task_01.rng.json"):
-            (run / path).unlink()
-    arrays = ckpt.load(run / "task_00.ckpt")
-    arrays[key] = {"run/step": np.array(float(len(arrays["run/records"]))),
-                   "run/tasks_done": np.array(1.0)}.get(key, np.zeros(3))
-    ckpt.save(run / "task_00.ckpt", arrays)
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained from a checkpoint with a stray key")
-
-    monkeypatch.setattr(tr, "train_step", no_training)
-    capsys.readouterr()
-    assert cli.main(args) == 3
-    err = capsys.readouterr().err
-    assert "do not match the layout" in err and repr(key) in err
-    assert not (run / "task_01.ckpt").exists()
-
-
-@pytest.mark.parametrize("key", ["model/fusion/0/mlp/w1", "model/avm/head/b1"])
-def test_non_finite_model_tensor_exits_3(ws, capsys, key):
-    """A NaN weight is a malformed checkpoint tensor (exit 3) for every
-    command that reads the model, before any evaluation runs into it."""
-    name = key[len("model/"):]
-    flat_key, table = _tables(ws)["avm" if name.startswith("avm/") else "backbone"]
-
-    def damage(arrays):
-        arrays[flat_key][_param_slices(table)[name].start] = np.nan
-
-    run, args = _damaged_copy(ws, f"run_nan_{key.replace('/', '_')}", damage)
-    given = ["--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
-             "--ckpt", str(run / "task_01.ckpt")]
-    assert cli.main(["eval"] + given) == 3
-    assert cli.main(["export-attention"] + given
-                    + ["--out", str(run / "maps.csv")]) == 3
-    assert cli.main(args) == 3  # resume
-    err = capsys.readouterr().err
-    assert err.count(f"non-finite value in tensor {flat_key!r}") == 3
-
-
-@pytest.mark.parametrize("key", ["opt/backbone/v/audio_pos", "opt/avm/m/avm/head/w2"])
-def test_non_finite_optimizer_moment_exits_3_before_training(ws, capsys,
-                                                            monkeypatch, key):
-    """An inf in the moment ``key`` names (module, kind, parameter), at the
-    parameter's last value in the module's flat moments."""
-    _, module, kind, name = key.split("/", 3)
-    run, args = _first_task_copy(ws, f"run_nan_{key.replace('/', '_')}")
-    arrays = ckpt.load(run / "task_00.ckpt")
-    last = _param_slices(_tables(ws)[module][1])[name].stop - 1
-    arrays[f"opt/{module}/{kind}"][last] = np.inf
-    ckpt.save(run / "task_00.ckpt", arrays)
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained on a non-finite moment")
-
-    monkeypatch.setattr(tr, "train_step", no_training)
-    assert cli.main(args) == 3
-    assert f"non-finite value in tensor 'opt/{module}/{kind}'" in capsys.readouterr().err
-    assert not (run / "task_01.ckpt").exists()
-
-
-def test_per_parameter_moment_checkpoint_exits_3_before_training(ws, capsys,
-                                                                monkeypatch):
-    """A checkpoint written before the flat moment layout stores one moment
-    per parameter and kind (``opt/<module>/m/<name>``); resume names it as
-    such, exit 3, instead of training from it."""
-    run, args = _first_task_copy(ws, "run_per_parameter_moments")
-    arrays = ckpt.load(run / "task_00.ckpt")
-    for module, (_, table) in _tables(ws).items():
-        for name, part in _param_slices(table).items():
-            shape = table[name][0]
-            for kind in "mv":
-                flat = arrays[f"opt/{module}/{kind}"]
-                arrays[f"opt/{module}/{kind}/{name}"] = flat[part].reshape(shape)
-        del arrays[f"opt/{module}/m"], arrays[f"opt/{module}/v"]
-    ckpt.save(run / "task_00.ckpt", arrays)
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained from a per-parameter moment checkpoint")
-
-    monkeypatch.setattr(tr, "train_step", no_training)
-    capsys.readouterr()
-    assert cli.main(args) == 3
-    err = capsys.readouterr().err
-    assert "predates the flat moment layout" in err and "start the run again" in err
-    assert not (run / "task_01.ckpt").exists()
-
-
-def test_matching_head_of_another_width_exits_3(ws, capsys):
-    """The matching head is always ``embed_dim`` wide, so a checkpoint whose
-    head (with its optimizer moments) is narrower is rejected by resume and
-    by export instead of running another architecture."""
-    run, args = _first_task_copy(ws, "run_narrow_head")
-    arrays = ckpt.load(run / "task_00.ckpt")
-    key, table = _tables(ws)["avm"]
-    cuts = {"avm/head/w1": np.s_[:, :8], "avm/head/b1": np.s_[:8],
-            "avm/head/w2": np.s_[:8]}
-
-    def narrow(flat):
-        return {name: flat[part].reshape(table[name][0])[cuts.get(name, ...)]
-                for name, part in _param_slices(table).items()}
-
-    parts = narrow(arrays.pop(key))
-    narrow_key = tr._model_key("avm", ((k, p.shape) for k, p in parts.items()))
-    for name, flat in [(narrow_key, parts)] + [
-            (f"opt/avm/{kind}", narrow(arrays[f"opt/avm/{kind}"])) for kind in "mv"]:
-        arrays[name] = np.concatenate(list(flat.values()), axis=None)
-    ckpt.save(run / "task_00.ckpt", arrays)
-    out = run / "maps.csv"
-    assert cli.main(["export-attention", "--config", str(ws / "cfg.ini"),
-                     "--data", str(ws / "data"),
-                     "--ckpt", str(run / "task_00.ckpt"),
-                     "--out", str(out)]) == 3
-    assert cli.main(args) == 3  # resume
-    err = capsys.readouterr().err
-    assert err.count("data error") == 2 and f"missing [{key!r}]" in err
-    assert not out.exists() and not (run / "task_01.ckpt").exists()
-
-
-@pytest.mark.parametrize("records", ["missing", "flat", "narrow", "wide",
-                                     "short"])
-def test_bad_run_records_exits_3(ws, capsys, records):
-    """The loss records are the run's only step count: five losses per step
-    the finished tasks took.  ``wide`` is the layout that also stored each
-    step, which is no longer read."""
-    def damage(arrays):
-        rec = arrays["run/records"]
-        if records == "missing":
-            del arrays["run/records"]
-        elif records == "flat":
-            arrays["run/records"] = rec.ravel()
-        elif records == "narrow":
-            arrays["run/records"] = rec[:, :3]
-        elif records == "wide":
-            arrays["run/records"] = np.column_stack([np.arange(len(rec)),
-                                                     rec[:, -5:]])
-        else:
-            arrays["run/records"] = rec[:-1]
-
-    _, args = _damaged_copy(ws, f"run_{records}_records", damage)
-    assert cli.main(args) == 3
-    assert "data error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("history", ["acc_width", "acc_range", "gaps_long",
-                                     "gaps_empty", "records_nan", "gaps_nan"])
-def test_bad_run_history_exits_3_before_training(ws, capsys, monkeypatch,
-                                                 history):
-    """Accuracy rows, gaps and loss records that do not fit the finished
-    tasks, or hold a non-finite value, are a data error at restore, before
-    the next task trains or writes anything."""
-    run, args = _first_task_copy(ws, f"run_bad_{history}")
-    arrays = ckpt.load(run / "task_00.ckpt")
-    if history == "acc_width":
-        arrays["run/acc/00"] = np.full(5, 10.0)
-    elif history == "acc_range":
-        arrays["run/acc/00"] = np.array([150.0])
-    elif history == "gaps_long":
-        arrays["run/gaps"] = np.concatenate([arrays["run/gaps"], [0.1, 0.2]])
-    elif history == "gaps_empty":
-        arrays["run/gaps"] = np.zeros(0)
-    elif history == "records_nan":
-        arrays["run/records"][0, 0] = np.nan
-    else:
-        arrays["run/gaps"][0] = np.nan
-    ckpt.save(run / "task_00.ckpt", arrays)
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained on an unchecked history")
-
-    monkeypatch.setattr(tr, "train_step", no_training)
-    assert cli.main(args) == 3
-    assert "data error" in capsys.readouterr().err
-    assert not (run / "task_01.ckpt").exists()
-
-
 def test_huge_memory_capacity_runs(ws):
     """Memory columns grow with the stored entries, so a capacity far beyond
     the data allocates nothing up front."""
@@ -591,127 +256,469 @@ def test_huge_memory_capacity_runs(ws):
     assert len(arrays["memory/steps"]) == arrays["memory/seen"][0] == 32
 
 
-def test_hostile_memory_capacity_exits_3_before_allocating(ws, capsys):
-    def damage(arrays):
-        arrays["memory/capacity"] = np.array([1e15])
+# ---------------------------------------------------------------------------
+# hostile checkpoints: one table, one runner
 
-    _, args = _damaged_copy(ws, "run_huge_memory", damage)
-    assert cli.main(args) == 3
-    assert "capacity" in capsys.readouterr().err
+
+def _damaged_copy(ws, name, damage):
+    """Resumable copy of the stella run whose last checkpoint ``damage``
+    edits in place; returns the run directory and its ``run`` arguments."""
+    run, args = _resume_copy(ws, name)
+    arrays = ckpt.load(run / "task_01.ckpt")
+    damage(arrays)
+    ckpt.save(run / "task_01.ckpt", arrays)
+    return run, args
+
+
+def _tables(**layers):
+    """Module name -> (checkpoint key of its flat values, parameter table)
+    of ``CFG``'s configuration, its backbone layer counts replaced by
+    ``layers``."""
+    cfg = cf.parse_config(CFG)
+    return tr._param_tables(dataclasses.replace(cfg.model, **layers), cfg.train,
+                            cfg.data.geometry)
+
+
+def _param_slices(table):
+    """Parameter name -> its slice of the module's flat values (and flat
+    moments), in table order."""
+    bounds = np.cumsum([0] + [math.prod(shape) for shape, _ in table.values()])
+    return {k: slice(lo, hi) for k, lo, hi in zip(table, bounds[:-1], bounds[1:])}
+
+
+B_KEY, B_TABLE = _tables()["backbone"]
+A_KEY, A_TABLE = _tables()["avm"]
+#: a backbone of more values, and one of as many values in another
+#: arrangement of its layers (encoder, fusion and decoder layers 0/2/2
+#: against the configured 1/1/1)
+DEEPER_KEY, DEEPER_TABLE = _tables(encoder_layers=2)["backbone"]
+ARRANGED_KEY, ARRANGED_TABLE = _tables(encoder_layers=0, fusion_layers=2,
+                                       decoder_layers=2)["backbone"]
+
+
+def _layout_error(missing=(), unexpected=()):
+    return (f"tensors do not match the layout: missing {sorted(missing)}, "
+            f"unexpected {sorted(unexpected)}")
+
+
+def _edit(key, change):
+    """Damage: the tensor under ``key`` becomes ``change(tensor)``."""
+    def damage(arrays):
+        arrays[key] = change(arrays[key])
+    return damage
+
+
+def _put(key, value=np.zeros(3)):
+    """Damage: ``value`` under ``key``."""
+    def damage(arrays):
+        arrays[key] = value
+    return damage
+
+
+def _drop(key):
+    return lambda arrays: arrays.pop(key)
+
+
+def _poke(index, value):
+    """A change that writes ``value`` at ``index`` of the tensor."""
+    def change(arr):
+        arr[index] = value
+        return arr
+    return change
+
+
+def _other_backbone(key, table):
+    """Damage: the backbone's values under another model's ``key``, cut or
+    repeated to that model's size."""
+    def damage(arrays):
+        values = arrays.pop(B_KEY)
+        if key == ARRANGED_KEY:
+            assert values.size == tt.table_size(table)
+        arrays[key] = np.resize(values, tt.table_size(table))
+    return damage
+
+
+def _per_parameter_model(arrays):
+    """The model one ``model/<name>`` tensor per parameter, as checkpoints
+    before the flat parameter layout stored it (moments already flat)."""
+    for key, table in _tables().values():
+        flat = arrays.pop(key)
+        for name, part in _param_slices(table).items():
+            arrays[f"model/{name}"] = flat[part].reshape(table[name][0])
+
+
+def _per_parameter_moments(arrays):
+    """One moment per parameter and kind (``opt/<module>/m/<name>``), as
+    checkpoints before the flat moment layout stored them."""
+    for module, (_, table) in _tables().items():
+        for name, part in _param_slices(table).items():
+            shape = table[name][0]
+            for kind in "mv":
+                flat = arrays[f"opt/{module}/{kind}"]
+                arrays[f"opt/{module}/{kind}/{name}"] = flat[part].reshape(shape)
+        del arrays[f"opt/{module}/m"], arrays[f"opt/{module}/v"]
+
+
+def _narrow_head(arrays):
+    """A matching head (with its moments) narrower than the ``embed_dim``
+    it always has."""
+    cuts = {"avm/head/w1": np.s_[:, :8], "avm/head/b1": np.s_[:8],
+            "avm/head/w2": np.s_[:8]}
+
+    def narrow(flat):
+        return {name: flat[part].reshape(A_TABLE[name][0])[cuts.get(name, ...)]
+                for name, part in _param_slices(A_TABLE).items()}
+
+    parts = narrow(arrays.pop(A_KEY))
+    narrow_key = tr._model_key("avm", ((k, p.shape) for k, p in parts.items()))
+    for name, flat in [(narrow_key, parts)] + [
+            (f"opt/avm/{kind}", narrow(arrays[f"opt/avm/{kind}"])) for kind in "mv"]:
+        arrays[name] = np.concatenate(list(flat.values()), axis=None)
+
+
+def _oversize_field(arrays):
+    count = len(arrays["memory/steps"])
+    arrays["memory/field/imp_audio"] = np.zeros((count, 100_000))
+
+
+def _cut_memory(arrays):
+    """Fewer entries than every reservoir holds, the smaller of its
+    capacity and the pairs it saw: here 6 cut to 4."""
+    count = len(arrays["memory/steps"])
+    assert count == arrays["memory/capacity"][0] == 6 < arrays["memory/seen"][0]
+    for key in arrays:
+        if key.startswith("memory/") and key not in ("memory/capacity",
+                                                     "memory/seen"):
+            arrays[key] = arrays[key][:4]
+
+
+def _last_of(table, name):
+    return _param_slices(table)[name].stop - 1
+
+
+class Hostile(NamedTuple):
+    """A damaged checkpoint: ``damage`` (None for none) edits the tensors of
+    ``task_00.ckpt`` of the ``source`` strategy's run (``config``'s if
+    None), and every command that reads it under the ``config`` strategy's
+    configuration exits 3 with ``fragment`` in its error.  ``allocates``
+    marks damage that is found only once the memory's columns exist."""
+    damage: Callable | None
+    fragment: str
+    config: str = "stella"
+    source: str | None = None
+    allocates: bool = False
+
+
+#: row name -> hostile checkpoint; ``eval``, ``export-attention`` and
+#: resume each reject every row (:func:`hostile`)
+HOSTILE = {
+    # the model tensors: exactly the configured modules' flat values
+    "backbone_missing": Hostile(_drop(B_KEY), _layout_error(missing=[B_KEY])),
+    "backbone_reshaped": Hostile(_edit(B_KEY, lambda flat: flat[:-1]),
+                                 f"shape mismatch for tensor {B_KEY!r}"),
+    "backbone_deeper": Hostile(_other_backbone(DEEPER_KEY, DEEPER_TABLE),
+                               _layout_error([B_KEY], [DEEPER_KEY])),
+    "backbone_arranged": Hostile(_other_backbone(ARRANGED_KEY, ARRANGED_TABLE),
+                                 _layout_error([B_KEY], [ARRANGED_KEY])),
+    "model_stray": Hostile(_put("model/bogus"),
+                           _layout_error(unexpected=["model/bogus"])),
+    "avm_stray": Hostile(_put("model/avm/bogus"),
+                         _layout_error(unexpected=["model/avm/bogus"])),
+    "avm_narrow": Hostile(_narrow_head, f"missing [{A_KEY!r}"),
+    "backbone_nan": Hostile(
+        _edit(B_KEY, _poke(_param_slices(B_TABLE)["fusion/0/mlp/w1"].start, np.nan)),
+        f"non-finite value in tensor {B_KEY!r}"),
+    "avm_nan": Hostile(
+        _edit(A_KEY, _poke(_param_slices(A_TABLE)["avm/head/b1"].start, np.nan)),
+        f"non-finite value in tensor {A_KEY!r}"),
+    "per_parameter_model": Hostile(
+        _per_parameter_model, "predates the flat parameter layout (one model tensor "
+        "per module); start the run again"),
+    # a checkpoint of another strategy: the matching module and its moments
+    # are there exactly when the configured strategy scores
+    "stella_under_derpp": Hostile(None, _layout_error(
+        unexpected=[A_KEY, "opt/avm/m", "opt/avm/v"]), "derpp", "stella"),
+    "stella_under_er": Hostile(None, _layout_error(
+        unexpected=[A_KEY, "opt/avm/m", "opt/avm/v"]), "er", "stella"),
+    "stella_under_finetune": Hostile(None, _layout_error(
+        unexpected=[A_KEY, "opt/avm/m", "opt/avm/v"]), "finetune", "stella"),
+    "derpp_under_stella": Hostile(None, _layout_error(
+        missing=[A_KEY, "opt/avm/m", "opt/avm/v"]), "stella", "derpp"),
+    # stray tensors anywhere, including the run/step and run/tasks_done of
+    # checkpoints older than the flat moment layout
+    "opt_backbone_stray": Hostile(_put("opt/backbone/bogus"),
+                                  _layout_error(unexpected=["opt/backbone/bogus"])),
+    "opt_avm_without_avm": Hostile(_put("opt/avm/m"),
+                                   _layout_error(unexpected=["opt/avm/m"]), "derpp"),
+    "junk": Hostile(_put("junk"), _layout_error(unexpected=["junk"])),
+    "acc_row_past_tasks": Hostile(_put("run/acc/07"),
+                                  _layout_error(unexpected=["run/acc/07"])),
+    "memory_stray": Hostile(_put("memory/bogus"),
+                            _layout_error(unexpected=["memory/bogus"])),
+    "opt_unknown_module": Hostile(_put("opt/avm2/m"),
+                                  _layout_error(unexpected=["opt/avm2/m"])),
+    "run_step": Hostile(lambda arrays: arrays.update(
+        {"run/step": np.array(float(len(arrays["run/records"])))}),
+        _layout_error(unexpected=["run/step"])),
+    "run_tasks_done": Hostile(_put("run/tasks_done", np.array(1.0)),
+                              _layout_error(unexpected=["run/tasks_done"])),
+    # the optimizer moments
+    "moment_v_inf": Hostile(
+        _edit("opt/backbone/v", _poke(_last_of(B_TABLE, "audio_pos"), np.inf)),
+        "non-finite value in tensor 'opt/backbone/v'"),
+    "moment_avm_m_inf": Hostile(
+        _edit("opt/avm/m", _poke(_last_of(A_TABLE, "avm/head/w2"), np.inf)),
+        "non-finite value in tensor 'opt/avm/m'"),
+    "moment_m_nan": Hostile(_edit("opt/backbone/m", _poke(0, np.nan)),
+                            "non-finite value in tensor 'opt/backbone/m'"),
+    "per_parameter_moments": Hostile(
+        _per_parameter_moments, "predates the flat moment layout (one m and one v "
+        "per module); start the run again"),
+    # the loss records: five losses per step the finished tasks took
+    "records_missing": Hostile(_drop("run/records"),
+                               _layout_error(missing=["run/records"])),
+    "records_flat": Hostile(_edit("run/records", np.ravel),
+                            "shape mismatch for tensor 'run/records'"),
+    "records_narrow": Hostile(_edit("run/records", lambda rec: rec[:, :3]),
+                              "shape mismatch for tensor 'run/records'"),
+    # the layout that also stored each step, which is no longer read
+    "records_wide": Hostile(
+        _edit("run/records", lambda rec: np.column_stack([np.arange(len(rec)), rec])),
+        "shape mismatch for tensor 'run/records'"),
+    "records_short": Hostile(_edit("run/records", lambda rec: rec[:-1]),
+                             "shape mismatch for tensor 'run/records'"),
+    "records_nan": Hostile(_edit("run/records", _poke((0, 0), np.nan)),
+                           "non-finite value in tensor 'run/records'"),
+    # accuracy rows and gaps that do not fit the finished tasks
+    "acc_width": Hostile(_put("run/acc/00", np.full(5, 10.0)),
+                         "shape mismatch for tensor 'run/acc/00'"),
+    "acc_range": Hostile(_put("run/acc/00", np.array([150.0])),
+                         "accuracy values must lie in [0, 100]"),
+    "gaps_long": Hostile(_edit("run/gaps", lambda g: np.concatenate([g, [0.1, 0.2]])),
+                         "tensor 'run/gaps'"),
+    "gaps_empty": Hostile(_put("run/gaps", np.zeros(0)), "tensor 'run/gaps'"),
+    "gaps_nan": Hostile(_edit("run/gaps", _poke(0, np.nan)),
+                        "non-finite value in tensor 'run/gaps'"),
+    # the rehearsal memory
+    "memory_capacity_huge": Hostile(_put("memory/capacity", np.array([1e15])),
+                                    "snapshot capacity 1000000000000000 does not "
+                                    "match the configured 6"),
+    "memory_steps_short": Hostile(_edit("memory/steps", lambda s: s[:-1]),
+                                  "snapshot: shape mismatch for tensor 'memory/tasks'"),
+    "memory_field_inf": Hostile(_edit("memory/field/q_audio", _poke((0, 0, 0), np.inf)),
+                                "snapshot: non-finite value in tensor "
+                                "'memory/field/q_audio'"),
+    "memory_field_nan": Hostile(_edit("memory/field/audio_patches",
+                                      _poke((-1, -1, -1), np.nan)),
+                                "snapshot: non-finite value in tensor "
+                                "'memory/field/audio_patches'"),
+    "memory_ids_off_grid": Hostile(
+        _edit("memory/field/audio_indices", lambda ids: ids + 1000),
+        "snapshot tensor 'memory/field/audio_indices' holds a value that is no "
+        "grid id", "stella_plus", allocates=True),
+    "memory_ids_fraction": Hostile(
+        _edit("memory/field/video_indices", lambda ids: ids + 0.5),
+        "snapshot tensor 'memory/field/video_indices' holds a value that is no "
+        "grid id", "stella_plus", allocates=True),
+    "memory_audio_ids_repeated": Hostile(
+        _edit("memory/field/audio_indices", _poke((slice(None), 1), 0)),
+        "snapshot tensor 'memory/field/audio_indices' repeats a grid id",
+        "stella_plus", allocates=True),
+    "memory_video_ids_repeated": Hostile(
+        _edit("memory/field/video_indices", _poke((slice(None), 1), 0)),
+        "snapshot tensor 'memory/field/video_indices' repeats a grid id",
+        "stella_plus", allocates=True),
+    "memory_steps_nan": Hostile(_edit("memory/steps", _poke(-1, np.nan)),
+                                "snapshot: non-finite value in tensor 'memory/steps'"),
+    "memory_tasks_fraction": Hostile(_edit("memory/tasks", _poke(-1, 0.5)),
+                                     "snapshot tensor 'memory/tasks' holds a value "
+                                     "that is no integer"),
+    "memory_field_oversize": Hostile(_oversize_field,
+                                     "snapshot: shape mismatch for tensor "
+                                     "'memory/field/imp_audio'"),
+    "memory_field_stray": Hostile(_put("memory/field/extra", np.zeros((6, 4))),
+                                  _layout_error(unexpected=["memory/field/extra"])),
+    "memory_cut": Hostile(_cut_memory, "snapshot entry count 4 inconsistent"),
+}
+
+
+def _strategy_config(ws, strategy):
+    """``CFG`` for ``strategy`` (its knobs at their defaults)."""
+    text = CFG.replace("strategy = stella\n", f"strategy = {strategy}\n")
+    if not tr.STRATEGIES[strategy].memory:
+        text = text.replace("memory_capacity = 6", "memory_capacity = 0")
+    path = ws / f"cfg_{strategy}.ini"
+    path.write_text(text)
+    return path
 
 
 @pytest.fixture(scope="module")
-def ws_plus(ws):
-    """A ``stella_plus`` run on the workspace's dataset, whose memory stores
-    the selected patches' grid ids; returns its config and run directory."""
-    cfg = _variant(ws, "stella_plus", "strategy = stella\n", "strategy = stella_plus\n")
-    run = ws / "run_stella_plus"
-    assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
-                     "--out", str(run)]) == 0
-    return cfg, run
+def finished(ws):
+    """Strategy -> (config, finished run directory) on the workspace's
+    dataset; each strategy runs once."""
+    runs = {"stella": (ws / "cfg.ini", ws / "run_stella")}
+
+    def get(strategy):
+        if strategy not in runs:
+            cfg, run = _strategy_config(ws, strategy), ws / f"finished_{strategy}"
+            assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
+                             "--out", str(run)]) == 0
+            runs[strategy] = cfg, run
+        return runs[strategy]
+
+    return get
 
 
-@pytest.mark.parametrize("strategy,field,damage", [
-    ("stella", "q_audio", "inf"), ("stella", "audio_patches", "nan"),
-    ("stella_plus", "audio_indices", "off_grid"),
-    ("stella_plus", "video_indices", "fraction"),
-    ("stella_plus", "audio_indices", "repeated"),
-    ("stella_plus", "video_indices", "repeated")])
-def test_bad_memory_value_exits_3_before_training(ws, ws_plus, capsys, monkeypatch,
-                                                  strategy, field, damage):
-    """A memory value no step could have stored is a data error at restore:
-    a non-finite value in any column, a stored grid id that is not an
-    integer patch index of its grid, or an entry that stores one grid id
-    twice."""
-    cfg, source = ws_plus if strategy == "stella_plus" else (ws / "cfg.ini",
-                                                             ws / "run_stella")
-    run = ws / f"run_memory_{field}_{damage}"
-    shutil.copytree(source, run)
-    for path in ("task_01.ckpt", "task_01.rng.json"):
-        (run / path).unlink()
-    arrays = ckpt.load(run / "task_00.ckpt")
-    col = arrays[f"memory/field/{field}"]
-    if damage == "inf":
-        col.flat[0] = np.inf
-    elif damage == "nan":
-        col.flat[-1] = np.nan
-    elif damage == "repeated":
-        col[:, 1] = col[:, 0]
-    else:
-        col += 1000 if damage == "off_grid" else 0.5
-    ckpt.save(run / "task_00.ckpt", arrays)
+@pytest.fixture
+def hostile(ws, finished, capsys, monkeypatch, tmp_path):
+    """The runner of :data:`HOSTILE`: ``hostile(name)`` writes the row's
+    damaged ``task_00.ckpt`` into a copy of the ``config`` strategy's run cut
+    back to its first task, then runs ``eval``, ``export-attention`` and
+    resume on it.  Each exits 3, warning-free, with ``data error`` and the
+    row's fragment in its error, before any step and, unless the row
+    ``allocates``, before the memory's columns exist; no ``--out`` file or
+    next checkpoint appears.  Under a configuration that does not score,
+    ``export-attention`` stops at its guard (exit 2) before reading."""
+    def run(name):
+        row = HOSTILE[name]
+        cfg, source = finished(row.config)
+        run_dir = tmp_path / "run"
+        shutil.copytree(source, run_dir)
+        for path in ("task_01.ckpt", "task_01.rng.json"):
+            (run_dir / path).unlink()
+        arrays = ckpt.load(finished(row.source or row.config)[1] / "task_00.ckpt")
+        if row.damage is not None:
+            row.damage(arrays)
+        ckpt.save(run_dir / "task_00.ckpt", arrays)
 
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained on a damaged memory")
+        def forbidden(*args, **kwargs):
+            raise AssertionError(f"{name}: read past the damage")
 
-    monkeypatch.setattr(tr, "train_step", no_training)
-    assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
-                     "--out", str(run)]) == 3
-    err = capsys.readouterr().err
-    assert "snapshot" in err and f"'memory/field/{field}'" in err
-    assert not (run / "task_01.ckpt").exists()
+        monkeypatch.setattr(tr, "train_step", forbidden)
+        if not row.allocates:
+            monkeypatch.setattr(rm, "ReservoirMemory", forbidden)
+        given = ["--config", str(cfg), "--data", str(ws / "data")]
+        read = given + ["--ckpt", str(run_dir / "task_00.ckpt")]
+        export = 3 if tr.STRATEGIES[row.config].attention else 2
+        capsys.readouterr()
+        for args, code, said in [
+                (["eval", *read, "--out", str(run_dir / "eval.json")], 3, None),
+                (["export-attention", *read, "--out", str(run_dir / "maps.csv")],
+                 export, None if export == 3 else "sets no beta"),
+                (["run", *given, "--out", str(run_dir)], 3, None)]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert cli.main(args) == code, args[0]
+            err = capsys.readouterr().err
+            if said is None:
+                assert err.startswith("data error: ") and row.fragment in err, err
+            else:
+                assert said in err, err
+        for path in ("eval.json", "maps.csv", "task_01.ckpt"):
+            assert not (run_dir / path).exists(), path
+
+    return run
 
 
-@pytest.mark.parametrize("column,value", [("steps", np.nan), ("tasks", 0.5)])
-def test_bad_memory_bookkeeping_exits_3_before_training(ws, capsys, monkeypatch,
-                                                        column, value):
-    """Insertion steps and source tasks are integers (a task may be -1);
-    any other value is a data error at restore, without a numpy cast
-    warning."""
-    run, args = _first_task_copy(ws, f"run_memory_{column}_{value}")
-    arrays = ckpt.load(run / "task_00.ckpt")
-    arrays[f"memory/{column}"][-1] = value
-    ckpt.save(run / "task_00.ckpt", arrays)
+_RUN_ROWS = set()
 
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained on damaged memory bookkeeping")
 
-    monkeypatch.setattr(tr, "train_step", no_training)
+def _table_test(cases):
+    """A test of :data:`HOSTILE` rows through :func:`hostile`: ``cases``
+    maps each case id to a row name, or is the name of the one row."""
+    if isinstance(cases, str):
+        _RUN_ROWS.add(cases)
+
+        def test(hostile):
+            hostile(cases)
+        return test
+    _RUN_ROWS.update(cases.values())
+
+    @pytest.mark.parametrize("row", list(cases.values()), ids=list(cases))
+    def test(hostile, row):
+        hostile(row)
+    return test
+
+
+# the rows, grouped by what they damage
+test_bad_model_tensor_exits_3 = _table_test(
+    {"missing": "backbone_missing", "reshaped": "backbone_reshaped"})
+test_checkpoint_of_another_model_exits_3 = _table_test(
+    {"extra": "model_stray", "missing": "backbone_missing",
+     "deeper": "backbone_deeper", "avm_extra": "avm_stray",
+     "arranged": "backbone_arranged"})
+test_matching_head_of_another_width_exits_3 = _table_test("avm_narrow")
+test_checkpoint_of_another_strategy_exits_3 = _table_test(
+    {s: s for s in ("stella_under_derpp", "stella_under_er", "stella_under_finetune",
+                    "derpp_under_stella")})
+test_per_parameter_model_checkpoint_exits_3 = _table_test("per_parameter_model")
+test_stray_optimizer_moment_exits_3 = _table_test(
+    {"stella": "opt_backbone_stray", "derpp": "opt_avm_without_avm",
+     "stella-junk": "junk", "stella-run/acc/07": "acc_row_past_tasks",
+     "stella-memory/bogus": "memory_stray", "stella-opt/avm2/m": "opt_unknown_module",
+     "stella-run/step": "run_step", "stella-run/tasks_done": "run_tasks_done"})
+test_non_finite_model_tensor_exits_3 = _table_test(
+    {"model/fusion/0/mlp/w1": "backbone_nan", "model/avm/head/b1": "avm_nan"})
+test_non_finite_optimizer_moment_exits_3_before_training = _table_test(
+    {"opt/backbone/v/audio_pos": "moment_v_inf",
+     "opt/avm/m/avm/head/w2": "moment_avm_m_inf", "opt/backbone/m": "moment_m_nan"})
+test_per_parameter_moment_checkpoint_exits_3_before_training = _table_test(
+    "per_parameter_moments")
+test_bad_run_records_exits_3 = _table_test(
+    {"missing": "records_missing", "flat": "records_flat", "narrow": "records_narrow",
+     "wide": "records_wide", "short": "records_short"})
+test_bad_run_history_exits_3_before_training = _table_test(
+    {"acc_width": "acc_width", "acc_range": "acc_range", "gaps_long": "gaps_long",
+     "gaps_empty": "gaps_empty", "records_nan": "records_nan", "gaps_nan": "gaps_nan"})
+test_hostile_memory_capacity_exits_3_before_allocating = _table_test(
+    "memory_capacity_huge")
+test_inconsistent_memory_snapshot_exits_3 = _table_test("memory_steps_short")
+test_bad_memory_value_exits_3_before_training = _table_test(
+    {"stella-q_audio-inf": "memory_field_inf",
+     "stella-audio_patches-nan": "memory_field_nan",
+     "stella_plus-audio_indices-off_grid": "memory_ids_off_grid",
+     "stella_plus-video_indices-fraction": "memory_ids_fraction",
+     "stella_plus-audio_indices-repeated": "memory_audio_ids_repeated",
+     "stella_plus-video_indices-repeated": "memory_video_ids_repeated"})
+test_bad_memory_bookkeeping_exits_3_before_training = _table_test(
+    {"steps-nan": "memory_steps_nan", "tasks-0.5": "memory_tasks_fraction"})
+test_hostile_memory_field_exits_3_before_allocating = _table_test(
+    {"oversize": "memory_field_oversize", "extra": "memory_field_stray",
+     "cut": "memory_cut"})
+
+
+def test_every_hostile_row_is_run():
+    assert _RUN_ROWS == set(HOSTILE)
+
+
+def test_checkpoint_past_the_dataset_exits_3_before_any_layout(ws, capsys,
+                                                              monkeypatch):
+    """A checkpoint of more finished tasks than the dataset has is a data
+    error before a layout of its size is built: for resume, by the number
+    in its file name; for ``eval`` and ``export-attention``, by the length
+    of its ``run/gaps``."""
+    run, args = _resume_copy(ws, "run_past_the_dataset")
+    last = 999_999
+    for suffix in (".ckpt", ".rng.json"):
+        shutil.copy(run / f"task_01{suffix}", run / f"task_{last}{suffix}")
+    arrays = ckpt.load(run / "task_01.ckpt")
+    arrays["run/gaps"] = np.zeros(last + 1)
+    ckpt.save(run / "task_01.ckpt", arrays)
+
+    def no_layout(*args, **kwargs):
+        raise AssertionError("built a layout past the dataset")
+
+    monkeypatch.setattr(tr, "_checkpoint_layout", no_layout)
+    given = ["--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
+             "--ckpt", str(run / "task_01.ckpt")]
     capsys.readouterr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert cli.main(args) == 3
-    err = capsys.readouterr().err
-    assert "snapshot" in err and f"'memory/{column}'" in err
-    assert not (run / "task_01.ckpt").exists()
-
-
-@pytest.mark.parametrize("field", ["oversize", "extra", "cut"])
-def test_hostile_memory_field_exits_3_before_allocating(ws, capsys, monkeypatch,
-                                                        field):
-    """A stored field the run does not store, or at another per-entry
-    shape, or a snapshot of fewer entries than every reservoir holds (the
-    smaller of its capacity and the pairs it saw: here 6 cut to 4) is
-    rejected before the memory's columns exist and before any step."""
-    run, args = _first_task_copy(ws, f"run_{field}_field")
-    arrays = ckpt.load(run / "task_00.ckpt")
-    count = len(arrays["memory/steps"])
-    assert count == arrays["memory/capacity"][0] == 6 < arrays["memory/seen"][0]
-    if field == "oversize":
-        arrays["memory/field/imp_audio"] = np.zeros((count, 100_000))
-    elif field == "extra":
-        arrays["memory/field/extra"] = np.zeros((count, 4))
-    else:
-        for key in arrays:
-            if key.startswith("memory/") and key not in ("memory/capacity",
-                                                         "memory/seen"):
-                arrays[key] = arrays[key][:4]
-    ckpt.save(run / "task_00.ckpt", arrays)
-
-    def allocate(*args, **kwargs):
-        raise AssertionError("memory allocated before its fields were checked")
-
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained on a hostile memory")
-
-    monkeypatch.setattr(rm, "ReservoirMemory", allocate)
-    monkeypatch.setattr(tr, "train_step", no_training)
-    assert cli.main(args) == 3
-    named = {"oversize": repr("memory/field/imp_audio"),
-             "extra": repr("memory/field/extra"), "cut": "entry count 4 inconsistent"}
-    err = capsys.readouterr().err
-    assert "snapshot" in err and named[field] in err
-    assert not (run / "task_01.ckpt").exists()
+    assert cli.main(args) == 3  # resume
+    assert f"task_{last}.ckpt is past the 2 tasks" in capsys.readouterr().err
+    for command in ("eval", "export-attention"):
+        assert cli.main([command, *given, "--out", str(run / "out")]) == 3
+        err = capsys.readouterr().err
+        assert f"'run/gaps' holds {last + 1} gaps" in err, err
+    assert not (run / "out").exists()
 
 
 def test_unknown_strategy_exits_2_without_partial_run_dir(ws, capsys):
@@ -1204,7 +1211,7 @@ def test_export_attention_needs_a_config_that_scores(ws, capsys):
 def test_export_attention_on_scaled_query_key_weights(ws, capsys, scale, code):
     """Matching-head query/key weights scaled until q.k overflows give
     non-finite maps: exit 4 and no CSV.  Short of that the export runs."""
-    flat_key, table = _tables(ws)["avm"]
+    flat_key, table = A_KEY, A_TABLE
 
     def damage(arrays):
         for key in ("audio/wq", "audio/wk", "video/wq", "video/wk"):

@@ -512,7 +512,8 @@ def test_visible_token_step_matches_key_masked_full_length(tasks, geom, mcfg,
     # it gets one accuracy row and one gap, which no step reads
     arrays = {k: v.copy() for k, v in tr._checkpoint_arrays(run, [[0.0]], [0.0]).items()}
     streams = tr._streams_from_json(tr._rng_state_json(run.streams), cfg.train_seed)
-    ref, _, _ = tr._restore_run(arrays, 1, run.global_step, streams, mcfg, cfg, geom)
+    fields, _, _ = tr._restore_run(arrays, 1, run.global_step, mcfg, cfg, geom)
+    ref = tr.RunState(streams=streams, **fields)
     for r in (run, ref):
         _assert_flat_views(r)
     assert not np.shares_memory(ref.state.flat.data, run.state.flat.data)
@@ -637,8 +638,9 @@ def _stella_checkpoint(tasks, geom, mcfg, tmp_path):
 
 
 def test_restore_draws_no_random_number(tasks, geom, mcfg, tmp_path, monkeypatch):
-    """Restoring builds the run from the checkpoint alone: no generator is
-    made, no parameter is initialised and the run's streams are untouched."""
+    """Restoring builds the run from the checkpoint alone: it takes no
+    streams, makes no generator, initialises no parameter and leaves the
+    streams resume attaches untouched."""
     arrays, streams, cfg = _stella_checkpoint(tasks, geom, mcfg, tmp_path)
     before = tr._rng_state_json(streams)
 
@@ -648,10 +650,10 @@ def test_restore_draws_no_random_number(tasks, geom, mcfg, tmp_path, monkeypatch
     for owner, name in ((np.random, "default_rng"), (np.random, "Generator"),
                         (bb, "init_backbone"), (am, "init_avm")):
         monkeypatch.setattr(owner, name, no_draws)
-    tr.backbone_from_arrays(arrays, mcfg, geom)
-    assert tr.avm_from_arrays(arrays, mcfg) is not None
     steps = tasks[0].train.audio_patches.shape[0] // cfg.batch
-    tr._restore_run(arrays, 1, steps, streams, mcfg, cfg, geom)
+    fields, _, _ = tr._restore_run(arrays, 1, steps, mcfg, cfg, geom)
+    assert "streams" not in fields and fields["avm"] is not None
+    tr.RunState(streams=streams, **fields)
     assert tr._rng_state_json(streams) == before
 
 
@@ -662,7 +664,8 @@ def test_restored_parameters_and_moments_are_the_readers_arrays(
     optimizer steps that very leaf."""
     arrays, streams, cfg = _stella_checkpoint(tasks, geom, mcfg, tmp_path)
     steps = tasks[0].train.audio_patches.shape[0] // cfg.batch
-    run, _, _ = tr._restore_run(arrays, 1, steps, streams, mcfg, cfg, geom)
+    fields, _, _ = tr._restore_run(arrays, 1, steps, mcfg, cfg, geom)
+    run = tr.RunState(streams=streams, **fields)
     for part, opt, module, table in (
             (run.state, run.b_opt, "backbone", bb.param_table(mcfg, geom)),
             (run.avm, run.a_opt, "avm", am.param_table(mcfg))):
@@ -686,21 +689,27 @@ def test_restored_parameters_and_moments_are_the_readers_arrays(
 
 def test_model_tensors_must_be_exactly_the_configured_models(tasks, geom, mcfg,
                                                              tmp_path):
-    """The backbone takes the ``model/`` tensors other than
-    ``model/avm@...`` and the matching module that one; each must be
-    exactly the module's flat values under its parameter table's name, at
-    its size, with finite values.  A model of another arrangement is
-    another name, even at the same value count."""
-    arrays, _, _ = _stella_checkpoint(tasks, geom, mcfg, tmp_path)
+    """The restore takes the backbone's ``model/`` tensor and, for a
+    scoring strategy, the matching module's ``model/avm@...`` one; each
+    must be exactly the module's flat values under its parameter table's
+    name, at its size, with finite values.  A model of another arrangement
+    is another name, even at the same value count."""
+    arrays, _, cfg = _stella_checkpoint(tasks, geom, mcfg, tmp_path)
+    steps = tasks[0].train.audio_patches.shape[0] // cfg.batch
+
+    def restore(tensors, tcfg=cfg):
+        return tr._restore_run(tensors, 1, steps, mcfg, tcfg, geom)[0]
+
     b_key = tr._table_key("backbone", bb.param_table(mcfg, geom))
     a_key = tr._table_key("avm", am.param_table(mcfg))
     assert {k for k in arrays if k.startswith("model/")} == {b_key, a_key}
     deeper = bb.init_backbone(dataclasses.replace(mcfg, encoder_layers=2), geom,
                               np.random.default_rng(0))
-    assert deeper.flat.size > tr.backbone_from_arrays(arrays, mcfg, geom).flat.size
+    assert deeper.flat.size > restore(arrays)["state"].flat.size
     deeper_key = tr._table_key("backbone", bb.param_table(deeper.cfg, geom))
     with pytest.raises(cp.CheckpointError, match=f"unexpected.*{deeper_key}"):
-        tr.backbone_from_arrays({deeper_key: deeper.flat.data}, mcfg, geom)
+        restore({**{k: v for k, v in arrays.items() if k != b_key},
+                 deeper_key: deeper.flat.data})
     # encoder, fusion and decoder layers 1/1/1 against 0/2/2: as many blocks
     arranged = dataclasses.replace(mcfg, encoder_layers=0, fusion_layers=2,
                                    decoder_layers=2)
@@ -710,7 +719,8 @@ def test_model_tensors_must_be_exactly_the_configured_models(tasks, geom, mcfg,
     assert arranged_key != b_key
     with pytest.raises(cp.CheckpointError,
                        match=f"missing \\['{b_key}'\\], unexpected \\['{arranged_key}'\\]"):
-        tr.backbone_from_arrays({arranged_key: arrays[b_key]}, mcfg, geom)
+        restore({**{k: v for k, v in arrays.items() if k != b_key},
+                 arranged_key: arrays[b_key]})
     nan_at = np.zeros(arrays[a_key].size)
     nan_at[-1] = np.nan
     cases = [("model/bogus", np.zeros(2), "unexpected \\['model/bogus'\\]"),
@@ -718,7 +728,7 @@ def test_model_tensors_must_be_exactly_the_configured_models(tasks, geom, mcfg,
              (b_key, np.zeros(3), f"shape mismatch.*'{b_key}'"),
              (b_key, np.full(arrays[b_key].size, np.inf), f"non-finite.*'{b_key}'"),
              ("model/avm@bogus", np.zeros(2), "unexpected \\['model/avm@bogus'\\]"),
-             (a_key, None, None),
+             (a_key, None, f"missing \\['{a_key}'\\]"),
              (a_key, nan_at, f"non-finite.*'{a_key}'")]
     for key, value, message in cases:
         bad = dict(arrays)
@@ -726,16 +736,20 @@ def test_model_tensors_must_be_exactly_the_configured_models(tasks, geom, mcfg,
             del bad[key]
         else:
             bad[key] = value
-        if key.startswith("model/avm@"):
-            tr.backbone_from_arrays(bad, mcfg, geom)  # its own key is intact
-            if message is None:  # no matching module at all
-                assert tr.avm_from_arrays(bad, mcfg) is None
-                continue
-            with pytest.raises(cp.CheckpointError, match=message):
-                tr.avm_from_arrays(bad, mcfg)
-        else:
-            with pytest.raises(cp.CheckpointError, match=message):
-                tr.backbone_from_arrays(bad, mcfg, geom)
+        with pytest.raises(cp.CheckpointError, match=message) as exc:
+            restore(bad)
+        if key.startswith("model/avm@"):  # the backbone's own key is intact
+            assert b_key not in str(exc.value)
+    # a strategy without the matching module restores none, and takes a
+    # checkpoint of one as a stray tensor
+    derpp = _cfg("derpp")
+    _, fields = tr._memory_layout(mcfg, derpp, geom)
+    plain = {k: v for k, v in arrays.items()
+             if not k.startswith(("model/avm@", "opt/avm/", "memory/field/"))
+             or k.removeprefix("memory/field/") in fields}
+    assert restore(plain, derpp)["avm"] is None
+    with pytest.raises(cp.CheckpointError, match=f"unexpected \\['{a_key}'\\]"):
+        restore({**plain, a_key: arrays[a_key]}, derpp)
 
 
 def test_empty_task_list_is_rejected(geom, mcfg):
