@@ -17,7 +17,9 @@ The forward pass runs in stages; each caller runs only those it reads:
 
 Every transformer block (encoders, joint fusion, contrastive fusion,
 decoder) is one call of ``tt.prenorm_block``: a single tape node when
-gradients are recorded, plain numpy under ``no_grad``.
+gradients are recorded, plain numpy under ``no_grad``, where a block keeps
+no intermediate past its last use.  A recorded block keeps only what its
+backward rule cannot cheaply rebuild (see ``tt.prenorm_block``).
 
 Losses: the reconstruction term is one ``tt.masked_mse`` node per
 modality, which keeps only the residual and the mask for its backward pass,

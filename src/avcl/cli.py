@@ -50,8 +50,10 @@ Exit codes:
   ``[train]`` or ``[eval]`` value (such as a zero patch size or head count,
   a ``correlation`` outside [0, 1] or a ``[train] batch`` below 2), a
   ``[data]`` section that differs from the dataset's ``config.ini``,
-  ``export-attention`` under a strategy that does not score (checked
-  before anything is read), and ``--rows`` or ``--eval-workers`` below 1;
+  and, each checked before any checkpoint or task file is read,
+  ``export-attention`` under a strategy that does not score, ``--rows``
+  or ``--eval-workers`` below 1 and a ``--task`` outside
+  [0, ``[data] num_tasks``);
 - 3 data error:
 
   - a missing, truncated, modified or unreadable file, or a format-1
@@ -326,15 +328,15 @@ def cmd_report(args) -> int:
 
 
 def cmd_export_attention(args) -> int:
+    _check_at_least_one(args.rows, "--rows")
     cfg = cf.load_config(args.config)
     if not cfg.train.row.attention:
         raise cf.ConfigError(f"strategy {cfg.train.strategy!r} sets no beta and "
                              "trains no matching module; attention export needs "
                              "a scoring strategy (stella/stella_plus)")
+    if not 0 <= args.task < cfg.data.num_tasks:
+        raise cf.ConfigError(f"--task must lie in [0, {cfg.data.num_tasks - 1}]")
     tasks, state, avm = _load_model(args, cfg)
-    if not 0 <= args.task < len(tasks):
-        raise cf.ConfigError(f"--task must lie in [0, {len(tasks) - 1}]")
-    _check_at_least_one(args.rows, "--rows")
     split = tasks[args.task].eval
     rows = min(args.rows, len(split))
     geom = cfg.data.geometry

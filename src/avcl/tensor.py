@@ -212,8 +212,13 @@ def init_parameters(table: ParamTable, rng: np.random.Generator
     return flat, params
 
 
+def _records(parents) -> bool:
+    """Whether an op over ``parents`` is recorded on the tape."""
+    return _GRAD_MODE.enabled and any(p.requires_grad for p in parents)
+
+
 def _make(data, parents, grad_fn) -> Tensor:
-    if _GRAD_MODE.enabled and any(p.requires_grad for p in parents):
+    if _records(parents):
         return Tensor(data, requires_grad=True, _parents=tuple(parents), _grad_fn=grad_fn)
     return Tensor(data)
 
@@ -678,6 +683,16 @@ def prenorm_block(x, weights, bias, heads: int, eps: float) -> Tensor:
     arithmetic matches that primitive chain step for step, so an isolated
     block reproduces its output and gradients bit for bit.  Only the output
     is finite-checked: a NaN or inf in any intermediate reaches it.
+
+    For its backward rule the node keeps the split heads q and v, the
+    transposed keys, the attention probabilities, the merged heads, the
+    second normalization's xhat, the GELU's cdf and both inverse stds.  The
+    rule rebuilds the rest with the forward's own arithmetic on the same
+    arrays: the first normalization's xhat from ``x``'s data and its
+    inverse std, and the MLP's hidden pre-activation from the second xhat.
+    So it reads ``x.data`` at backward time, which no caller changes in
+    between.  Unrecorded (under ``no_grad``, or with no parent requiring
+    grad), the block drops each intermediate after its last use.
     """
     x = as_tensor(x)
     weights = tuple(as_tensor(w) for w in weights)
@@ -690,6 +705,8 @@ def prenorm_block(x, weights, bias, heads: int, eps: float) -> Tensor:
         raise ShapeError("block width must be a multiple of heads")
     g1, c1, wq, bq, wk, bk, wv, bv, wo, bo, g2, c2, w1, b1, w2, b2 = (w.data for w in weights)
     hd = d // heads
+    parents = (x, *weights)
+    record = _records(parents)
 
     def split(t):  # (B, n, D) -> (B, H, n, hd)
         return np.ascontiguousarray(t.reshape(b, n, heads, hd).transpose(0, 2, 1, 3))
@@ -701,14 +718,27 @@ def prenorm_block(x, weights, bias, heads: int, eps: float) -> Tensor:
 
     xhat1, inv1 = _layernorm_fwd(x.data, eps)
     h1 = _affine(xhat1, g1, c1)
+    del xhat1
     q, k, v = (split(linear(h1, w, wb)) for w, wb in ((wq, bq), (wk, bk), (wv, bv)))
+    del h1
     att, p, kt = _attention_fwd(q, k, v, _constant_data(bias))
+    del k
+    if not record:
+        del q, v, p, kt
     merged = np.ascontiguousarray(att.transpose(0, 2, 1, 3)).reshape(b, n, d)
+    del att
     x1 = linear(merged, wo, bo)
+    if not record:
+        del merged
     x1 += x.data
     xhat2, inv2 = _layernorm_fwd(x1, eps)
     u = linear(_affine(xhat2, g2, c2), w1, b1)
+    if not record:
+        del xhat2
     act, cdf = _gelu_fwd(u)
+    del u
+    if not record:
+        del cdf
     y = linear(act, w2, b2)
     y += x1
 
@@ -718,14 +748,20 @@ def prenorm_block(x, weights, bias, heads: int, eps: float) -> Tensor:
                 np.matmul(a.swapaxes(-1, -2), g).sum(axis=0), g.sum(axis=(0, 1)))
 
     def grad_fn(gy):
+        h2 = _affine(xhat2, g2, c2)
+        u = linear(h2, w1, b1)
         gact, gw2, gb2 = weight_grads(u * cdf, w2, gy)
         gact *= _gelu_slope(u, cdf)
-        gh2, gw1, gb1 = weight_grads(_affine(xhat2, g2, c2), w1, gact)
+        del u
+        gh2, gw1, gb1 = weight_grads(h2, w1, gact)
+        del h2
         gx1, gg2, gc2 = _layernorm_bwd(gh2, g2, xhat2, inv2)
         gx1 += gy
         gm, gwo, gbo = weight_grads(merged, wo, gx1)
         g_heads = _attention_bwd(gm.reshape(b, n, heads, hd).transpose(0, 2, 1, 3),
                                  q, kt, v, p)
+        xhat1 = x.data - x.data.mean(axis=-1, keepdims=True)  # as _layernorm_fwd
+        xhat1 *= inv1
         h1 = _affine(xhat1, g1, c1)
         # a plain reshape, as the tape's: the key gradient stays a strided
         # view, and its bias gradient (analytically zero) sums in that order
@@ -739,7 +775,7 @@ def prenorm_block(x, weights, bias, heads: int, eps: float) -> Tensor:
         return (gx, gg1, gc1, gwq, gbq, gwk, gbk, gwv, gbv, gwo, gbo,
                 gg2, gc2, gw1, gb1, gw2, gb2)
 
-    return _make(y, (x, *weights), grad_fn)
+    return _make(y, parents, grad_fn)
 
 
 def masked_mse(pred, target: np.ndarray, mask: np.ndarray) -> Tensor:

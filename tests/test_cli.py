@@ -1238,3 +1238,24 @@ def test_export_attention_rows_below_one_exit_2(ws, capsys, rows):
     assert code == 2
     assert not out.exists()
     assert "--rows must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--rows", "0", "--rows must be at least 1"),
+    ("--task", "2", "--task must lie in [0, 1]"),
+    ("--task", "-1", "--task must lie in [0, 1]"),
+], ids=["rows", "task_past_the_data", "task_negative"])
+def test_export_attention_checks_its_flags_before_reading(ws, capsys, flag, value,
+                                                          message):
+    """A bad --rows or --task is a usage error (2) even beside a checkpoint
+    that would not load (3): both are checked before anything is read."""
+    name = f"{flag[2:]}{value}"
+    bad = ws / f"truncated_{name}.ckpt"
+    bad.write_bytes((ws / "run_stella" / "task_01.ckpt").read_bytes()[:7])
+    out = ws / f"maps_{name}.csv"
+    code = cli.main(["export-attention", "--config", str(ws / "cfg.ini"),
+                     "--data", str(ws / "data"), "--ckpt", str(bad),
+                     "--out", str(out), flag, value])
+    assert code == 2
+    assert not out.exists()
+    assert message in capsys.readouterr().err

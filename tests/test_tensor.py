@@ -1,10 +1,12 @@
 """Tensor engine: forward values, gradient tape, finite-difference oracles."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import avcl.backbone as bb
 import avcl.tensor as tt
 from avcl.tensor import Tensor
 
@@ -244,14 +246,19 @@ def block_weights(rng, d=4, hidden=6):
     return ws
 
 
-def test_block_records_one_node():
+@pytest.mark.parametrize("padded", [False, True], ids=["unpadded", "padded"])
+def test_block_records_one_node(padded):
+    """Recorded or not, a block gives the same bytes, also where a key bias
+    hides the padding of a ragged batch."""
     rng = np.random.default_rng(45)
     x, ws = leaf(rng, 2, 3, 4), block_weights(rng)
-    out = tt.prenorm_block(x, ws, None, 2, 1e-6)
+    bias = bb.key_bias(np.arange(3)[None, :] >= np.array([2, 3])[:, None]) if padded else None
+    assert (bias is None) != padded
+    out = tt.prenorm_block(x, ws, bias, 2, 1e-6)
     assert out.shape == (2, 3, 4)
     assert out._parents == (x, *ws)
     with tt.no_grad():
-        quiet = tt.prenorm_block(x, ws, None, 2, 1e-6)
+        quiet = tt.prenorm_block(x, ws, bias, 2, 1e-6)
     assert not quiet.requires_grad and quiet._parents == () and quiet._grad_fn is None
     assert np.array_equal(quiet.data, out.data)
     with pytest.raises(tt.ShapeError):
@@ -260,6 +267,53 @@ def test_block_records_one_node():
         tt.prenorm_block(x, ws[:-1], None, 2, 1e-6)
     with pytest.raises(ValueError, match="constant"):
         tt.prenorm_block(x, ws, leaf(rng, 2, 1, 1, 3), 2, 1e-6)
+
+
+def _default_block(rng, b, n):
+    """A block input leaf of (b, n) tokens and 16 leaves at the default width."""
+    cfg = bb.BackboneConfig()
+    ws = block_weights(rng, cfg.embed_dim, cfg.mlp_ratio * cfg.embed_dim)
+    return leaf(rng, b, n, cfg.embed_dim), ws, cfg
+
+
+def test_no_grad_block_drops_intermediates_as_it_goes():
+    """Unrecorded, a block of 8 x 128 tokens peaks at one probabilities
+    array (4.2 MB) plus a few token-sized ones, not at everything the
+    backward rule would read (8.7 MB)."""
+    x, ws, cfg = _default_block(np.random.default_rng(49), 8, 128)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with tt.no_grad():
+            out = tt.prenorm_block(x, ws, None, cfg.heads, cfg.layernorm_eps)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.shape == x.shape
+    assert peak < 6.5e6, peak
+
+
+def test_recorded_block_keeps_only_what_its_backward_cannot_cheaply_rebuild():
+    """After the forward, a recorded block holds its output and, for its
+    backward rule, q, v, k^T, the probabilities, the merged heads, the
+    second xhat, the GELU cdf and two inverse stds; not the first xhat or
+    the MLP's hidden pre-activation, which the rule rebuilds.  The
+    allowance covers the node's Python objects."""
+    b, n = 4, 16
+    x, ws, cfg = _default_block(np.random.default_rng(50), b, n)
+    d, h = cfg.embed_dim, cfg.heads
+    tokens = b * n * d  # out, q, v, k^T, merged, xhat2
+    kept = 8 * (6 * tokens + b * h * n * n + b * n * cfg.mlp_ratio * d + 2 * b * n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = tt.prenorm_block(x, ws, None, h, cfg.layernorm_eps)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert out._grad_fn is not None
+    assert held < kept + 8 * tokens // 2, (held, kept)
 
 
 def test_fd_prenorm_block():
