@@ -20,25 +20,26 @@ nothing that loads as data.  ``run``, ``eval`` and ``export-attention`` check
 the format, then the hashes, then that their ``[data]`` equals the dataset's,
 and only then parse the task files.
 
-A run directory holds ``config.ini`` (the resolved configuration), and after
-every completed task ``task_XX.ckpt`` (one flat tensor of parameter values
-and the optimizer moments per module, rehearsal memory, loss records,
-accuracy rows and gaps in one container; see ``trainer._checkpoint_layout``)
-with ``task_XX.rng.json`` (per random
-stream, the state and spawn count; ``train_seed`` rebuilds the rest) beside
-it; ``losses.csv``, ``acc_matrix.csv``, ``gaps.csv`` and ``retrieval.json``
-are rewritten as tasks complete.  Each file is replaced atomically and
-``task_XX.rng.json`` is written last, so a task without it is redone on
-resume.  The step count is the number of loss records.  ``run`` ends by
-printing ``A``, with two or more tasks ``F`` and ``gap decline`` (the mean
-per-task drop of the modality gap), and ``memory bytes`` (the stored size
-of the final rehearsal memory).
+A run directory holds ``config.ini`` (the resolved configuration) and one
+checkpoint per completed task, ``task_XX.ckpt``: the whole run state in one
+container (see ``trainer._checkpoint_layout``), namely its format number
+(1), one flat tensor of parameter values and the optimizer moments per
+module, the rehearsal memory, loss records, per random stream the state and
+spawn count (``train_seed`` rebuilds the rest), accuracy rows and gaps.
+``losses.csv``, ``acc_matrix.csv``, ``gaps.csv`` and ``retrieval.json`` are
+rewritten as tasks complete.  Each file is replaced atomically and a task's
+checkpoint is written last, so a task without one is redone on resume.  The
+step count is the number of loss records.  ``run`` ends by printing ``A``,
+with two or more tasks ``F`` and ``gap decline`` (the mean per-task drop of
+the modality gap), and ``memory bytes`` (the stored size of the final
+rehearsal memory).
 
 ``eval`` and ``export-attention`` read a checkpoint as resume does, with
-one reader: every tensor (model, optimizer moments, rehearsal memory, loss
-records, accuracy rows and gaps) is checked against the whole
-configuration, so ``[model]`` and the ``[train]`` ``strategy``, ``epochs``,
-``batch`` and memory knobs must be the run's.  The checkpoint's gaps count
+one reader: the format first, then every tensor (model, optimizer moments,
+rehearsal memory, loss records, random streams, accuracy rows and gaps)
+against the whole configuration, so ``[model]`` and the ``[train]``
+``strategy``, ``epochs``, ``batch``, memory knobs and ``train_seed`` must be
+the run's.  The checkpoint's gaps count
 the tasks it finished, at least one and at most ``[data] num_tasks``.  The
 ``--out`` files of ``eval``, ``report`` and ``export-attention`` are
 replaced atomically too, so a failed write leaves no partial output.
@@ -58,6 +59,8 @@ Exit codes:
 
   - a missing, truncated, modified or unreadable file, or a format-1
     dataset, which must be regenerated;
+  - a checkpoint of another format, or of none, which must be started
+    again;
   - the one layout rule, ``checkpoint.check_layout``, on every tensor
     container read (task files, and checkpoints for resume, ``eval`` and
     ``export-attention``): exactly the tensors the configuration lays out,
@@ -66,17 +69,16 @@ Exit codes:
     any layout is built.  A checkpoint of another model or strategy
     breaks the rule: a module's values are named after its parameters'
     names and shapes, so even a model of as many values in another
-    arrangement does.  So does one older than the flat parameter layout
-    (one tensor per parameter) or the flat moment layout, which is named
-    as such and must be started again.  A non-finite task-file value is a
-    data error (3), not a numeric divergence (4);
+    arrangement does.  A non-finite task-file value is a data error (3),
+    not a numeric divergence (4);
   - the semantic checks: task-file truth masks in {0, 1} and class ids of
     the task; accuracy values in [0, 100]; a rehearsal memory of the
     configured capacity, holding exactly the smaller of it and the seen
     count of entries, integer insertion steps and source tasks, and in each entry distinct
-    grid ids of its grid; a well-formed random-stream file; and for
-    ``report`` an ``acc_matrix.csv`` and ``retrieval.json`` that are well
-    formed, agree on the task count and hold every configured cutoff;
+    grid ids of its grid; random-stream words that are integers in
+    [0, 2**32); and for ``report`` an ``acc_matrix.csv`` and
+    ``retrieval.json`` that are well formed, agree on the task count and
+    hold every configured cutoff;
 
 - 4 numeric divergence in training or in the attention maps of
   ``export-attention``.
@@ -237,9 +239,9 @@ def _load_model(args, cfg):
             f"checkpoint tensor 'run/gaps' holds {tasks_done} gaps: a run of "
             f"{cfg.data.num_tasks} tasks finishes 1 to {cfg.data.num_tasks}")
     steps = tr._steps_through(cfg.train, [cfg.data.train_pairs] * tasks_done)
-    fields, _, _ = tr._restore_run(arrays, tasks_done, steps, cfg.model,
-                                   cfg.train, cfg.data.geometry)
-    return load_tasks(args.data, cfg.data), fields["state"], fields["avm"]
+    run, _, _ = tr._restore_run(arrays, tasks_done, steps, cfg.model, cfg.train,
+                                cfg.data.geometry)
+    return load_tasks(args.data, cfg.data), run.state, run.avm
 
 
 def cmd_eval(args) -> int:

@@ -88,6 +88,9 @@ STRATEGY_KNOBS = {"alpha": 0.5, "beta": 0.4, "rho_audio": 0.5, "rho_video": 0.5,
                   "chunk_size": 4}
 
 STREAM_NAMES = ("init", "order", "mask", "selection", "avm", "memory")
+#: the layout of a run checkpoint (:func:`_checkpoint_layout`), stored in it
+#: as ``run/format``; any change to that layout bumps it
+CHECKPOINT_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -163,7 +166,6 @@ def rng_streams(seed: int) -> dict[str, np.random.Generator]:
 
 @dataclass
 class LossRecord:
-    step: int
     recon: float
     contrast: float
     penalty: float
@@ -200,9 +202,12 @@ def init_run(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     streams = rng_streams(tcfg.train_seed)
     state = bb.init_backbone(mcfg, geom, streams["init"])
     avm_params = am.init_avm(mcfg, streams["init"]) if tcfg.row.attention else None
-    return RunState(streams=streams, **_run_fields(
+    return RunState(
         state, avm_params, rm.ReservoirMemory(*_memory_layout(mcfg, tcfg, geom)),
-        tcfg, [], lambda module, flat: op.zero_moments(flat)))
+        op.Adam(state.flat, *op.zero_moments(state.flat), lr=tcfg.lr),
+        None if avm_params is None else op.Adam(
+            avm_params.flat, *op.zero_moments(avm_params.flat), lr=tcfg.lr),
+        streams)
 
 
 def _memory_layout(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
@@ -239,24 +244,6 @@ def _memory_layout(mcfg: bb.BackboneConfig, tcfg: TrainConfig,
         fields.update(imp_audio=(a.patches,), imp_video=(v.patches,),
                       corr_audio=(kap_a,), corr_video=(kap_v,))
     return capacity, fields
-
-
-def _run_fields(state: bb.BackboneState, avm: am.AvmParams | None,
-                mem: rm.ReservoirMemory, tcfg: TrainConfig,
-                records: list[LossRecord], moments) -> dict:
-    """The fields of a :class:`RunState` other than its random streams,
-    after the steps ``records`` holds, one per step, whose optimizers take
-    the moments ``moments(module, flat) -> (m, v)`` gives for the module
-    (``"backbone"`` or ``"avm"``) and its flat leaf."""
-    def adam(module: str, flat: tt.Tensor) -> op.Adam:
-        opt = op.Adam(flat, *moments(module, flat), lr=tcfg.lr)
-        opt.step_count = len(records)
-        return opt
-
-    return {"state": state, "avm": avm, "mem": mem,
-            "b_opt": adam("backbone", state.flat),
-            "a_opt": None if avm is None else adam("avm", avm.flat),
-            "records": records}
 
 
 # --------------------------------------------------------------------------
@@ -443,7 +430,7 @@ def train_step(run: RunState, mcfg: bb.BackboneConfig, tcfg: TrainConfig,
     run.b_opt.step()
     run.b_opt.zero_grad()
 
-    record = LossRecord(run.global_step, float(rec.data), float(con.data),
+    record = LossRecord(float(rec.data), float(con.data),
                         0.0 if penalty is None else float(penalty.data),
                         avm_loss, float(total.data))
     run.records.append(record)
@@ -553,30 +540,42 @@ def read_acc_csv(path: Path) -> list[list[float]]:
         return [[float(v) for v in row] for row in csv.reader(fh) if row]
 
 
-def _rng_state_json(streams: dict[str, np.random.Generator]) -> str:
-    """Per stream, what the seed does not rebuild: the generator state and
-    the spawn count (``Generator.spawn`` in selection advances it)."""
-    return json.dumps({name: {"n_children_spawned":
-                              gen.bit_generator.seed_seq.n_children_spawned,
-                              "state": gen.bit_generator.state}
-                       for name, gen in streams.items()})
+def _stream_words(streams: dict[str, np.random.Generator]) -> np.ndarray:
+    """Per stream, in :data:`STREAM_NAMES` order, what its seed does not
+    rebuild, as seven integers in [0, 2**32): the PCG64 128-bit state as four
+    32-bit words, least significant first, then ``has_uint32``, ``uinteger``
+    and the spawn count (``Generator.spawn`` in selection advances it)."""
+    rows = []
+    for name in STREAM_NAMES:
+        bits = streams[name].bit_generator
+        state = bits.state
+        word = state["state"]["state"]
+        rows.append([(word >> 32 * k) & 0xFFFFFFFF for k in range(4)]
+                    + [state["has_uint32"], state["uinteger"],
+                       bits.seed_seq.n_children_spawned])
+    return np.array(rows, dtype=np.float64)
 
 
-@_reads(cp.CheckpointError, "random-stream state")
-def _streams_from_json(text: str, seed: int) -> dict[str, np.random.Generator]:
-    """Inverse of :func:`_rng_state_json` for a run seeded with ``seed``.
-    Stream ``i`` is child ``i`` of ``SeedSequence(seed)`` (as
-    :func:`rng_streams` spawns it), built directly with its spawn key; the
-    spawn count is a constructor argument, so it costs no replay, and only
-    the restored generators are built."""
-    blob = json.loads(text)
+def _streams_from_words(words: np.ndarray, seed: int) -> dict[str, np.random.Generator]:
+    """Inverse of :func:`_stream_words` for a run seeded with ``seed``; every
+    word must be an integer in [0, 2**32).  Stream ``i`` is child ``i`` of
+    ``SeedSequence(seed)`` (as :func:`rng_streams` spawns it), built directly
+    with its spawn key; the spawn count is a constructor argument, so it
+    costs no replay.  The seed gives each generator its increment, the words
+    the rest of its state."""
+    if not np.all((words >= 0) & (words < 2.0 ** 32) & (words == np.floor(words))):
+        raise cp.CheckpointError("checkpoint tensor 'run/streams' holds a value "
+                                 "that is no integer in [0, 2**32)")
     streams = {}
-    for i, name in enumerate(STREAM_NAMES):
-        ss = np.random.SeedSequence(
-            seed, spawn_key=(i,),
-            n_children_spawned=int(blob[name]["n_children_spawned"]))
-        streams[name] = np.random.Generator(np.random.PCG64(ss))
-        streams[name].bit_generator.state = blob[name]["state"]
+    for i, (name, row) in enumerate(zip(STREAM_NAMES, words.astype(np.int64).tolist())):
+        *state, has_uint32, uinteger, spawned = row
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+            seed, spawn_key=(i,), n_children_spawned=spawned)))
+        blob = gen.bit_generator.state
+        blob["state"]["state"] = sum(w << 32 * k for k, w in enumerate(state))
+        blob.update(has_uint32=has_uint32, uinteger=uinteger)
+        gen.bit_generator.state = blob
+        streams[name] = gen
     return streams
 
 
@@ -595,7 +594,7 @@ def _table_key(module: str, table: tt.ParamTable) -> str:
 
 def _checkpoint_arrays(run: RunState, acc: list[list[float]],
                        gaps: list[float]) -> dict[str, np.ndarray]:
-    out = {}
+    out = {"run/format": np.array([CHECKPOINT_FORMAT], dtype=np.float64)}
     for module, part, opt in (("backbone", run.state, run.b_opt),
                               ("avm", run.avm, run.a_opt)):
         if part is not None:
@@ -604,6 +603,7 @@ def _checkpoint_arrays(run: RunState, acc: list[list[float]],
             out.update(opt.named_arrays(f"opt/{module}"))
     out.update(rm.snapshot_arrays(run.mem))
     out["run/records"] = np.reshape([r.row() for r in run.records], (-1, 5))
+    out["run/streams"] = _stream_words(run.streams)
     for t, row in enumerate(acc):
         out[f"run/acc/{t:02d}"] = np.asarray(row, dtype=np.float64)
     out["run/gaps"] = np.asarray(gaps, dtype=np.float64)
@@ -629,69 +629,61 @@ def _checkpoint_layout(tables: dict[str, tuple[str, tt.ParamTable]],
     of ``steps`` steps in all, holds outside ``memory/`` (the rehearsal
     memory, see :func:`memory.snapshot_arrays`):
 
+    - ``run/format``, :data:`CHECKPOINT_FORMAT`;
     - for each module, ``model/<module>@<digest>`` (:func:`_model_key`), its
       parameter values one after another in table order, and
       ``opt/<module>/m`` and ``opt/<module>/v``, its flat first and second
       Adam moments, all three with one value per parameter value;
-    - ``run/records``, five losses per step; ``run/acc/XX``, row ``XX`` of
-      the lower-triangular accuracy matrix; ``run/gaps``, one modality gap
-      per task.
+    - ``run/records``, five losses per step; ``run/streams``, one row of
+      seven words per random stream (:func:`_stream_words`); ``run/acc/XX``,
+      row ``XX`` of the lower-triangular accuracy matrix; ``run/gaps``, one
+      modality gap per task.
     """
-    layout = {}
+    layout = {"run/format": (1,)}
     for module, (key, table) in tables.items():
         layout[key] = layout[f"opt/{module}/m"] = layout[f"opt/{module}/v"] = (
             tt.table_size(table),)
     layout["run/records"] = (steps, 5)
+    layout["run/streams"] = (len(STREAM_NAMES), 7)
     layout.update({f"run/acc/{t:02d}": (t + 1,) for t in range(tasks_done)})
     layout["run/gaps"] = (tasks_done,)
     return layout
 
 
-def _older_layout(tensors: dict[str, np.ndarray],
-                  exc: cp.CheckpointError) -> cp.CheckpointError:
-    """The error for checkpoint ``tensors`` that failed their layout check
-    with ``exc``: if they store the model or the optimizer moments one
-    tensor per parameter, as checkpoints before the flat layouts did, an
-    error that says so and that the run must be started again; else
-    ``exc``."""
-    model = [k for k in tensors if k.startswith("model/")]
-    if model and not any("@" in k for k in model):
-        return cp.CheckpointError(
-            "parameters are stored one tensor each: the checkpoint predates the "
-            "flat parameter layout (one model tensor per module); start the run "
-            "again")
-    if any(re.match(r"opt/[^/]+/[mv]/", k) for k in tensors):
-        return cp.CheckpointError(
-            "optimizer moments are stored per parameter: the checkpoint predates "
-            "the flat moment layout (one m and one v per module); start the run "
-            "again")
-    return exc
-
-
 def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
-                 mcfg, tcfg, geom) -> tuple[dict, list[list[float]], list[float]]:
-    """The run-state fields other than the random streams
-    (:func:`_run_fields`), accuracy rows and gaps of the checkpoint written
-    after ``tasks_done`` tasks of ``steps`` steps in all: the one reader of
-    a run checkpoint.  Resume attaches the streams it reads from
-    ``task_XX.rng.json``; ``eval`` and ``export-attention`` build none.  Its
-    tensors outside ``memory/`` must be exactly :func:`_checkpoint_layout`'s
-    and its memory a snapshot of :func:`_memory_layout`'s, both finite
-    (:func:`checkpoint.check_layout`); a checkpoint of the older
-    per-parameter layouts is named as such (:func:`_older_layout`).
-    Accuracies must lie in [0, 100] and stored grid ids be patch indices of
-    their grid, distinct within each entry.  Each module's flat values, the
-    optimizer moments and the memory columns are the reader's arrays
-    themselves, so no placeholder is built to be overwritten and no random
-    number is drawn.  The records give both optimizers' step counts."""
+                 mcfg, tcfg, geom) -> tuple[RunState, list[list[float]], list[float]]:
+    """The run, accuracy rows and gaps of the checkpoint written after
+    ``tasks_done`` tasks of ``steps`` steps in all: the one reader of a run
+    checkpoint, behind resume, ``eval`` and ``export-attention``.  Its
+    ``run/format`` is checked first: a checkpoint without one, or of another
+    format than :data:`CHECKPOINT_FORMAT`, must be started again.  Its
+    tensors outside ``memory/`` must then be exactly
+    :func:`_checkpoint_layout`'s and its memory a snapshot of
+    :func:`_memory_layout`'s, both finite (:func:`checkpoint.check_layout`).
+    Accuracies must lie in [0, 100], stream words be integers in [0, 2**32)
+    and stored grid ids be patch indices of their grid, distinct within each
+    entry.  Each module's flat values, the optimizer moments and the memory
+    columns are the reader's arrays themselves, so no placeholder is built
+    to be overwritten and no parameter is initialised; each stream is seeded
+    and then set to its stored state.  The records give both optimizers'
+    step counts."""
+    head = {k: v for k, v in arrays.items() if k == "run/format"}
+    try:
+        cp.check_layout(head, {"run/format": (1,)})
+    except cp.CheckpointError:
+        fmt = None
+    else:
+        (fmt,) = head["run/format"]
+    if fmt != CHECKPOINT_FORMAT:
+        found = "has no format number" if fmt is None else f"is format {_fmt(fmt)}"
+        raise cp.CheckpointError(f"the checkpoint {found}; this avcl reads format "
+                                 f"{CHECKPOINT_FORMAT}; start the run again")
     tables = _param_tables(mcfg, tcfg, geom)
     run_part = {k: v for k, v in arrays.items() if not k.startswith("memory/")}
-    try:
-        cp.check_layout(run_part, _checkpoint_layout(tables, tasks_done, steps))
-    except cp.CheckpointError as exc:
-        raise _older_layout(run_part, exc) from None
+    cp.check_layout(run_part, _checkpoint_layout(tables, tasks_done, steps))
     acc = [run_part[f"run/acc/{t:02d}"].tolist() for t in range(tasks_done)]
     ev.check_acc_matrix(acc)
+    streams = _streams_from_words(run_part["run/streams"], tcfg.train_seed)
     mem = rm.memory_from_arrays(arrays, *_memory_layout(mcfg, tcfg, geom))
     for name, g in (("audio_indices", geom.audio), ("video_indices", geom.video)):
         if name not in mem.fields:
@@ -707,13 +699,19 @@ def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
                                     "a grid id within an entry")
     modules = {module: tt.flat_parameters(table, run_part[key])
                for module, (key, table) in tables.items()}
+    state = bb.BackboneState(mcfg, geom, *modules["backbone"])
     avm = am.AvmParams(mcfg.heads, *modules["avm"]) if "avm" in modules else None
-    records = [LossRecord(i, *r) for i, r in enumerate(run_part["run/records"].tolist())]
-    fields = _run_fields(bb.BackboneState(mcfg, geom, *modules["backbone"]), avm,
-                         mem, tcfg, records,
-                         lambda module, _: (run_part[f"opt/{module}/m"],
-                                            run_part[f"opt/{module}/v"]))
-    return fields, acc, run_part["run/gaps"].tolist()
+    records = [LossRecord(*r) for r in run_part["run/records"].tolist()]
+
+    def adam(module: str, flat: tt.Tensor) -> op.Adam:
+        opt = op.Adam(flat, run_part[f"opt/{module}/m"], run_part[f"opt/{module}/v"],
+                      lr=tcfg.lr)
+        opt.step_count = len(records)
+        return opt
+
+    run = RunState(state, avm, mem, adam("backbone", state.flat),
+                   None if avm is None else adam("avm", avm.flat), streams, records)
+    return run, acc, run_part["run/gaps"].tolist()
 
 
 def _steps_through(tcfg: TrainConfig, train_sizes) -> int:
@@ -723,10 +721,10 @@ def _steps_through(tcfg: TrainConfig, train_sizes) -> int:
 
 
 def _latest_task_checkpoint(run_dir: Path) -> tuple[int, Path] | None:
-    """Tasks done and checkpoint of the last task whose streams file exists."""
+    """Tasks done and checkpoint of the last finished task: a task's
+    checkpoint is the last artifact it writes (:func:`save_task_artifacts`)."""
     done = [(int(m.group(1)) + 1, path) for path in run_dir.glob("task_*.ckpt")
-            if (m := re.fullmatch(r"task_(\d+)\.ckpt", path.name))
-            and path.with_suffix(".rng.json").exists()]
+            if (m := re.fullmatch(r"task_(\d+)\.ckpt", path.name))]
     return max(done, default=None)
 
 
@@ -734,21 +732,19 @@ def save_task_artifacts(run: RunState, run_dir: Path, tasks_done: int,
                         acc: list[list[float]], gaps: list[float],
                         reports: list[ev.RetrievalReport]) -> None:
     """Write every artifact of a completed task, each atomically.  The
-    random-stream file goes last: :func:`_latest_task_checkpoint` accepts a
-    task only once it exists, so a crash anywhere before it makes a resume
-    redo the task and rewrite all of its artifacts."""
-    tag = f"task_{tasks_done - 1:02d}"
-    cp.save(run_dir / f"{tag}.ckpt",
-            _checkpoint_arrays(run, acc, gaps))
+    checkpoint, which holds the whole run state down to the random streams,
+    goes last: :func:`_latest_task_checkpoint` takes a task as done once its
+    checkpoint exists, so a crash anywhere before it makes a resume redo the
+    task and rewrite all of its artifacts."""
     _write_csv(run_dir / "losses.csv", [_LOSS_HEADER] + [
-        [r.step] + [_fmt(v) for v in r.row()] for r in run.records])
+        [i] + [_fmt(v) for v in r.row()] for i, r in enumerate(run.records)])
     _write_csv(run_dir / "acc_matrix.csv", [[_fmt(v) for v in row] for row in acc])
     _write_csv(run_dir / "gaps.csv",
                [("task", "gap")] + [[t, _fmt(g)] for t, g in enumerate(gaps)])
-    for name, text in (("retrieval.json", reports_to_json(reports)),
-                       (f"{tag}.rng.json", _rng_state_json(run.streams))):
-        with cp.atomic_open(run_dir / name) as fh:
-            fh.write(text)
+    with cp.atomic_open(run_dir / "retrieval.json") as fh:
+        fh.write(reports_to_json(reports))
+    cp.save(run_dir / f"task_{tasks_done - 1:02d}.ckpt",
+            _checkpoint_arrays(run, acc, gaps))
 
 
 def run_sequence(tasks: list[TaskData], geom: SceneGeometry,
@@ -781,13 +777,10 @@ def run_sequence(tasks: list[TaskData], geom: SceneGeometry,
             if start_task > len(tasks):
                 raise cp.CheckpointError(f"{ckpt.name} is past the {len(tasks)} "
                                          "tasks of the dataset")
-            streams = _streams_from_json(
-                ckpt.with_suffix(".rng.json").read_text(), tcfg.train_seed)
-            fields, acc, gaps = _restore_run(
+            run, acc, gaps = _restore_run(
                 cp.load(ckpt), start_task,
                 _steps_through(tcfg, [len(task.train) for task in tasks[:start_task]]),
                 mcfg, tcfg, geom)
-            run = RunState(streams=streams, **fields)
     if run is None:
         run = init_run(mcfg, tcfg, geom)
 

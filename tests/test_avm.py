@@ -315,7 +315,7 @@ def test_restored_avm_checks_shapes():
     arrays = {k: v.copy() for k, v in tr._checkpoint_arrays(run, [[0.0]], [0.0]).items()}
 
     def restore():
-        return tr._restore_run(arrays, 1, 0, CFG, tcfg, GEOM)[0]["avm"]
+        return tr._restore_run(arrays, 1, 0, CFG, tcfg, GEOM)[0].avm
 
     back = restore()
     assert back.flat.data is arrays[key] and back.flat.requires_grad

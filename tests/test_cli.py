@@ -167,8 +167,9 @@ def test_run_writes_resolved_config_and_artifacts(ws):
     run = ws / "run_stella"
     assert cf.load_config(run / "config.ini") == cf.parse_config(CFG)
     for name in ("acc_matrix.csv", "gaps.csv", "losses.csv", "retrieval.json",
-                 "task_00.ckpt", "task_01.ckpt", "task_01.rng.json"):
+                 "task_00.ckpt", "task_01.ckpt"):
         assert (run / name).is_file(), name
+    assert not list(run.glob("*.rng.json"))  # the streams live in the ckpt
     acc = tr.read_acc_csv(run / "acc_matrix.csv")
     assert len(acc) == 2 and len(acc[1]) == 2
 
@@ -204,7 +205,6 @@ def test_run_resumes_from_last_completed_task(ws):
     shutil.copytree(ws / "run_stella", run)
     full = (run / "task_01.ckpt").read_bytes()
     (run / "task_01.ckpt").unlink()
-    (run / "task_01.rng.json").unlink()
     assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
                      "--out", str(run)]) == 0
     assert (run / "task_01.ckpt").read_bytes() == full
@@ -215,33 +215,6 @@ def _resume_copy(ws, name):
     shutil.copytree(ws / "run_stella", run)
     return run, ["run", "--config", str(ws / "cfg.ini"),
                  "--data", str(ws / "data"), "--out", str(run)]
-
-
-def test_truncated_rng_state_exits_3(ws, capsys):
-    run, args = _resume_copy(ws, "run_bad_rng")
-    text = (run / "task_01.rng.json").read_text()
-    (run / "task_01.rng.json").write_text(text[:len(text) // 2])
-    assert cli.main(args) == 3
-    assert "data error" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("damage", ["missing_stream", "bad_state",
-                                    "huge_spawn_count"])
-def test_malformed_rng_state_exits_3(ws, capsys, damage):
-    """Valid JSON that lacks a stream, holds a state the generator rejects
-    or a spawn count beyond its range is a data error, not a traceback or
-    an unbounded replay."""
-    run, args = _resume_copy(ws, f"run_rng_{damage}")
-    blob = json.loads((run / "task_01.rng.json").read_text())
-    if damage == "missing_stream":
-        del blob["mask"]
-    elif damage == "bad_state":
-        blob["mask"]["state"] = 7
-    else:
-        blob["selection"]["n_children_spawned"] = 2 ** 40
-    (run / "task_01.rng.json").write_text(json.dumps(blob))
-    assert cli.main(args) == 3
-    assert "data error" in capsys.readouterr().err
 
 
 def test_huge_memory_capacity_runs(ws):
@@ -338,6 +311,17 @@ def _other_backbone(key, table):
     return damage
 
 
+def _unversioned(damage):
+    """Damage: a checkpoint of a layout before the format number, which
+    held neither ``run/format`` nor the random streams (they lay in a file
+    of their own), edited further by ``damage`` unless it is None."""
+    def older(arrays):
+        del arrays["run/format"], arrays["run/streams"]
+        if damage is not None:
+            damage(arrays)
+    return older
+
+
 def _per_parameter_model(arrays):
     """The model one ``model/<name>`` tensor per parameter, as checkpoints
     before the flat parameter layout stored it (moments already flat)."""
@@ -357,6 +341,10 @@ def _per_parameter_moments(arrays):
                 flat = arrays[f"opt/{module}/{kind}"]
                 arrays[f"opt/{module}/{kind}/{name}"] = flat[part].reshape(shape)
         del arrays[f"opt/{module}/m"], arrays[f"opt/{module}/v"]
+
+
+def _format_error(found):
+    return f"the checkpoint {found}; this avcl reads format 1; start the run again"
 
 
 def _narrow_head(arrays):
@@ -412,6 +400,32 @@ class Hostile(NamedTuple):
 #: row name -> hostile checkpoint; ``eval``, ``export-attention`` and
 #: resume each reject every row (:func:`hostile`)
 HOSTILE = {
+    # the format number, checked before anything else
+    "format_missing": Hostile(_drop("run/format"),
+                              _format_error("has no format number")),
+    "format_0": Hostile(_put("run/format", np.array([0.0])),
+                        _format_error("is format 0")),
+    "format_2": Hostile(_put("run/format", np.array([2.0])),
+                        _format_error("is format 2")),
+    "format_nan": Hostile(_put("run/format", np.array([np.nan])),
+                          _format_error("has no format number")),
+    "legacy": Hostile(_unversioned(None), _format_error("has no format number")),
+    # the random streams: seven integer words in [0, 2**32) per stream
+    "streams_missing": Hostile(_drop("run/streams"),
+                               _layout_error(missing=["run/streams"])),
+    "streams_short": Hostile(_edit("run/streams", lambda words: words[:-1]),
+                             "shape mismatch for tensor 'run/streams'"),
+    "streams_fraction": Hostile(_edit("run/streams", _poke((2, 0), 0.5)),
+                                "'run/streams' holds a value that is no integer"),
+    "streams_word_2_32": Hostile(_edit("run/streams", _poke((1, 3), 2.0 ** 32)),
+                                 "'run/streams' holds a value that is no integer"),
+    "streams_negative": Hostile(_edit("run/streams", _poke((4, 5), -1.0)),
+                                "'run/streams' holds a value that is no integer"),
+    "streams_huge_spawn_count": Hostile(  # the selection stream's spawn count
+        _edit("run/streams", _poke((tr.STREAM_NAMES.index("selection"), 6), 2.0 ** 40)),
+        "'run/streams' holds a value that is no integer"),
+    "streams_nan": Hostile(_edit("run/streams", _poke((0, 0), np.nan)),
+                           "non-finite value in tensor 'run/streams'"),
     # the model tensors: exactly the configured modules' flat values
     "backbone_missing": Hostile(_drop(B_KEY), _layout_error(missing=[B_KEY])),
     "backbone_reshaped": Hostile(_edit(B_KEY, lambda flat: flat[:-1]),
@@ -431,9 +445,8 @@ HOSTILE = {
     "avm_nan": Hostile(
         _edit(A_KEY, _poke(_param_slices(A_TABLE)["avm/head/b1"].start, np.nan)),
         f"non-finite value in tensor {A_KEY!r}"),
-    "per_parameter_model": Hostile(
-        _per_parameter_model, "predates the flat parameter layout (one model tensor "
-        "per module); start the run again"),
+    "per_parameter_model": Hostile(_unversioned(_per_parameter_model),
+                                   _format_error("has no format number")),
     # a checkpoint of another strategy: the matching module and its moments
     # are there exactly when the configured strategy scores
     "stella_under_derpp": Hostile(None, _layout_error(
@@ -444,8 +457,7 @@ HOSTILE = {
         unexpected=[A_KEY, "opt/avm/m", "opt/avm/v"]), "finetune", "stella"),
     "derpp_under_stella": Hostile(None, _layout_error(
         missing=[A_KEY, "opt/avm/m", "opt/avm/v"]), "stella", "derpp"),
-    # stray tensors anywhere, including the run/step and run/tasks_done of
-    # checkpoints older than the flat moment layout
+    # stray tensors anywhere
     "opt_backbone_stray": Hostile(_put("opt/backbone/bogus"),
                                   _layout_error(unexpected=["opt/backbone/bogus"])),
     "opt_avm_without_avm": Hostile(_put("opt/avm/m"),
@@ -457,11 +469,13 @@ HOSTILE = {
                             _layout_error(unexpected=["memory/bogus"])),
     "opt_unknown_module": Hostile(_put("opt/avm2/m"),
                                   _layout_error(unexpected=["opt/avm2/m"])),
-    "run_step": Hostile(lambda arrays: arrays.update(
-        {"run/step": np.array(float(len(arrays["run/records"])))}),
-        _layout_error(unexpected=["run/step"])),
-    "run_tasks_done": Hostile(_put("run/tasks_done", np.array(1.0)),
-                              _layout_error(unexpected=["run/tasks_done"])),
+    # the run/step and run/tasks_done of checkpoints older than the flat
+    # moment layout
+    "run_step": Hostile(_unversioned(lambda arrays: arrays.update(
+        {"run/step": np.array(float(len(arrays["run/records"])))})),
+        _format_error("has no format number")),
+    "run_tasks_done": Hostile(_unversioned(_put("run/tasks_done", np.array(1.0))),
+                              _format_error("has no format number")),
     # the optimizer moments
     "moment_v_inf": Hostile(
         _edit("opt/backbone/v", _poke(_last_of(B_TABLE, "audio_pos"), np.inf)),
@@ -471,9 +485,8 @@ HOSTILE = {
         "non-finite value in tensor 'opt/avm/m'"),
     "moment_m_nan": Hostile(_edit("opt/backbone/m", _poke(0, np.nan)),
                             "non-finite value in tensor 'opt/backbone/m'"),
-    "per_parameter_moments": Hostile(
-        _per_parameter_moments, "predates the flat moment layout (one m and one v "
-        "per module); start the run again"),
+    "per_parameter_moments": Hostile(_unversioned(_per_parameter_moments),
+                                     _format_error("has no format number")),
     # the loss records: five losses per step the finished tasks took
     "records_missing": Hostile(_drop("run/records"),
                                _layout_error(missing=["run/records"])),
@@ -584,8 +597,7 @@ def hostile(ws, finished, capsys, monkeypatch, tmp_path):
         cfg, source = finished(row.config)
         run_dir = tmp_path / "run"
         shutil.copytree(source, run_dir)
-        for path in ("task_01.ckpt", "task_01.rng.json"):
-            (run_dir / path).unlink()
+        (run_dir / "task_01.ckpt").unlink()
         arrays = ckpt.load(finished(row.source or row.config)[1] / "task_00.ckpt")
         if row.damage is not None:
             row.damage(arrays)
@@ -641,6 +653,14 @@ def _table_test(cases):
 
 
 # the rows, grouped by what they damage
+test_checkpoint_of_another_format_exits_3 = _table_test(
+    {"missing": "format_missing", "0": "format_0", "2": "format_2",
+     "nan": "format_nan", "legacy": "legacy"})
+test_truncated_rng_state_exits_3 = _table_test("streams_missing")
+test_malformed_rng_state_exits_3 = _table_test(
+    {"missing_stream": "streams_short", "bad_state": "streams_fraction",
+     "word_2**32": "streams_word_2_32", "negative": "streams_negative",
+     "huge_spawn_count": "streams_huge_spawn_count", "nan": "streams_nan"})
 test_bad_model_tensor_exits_3 = _table_test(
     {"missing": "backbone_missing", "reshaped": "backbone_reshaped"})
 test_checkpoint_of_another_model_exits_3 = _table_test(
@@ -699,8 +719,7 @@ def test_checkpoint_past_the_dataset_exits_3_before_any_layout(ws, capsys,
     of its ``run/gaps``."""
     run, args = _resume_copy(ws, "run_past_the_dataset")
     last = 999_999
-    for suffix in (".ckpt", ".rng.json"):
-        shutil.copy(run / f"task_01{suffix}", run / f"task_{last}{suffix}")
+    shutil.copy(run / "task_01.ckpt", run / f"task_{last}.ckpt")
     arrays = ckpt.load(run / "task_01.ckpt")
     arrays["run/gaps"] = np.zeros(last + 1)
     ckpt.save(run / "task_01.ckpt", arrays)

@@ -5,7 +5,6 @@ import dataclasses
 import functools
 import gc
 import inspect
-import json
 import sys
 import weakref
 
@@ -54,7 +53,9 @@ def _cfg(strategy, **kw):
 
 
 def _records(run):
-    return np.array([[r.step] + r.row() for r in run.records])
+    """The losses.csv table: a step column (a record's index), then the
+    five losses."""
+    return np.array([[i] + r.row() for i, r in enumerate(run.records)])
 
 
 # --------------------------------------------------------------------------
@@ -507,13 +508,12 @@ def test_visible_token_step_matches_key_masked_full_length(tasks, geom, mcfg,
         monkeypatch.setattr(r.b_opt, "step", record_then_step)
         return tr.train_step(r, mcfg, cfg, aps, vps), grads
 
-    # a second run from the same checkpoint arrays (copied, so the two runs
-    # share no buffer); restore reads a checkpoint written after a task, so
-    # it gets one accuracy row and one gap, which no step reads
+    # a second run, random streams included, from the same checkpoint arrays
+    # (copied, so the two runs share no buffer); restore reads a checkpoint
+    # written after a task, so it gets one accuracy row and one gap, which
+    # no step reads
     arrays = {k: v.copy() for k, v in tr._checkpoint_arrays(run, [[0.0]], [0.0]).items()}
-    streams = tr._streams_from_json(tr._rng_state_json(run.streams), cfg.train_seed)
-    fields, _, _ = tr._restore_run(arrays, 1, run.global_step, mcfg, cfg, geom)
-    ref = tr.RunState(streams=streams, **fields)
+    ref, _, _ = tr._restore_run(arrays, 1, run.global_step, mcfg, cfg, geom)
     for r in (run, ref):
         _assert_flat_views(r)
     assert not np.shares_memory(ref.state.flat.data, run.state.flat.data)
@@ -629,32 +629,64 @@ def test_restore_rejects_bad_optimizer_state(tasks, geom, mcfg, tmp_path):
 
 
 def _stella_checkpoint(tasks, geom, mcfg, tmp_path):
-    """Arrays, streams and configuration of a one-task stella run."""
+    """The run, checkpoint arrays and configuration of a one-task stella
+    run."""
     cfg = _cfg("stella")
-    tr.run_sequence(tasks[:1], geom, mcfg, cfg, tmp_path)
-    streams = tr._streams_from_json((tmp_path / "task_00.rng.json").read_text(),
-                                    cfg.train_seed)
-    return cp.load(tmp_path / "task_00.ckpt"), streams, cfg
+    run, _, _ = tr.run_sequence(tasks[:1], geom, mcfg, cfg, tmp_path)
+    return run, cp.load(tmp_path / "task_00.ckpt"), cfg
+
+
+def _stream_state(gen):
+    """Everything a stream's next draws and spawns depend on."""
+    ss = gen.bit_generator.seed_seq
+    return gen.bit_generator.state, ss.entropy, ss.spawn_key, ss.n_children_spawned
+
+
+def _next_draws(streams):
+    """Each stream's next draws, a 32-bit one first, and its next spawns'."""
+    return {name: (gen.integers(0, 2 ** 32, dtype=np.uint32), gen.random(3).tolist(),
+                   [child.random(2).tolist() for child in gen.spawn(2)])
+            for name, gen in streams.items()}
+
+
+def test_stream_words_round_trip():
+    """The seven words per stream and the seed give back all six streams:
+    equal states, and equal next draws and next spawns, also for a stream
+    holding half of a 64-bit draw and for one that has spawned children."""
+    streams = tr.rng_streams(11)
+    for gen in streams.values():
+        gen.random(5)
+    streams["mask"].integers(0, 2 ** 32, dtype=np.uint32)  # keeps the other half
+    assert streams["mask"].bit_generator.state["has_uint32"] == 1
+    streams["selection"].spawn(3)
+    words = tr._stream_words(streams)
+    assert words.shape == (len(tr.STREAM_NAMES), 7)
+    assert words[tr.STREAM_NAMES.index("selection"), 6] == 3
+    back = tr._streams_from_words(words, 11)
+    assert list(back) == list(tr.STREAM_NAMES)
+    for name in tr.STREAM_NAMES:
+        assert _stream_state(back[name]) == _stream_state(streams[name]), name
+    assert _next_draws(back) == _next_draws(streams)
 
 
 def test_restore_draws_no_random_number(tasks, geom, mcfg, tmp_path, monkeypatch):
-    """Restoring builds the run from the checkpoint alone: it takes no
-    streams, makes no generator, initialises no parameter and leaves the
-    streams resume attaches untouched."""
-    arrays, streams, cfg = _stella_checkpoint(tasks, geom, mcfg, tmp_path)
-    before = tr._rng_state_json(streams)
+    """Restoring builds the run from the checkpoint alone: it initialises no
+    parameter and draws no random number, and its streams are in exactly
+    the states the saving run left them in."""
+    saved, arrays, cfg = _stella_checkpoint(tasks, geom, mcfg, tmp_path)
 
     def no_draws(*args, **kwargs):
         raise AssertionError("restore drew random numbers")
 
-    for owner, name in ((np.random, "default_rng"), (np.random, "Generator"),
-                        (bb, "init_backbone"), (am, "init_avm")):
+    for owner, name in ((np.random, "default_rng"), (bb, "init_backbone"),
+                        (am, "init_avm")):
         monkeypatch.setattr(owner, name, no_draws)
     steps = tasks[0].train.audio_patches.shape[0] // cfg.batch
-    fields, _, _ = tr._restore_run(arrays, 1, steps, mcfg, cfg, geom)
-    assert "streams" not in fields and fields["avm"] is not None
-    tr.RunState(streams=streams, **fields)
-    assert tr._rng_state_json(streams) == before
+    run, _, _ = tr._restore_run(arrays, 1, steps, mcfg, cfg, geom)
+    assert run.avm is not None
+    assert list(run.streams) == list(tr.STREAM_NAMES)
+    for name, gen in saved.streams.items():
+        assert _stream_state(run.streams[name]) == _stream_state(gen), name
 
 
 def test_restored_parameters_and_moments_are_the_readers_arrays(
@@ -662,10 +694,9 @@ def test_restored_parameters_and_moments_are_the_readers_arrays(
     """Each module's flat values are the reader's ``model/<module>@...``
     array, each parameter a view of it at its table offset, and the
     optimizer steps that very leaf."""
-    arrays, streams, cfg = _stella_checkpoint(tasks, geom, mcfg, tmp_path)
+    _, arrays, cfg = _stella_checkpoint(tasks, geom, mcfg, tmp_path)
     steps = tasks[0].train.audio_patches.shape[0] // cfg.batch
-    fields, _, _ = tr._restore_run(arrays, 1, steps, mcfg, cfg, geom)
-    run = tr.RunState(streams=streams, **fields)
+    run, _, _ = tr._restore_run(arrays, 1, steps, mcfg, cfg, geom)
     for part, opt, module, table in (
             (run.state, run.b_opt, "backbone", bb.param_table(mcfg, geom)),
             (run.avm, run.a_opt, "avm", am.param_table(mcfg))):
@@ -694,7 +725,7 @@ def test_model_tensors_must_be_exactly_the_configured_models(tasks, geom, mcfg,
     must be exactly the module's flat values under its parameter table's
     name, at its size, with finite values.  A model of another arrangement
     is another name, even at the same value count."""
-    arrays, _, cfg = _stella_checkpoint(tasks, geom, mcfg, tmp_path)
+    _, arrays, cfg = _stella_checkpoint(tasks, geom, mcfg, tmp_path)
     steps = tasks[0].train.audio_patches.shape[0] // cfg.batch
 
     def restore(tensors, tcfg=cfg):
@@ -705,7 +736,7 @@ def test_model_tensors_must_be_exactly_the_configured_models(tasks, geom, mcfg,
     assert {k for k in arrays if k.startswith("model/")} == {b_key, a_key}
     deeper = bb.init_backbone(dataclasses.replace(mcfg, encoder_layers=2), geom,
                               np.random.default_rng(0))
-    assert deeper.flat.size > restore(arrays)["state"].flat.size
+    assert deeper.flat.size > restore(arrays).state.flat.size
     deeper_key = tr._table_key("backbone", bb.param_table(deeper.cfg, geom))
     with pytest.raises(cp.CheckpointError, match=f"unexpected.*{deeper_key}"):
         restore({**{k: v for k, v in arrays.items() if k != b_key},
@@ -747,7 +778,7 @@ def test_model_tensors_must_be_exactly_the_configured_models(tasks, geom, mcfg,
     plain = {k: v for k, v in arrays.items()
              if not k.startswith(("model/avm@", "opt/avm/", "memory/field/"))
              or k.removeprefix("memory/field/") in fields}
-    assert restore(plain, derpp)["avm"] is None
+    assert restore(plain, derpp).avm is None
     with pytest.raises(cp.CheckpointError, match=f"unexpected \\['{a_key}'\\]"):
         restore({**plain, a_key: arrays[a_key]}, derpp)
 
@@ -776,8 +807,9 @@ def test_run_directory_artifacts(tasks, geom, mcfg, tmp_path):
     assert [float(l.split(",")[1]) for l in gap_lines[1:]] == gaps
     for t in range(len(tasks)):
         assert (tmp_path / f"task_{t:02d}.ckpt").exists()
-        assert (tmp_path / f"task_{t:02d}.rng.json").exists()
-    assert not list(tmp_path.glob("memory_*"))  # the memory lives in the ckpt
+    # the memory and the random streams live in the ckpt
+    assert not list(tmp_path.glob("memory_*"))
+    assert not list(tmp_path.glob("*.rng.json"))
     capacity, fields = tr._memory_layout(mcfg, _cfg("stella"), geom)
     assert capacity == run.mem.capacity
     snap = rm.memory_from_arrays(cp.load(tmp_path / "task_01.ckpt"),
@@ -786,14 +818,10 @@ def test_run_directory_artifacts(tasks, geom, mcfg, tmp_path):
     assert len(snap) == n and snap.seen_count == run.mem.seen_count
     for name, col in run.mem.fields.items():
         assert np.array_equal(snap.fields[name], col[:n]), name
-    blob = json.loads((tmp_path / "task_01.rng.json").read_text())
-    assert set(blob) == set(tr.STREAM_NAMES)
-    # the seed rebuilds the rest of each stream
-    assert all(set(item) == {"state", "n_children_spawned"}
-               for item in blob.values())
-    assert blob["selection"]["n_children_spawned"] > 0
-    assert not any(k in cp.load(tmp_path / "task_01.ckpt")
-                   for k in ("run/step", "run/tasks_done"))
+    arrays = cp.load(tmp_path / "task_01.ckpt")
+    assert np.array_equal(arrays["run/streams"], tr._stream_words(run.streams))
+    assert arrays["run/streams"][tr.STREAM_NAMES.index("selection"), 6] > 0  # spawned
+    assert not any(k in arrays for k in ("run/step", "run/tasks_done"))
 
 
 @pytest.mark.parametrize("strategy", tr.STRATEGIES)
@@ -873,9 +901,12 @@ _STORED = {
 def test_checkpoint_keys_are_pinned(tasks, geom, mcfg, tmp_path, strategy):
     """Every checkpoint key outside the model is pinned, so a key that only
     repeats another one (a step count, an entry count) cannot come back
-    unnoticed.  The model is one flat tensor per module, named after its
-    parameter table, and the optimizer moments are one flat ``m`` and one
-    flat ``v`` per module, one value per parameter value."""
+    unnoticed, and so is the format the checkpoint declares.  The model is
+    one flat tensor per module, named after its parameter table, and the
+    optimizer moments are one flat ``m`` and one flat ``v`` per module, one
+    value per parameter value.  A checkpoint written before a change to
+    these keys would still declare the old format, so such a change must
+    come with a new ``CHECKPOINT_FORMAT``."""
     run, _, _ = tr.run_sequence(tasks[:1], geom, mcfg, _cfg(strategy), tmp_path)
     arrays = cp.load(tmp_path / "task_00.ckpt")
     modules = {"backbone": run.state} | ({"avm": run.avm} if run.avm else {})
@@ -892,9 +923,15 @@ def test_checkpoint_keys_are_pinned(tasks, geom, mcfg, tmp_path, strategy):
         for kind in "mv":
             assert arrays[f"opt/{name}/{kind}"].shape == (total,)
     rest = {k for k in arrays if not k.startswith(("model/", "opt/"))}
+    bump = ("the checkpoint keys changed: a layout change must bump "
+            "trainer.CHECKPOINT_FORMAT (so older checkpoints exit 3) and re-pin "
+            "these keys")
     assert rest == ({"memory/capacity", "memory/seen", "memory/steps",
-                     "memory/tasks", "run/records", "run/acc/00", "run/gaps"}
-                    | {f"memory/field/{name}" for name in _STORED[strategy]})
+                     "memory/tasks", "run/format", "run/records", "run/streams",
+                     "run/acc/00", "run/gaps"}
+                    | {f"memory/field/{name}" for name in _STORED[strategy]}), bump
+    assert np.array_equal(arrays["run/format"], [1]), bump
+    assert arrays["run/streams"].shape == (6, 7), bump
     assert arrays["run/records"].shape == (run.global_step, 5)
 
 
@@ -955,7 +992,7 @@ def test_crash_at_any_artifact_write_resumes_bit_identically(
     run_full, acc_full, gaps_full = run_crashing_at(tmp_path / "full", 0)
     want_files = _dir_bytes(tmp_path / "full")
     total = len(writes)
-    assert total == 2 * 6  # six artifacts per task
+    assert total == 2 * 5  # five artifacts per task, the checkpoint last
     for at in range(1, total + 1):
         run_dir = tmp_path / f"crash_{at:02d}"
         with pytest.raises(_Crash):
