@@ -87,7 +87,6 @@ class BackboneConfig:
 @dataclass
 class BackboneState(tt.Parameters):
     cfg: BackboneConfig
-    geom: SceneGeometry
     flat: Tensor
     params: dict[str, Tensor]
 
@@ -146,7 +145,7 @@ def param_table(cfg: BackboneConfig, geom: SceneGeometry) -> tt.ParamTable:
 
 def init_backbone(cfg: BackboneConfig, geom: SceneGeometry,
                   rng: np.random.Generator) -> BackboneState:
-    return BackboneState(cfg, geom, *tt.init_parameters(param_table(cfg, geom), rng))
+    return BackboneState(cfg, *tt.init_parameters(param_table(cfg, geom), rng))
 
 
 # ---------------------------------------------------------------------------

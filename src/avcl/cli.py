@@ -1,24 +1,15 @@
-"""Command-line front end: dataset generation, training runs, evaluation,
-cross-run reports and attention export.
+"""Command-line front end: training runs, evaluation, cross-run reports and
+attention export.
 
 Subcommands::
 
-    avcl generate-data --config run.ini --out data/
-    avcl run           --config run.ini --data data/ --out runs/s0 [--eval-workers N]
-    avcl eval          --config run.ini --data data/ --ckpt runs/s0/task_03.ckpt
+    avcl run           --config run.ini --out runs/s0 [--eval-workers N]
+    avcl eval          --config run.ini --ckpt runs/s0/task_03.ckpt
     avcl report        runs/* [--out report.csv]
-    avcl export-attention --config run.ini --data data/ --ckpt ... --out maps.csv
+    avcl export-attention --config run.ini --ckpt ... --out maps.csv
 
-A dataset directory holds ``config.ini`` (the resolved configuration; its
-``[data]`` section is the one description of the data), one ``task_XX.bin``
-per task (a checkpoint container of the ten ``{train,eval}/<field>`` split
-tensors and nothing else) and ``manifest.json`` (``format`` 2, the task file
-names in task order, and the SHA-256 of ``config.ini`` and of each task
-file).  Each file is replaced atomically and the manifest is written last; a
-dataset is read only through it, so an interrupted ``generate-data`` leaves
-nothing that loads as data.  ``run``, ``eval`` and ``export-attention`` check
-the format, then the hashes, then that their ``[data]`` equals the dataset's,
-and only then parse the task files.
+``run``, ``eval`` and ``export-attention`` build their tasks from the
+configuration's ``[data]`` section (:func:`data.build_sequence`).
 
 A run directory holds ``config.ini`` (the resolved configuration) and one
 checkpoint per completed task, ``task_XX.ckpt``: the whole run state in one
@@ -50,30 +41,25 @@ Exit codes:
 - 2 configuration or usage error: an out-of-range ``[data]``, ``[model]``,
   ``[train]`` or ``[eval]`` value (such as a zero patch size or head count,
   a ``correlation`` outside [0, 1] or a ``[train] batch`` below 2), a
-  ``[data]`` section that differs from the dataset's ``config.ini``,
-  and, each checked before any checkpoint or task file is read,
-  ``export-attention`` under a strategy that does not score, ``--rows``
-  or ``--eval-workers`` below 1 and a ``--task`` outside
-  [0, ``[data] num_tasks``);
+  ``[data]`` section whose tasks cannot be allocated, and, each checked
+  before any checkpoint is read, ``export-attention`` under a strategy
+  that does not score, ``--rows`` or ``--eval-workers`` below 1 and a
+  ``--task`` outside [0, ``[data] num_tasks``);
 - 3 data error:
 
-  - a missing, truncated, modified or unreadable file, or a format-1
-    dataset, which must be regenerated;
+  - a missing, truncated or unreadable file;
   - a checkpoint of another format, or of none, which must be started
     again;
-  - the one layout rule, ``checkpoint.check_layout``, on every tensor
-    container read (task files, and checkpoints for resume, ``eval`` and
-    ``export-attention``): exactly the tensors the configuration lays out,
-    each at its shape, all finite.  A checkpoint past the dataset's tasks
-    (by its file name for resume, by its gaps otherwise) is refused before
-    any layout is built.  A checkpoint of another model or strategy
-    breaks the rule: a module's values are named after its parameters'
-    names and shapes, so even a model of as many values in another
-    arrangement does.  A non-finite task-file value is a data error (3),
-    not a numeric divergence (4);
-  - the semantic checks: task-file truth masks in {0, 1} and class ids of
-    the task; accuracy values in [0, 100]; a rehearsal memory of the
-    configured capacity, holding exactly the smaller of it and the seen
+  - the one layout rule, ``checkpoint.check_layout``, on every checkpoint
+    read (for resume, ``eval`` and ``export-attention``): exactly the
+    tensors the configuration lays out, each at its shape, all finite.  A
+    checkpoint past the configured tasks (by its file name for resume, by
+    its gaps otherwise) is refused before any layout is built.  A
+    checkpoint of another model or strategy breaks the rule: a module's
+    values are named after its parameters' names and shapes, so even a
+    model of as many values in another arrangement does;
+  - the semantic checks: accuracy values in [0, 100]; a rehearsal memory of
+    the configured capacity, holding exactly the smaller of it and the seen
     count of entries, integer insertion steps and source tasks, and in each entry distinct
     grid ids of its grid; random-stream words that are integers in
     [0, 2**32); and for ``report`` an ``acc_matrix.csv`` and
@@ -91,10 +77,8 @@ completed task.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -108,82 +92,16 @@ from avcl import evaluate as ev
 from avcl import memory as rm
 from avcl import trainer as tr
 
-_MANIFEST = "manifest.json"
 _CONFIG = "config.ini"
-_FORMAT = 2  # task files hold only tensors; config.ini is hashed
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# dataset directory
-
-
-def _task_name(t: int) -> str:
-    return f"task_{t:02d}.bin"
-
-
-def cmd_generate(args) -> int:
-    cfg = cf.load_config(args.config)
-    tasks = dt.build_sequence(cfg.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    names = []
-    for task in tasks:
-        name = _task_name(task.spec.task_id)
-        dt.write_task_file(out / name, task)
-        names.append(name)
-    cf.save_config(out / _CONFIG, cfg)
-    # the manifest goes last: until it lists a file, the file is not read
-    manifest = {"format": _FORMAT, "tasks": names,
-                "sha256": {n: _sha256(out / n) for n in [_CONFIG] + names}}
-    with ckpt.atomic_open(out / _MANIFEST) as fh:
-        fh.write(json.dumps(manifest, indent=1))
-    print(f"wrote {len(names)} task files to {out}")
-    return 0
-
-
-def load_tasks(data_dir, dcfg: dt.DataConfig) -> list[dt.TaskData]:
-    """Read the dataset in ``data_dir``, which must have been generated from
-    ``dcfg``.  The manifest format, then the hashes of ``config.ini`` and the
-    task files, then ``config.ini``'s ``[data]`` are checked before any task
-    file is parsed."""
-    data_dir = Path(data_dir)
-    mpath = data_dir / _MANIFEST
-    if not mpath.is_file():
-        raise dt.DataError(f"no {_MANIFEST} in {data_dir}")
+def _build_tasks(dcfg: dt.DataConfig) -> list[dt.TaskData]:
+    """The task sequence ``dcfg`` describes; one too large to allocate is a
+    configuration error, raised before anything is written."""
     try:
-        manifest = json.loads(mpath.read_text())
-        fmt = manifest["format"]
-        names = list(manifest["tasks"])
-        hashes = dict(manifest["sha256"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise dt.DataError(f"malformed {_MANIFEST}: {exc}") from None
-    if fmt != _FORMAT:
-        raise dt.DataError(f"{data_dir} holds a format-{fmt} dataset; "
-                           "regenerate it with generate-data")
-    if not all(isinstance(name, str) for name in names):
-        raise dt.DataError(f"malformed {_MANIFEST}: task names must be strings")
-    for name in [_CONFIG] + names:
-        path = data_dir / name
-        if not path.is_file():
-            raise dt.DataError(f"data file {name} is missing")
-        if _sha256(path) != hashes.get(name):
-            raise dt.DataError(f"data file {name} does not match its manifest "
-                               "hash (modified or truncated)")
-    ours, theirs = asdict(dcfg), asdict(cf.load_config(data_dir / _CONFIG).data)
-    differ = [key for key in ours if ours[key] != theirs[key]]
-    if differ:
-        raise cf.ConfigError(f"[data] differs from the dataset's "
-                             f"{data_dir / _CONFIG} in {', '.join(differ)}")
-    specs = dt.build_task_specs(dcfg)
-    if names != [_task_name(spec.task_id) for spec in specs]:
-        raise dt.DataError(f"{_MANIFEST} does not list the {len(specs)} task "
-                           f"files its {_CONFIG} describes")
-    return [dt.read_task_file(data_dir / name, dcfg, spec)
-            for name, spec in zip(names, specs)]
+        return dt.build_sequence(dcfg)
+    except MemoryError as exc:
+        raise cf.ConfigError(f"[data]: the tasks cannot be allocated ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +116,14 @@ def _check_at_least_one(value: int, flag: str) -> None:
 def cmd_run(args) -> int:
     _check_at_least_one(args.eval_workers, "--eval-workers")
     cfg = cf.load_config(args.config)
-    tasks = load_tasks(args.data, cfg.data)
+    tasks = _build_tasks(cfg.data)
     run_dir = Path(args.out)
-    resolved = cf.render_config(cfg)
     existing = run_dir / _CONFIG
-    if existing.is_file() and existing.read_text() != resolved:
+    if existing.is_file() and existing.read_text() != cf.render_config(cfg):
         raise cf.ConfigError(f"{run_dir} was created with a different "
                              "configuration; refusing to resume with this one")
     run_dir.mkdir(parents=True, exist_ok=True)
-    with ckpt.atomic_open(existing) as fh:
-        fh.write(resolved)
+    cf.save_config(existing, cfg)
     run, acc, gaps = tr.run_sequence(tasks, cfg.data.geometry, cfg.model,
                                      cfg.train, run_dir, eval_ks=cfg.eval.ks,
                                      eval_workers=args.eval_workers)
@@ -227,10 +143,10 @@ def cmd_run(args) -> int:
 
 def _load_model(args, cfg):
     """Tasks, backbone and matching module (None unless the strategy
-    scores) of ``--data`` and ``--ckpt``.  The checkpoint is read as resume
-    reads it (:func:`trainer._restore_run`), against the whole
-    configuration and before any task file: its gaps give the tasks it
-    finished, the configuration the steps they took."""
+    scores) of the configuration and ``--ckpt``.  The checkpoint is read as
+    resume reads it (:func:`trainer._restore_run`), against the whole
+    configuration and before the tasks are built: its gaps give the tasks
+    it finished, the configuration the steps they took."""
     arrays = ckpt.load(args.ckpt)
     # one gap per finished task; a missing run/gaps counts none
     tasks_done = np.size(arrays.get("run/gaps", ()))
@@ -241,7 +157,7 @@ def _load_model(args, cfg):
     steps = tr._steps_through(cfg.train, [cfg.data.train_pairs] * tasks_done)
     run, _, _ = tr._restore_run(arrays, tasks_done, steps, cfg.model, cfg.train,
                                 cfg.data.geometry)
-    return load_tasks(args.data, cfg.data), run.state, run.avm
+    return _build_tasks(cfg.data), run.state, run.avm
 
 
 def cmd_eval(args) -> int:
@@ -362,14 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="continual audio-video pre-training on synthetic scenes")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate-data", help="write the synthetic task files")
-    g.add_argument("--config", required=True)
-    g.add_argument("--out", required=True, help="dataset directory")
-    g.set_defaults(func=cmd_generate)
-
     r = sub.add_parser("run", help="train one strategy over the task sequence")
     r.add_argument("--config", required=True)
-    r.add_argument("--data", required=True, help="generated dataset directory")
     r.add_argument("--out", required=True, help="run directory (resumable)")
     r.add_argument("--eval-workers", type=int, default=1,
                    help="threads for the between-task evaluations")
@@ -377,7 +287,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("eval", help="evaluate a checkpoint on every task")
     e.add_argument("--config", required=True)
-    e.add_argument("--data", required=True)
     e.add_argument("--ckpt", required=True)
     e.add_argument("--out", help="write the JSON report here instead of stdout")
     e.add_argument("--eval-workers", type=int, default=1)
@@ -391,7 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
     x = sub.add_parser("export-attention",
                        help="dump head-averaged cross-attention maps to CSV")
     x.add_argument("--config", required=True)
-    x.add_argument("--data", required=True)
     x.add_argument("--ckpt", required=True)
     x.add_argument("--out", required=True)
     x.add_argument("--task", type=int, default=0)

@@ -35,6 +35,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from avcl import backbone as bb
 from avcl import checkpoint as ckpt
 from avcl import data as dt
+from avcl import evaluate as ev
 from avcl import trainer as tr
 
 
@@ -46,7 +47,7 @@ class ConfigError(ValueError):
 class EvalConfig:
     """Retrieval report cutoffs; recall is measured at each K."""
 
-    ks: tuple[int, ...] = (1, 5, 10)
+    ks: tuple[int, ...] = ev.RETRIEVAL_KS
 
     def __post_init__(self):
         if any(k < 1 for k in self.ks) or list(self.ks) != sorted(set(self.ks)):

@@ -15,21 +15,17 @@ once; one :func:`patchify` cuts values and cell masks alike into patches,
 and a patch's ground truth is that any of its cells is painted.
 
 A :class:`DataConfig` is the one description of a task sequence: the
-geometry, the pair counts and each task's classes all derive from it.  A
-task file therefore holds only tensors, the five :class:`SampleSet` arrays
-of each split in one checkpoint container, and is read back against the
-config that generated it.  One field -> (shape, dtype) layout allocates a
-split, and a split read back is checked and cast against it.
+geometry, the pair counts, each task's classes and every sample derive from
+it, so :func:`build_sequence` rebuilds the tasks bit for bit and nothing of
+them is stored.  One field -> (shape, dtype) layout allocates a split.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
-
-from avcl import checkpoint as ckpt
 
 # planted-signature geometry, as fractions of the full extent
 _VIDEO_BOX_FRACTION = 0.375
@@ -39,7 +35,7 @@ _SAMPLE_STREAM_TAG = 0x5A3B_1E5
 
 
 class DataError(ValueError):
-    """Invalid dataset geometry, contents, or file bytes."""
+    """Invalid geometry or patch data, or a malformed run directory."""
 
 
 # ---------------------------------------------------------------------------
@@ -404,53 +400,3 @@ def build_sequence(cfg: DataConfig) -> list[TaskData]:
         out.append(TaskData(spec, train, evl))
     return out
 
-
-# ---------------------------------------------------------------------------
-# task files
-# ---------------------------------------------------------------------------
-
-
-def write_task_file(path, task: TaskData) -> None:
-    """Save the ten split tensors of ``task``, ``{train,eval}/<field>`` for
-    each :class:`SampleSet` field, as one checkpoint container.
-
-    Masks and class ids are stored as float64 like every entry.  Nothing
-    else is written: the dataset's ``[data]`` config holds the geometry,
-    the pair counts and, through :func:`build_task_specs`, the classes.
-    """
-    ckpt.save(path, {f"{name}/{f.name}": getattr(split, f.name)
-                     for name, split in (("train", task.train), ("eval", task.eval))
-                     for f in fields(SampleSet)})
-
-
-def read_task_file(path, cfg: DataConfig, spec: TaskSpec) -> TaskData:
-    """Load the task ``spec`` from a file written by :func:`write_task_file`.
-
-    The file must hold exactly the ten tensors, each at the shape ``cfg``
-    gives it and finite (:func:`checkpoint.check_layout`); truth masks must
-    hold only 0 and 1 and class ids only those of ``spec``.  Each is then
-    cast to its field's dtype.  Anything else raises :class:`DataError`
-    naming the file and the tensor.
-    """
-    layouts = {"train": _split_layout(cfg.geometry, cfg.train_pairs),
-               "eval": _split_layout(cfg.geometry, cfg.eval_pairs)}
-    try:
-        tensors = ckpt.load(path)
-        ckpt.check_layout(tensors, {f"{name}/{attr}": shape
-                                    for name, layout in layouts.items()
-                                    for attr, (shape, _) in layout.items()})
-    except ckpt.CheckpointError as e:
-        raise DataError(f"{path}: {e}") from e
-    allowed = {"audio_truth": (0, 1), "video_truth": (0, 1), "class_ids": spec.class_ids}
-
-    def split(name: str) -> SampleSet:
-        arrays = {}
-        for attr, (_, dtype) in layouts[name].items():
-            key = f"{name}/{attr}"
-            if attr in allowed and not np.isin(tensors[key], allowed[attr]).all():
-                raise DataError(f"{path}: tensor {key!r} holds a value not among "
-                                f"{allowed[attr]}")
-            arrays[attr] = tensors[key].astype(dtype, copy=False)
-        return SampleSet(**arrays)
-
-    return TaskData(spec, split("train"), split("eval"))

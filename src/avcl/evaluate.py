@@ -13,6 +13,9 @@ import numpy as np
 import avcl.tensor as tt
 from avcl import checkpoint as ckpt
 
+#: the default retrieval cutoffs: recall is reported at each K
+RETRIEVAL_KS = (1, 5, 10)
+
 
 class EvalError(ValueError):
     pass
@@ -52,7 +55,7 @@ def _ranks(sim: np.ndarray) -> np.ndarray:
 
 
 def zero_shot_retrieval(audio_feats: np.ndarray, video_feats: np.ndarray,
-                        ks: tuple[int, ...] = (1, 5, 10)) -> RetrievalReport:
+                        ks: tuple[int, ...] = RETRIEVAL_KS) -> RetrievalReport:
     """Bidirectional R@K over cosine similarity; row i of each matrix is the
     ground-truth pair."""
     a = _normalize_rows(audio_feats)

@@ -468,7 +468,7 @@ def eval_features(state: bb.BackboneState, samples: SampleSet,
 
 def evaluate_tasks(state: bb.BackboneState, tasks: list[TaskData],
                    upto: int, geom: SceneGeometry,
-                   ks: tuple[int, ...] = (1, 5, 10), workers: int = 1
+                   ks: tuple[int, ...] = ev.RETRIEVAL_KS, workers: int = 1
                    ) -> tuple[list[float], float, list[ev.RetrievalReport]]:
     """Retrieval headline on every task seen so far plus the modality gap on
     the first task's evaluation pairs; also returns the per-task reports.
@@ -699,7 +699,7 @@ def _restore_run(arrays: dict[str, np.ndarray], tasks_done: int, steps: int,
                                     "a grid id within an entry")
     modules = {module: tt.flat_parameters(table, run_part[key])
                for module, (key, table) in tables.items()}
-    state = bb.BackboneState(mcfg, geom, *modules["backbone"])
+    state = bb.BackboneState(mcfg, *modules["backbone"])
     avm = am.AvmParams(mcfg.heads, *modules["avm"]) if "avm" in modules else None
     records = [LossRecord(*r) for r in run_part["run/records"].tolist()]
 
@@ -750,7 +750,7 @@ def save_task_artifacts(run: RunState, run_dir: Path, tasks_done: int,
 def run_sequence(tasks: list[TaskData], geom: SceneGeometry,
                  mcfg: bb.BackboneConfig, tcfg: TrainConfig,
                  run_dir: str | Path | None = None,
-                 eval_ks: tuple[int, ...] = (1, 5, 10),
+                 eval_ks: tuple[int, ...] = ev.RETRIEVAL_KS,
                  eval_workers: int = 1
                  ) -> tuple[RunState, list[list[float]], list[float]]:
     """Train strategy ``tcfg.strategy`` over the task sequence.

@@ -1,4 +1,5 @@
-"""Command-line workflow: dataset round trip, runs, reports, exit codes."""
+"""Command-line workflow: runs, evaluation, reports, attention export, exit
+codes."""
 
 import contextlib
 import dataclasses
@@ -51,14 +52,11 @@ train_seed = 3
 
 @pytest.fixture(scope="module")
 def ws(tmp_path_factory):
-    """Workspace with a config file, a generated dataset and one stella run."""
+    """Workspace with a config file and one stella run."""
     root = tmp_path_factory.mktemp("cli")
     cfg = root / "cfg.ini"
     cfg.write_text(CFG)
-    assert cli.main(["generate-data", "--config", str(cfg),
-                     "--out", str(root / "data")]) == 0
-    assert cli.main(["run", "--config", str(cfg), "--data", str(root / "data"),
-                     "--out", str(root / "run_stella")]) == 0
+    assert cli.main(["run", "--config", str(cfg), "--out", str(root / "run_stella")]) == 0
     return root
 
 
@@ -69,94 +67,32 @@ def _variant(ws, name, old, new):
 
 
 # ---------------------------------------------------------------------------
-# generate-data
+# tasks
 
 
-def test_generate_writes_manifest_with_correct_hashes(ws):
-    data = ws / "data"
-    manifest = json.loads((data / "manifest.json").read_text())
-    assert manifest["tasks"] == ["task_00.bin", "task_01.bin"]
-    for name, digest in manifest["sha256"].items():
-        actual = hashlib.sha256((data / name).read_bytes()).hexdigest()
-        assert actual == digest
-    # the resolved config is kept next to the data
-    assert cf.load_config(data / "config.ini") == cf.parse_config(CFG)
+#: SHA-256 of each task ``build_sequence`` makes of ``CFG``'s ``[data]``: the
+#: raw bytes of its train split, then its eval split, each field in
+#: ``_split_layout`` order
+TASK_SHA256 = [
+    "533fadacbc95080a52450f2e53ac0c98a497802956d5283c1b2782c6da33157d",
+    "0c5d69000a4d71bd2f173d4877a6d05d2211daad1ba9f9fc14af93877af5a35d",
+]
 
 
-def test_crash_during_generate_leaves_no_torn_task_file(ws, monkeypatch):
-    """A write that fails partway through a task file leaves neither a torn
-    file under its final name nor a manifest; regenerating then loads."""
-    data = ws / "data_crash"
-    write_entries = ckpt.write_entries
-
-    def torn(fh, tensors):
-        if fh.name.endswith("task_01.bin.tmp"):
-            fh.write(b"\0" * 64)
-            raise OSError("disk full")
-        return write_entries(fh, tensors)
-
-    monkeypatch.setattr(ckpt, "write_entries", torn)
-    args = ["generate-data", "--config", str(ws / "cfg.ini"), "--out", str(data)]
-    assert cli.main(args) == 3
-    assert (data / "task_00.bin").is_file()
-    assert not (data / "task_01.bin").exists()
-    assert not (data / "manifest.json").exists()
-    monkeypatch.undo()
-    assert cli.main(args) == 0
+def test_task_file_bytes_are_pinned():
+    """The generator's output is pinned byte for byte: every run, eval and
+    attention export builds its tasks from the config, so a generator
+    change changes all of them."""
     dcfg = cf.parse_config(CFG).data
-    tasks = cli.load_tasks(data, dcfg)
-    want = cli.load_tasks(ws / "data", dcfg)
-    for got_task, want_task in zip(tasks, want):
-        assert np.array_equal(got_task.train.audio_patches,
-                              want_task.train.audio_patches)
-    assert sorted(p.name for p in data.iterdir()) == [
-        "config.ini", "manifest.json", "task_00.bin", "task_01.bin"]
-
-
-def test_load_tasks_round_trip(ws):
-    dcfg = cf.parse_config(CFG).data
-    tasks = cli.load_tasks(ws / "data", dcfg)
-    assert [t.spec.task_id for t in tasks] == [0, 1]
-    assert [t.spec.class_ids for t in tasks] == [(0, 1), (2, 3)]
-    assert len(tasks[0].train) == 16 and len(tasks[0].eval) == 12
-    for got, want in zip(tasks, dt.build_sequence(dcfg)):
-        assert np.array_equal(got.eval.video_truth, want.eval.video_truth)
-        assert np.array_equal(got.train.class_ids, want.train.class_ids)
-
-
-def test_task_file_keys_are_pinned(ws):
-    """A task file holds the ten split tensors and nothing else, and the
-    manifest hashes config.ini with them: a second copy of anything the
-    config states needs an edit here."""
-    data = ws / "data"
-    assert sorted(ckpt.load(data / "task_00.bin")) == sorted(
-        f"{split}/{field}" for split in ("train", "eval")
-        for field in ("audio_patches", "video_patches", "audio_truth",
-                      "video_truth", "class_ids"))
-    manifest = json.loads((data / "manifest.json").read_text())
-    assert manifest["format"] == 2
-    assert sorted(manifest) == ["format", "sha256", "tasks"]
-    assert sorted(manifest["sha256"]) == ["config.ini", "task_00.bin",
-                                          "task_01.bin"]
-
-
-#: SHA-256 of each task file ``generate-data`` writes for ``CFG``
-TASK_FILE_SHA256 = {
-    "task_00.bin": "40595b0e871f2116f23272bd020a1a7d493225b665ac64b7bca08180b000c744",
-    "task_01.bin": "5dda28b0df6fca077ec207bb3319adecb8e669bb6bdc094a59fa5b49d0cffd85",
-}
-
-
-def test_task_file_bytes_are_pinned(ws):
-    """The generator's output is pinned byte for byte.  A dataset written
-    before a change to it would still pass its manifest's hashes, so such a
-    change must come with a new manifest ``format``."""
-    data = ws / "data"
-    got = {name: hashlib.sha256((data / name).read_bytes()).hexdigest()
-           for name in TASK_FILE_SHA256}
-    assert got == TASK_FILE_SHA256, (
-        "generate-data wrote other task files: a generator change must bump the "
-        "manifest `format` (so older datasets exit 3) and re-pin these hashes")
+    got = []
+    for task in dt.build_sequence(dcfg):
+        digest = hashlib.sha256()
+        for split in (task.train, task.eval):
+            for name in dt._split_layout(dcfg.geometry, len(split)):
+                digest.update(np.ascontiguousarray(getattr(split, name)).tobytes())
+        got.append(digest.hexdigest())
+    assert got == TASK_SHA256, (
+        "build_sequence made other tasks: a generator change re-pins these hashes")
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +112,7 @@ def test_run_writes_resolved_config_and_artifacts(ws):
 
 def test_run_is_deterministic_across_directories(ws):
     cfg = ws / "cfg.ini"
-    assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
-                     "--out", str(ws / "run_again")]) == 0
+    assert cli.main(["run", "--config", str(cfg), "--out", str(ws / "run_again")]) == 0
     assert ((ws / "run_again" / "acc_matrix.csv").read_bytes()
             == (ws / "run_stella" / "acc_matrix.csv").read_bytes())
     assert ((ws / "run_again" / "task_01.ckpt").read_bytes()
@@ -205,8 +140,7 @@ def test_run_resumes_from_last_completed_task(ws):
     shutil.copytree(ws / "run_stella", run)
     full = (run / "task_01.ckpt").read_bytes()
     (run / "task_01.ckpt").unlink()
-    assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
-                     "--out", str(run)]) == 0
+    assert cli.main(["run", "--config", str(cfg), "--out", str(run)]) == 0
     assert (run / "task_01.ckpt").read_bytes() == full
 
 
@@ -214,7 +148,7 @@ def _resume_copy(ws, name):
     run = ws / name
     shutil.copytree(ws / "run_stella", run)
     return run, ["run", "--config", str(ws / "cfg.ini"),
-                 "--data", str(ws / "data"), "--out", str(run)]
+                 "--out", str(run)]
 
 
 def test_huge_memory_capacity_runs(ws):
@@ -223,8 +157,7 @@ def test_huge_memory_capacity_runs(ws):
     cfg = _variant(ws, "huge_capacity", "memory_capacity = 6",
                    "memory_capacity = 100000000000")
     run = ws / "run_huge_capacity"
-    assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
-                     "--out", str(run)]) == 0
+    assert cli.main(["run", "--config", str(cfg), "--out", str(run)]) == 0
     arrays = ckpt.load(run / "task_01.ckpt")
     assert len(arrays["memory/steps"]) == arrays["memory/seen"][0] == 32
 
@@ -567,15 +500,14 @@ def _strategy_config(ws, strategy):
 
 @pytest.fixture(scope="module")
 def finished(ws):
-    """Strategy -> (config, finished run directory) on the workspace's
-    dataset; each strategy runs once."""
+    """Strategy -> (config, finished run directory) of ``CFG``'s tasks; each
+    strategy runs once."""
     runs = {"stella": (ws / "cfg.ini", ws / "run_stella")}
 
     def get(strategy):
         if strategy not in runs:
             cfg, run = _strategy_config(ws, strategy), ws / f"finished_{strategy}"
-            assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
-                             "--out", str(run)]) == 0
+            assert cli.main(["run", "--config", str(cfg), "--out", str(run)]) == 0
             runs[strategy] = cfg, run
         return runs[strategy]
 
@@ -609,7 +541,7 @@ def hostile(ws, finished, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(tr, "train_step", forbidden)
         if not row.allocates:
             monkeypatch.setattr(rm, "ReservoirMemory", forbidden)
-        given = ["--config", str(cfg), "--data", str(ws / "data")]
+        given = ["--config", str(cfg)]
         read = given + ["--ckpt", str(run_dir / "task_00.ckpt")]
         export = 3 if tr.STRATEGIES[row.config].attention else 2
         capsys.readouterr()
@@ -713,8 +645,8 @@ def test_every_hostile_row_is_run():
 
 def test_checkpoint_past_the_dataset_exits_3_before_any_layout(ws, capsys,
                                                               monkeypatch):
-    """A checkpoint of more finished tasks than the dataset has is a data
-    error before a layout of its size is built: for resume, by the number
+    """A checkpoint of more finished tasks than the configuration has is a
+    data error before a layout of its size is built: for resume, by the number
     in its file name; for ``eval`` and ``export-attention``, by the length
     of its ``run/gaps``."""
     run, args = _resume_copy(ws, "run_past_the_dataset")
@@ -728,8 +660,7 @@ def test_checkpoint_past_the_dataset_exits_3_before_any_layout(ws, capsys,
         raise AssertionError("built a layout past the dataset")
 
     monkeypatch.setattr(tr, "_checkpoint_layout", no_layout)
-    given = ["--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
-             "--ckpt", str(run / "task_01.ckpt")]
+    given = ["--config", str(ws / "cfg.ini"), "--ckpt", str(run / "task_01.ckpt")]
     capsys.readouterr()
     assert cli.main(args) == 3  # resume
     assert f"task_{last}.ckpt is past the 2 tasks" in capsys.readouterr().err
@@ -742,8 +673,7 @@ def test_checkpoint_past_the_dataset_exits_3_before_any_layout(ws, capsys,
 
 def test_unknown_strategy_exits_2_without_partial_run_dir(ws, capsys):
     bad = _variant(ws, "warp", "strategy = stella", "strategy = warp")
-    code = cli.main(["run", "--config", str(bad), "--data", str(ws / "data"),
-                     "--out", str(ws / "run_warp")])
+    code = cli.main(["run", "--config", str(bad), "--out", str(ws / "run_warp")])
     assert code == 2
     assert not (ws / "run_warp").exists()
     assert "unknown strategy" in capsys.readouterr().err
@@ -758,8 +688,7 @@ def test_single_pair_batch_exits_2_without_partial_run_dir(ws, capsys, strategy)
                    f"strategy = {strategy}\nbatch = 1\nepochs = 1\n"
                    f"memory_capacity = {capacity}")
     run = ws / f"run_batch1_{strategy}"
-    assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
-                     "--out", str(run)]) == 2
+    assert cli.main(["run", "--config", str(cfg), "--out", str(run)]) == 2
     assert not run.exists()
     assert "batch must be at least 2" in capsys.readouterr().err
 
@@ -769,8 +698,7 @@ def test_run_with_nothing_masked_exits_0(ws):
     zero and training goes on."""
     cfg = _variant(ws, "nomask", "mask_prob = 0.5", "mask_prob = 0.0")
     run = ws / "run_nomask"
-    assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
-                     "--out", str(run)]) == 0
+    assert cli.main(["run", "--config", str(cfg), "--out", str(run)]) == 0
     rows = (run / "losses.csv").read_text().strip().splitlines()[1:]
     assert rows and all(float(r.split(",")[1]) == 0.0 for r in rows)
 
@@ -788,192 +716,44 @@ def test_run_with_nothing_masked_exits_0(ws):
 def test_out_of_range_value_exits_2_without_output(ws, capsys, section, key,
                                                   value):
     """Each value is checked by its config dataclass before anything is
-    built, so neither a dataset nor a run directory appears."""
+    built, so no run directory appears."""
     line = re.compile(rf"^{key} = .*$", re.M)
     text = (line.sub(f"{key} = {value}", CFG) if line.search(CFG) else
             CFG.replace(f"[{section}]\n", f"[{section}]\n{key} = {value}\n"))
     tag = f"{key}{value}"
     cfg = ws / f"cfg_{tag}.ini"
     cfg.write_text(text)
-    data, run = ws / f"data_{tag}", ws / f"run_{tag}"
-    assert cli.main(["generate-data", "--config", str(cfg),
-                     "--out", str(data)]) == 2
-    assert cli.main(["run", "--config", str(cfg), "--data", str(ws / "data"),
-                     "--out", str(run)]) == 2
-    assert not data.exists() and not run.exists()
-    err = capsys.readouterr().err
-    assert err.count(f"config error: [{section}]: ") == 2, err
-
-
-def test_tampered_data_exits_3_without_partial_run_dir(ws, capsys):
-    data = ws / "data_tampered"
-    shutil.copytree(ws / "data", data)
-    blob = bytearray((data / "task_01.bin").read_bytes())
-    blob[len(blob) // 2] ^= 0xFF
-    (data / "task_01.bin").write_bytes(bytes(blob))
-    code = cli.main(["run", "--config", str(ws / "cfg.ini"),
-                     "--data", str(data), "--out", str(ws / "run_tampered")])
-    assert code == 3
-    assert not (ws / "run_tampered").exists()
-    assert "manifest hash" in capsys.readouterr().err
-
-
-def _rehash(data, name):
-    """Rewrite the manifest hash of ``name`` so that only the content checks
-    behind the hash check can catch an edit."""
-    manifest = json.loads((data / "manifest.json").read_text())
-    manifest["sha256"][name] = hashlib.sha256((data / name).read_bytes()).hexdigest()
-    (data / "manifest.json").write_text(json.dumps(manifest))
-
-
-@pytest.mark.parametrize("key,shape", [("train/audio_truth", (16, 3)),
-                                       ("eval/class_ids", (5,)),
-                                       ("train/video_truth", None),
-                                       ("train/extra", "stray")])
-def test_misshaped_task_tensor_exits_3_without_partial_run_dir(ws, capsys, key,
-                                                               shape):
-    """A task file holds exactly the ten split tensors at the shapes the
-    config gives: a misshaped, missing or stray one is refused before
-    training."""
-    tag = key.replace("/", "_")
-    data, run = ws / f"data_bad_{tag}", ws / f"run_bad_{tag}"
-    shutil.copytree(ws / "data", data)
-    tensors = ckpt.load(data / "task_01.bin")
-    if shape is None:
-        del tensors[key]
-    elif shape == "stray":
-        tensors[key] = np.zeros(3)
-    else:
-        tensors[key] = tensors[key][..., :shape[-1]]
-        assert tensors[key].shape == shape
-    ckpt.save(data / "task_01.bin", tensors)
-    _rehash(data, "task_01.bin")
-    code = cli.main(["run", "--config", str(ws / "cfg.ini"),
-                     "--data", str(data), "--out", str(run)])
-    assert code == 3
+    run = ws / f"run_{tag}"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(run)]) == 2
     assert not run.exists()
     err = capsys.readouterr().err
-    assert "task_01.bin" in err and key in err, err
+    assert err.count(f"config error: [{section}]: ") == 1, err
 
 
-@pytest.mark.parametrize("key,value", [("train/audio_truth", 0.5),
-                                       ("eval/class_ids", 1e300),
-                                       ("train/audio_patches", np.nan),
-                                       ("eval/video_patches", np.inf)])
-def test_out_of_range_task_tensor_exits_3_without_partial_run_dir(ws, capsys,
-                                                                  key, value):
-    """Truth masks hold only 0 and 1, class ids only the task's classes and
-    patches only finite values; a task file breaking any of them is refused
-    before training."""
-    tag = key.replace("/", "_")
-    data, run = ws / f"data_range_{tag}", ws / f"run_range_{tag}"
-    shutil.copytree(ws / "data", data)
-    tensors = ckpt.load(data / "task_01.bin")
-    tensors[key] = np.full_like(tensors[key], value)
-    ckpt.save(data / "task_01.bin", tensors)
-    _rehash(data, "task_01.bin")
-    code = cli.main(["run", "--config", str(ws / "cfg.ini"),
-                     "--data", str(data), "--out", str(run)])
-    assert code == 3
-    assert not run.exists()
-    err = capsys.readouterr().err
-    assert "task_01.bin" in err and key in err, err
-
-
-def test_edited_dataset_config_exits_3(ws, capsys):
-    """config.ini is hashed with the task files, so the statement of what
-    the data is cannot drift from the data."""
-    data = ws / "data_cfg_edit"
-    shutil.copytree(ws / "data", data)
-    text = (data / "config.ini").read_text()
-    (data / "config.ini").write_text(text.replace("seed = 1", "seed = 7"))
-    code = cli.main(["run", "--config", str(ws / "cfg.ini"),
-                     "--data", str(data), "--out", str(ws / "run_cfg_edit")])
-    assert code == 3
-    assert not (ws / "run_cfg_edit").exists()
-    assert "config.ini does not match its manifest hash" in capsys.readouterr().err
-
-
-def test_format_1_dataset_exits_3(ws, capsys):
-    data = ws / "data_format1"
-    shutil.copytree(ws / "data", data)
-    manifest = json.loads((data / "manifest.json").read_text())
-    manifest["format"] = 1
-    (data / "manifest.json").write_text(json.dumps(manifest))
-    code = cli.main(["run", "--config", str(ws / "cfg.ini"),
-                     "--data", str(data), "--out", str(ws / "run_format1")])
-    assert code == 3
-    assert not (ws / "run_format1").exists()
-    assert "regenerate it with generate-data" in capsys.readouterr().err
-
-
-def test_reordered_manifest_exits_3(ws, capsys):
-    """The manifest's task order must be the config's: two task files of
-    one shape are not interchangeable."""
-    data = ws / "data_reordered"
-    shutil.copytree(ws / "data", data)
-    manifest = json.loads((data / "manifest.json").read_text())
-    manifest["tasks"].reverse()
-    (data / "manifest.json").write_text(json.dumps(manifest))
-    code = cli.main(["run", "--config", str(ws / "cfg.ini"),
-                     "--data", str(data), "--out", str(ws / "run_reordered")])
-    assert code == 3
-    assert not (ws / "run_reordered").exists()
-    assert "does not list the 2 task files" in capsys.readouterr().err
-
-
-def test_missing_manifest_exits_3(ws, tmp_path):
-    code = cli.main(["run", "--config", str(ws / "cfg.ini"),
-                     "--data", str(tmp_path), "--out", str(tmp_path / "run")])
-    assert code == 3
-
-
-def test_non_string_task_names_exit_3_without_partial_run_dir(ws, capsys):
-    data = ws / "data_int_names"
-    shutil.copytree(ws / "data", data)
-    manifest = json.loads((data / "manifest.json").read_text())
-    manifest["tasks"] = [1, 2]
-    (data / "manifest.json").write_text(json.dumps(manifest))
-    code = cli.main(["run", "--config", str(ws / "cfg.ini"),
-                     "--data", str(data), "--out", str(ws / "run_int_names")])
-    assert code == 3
-    assert not (ws / "run_int_names").exists()
-    assert "task names must be strings" in capsys.readouterr().err
-
-
-def test_config_data_mismatch_exits_2(ws):
-    bad = _variant(ws, "tasks3", "num_tasks = 2", "num_tasks = 3")
-    code = cli.main(["run", "--config", str(bad), "--data", str(ws / "data"),
-                     "--out", str(ws / "run_mismatch")])
-    assert code == 2
-    assert not (ws / "run_mismatch").exists()
-
-
-@pytest.mark.parametrize("key,value", [("seed", "7"), ("correlation", "0.5"),
-                                       ("amplitude", "9.0")])
-def test_data_section_unlike_the_datasets_exits_2(ws, capsys, key, value):
-    """The run's [data] must be the one that generated the dataset; else
-    the run directory's config.ini would describe data it never saw."""
-    cfg = _variant(ws, f"data_{key}", "[data]\n", f"[data]\n{key} = {value}\n")
-    run, out = ws / f"run_data_{key}", ws / f"out_data_{key}"
-    common = ["--config", str(cfg), "--data", str(ws / "data")]
-    ckpt_arg = ["--ckpt", str(ws / "run_stella" / "task_01.ckpt")]
-    assert cli.main(["run", *common, "--out", str(run)]) == 2
-    assert cli.main(["eval", *common, *ckpt_arg, "--out", str(out)]) == 2
-    assert cli.main(["export-attention", *common, *ckpt_arg,
-                     "--out", str(out)]) == 2
+def test_data_too_large_to_allocate_exits_2_without_output(ws, capsys):
+    """2**40 evaluation pairs of 16x16 patches need 2 PiB, past any address
+    space, so building the tasks fails at once: a config error before any
+    run directory or ``--out`` file exists.  The checkpoint's layout does
+    not depend on ``eval_pairs``, so ``eval`` and ``export-attention`` read
+    it and reach the build."""
+    cfg = _variant(ws, "huge_eval", "eval_pairs = 12", "eval_pairs = 1099511627776")
+    run, out = ws / "run_huge_eval", ws / "out_huge_eval"
+    given = ["--config", str(cfg), "--ckpt", str(ws / "run_stella" / "task_01.ckpt"),
+             "--out", str(out)]
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(cfg), "--out", str(run)]) == 2
+    assert cli.main(["eval", *given]) == 2
+    assert cli.main(["export-attention", *given]) == 2
     assert not run.exists() and not out.exists()
     err = capsys.readouterr().err
-    assert err.count("config error: [data] differs from the dataset's") == 3, err
-    assert err.count(f"config.ini in {key}\n") == 3, err
+    assert err.count("config error: [data]: the tasks cannot be allocated") == 3, err
 
 
 def test_chunk_longer_than_audio_time_grid_exits_2(ws, capsys):
     # audio_time_bins = 32 with 4-bin patches: 8 time patches
     cf.parse_config(CFG.replace("train_seed = 3", "train_seed = 3\nchunk_size = 8"))
     bad = _variant(ws, "chunk9", "train_seed = 3", "train_seed = 3\nchunk_size = 9")
-    code = cli.main(["run", "--config", str(bad), "--data", str(ws / "data"),
-                     "--out", str(ws / "run_chunk9")])
+    code = cli.main(["run", "--config", str(bad), "--out", str(ws / "run_chunk9")])
     assert code == 2
     assert not (ws / "run_chunk9").exists()
     assert "chunk_size" in capsys.readouterr().err
@@ -981,8 +761,7 @@ def test_chunk_longer_than_audio_time_grid_exits_2(ws, capsys):
 
 def test_resume_under_different_config_exits_2(ws, capsys):
     other = _variant(ws, "cap8", "memory_capacity = 6", "memory_capacity = 8")
-    code = cli.main(["run", "--config", str(other), "--data", str(ws / "data"),
-                     "--out", str(ws / "run_stella")])
+    code = cli.main(["run", "--config", str(other), "--out", str(ws / "run_stella")])
     assert code == 2
     assert "different configuration" in capsys.readouterr().err
 
@@ -991,8 +770,7 @@ def test_divergent_run_exits_4(ws, capsys):
     bad = _variant(ws, "hot", "[train]\nstrategy = stella",
                    "[train]\nlr = 1e200\nstrategy = stella")
     with np.errstate(over="ignore", invalid="ignore"):
-        code = cli.main(["run", "--config", str(bad), "--data", str(ws / "data"),
-                         "--out", str(ws / "run_hot")])
+        code = cli.main(["run", "--config", str(bad), "--out", str(ws / "run_hot")])
     assert code == 4
     assert "divergence" in capsys.readouterr().err
 
@@ -1003,7 +781,6 @@ def test_divergent_run_exits_4(ws, capsys):
 
 def test_eval_reports_every_task(ws, capsys):
     code = cli.main(["eval", "--config", str(ws / "cfg.ini"),
-                     "--data", str(ws / "data"),
                      "--ckpt", str(ws / "run_stella" / "task_01.ckpt")])
     assert code == 0
     blob = json.loads(capsys.readouterr().out)
@@ -1016,7 +793,7 @@ def test_eval_reports_every_task(ws, capsys):
 
 
 def test_eval_workers_do_not_change_results(ws):
-    args = ["eval", "--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
+    args = ["eval", "--config", str(ws / "cfg.ini"),
             "--ckpt", str(ws / "run_stella" / "task_01.ckpt")]
     out1, out3 = ws / "e1.json", ws / "e3.json"
     assert cli.main(args + ["--out", str(out1)]) == 0
@@ -1027,11 +804,11 @@ def test_eval_workers_do_not_change_results(ws):
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_eval_workers_below_one_exit_2(ws, capsys, workers):
     run_dir, out = ws / f"run_workers{workers}", ws / f"eval_workers{workers}.json"
-    code = cli.main(["run", "--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
+    code = cli.main(["run", "--config", str(ws / "cfg.ini"),
                      "--out", str(run_dir), "--eval-workers", workers])
     assert code == 2
     assert not run_dir.exists()
-    code = cli.main(["eval", "--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
+    code = cli.main(["eval", "--config", str(ws / "cfg.ini"),
                      "--ckpt", str(ws / "run_stella" / "task_01.ckpt"),
                      "--out", str(out), "--eval-workers", workers])
     assert code == 2
@@ -1041,7 +818,6 @@ def test_eval_workers_below_one_exit_2(ws, capsys, workers):
 
 def test_eval_missing_checkpoint_exits_3(ws):
     code = cli.main(["eval", "--config", str(ws / "cfg.ini"),
-                     "--data", str(ws / "data"),
                      "--ckpt", str(ws / "nope.ckpt")])
     assert code == 3
 
@@ -1052,10 +828,8 @@ def test_eval_missing_checkpoint_exits_3(ws):
 
 def test_report_aggregates_and_sorts_by_average_accuracy(ws, capsys):
     er_cfg = _variant(ws, "er", "strategy = stella", "strategy = er")
-    assert cli.main(["run", "--config", str(er_cfg), "--data", str(ws / "data"),
-                     "--out", str(ws / "run_er")]) == 0
+    assert cli.main(["run", "--config", str(er_cfg), "--out", str(ws / "run_er")]) == 0
     assert cli.main(["run", "--config", str(ws / "cfg.ini"),
-                     "--data", str(ws / "data"),
                      "--out", str(ws / "run_stella2")]) == 0
     capsys.readouterr()  # drop the run commands' own output
     code = cli.main(["report", str(ws / "run_stella"), str(ws / "run_stella2"),
@@ -1136,7 +910,7 @@ def test_failed_out_write_leaves_no_partial_file(ws, capsys, monkeypatch,
                                                  command):
     """A write of an ``--out`` file that fails partway through exits 3 and
     leaves no file under the ``--out`` name."""
-    ckpt_args = ["--config", str(ws / "cfg.ini"), "--data", str(ws / "data"),
+    ckpt_args = ["--config", str(ws / "cfg.ini"),
                  "--ckpt", str(ws / "run_stella" / "task_01.ckpt")]
     out, args = {
         "eval": ("torn_eval.json", ["eval"] + ckpt_args),
@@ -1175,7 +949,6 @@ def _read_attention(path):
 def test_export_attention_round_trips(ws):
     out = ws / "maps.csv"
     code = cli.main(["export-attention", "--config", str(ws / "cfg.ini"),
-                     "--data", str(ws / "data"),
                      "--ckpt", str(ws / "run_stella" / "task_01.ckpt"),
                      "--out", str(out), "--rows", "3"])
     assert code == 0
@@ -1188,7 +961,6 @@ def test_export_attention_round_trips(ws):
 def test_export_attention_video_direction(ws):
     out = ws / "maps_v.csv"
     code = cli.main(["export-attention", "--config", str(ws / "cfg.ini"),
-                     "--data", str(ws / "data"),
                      "--ckpt", str(ws / "run_stella" / "task_01.ckpt"),
                      "--out", str(out), "--rows", "2", "--direction", "video"])
     assert code == 0
@@ -1199,10 +971,8 @@ def test_export_attention_needs_a_scoring_checkpoint(ws, capsys):
     ft_cfg = _variant(ws, "ft", "strategy = stella\nbatch = 4",
                       "strategy = finetune\nbatch = 4\nmemory_capacity = 0")
     ft_cfg.write_text(ft_cfg.read_text().replace("memory_capacity = 6\n", ""))
-    assert cli.main(["run", "--config", str(ft_cfg), "--data", str(ws / "data"),
-                     "--out", str(ws / "run_ft")]) == 0
+    assert cli.main(["run", "--config", str(ft_cfg), "--out", str(ws / "run_ft")]) == 0
     code = cli.main(["export-attention", "--config", str(ft_cfg),
-                     "--data", str(ws / "data"),
                      "--ckpt", str(ws / "run_ft" / "task_01.ckpt"),
                      "--out", str(ws / "maps_ft.csv")])
     assert code == 2
@@ -1217,7 +987,6 @@ def test_export_attention_needs_a_config_that_scores(ws, capsys):
                    "strategy = derpp")
     out = ws / "maps_derpp.csv"
     code = cli.main(["export-attention", "--config", str(cfg),
-                     "--data", str(ws / "data"),
                      "--ckpt", str(ws / "run_stella" / "task_01.ckpt"),
                      "--out", str(out)])
     assert code == 2
@@ -1240,7 +1009,6 @@ def test_export_attention_on_scaled_query_key_weights(ws, capsys, scale, code):
     out = run / "maps.csv"
     with np.errstate(over="ignore", invalid="ignore"):
         assert cli.main(["export-attention", "--config", str(ws / "cfg.ini"),
-                         "--data", str(ws / "data"),
                          "--ckpt", str(run / "task_01.ckpt"),
                          "--out", str(out)]) == code
     assert out.exists() == (code == 0)
@@ -1251,7 +1019,6 @@ def test_export_attention_on_scaled_query_key_weights(ws, capsys, scale, code):
 def test_export_attention_rows_below_one_exit_2(ws, capsys, rows):
     out = ws / f"maps_rows{rows}.csv"
     code = cli.main(["export-attention", "--config", str(ws / "cfg.ini"),
-                     "--data", str(ws / "data"),
                      "--ckpt", str(ws / "run_stella" / "task_01.ckpt"),
                      "--out", str(out), "--rows", rows])
     assert code == 2
@@ -1273,7 +1040,7 @@ def test_export_attention_checks_its_flags_before_reading(ws, capsys, flag, valu
     bad.write_bytes((ws / "run_stella" / "task_01.ckpt").read_bytes()[:7])
     out = ws / f"maps_{name}.csv"
     code = cli.main(["export-attention", "--config", str(ws / "cfg.ini"),
-                     "--data", str(ws / "data"), "--ckpt", str(bad),
+                     "--ckpt", str(bad),
                      "--out", str(out), flag, value])
     assert code == 2
     assert not out.exists()

@@ -1,4 +1,4 @@
-"""Scene generator, patch bijection, masking, and task-file round-trips."""
+"""Scene generator, patch bijection, masking and task sequences."""
 
 import numpy as np
 import pytest
@@ -316,47 +316,3 @@ def test_sequence_class_layout():
     # balanced assignment
     counts = np.bincount(seq[0].train.class_ids, minlength=3)
     assert counts.max() - counts.min() <= 1
-
-
-def test_task_file_roundtrip(tmp_path):
-    cfg = _small_cfg()
-    task = dd.build_sequence(cfg)[1]
-    path = tmp_path / "task1.bin"
-    dd.write_task_file(path, task)
-    back = dd.read_task_file(path, cfg, dd.build_task_specs(cfg)[1])
-    assert back.spec == task.spec
-    for split in ("train", "eval"):
-        for field in ("audio_patches", "video_patches", "audio_truth",
-                      "video_truth", "class_ids"):
-            want = getattr(getattr(task, split), field)
-            got = getattr(getattr(back, split), field)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-
-
-def test_task_file_bad_magic(tmp_path):
-    cfg = _small_cfg()
-    p = tmp_path / "junk.bin"
-    p.write_bytes(b"NOPE" + b"\x00" * 96)
-    with pytest.raises(dd.DataError):
-        dd.read_task_file(p, cfg, dd.build_task_specs(cfg)[0])
-
-
-def test_task_file_truncation(tmp_path):
-    cfg = _small_cfg()
-    task = dd.build_sequence(cfg)[0]
-    path = tmp_path / "task0.bin"
-    dd.write_task_file(path, task)
-    raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(dd.DataError, match="truncated"):
-        dd.read_task_file(path, cfg, task.spec)
-
-
-def test_task_file_of_another_config_is_a_data_error(tmp_path):
-    """Tensors are checked against the shapes the reader's config gives."""
-    cfg = _small_cfg()
-    path = tmp_path / "task0.bin"
-    dd.write_task_file(path, dd.build_sequence(cfg)[0])
-    other = _small_cfg(train_pairs=13)
-    with pytest.raises(dd.DataError, match="train/audio_patches"):
-        dd.read_task_file(path, other, dd.build_task_specs(other)[0])

@@ -3,8 +3,8 @@
 ``trainer._memory_layout`` decides what an entry stores and the training
 step fills it; the memory itself stays generic over its fields.  A field
 name spelled in another module would be a second place deciding the layout.
-The patch fields share their names with the dataset's split tensors, which
-``data.py`` spells for its own files, so they are not guarded.
+The patch fields share their names with the split tensors, which
+``data.py`` spells for its own :class:`SampleSet`, so they are not guarded.
 """
 
 import ast

@@ -144,7 +144,5 @@ def test_every_container_read_reaches_the_layout_check():
     report = _container_reads()
     assert report["violations"] == []
     # the guard sees every reader and every check they reach
-    assert report["readers"] == {"cli.py:_load_model", "data.py:read_task_file",
-                                 "trainer.py:run_sequence"}
-    assert report["checked_in"] == {"read_task_file", "_restore_run",
-                                    "memory_from_arrays"}
+    assert report["readers"] == {"cli.py:_load_model", "trainer.py:run_sequence"}
+    assert report["checked_in"] == {"_restore_run", "memory_from_arrays"}
